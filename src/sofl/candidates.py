@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
+    Color,
     DegenerateInputError,
     TolerancePolicy,
     center_on_line_through,
@@ -194,15 +196,25 @@ def line_contacts(points, line_y: float = 0.0, k: int = 1):
     for m = 1, a quadratic in lam^2 for m = 0); every row is normalized to
     unit scale, solved in one batched eigenvalue pass, polished by Newton
     steps on the unsquared slack, and kept only if that slack vanishes.
+
+    Results are cached per geometry (ids, coordinates and colours, the line
+    and k), not per weight: `sofl check` asks for the same contacts in the
+    solver and the oracle, and the reweighted special variants share them.
     """
-    pts = list(points)
+    gains, losses = _contacts(tuple((p.id, p.x, p.y, p.color) for p in points), line_y, k)
+    return list(gains), list(losses)
+
+
+@functools.lru_cache(maxsize=16)
+def _contacts(pts, line_y, k):
+    """`line_contacts` on (id, x, y, colour) tuples, as tuples."""
     n = len(pts)
     if k < 2 or n < 2:
-        return [], []
-    ids = np.array([p.id for p in pts])
-    x = np.array([p.x for p in pts], dtype=float)
-    y = np.abs(np.array([p.y for p in pts], dtype=float) - line_y)
-    blue = np.array([p.is_blue for p in pts])
+        return (), ()
+    ids = np.array([p[0] for p in pts])
+    x = np.array([p[1] for p in pts], dtype=float)
+    y = np.abs(np.array([p[2] for p in pts], dtype=float) - line_y)
+    blue = np.array([p[3] is Color.BLUE for p in pts])
     sign = np.where(blue, 1.0, -1.0)
     pa, pb = np.nonzero(~np.eye(n, dtype=bool))
     red_red = ~blue[pa] & ~blue[pb]
@@ -286,7 +298,7 @@ def line_contacts(points, line_y: float = 0.0, k: int = 1):
         ),
         key=_entry_key,
     )
-    return gains, np.unique(lam[loss]).tolist()
+    return tuple(gains), tuple(np.unique(lam[loss]).tolist())
 
 
 def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k: int = 1):

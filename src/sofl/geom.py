@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Color",
     "Region",
@@ -94,6 +96,14 @@ class TolerancePolicy:
 
     def close(self, a: float, b: float) -> bool:
         return abs(a - b) <= self.x_slack(max(abs(a), abs(b)))
+
+    def x_slacks(self, xs: np.ndarray) -> np.ndarray:
+        """`x_slack` of every value. For a >= b, `close(a, b)` is exactly
+        a - b <= max(slack of a, slack of b), since eps * max(1, .) is
+        monotone."""
+        if self.mode == "relative":
+            return self.eps * np.maximum(1.0, np.abs(xs))
+        return np.full(len(xs), self.eps)
 
 
 DEFAULT_TOL = TolerancePolicy()

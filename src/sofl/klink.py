@@ -1,5 +1,6 @@
 """Single-line fixed-radius machinery: influence intervals, the candidate
-center grid, and the budgeted center-selection dynamic program.
+center grid, and the budgeted center-selection dynamic program, as one
+numpy kernel.
 
 For a fixed radius lam, every point within lam of the line contributes an
 influence interval of center positions whose disk covers it. Candidate
@@ -12,6 +13,18 @@ first i+1 centers with j picks left and either skips center i or takes it
 on top of the best solution ending at p[i], the rightmost center at gap
 >= 2*lam to its left.
 
+`solve_radius` runs every step with numpy on per-point arrays built once
+per instance (`line_geometry`): a stable sort and a sequential
+near-duplicate merge of the centers, a dense points x centers coverage
+mask, `searchsorted` predecessors with an exact fix-up, one pass per
+budget layer of the DP, and a backtrack of at most k steps. It returns the
+union weight of the chosen disks, taken from the mask rows of the chosen
+centers, so a radius loop compares union weights and recomputes one union,
+for the `Placement` of the radius it returns. Every step makes the same
+float operations as the scalar geometry predicates and sums weights in
+point order, so the results equal a scalar evaluation bit for bit. The
+public stage functions are thin wrappers over the same helpers.
+
 Ties are broken deterministically: maximum weight, then fewest centers,
 then the selection whose largest center is smallest (continuing leftward).
 The brute-force oracle applies the same rule.
@@ -21,22 +34,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (
-    DEFAULT_TOL,
-    Color,
-    Disk,
-    TolerancePolicy,
-    disk_weight,
-)
-from .placement import LineCenter, Placement, empty_placement, line_placement
+from .geom import DEFAULT_TOL, Color, TolerancePolicy
+from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
     "InfluenceInterval",
     "CenterSequence",
     "DpTables",
+    "LineGeometry",
+    "line_geometry",
+    "candidate_centers",
+    "solve_radius",
     "influence_intervals",
     "build_center_sequence",
     "weight_array",
@@ -72,107 +84,279 @@ class DpTables:
     back: list[list[bool]]  # True where center i is taken at budget j
 
 
-def influence_intervals(points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """[x-h, x+h] per point within lam of the line, h = sqrt(lam^2 - dy^2)."""
+class LineGeometry(NamedTuple):
+    """Per-point arrays of one instance against one line, in point order."""
+
+    px: np.ndarray
+    dy2: np.ndarray  # squared height over the line
+    blue: np.ndarray
+    w: np.ndarray
+
+
+def line_geometry(points, line_y: float) -> LineGeometry:
+    pts = list(points)
+    return LineGeometry(
+        np.array([p.x for p in pts], dtype=float),
+        (np.array([p.y for p in pts], dtype=float) - line_y) ** 2,
+        np.array([p.is_blue for p in pts], dtype=bool),
+        np.array([p.weight for p in pts], dtype=float),
+    )
+
+
+# --- the numpy helpers ------------------------------------------------------
+
+
+def _reach(dy2, lam: float, tol: TolerancePolicy):
+    """Indices of the points within lam of the line, and their half-widths
+    h = sqrt(lam^2 - dy^2)."""
     lam2 = lam * lam
-    band = tol.band(lam2)
-    out = []
-    for p in points:
-        dy = p.y - line_y
-        dy2 = dy * dy
-        if dy2 - lam2 > band:
-            continue
-        h = math.sqrt(max(0.0, lam2 - dy2))
-        out.append(InfluenceInterval(p.id, p.x - h, p.x + h, p.color))
-    return out
+    idx = (dy2 - lam2 <= tol.band(lam2)).nonzero()[0]
+    return idx, np.sqrt(np.maximum(0.0, lam2 - dy2[idx]))
 
 
-def build_center_sequence(intervals, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> CenterSequence:
+def _merge(xs, tol: TolerancePolicy):
+    """Keep mask of the sequential merge of sorted xs: a value close to the
+    last kept value is dropped (coincident centers are merged, never
+    perturbed).
+
+    The guess compares each value with its predecessor. It can only be wrong
+    right after a dropped value, where the last kept value lies further back
+    (a run of near-equal values can span more than the slack). Those
+    positions are checked against the last kept value, and the first wrong
+    one is flipped until none is; flips move strictly rightward, so every
+    other position keeps its correct guess.
+    """
+    slack = tol.x_slacks(xs)
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = xs[1:] - xs[:-1] > np.maximum(slack[1:], slack[:-1])
+    while True:
+        after = (~keep[:-1]).nonzero()[0] + 1
+        if not len(after):
+            return keep
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(xs)), 0))[after - 1]
+        far = xs[after] - xs[last] > np.maximum(slack[after], slack[last])
+        wrong = after[far != keep[after]]
+        if not len(wrong):
+            return keep
+        keep[wrong[0]] = not keep[wrong[0]]
+
+
+def _check(lam: float, k: int) -> None:
     if lam <= 0:
         raise ValueError("center sequence requires a positive radius")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not intervals:
-        return CenterSequence((0.0, 2.0 * k * lam), (("sentinel-s",), ("sentinel-t",)))
-    raw = []
-    for iv in intervals:
-        for side, e in (("l", iv.l), ("r", iv.r)):
-            raw.append((e, ("endpoint", iv.point_id, side)))
-            for j in range(1, k):
-                off = 2.0 * j * lam
-                raw.append((e - off, ("shift", iv.point_id, side, -j)))
-                raw.append((e + off, ("shift", iv.point_id, side, j)))
+
+
+def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
+    """Merged candidate centers, and each one's index in the raw list.
+
+    ends holds each reaching point's interval as l, r in point order. The
+    raw list is every endpoint followed by its shifts by -1, +1, -2, +2, ...
+    times 2*lam, then the two sentinels; it is stable-sorted, so among equal
+    values the first in that order is kept. The index is None when nothing
+    is in reach and the two sentinels alone remain.
+    """
     margin = 2.0 * k * lam
-    raw.append((min(iv.l for iv in intervals) - margin, ("sentinel-s",)))
-    raw.append((max(iv.r for iv in intervals) + margin, ("sentinel-t",)))
-    raw.sort(key=lambda item: item[0])
-    xs = [raw[0][0]]
-    src = [raw[0][1]]
-    for x, tag in raw[1:]:
-        if tol.close(x, xs[-1]):
-            continue  # coincident centers are merged, never perturbed
-        xs.append(x)
-        src.append(tag)
-    return CenterSequence(tuple(xs), tuple(src))
+    if not len(ends):
+        return np.array([0.0, margin]), None
+    offs = np.array([2.0 * j * lam for j in range(1, k)])
+    raw = np.empty(len(ends) * (2 * k - 1) + 2)
+    grid = raw[:-2].reshape(len(ends), 2 * k - 1)
+    grid[:, 0] = ends
+    grid[:, 1::2] = ends[:, None] - offs
+    grid[:, 2::2] = ends[:, None] + offs
+    raw[-2] = ends[0::2].min() - margin
+    raw[-1] = ends[1::2].max() + margin
+    order = np.argsort(raw, kind="stable")
+    xs = raw[order]
+    keep = _merge(xs, tol)
+    return xs[keep], order[keep]
+
+
+def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
+    """Indices of the points within lam of the line, and the merged
+    candidate centers of radius lam and budget k, ascending."""
+    _check(lam, k)
+    idx, h = _reach(geo.dy2, lam, tol)
+    px = geo.px[idx]
+    ends = np.empty(2 * len(idx))
+    ends[0::2] = px - h
+    ends[1::2] = px + h
+    return idx, _centers(ends, lam, k, tol)[0]
+
+
+def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
+    """geom.is_covered for every point (row) and center (column), in the
+    same float operations."""
+    r2 = lam * lam
+    band = tol.band(r2)
+    s = px[:, None] - xs[None, :]
+    s *= s
+    s += dy2[:, None]
+    s -= r2
+    return np.where(blue[:, None], s <= band, s < -band)
+
+
+def _point_order_sum(cov, w):
+    """Covered weight per column of the mask, summed over the rows in point
+    order like geom.disk_weight, so any float weights give the same sums."""
+    v = np.where(cov, w[:, None], 0.0)
+    np.cumsum(v, axis=0, out=v)
+    return v[-1]
+
+
+def _predecessors(xs, lam: float, tol: TolerancePolicy):
+    """p[i] = rightmost j < i with xs[i] - xs[j] >= 2*lam (less the slack),
+    else -1.
+
+    searchsorted gives a guess. The predicate, evaluated in floats, is
+    monotone in j, so stepping up while the next index satisfies it and down
+    while the current one fails gives the exact answer. p[i] < i holds even
+    when the bound is not positive (tiny lam).
+    """
+    need = 2.0 * lam - tol.x_slack(2.0 * lam)
+    i = np.arange(len(xs))
+    p = np.minimum(np.searchsorted(xs, xs - need, side="right") - 1, i - 1)
+    while True:
+        up = (xs - xs[p + 1] >= need) & (p + 1 < i)
+        down = (xs - xs[p] < need) & (p >= 0)  # xs[-1] is masked out
+        if not (up | down).any():
+            return p
+        p = p + up - down
+
+
+def _dp_layers(w, p, k: int):
+    """Budget layers 1..k of the DP, each as (weight, rank, taken) arrays
+    over the centers, where rank = k + 1 - centers used.
+
+    Layer j at i is the best (weight, -centers) over the first i+1 centers
+    and at most j picks: a running maximum, from the empty selection, of the
+    takes layer_{j-1}[p[i]] + (w[i], -1). A take replaces the running best
+    only when strictly better, so ties keep the earlier choice. The weight
+    part is a running maximum of floats. The count part is a running
+    maximum of one integer key: how often the weight maximum has risen,
+    then the rank of a take that reaches the maximum (0 for one that does
+    not).
+    """
+    radix = k + 2
+    m = len(w)
+    prev_w = np.zeros(m + 1)  # index 0 is the empty selection
+    prev_r = np.full(m + 1, k + 1)
+    take_w = np.zeros(m + 1)
+    take_r = np.full(m + 1, k + 1)
+    rises = np.zeros(m + 1, dtype=np.intp)
+    p1 = p + 1
+    layers = []
+    for _ in range(k):
+        np.add(prev_w[p1], w, out=take_w[1:])
+        np.subtract(prev_r[p1], 1, out=take_r[1:])
+        prev_w = np.maximum.accumulate(take_w)
+        np.cumsum(prev_w[1:] > prev_w[:-1], out=rises[1:])
+        key = rises * radix + np.where(take_w == prev_w, take_r, 0)
+        best = np.maximum.accumulate(key)
+        prev_r = best % radix
+        layers.append((prev_w[1:], prev_r[1:], key[1:] > best[:-1]))
+    return layers
+
+
+def _backtrack(layers, p) -> list[int]:
+    """Chosen indices, left to right: per layer from the top, the last
+    taken center at or before the current index, then its predecessor."""
+    chosen = []
+    i = len(p) - 1
+    for _, _, taken in reversed(layers):
+        hits = taken[: i + 1].nonzero()[0]
+        if not len(hits):
+            break
+        i = int(hits[-1])
+        chosen.append(i)
+        i = int(p[i])
+    chosen.reverse()
+    return chosen
+
+
+def solve_radius(geo: LineGeometry, lam: float, k: int,
+                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, tuple[float, ...]]:
+    """Best selection of at most k radius-lam disks centered on the line:
+    its union weight and its center abscissae, ascending."""
+    if lam <= 0.0:
+        return 0.0, ()
+    idx, xs = candidate_centers(geo, lam, k, tol)
+    if not len(idx):
+        return 0.0, ()
+    cov = _coverage(xs, geo.px[idx], geo.dy2[idx], geo.blue[idx], lam, tol)
+    w = geo.w[idx]
+    p = _predecessors(xs, lam, tol)
+    chosen = _backtrack(_dp_layers(_point_order_sum(cov, w), p, k), p)
+    if not chosen:
+        return 0.0, ()
+    union = cov[:, chosen].any(axis=1, keepdims=True)
+    return float(_point_order_sum(union, w)[0]), tuple(xs[chosen].tolist())
+
+
+# --- the stage functions ----------------------------------------------------
+
+
+def influence_intervals(points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
+    """[x-h, x+h] per point within lam of the line, h = sqrt(lam^2 - dy^2)."""
+    pts = list(points)
+    idx, h = _reach((np.array([p.y for p in pts], dtype=float) - line_y) ** 2, lam, tol)
+    px = np.array([p.x for p in pts], dtype=float)[idx]
+    return [
+        InfluenceInterval(pts[i].id, l, r, pts[i].color)
+        for i, l, r in zip(idx.tolist(), (px - h).tolist(), (px + h).tolist())
+    ]
+
+
+def build_center_sequence(intervals, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> CenterSequence:
+    _check(lam, k)
+    ivs = list(intervals)
+    ends = np.array([e for iv in ivs for e in (iv.l, iv.r)], dtype=float)
+    xs, order = _centers(ends, lam, k, tol)
+    if order is None:
+        return CenterSequence(tuple(xs.tolist()), (("sentinel-s",), ("sentinel-t",)))
+    width = 2 * k - 1
+    n_raw = len(ends) * width
+    source = []
+    for o in order.tolist():
+        if o >= n_raw:
+            source.append(("sentinel-s",) if o == n_raw else ("sentinel-t",))
+            continue
+        e, col = divmod(o, width)
+        iv, side = ivs[e // 2], "lr"[e % 2]
+        if col == 0:
+            source.append(("endpoint", iv.point_id, side))
+        else:
+            j = (col + 1) // 2
+            source.append(("shift", iv.point_id, side, -j if col % 2 else j))
+    return CenterSequence(tuple(xs.tolist()), tuple(source))
 
 
 def weight_array(seq: CenterSequence, points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """Covered weight of a radius-lam disk at every candidate center.
-
-    The bulk path evaluates the same predicates as geom.classify with numpy
-    and sums selected weights in point order, so results match the scalar
-    path bit for bit.
-    """
-    if not points or len(points) * len(seq.xs) < 64:
-        return [disk_weight(Disk(x, line_y, lam), points, tol) for x in seq.xs]
-    px = np.array([p.x for p in points])
-    dy2 = (np.array([p.y for p in points]) - line_y) ** 2
-    is_blue = np.array([p.is_blue for p in points])
-    ws = [p.weight for p in points]
-    xs = np.array(seq.xs)
-    r2 = lam * lam
-    band = tol.band(r2)
-    s = (px[None, :] - xs[:, None]) ** 2 + dy2[None, :] - r2
-    covered = np.where(is_blue[None, :], s <= band, s < -band)
-    out = [0.0] * len(seq.xs)
-    rows, cols = np.nonzero(covered)  # row-major, so per-center point order
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out[i] += ws[j]
-    return out
+    """Covered weight of a radius-lam disk at every candidate center."""
+    geo = line_geometry(points, line_y)
+    if not len(geo.px):
+        return [0.0] * len(seq.xs)
+    cov = _coverage(np.array(seq.xs, dtype=float), geo.px, geo.dy2, geo.blue, lam, tol)
+    return _point_order_sum(cov, geo.w).tolist()
 
 
 def predecessor_array(seq: CenterSequence, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
     """p[i] = rightmost i' < i with xs[i] - xs[i'] >= 2*lam, or None."""
-    xs = seq.xs
-    need = 2.0 * lam - tol.x_slack(2.0 * lam)
-    out: list[int | None] = []
-    last = -1
-    for i, x in enumerate(xs):
-        while last + 1 < i and x - xs[last + 1] >= need:
-            last += 1
-        out.append(last if last >= 0 else None)
-    return out
+    p = _predecessors(np.array(seq.xs, dtype=float), lam, tol)
+    return [j if j >= 0 else None for j in p.tolist()]
 
 
-_BASE = (0.0, 0)
+def _index_array(p):
+    return np.array([-1 if j is None else j for j in p], dtype=np.intp)
 
 
 def build_dp_tables(w, p, k: int) -> DpTables:
-    m = len(w)
-    phi = [[_BASE] * (k + 1) for _ in range(m)]
-    back = [[False] * (k + 1) for _ in range(m)]
-    for i in range(m):
-        pi = p[i]
-        row = phi[i]
-        for j in range(1, k + 1):
-            skip = phi[i - 1][j] if i > 0 else _BASE
-            prev = phi[pi][j - 1] if pi is not None else _BASE
-            take = (prev[0] + w[i], prev[1] - 1)
-            if take > skip:
-                row[j] = take
-                back[i][j] = True
-            else:
-                row[j] = skip
+    layers = _dp_layers(np.array(w, dtype=float), _index_array(p), k)
+    cols = [(lw.tolist(), (lr - (k + 1)).tolist(), taken.tolist()) for lw, lr, taken in layers]
+    phi = [[(0.0, 0)] + [(lw[i], neg[i]) for lw, neg, _ in cols] for i in range(len(w))]
+    back = [[False] + [taken[i] for _, _, taken in cols] for i in range(len(w))]
     return DpTables(list(w), list(p), phi, back)
 
 
@@ -182,34 +366,17 @@ def max_weight_k_links(w, p, k: int):
     Unused budget costs nothing, so the value is never negative. Returns the
     value and the chosen indices under the canonical tie rule.
     """
-    m = len(w)
-    if m == 0:
+    if len(w) == 0:
         return 0.0, []
-    tables = build_dp_tables(w, p, k)
-    chosen = []
-    i, j = m - 1, k
-    while i >= 0 and j > 0:
-        if tables.back[i][j]:
-            chosen.append(i)
-            j -= 1
-            i = p[i] if p[i] is not None else -1
-        else:
-            i -= 1
-    chosen.reverse()
-    return tables.phi[m - 1][k][0], chosen
+    pa = _index_array(p)
+    layers = _dp_layers(np.array(w, dtype=float), pa, k)
+    return float(layers[-1][0][-1]), _backtrack(layers, pa)
 
 
 def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks centered on one line."""
-    if lam <= 0.0:
-        return empty_placement(max(lam, 0.0))
-    intervals = influence_intervals(points, line_y, lam, tol)
-    seq = build_center_sequence(intervals, lam, k, tol)
-    w = weight_array(seq, points, line_y, lam, tol)
-    p = predecessor_array(seq, lam, tol)
-    _, chosen = max_weight_k_links(w, p, k)
-    centers = tuple(LineCenter(seq.xs[i], 0) for i in chosen)
-    return line_placement(points, [line_y], lam, centers, tol)
+    _, xs = solve_radius(line_geometry(points, line_y), lam, k, tol)
+    return line_placement(points, [line_y], max(lam, 0.0), tuple(LineCenter(x) for x in xs), tol)
 
 
 def edge_weight(i: int, j: int, seq: CenterSequence, w, lam: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:

@@ -28,7 +28,7 @@ from .geom import (
     classify,
     is_covered,
 )
-from .klink import build_center_sequence, influence_intervals
+from .klink import candidate_centers, line_geometry
 from .multiline import multiline_centers
 from .variants_k1 import pair_disk
 
@@ -127,9 +127,8 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
 
 
 def _line_center_grid(points, line_y, lam, k, tol):
-    intervals = influence_intervals(points, line_y, lam, tol)
-    seq = build_center_sequence(intervals, lam, k, tol)
-    return [(x, line_y) for x in seq.xs]
+    _, xs = candidate_centers(line_geometry(points, line_y), lam, k, tol)
+    return [(x, line_y) for x in xs.tolist()]
 
 
 def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts, with_gains
 from .geom import DEFAULT_TOL, TolerancePolicy
-from .klink import solve_fixed_radius
-from .placement import Placement
+from .klink import line_geometry, solve_radius
+from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
     "InvalidDeltaError",
@@ -60,22 +61,13 @@ class SpecialResult:
     all_blue_covered: bool
 
 
-def _solve_one(args):
-    points, line_y, lam, k, tol = args
-    return solve_fixed_radius(points, line_y, lam, k, tol)
-
-
-def _solve_all(points, line_y, radii, k, tol, jobs):
+def _solve_all(geo, radii, k, tol, jobs):
+    """(union weight, centers) of `solve_radius` for every radius."""
+    kernel = functools.partial(solve_radius, geo, k=k, tol=tol)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    _solve_one,
-                    [(points, line_y, lam, k, tol) for lam in radii],
-                    chunksize=max(1, len(radii) // (4 * jobs)),
-                )
-            )
-    return [solve_fixed_radius(points, line_y, lam, k, tol) for lam in radii]
+            return list(pool.map(kernel, radii, chunksize=max(1, len(radii) // (4 * jobs))))
+    return [kernel(lam) for lam in radii]
 
 
 def solve_csofl(points, line_y: float = 0.0, k: int = 1,
@@ -97,9 +89,10 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
       reaches the best weight wins.
 
     A loss within MERGE_EPS of the gain counts; one at the next standard
-    radius does not, since the placement is still feasible there. With
-    jobs > 1 the first two groups run in a process pool; the result does
-    not depend on jobs.
+    radius does not, since the placement is still feasible there. Radii
+    are compared by the union weight `solve_radius` returns, and only the
+    returned radius gets a `Placement`. With jobs > 1 the first two groups
+    run in a process pool; the result does not depend on jobs.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -114,19 +107,22 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
         i = bisect.bisect_left(losses, g - MERGE_EPS)
         lost = i < len(losses) and losses[i] < upper
         (solve if lost or (upper == math.inf and g == pending[-1]) else rest).append(g)
+    geo = line_geometry(points, line_y)
     radii = sorted(std + solve)
-    results = _solve_all(points, line_y, radii, k, tol, jobs)
-    best = results[0]
-    for pl in results[1:]:
-        if pl.total_weight > best.total_weight:
-            best = pl
-    below = bisect.bisect_left(std, best.radius) - 1
+    results = _solve_all(geo, radii, k, tol, jobs)
+    best = 0
+    for i in range(1, len(results)):
+        if results[i][0] > results[best][0]:
+            best = i
+    lam, (weight, xs) = radii[best], results[best]
+    below = bisect.bisect_left(std, lam) - 1
     for g in rest:
-        if below >= 0 and std[below] < g < best.radius:
-            pl = solve_fixed_radius(points, line_y, g, k, tol)
-            if pl.total_weight >= best.total_weight:
-                return pl
-    return best
+        if below >= 0 and std[below] < g < lam:
+            g_weight, g_xs = solve_radius(geo, g, k, tol)
+            if g_weight >= weight:
+                lam, xs = g, g_xs
+                break
+    return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)
 
 
 def reduce_allblue_minred(points, delta: float = -1.0):

@@ -5,17 +5,22 @@ from itertools import combinations
 import pytest
 
 from sofl.candidates import candidate_radii_line
-from sofl.geom import DEFAULT_TOL, Disk, disk_weight
+from sofl.geom import DEFAULT_TOL, Color, Disk, disk_weight
 from sofl.klink import (
+    CenterSequence,
+    InfluenceInterval,
     build_center_sequence,
     build_dp_tables,
     edge_weight,
     influence_intervals,
+    line_geometry,
     max_weight_k_links,
     predecessor_array,
     solve_fixed_radius,
+    solve_radius,
     weight_array,
 )
+from sofl.placement import union_coverage
 from conftest import B, R, random_instance
 
 
@@ -87,6 +92,15 @@ def test_sequence_empty_intervals():
     assert seq.xs == (0.0, 4.0)
 
 
+def test_sequence_merges_against_last_kept_value():
+    # 0.6e-9 merges into 0.0; 1.2e-9 is within the slack of 0.6e-9 but not
+    # of 0.0, the last kept value, so it stays.
+    ivs = [InfluenceInterval(0, 0.0, 0.6e-9, Color.BLUE),
+           InfluenceInterval(1, 1.2e-9, 5.0, Color.BLUE)]
+    seq = build_center_sequence(ivs, 1.0, 1)
+    assert seq.xs == (-2.0, 0.0, 1.2e-09, 5.0, 7.0)
+
+
 def test_sequence_strictly_increasing():
     for seed in range(15):
         inst = random_instance(seed, 8, 3)
@@ -124,6 +138,28 @@ def test_weight_array_bulk_matches_scalar():
     bulk = weight_array(seq, pts, 0.0, 3.0)
     scalar = [disk_weight(Disk(x, 0.0, 3.0), pts) for x in seq.xs]
     assert bulk == scalar
+
+
+def test_weight_array_float_weights_match_scalar():
+    # Non-integer weights: the sums must be taken in point order to match.
+    rng = random.Random(13)
+    for n in (3, 5, 40):
+        pts = []
+        for i in range(n):
+            if rng.random() < 0.5:
+                pts.append(B(i, rng.randint(0, 30), rng.randint(1, 8), rng.uniform(0.1, 9)))
+            else:
+                pts.append(R(i, rng.randint(0, 30), rng.randint(1, 8), -rng.uniform(0.1, 9)))
+        for lam in (2.5, 3.0, 8.0):
+            seq = build_center_sequence(influence_intervals(pts, 0.0, lam), lam, 2)
+            bulk = weight_array(seq, pts, 0.0, lam)
+            assert bulk == [disk_weight(Disk(x, 0.0, lam), pts) for x in seq.xs]
+
+
+def test_predecessor_tiny_lambda():
+    # 2*lam is below the slack, so every earlier center qualifies; p[i] < i.
+    s = CenterSequence((0.0, 1.0, 2.0), ((),) * 3)
+    assert predecessor_array(s, 1e-10) == [None, 0, 1]
 
 
 def test_predecessor_examples():
@@ -307,6 +343,18 @@ def test_fixed_radius_two_disks():
     pl = solve_fixed_radius(pts, 0.0, 1.0, 2)
     assert pl.total_weight == 2.0
     assert sorted(c.x for c in pl.centers) == [-5.0, 5.0]
+
+
+def test_solve_radius_reports_union_weight():
+    # The DP adds disk weights, so the blue pair at the tangent point of two
+    # touching disks counts twice there (score 8); the reported weight is
+    # the union's.
+    pts = [B(0, -2, 1e-6, 2), B(1, -2, 1e-6, 2), B(2, 0, 4, 1)]
+    weight, xs = solve_radius(line_geometry(pts, 0.0), 4.0, 2)
+    assert xs == pytest.approx((-6.0, 2.0))
+    disks = [Disk(x, 0.0, 4.0) for x in xs]
+    assert weight == union_coverage(disks, pts)[0] == 4.0
+    assert solve_fixed_radius(pts, 0.0, 4.0, 2).total_weight == weight
 
 
 def test_fixed_radius_zero_lambda():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -67,6 +68,13 @@ def test_jobs_parameter_is_inert():
         a = solve_csofl(inst.points, 0.0, 2, jobs=1)
         b = solve_csofl(inst.points, 0.0, 2, jobs=2)
         assert a == b
+
+
+def test_jobs_parameter_is_inert_k3():
+    rng = random.Random(29)
+    for _ in range(3):
+        inst = random_instance(rng.randrange(10_000), rng.randint(5, 8), 3)
+        assert solve_csofl(inst.points, 0.0, 3, jobs=2) == solve_csofl(inst.points, 0.0, 3, jobs=1)
 
 
 def _h(lam, y):
