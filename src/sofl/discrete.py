@@ -1,4 +1,4 @@
-"""Budgeted placement at candidate sites in convex position, fixed radius.
+"""Budgeted placement at candidate sites in convex position.
 
 Chosen sites of any solution lie in convex position (they are a subset of a
 convex ring), so their adjacency structure is an outerplanar triangulation
@@ -14,6 +14,21 @@ in the (never yet observed) case the guard proves too weak.
 
 Budgets of one or two disks are handled by direct enumeration; the chord
 recursion needs three anchors to start from.
+
+`solve_discrete` builds the geometry of a solve once (`_geometry`): the
+site x site squared distances, |dx| and same-height flags, the point x site
+squared distances, the colours and weights, and every ring arc. One radius
+is then a few numpy operations (the coverage mask, the site weights as
+point-order sums, the table of compatible site pairs, converted once to
+lists) plus the chord recursion over plain lists (`_solve_radius`). Every
+step makes the same float operations as the scalar predicates
+`geom.is_covered` and `geom.centers_compatible` and sums weights in point
+order, so the results equal a scalar evaluation bit for bit. A radius
+returns the union weight of its chosen sites, taken from their mask
+columns, so the radius loop compares union weights and builds one
+`Placement` per solve, for the radius it returns. `site_weights`,
+`solve_discrete_fixed_radius` and `_ChordSolver` are thin wrappers over the
+same helpers.
 """
 
 from __future__ import annotations
@@ -21,25 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
 
 from .candidates import MERGE_EPS, candidate_radii_discrete
-from .geom import (
-    DEFAULT_TOL,
-    Disk,
-    TolerancePolicy,
-    centers_compatible,
-    disk_weight,
-    dist2,
-)
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, point_order_sums
 from .placement import Placement, empty_placement, site_placement
 
 __all__ = [
     "ConvexPositionError",
     "SiteRing",
-    "GammaKey",
     "canonical_ring",
     "site_weights",
-    "zeta",
     "solve_discrete_fixed_radius",
     "solve_discrete",
 ]
@@ -57,19 +66,6 @@ class SiteRing:
 
     def __len__(self) -> int:
         return len(self.sites)
-
-
-@dataclass(frozen=True)
-class GammaKey:
-    """Memo key for the chord recursion: chord ends a and b, the apex of the
-    triangle across the chord, the contiguous arc of open sites, and the
-    remaining disk budget."""
-
-    a: int
-    b: int
-    apex: int
-    arc: tuple[int, ...]
-    budget: int
 
 
 def _cross(o, p, q) -> float:
@@ -99,14 +95,6 @@ def canonical_ring(sites) -> SiteRing:
     return SiteRing(tuple(ring))
 
 
-def site_weights(sites, points, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    return [disk_weight(Disk(sx, sy, lam), points, tol) for sx, sy in sites]
-
-
-def zeta(candidate_xy, anchors_xy) -> float:
-    """Minimum distance from a candidate site to the three anchor sites."""
-    cx, cy = candidate_xy
-    return math.sqrt(min(dist2(cx, cy, ax, ay) for ax, ay in anchors_xy))
 
 
 def _arc_between(s: int, after: int, before: int) -> tuple[int, ...]:
@@ -119,32 +107,88 @@ def _arc_between(s: int, after: int, before: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _ChordSolver:
-    def __init__(self, sites, w, lam, tol):
-        self.sites = sites
-        self.w = w
-        self.lam = lam
-        self.tol = tol
-        self.memo: dict[GammaKey, float] = {}
-        self.choice: dict[GammaKey, tuple[int, int] | None] = {}
+class _Geometry(NamedTuple):
+    """Site and point arrays of one solve, shared by every radius."""
 
-    def admissible(self, cand: int, anchors) -> bool:
-        c = self.sites[cand]
-        return all(
-            centers_compatible(c, self.sites[a], self.lam, self.tol) for a in anchors
-        )
+    ring: tuple[tuple[float, float], ...]
+    d2: np.ndarray  # site x site squared distances
+    adx: np.ndarray  # site x site |dx|
+    same: np.ndarray  # site x site: same height
+    pd2: np.ndarray  # point x site squared distances
+    blue: np.ndarray
+    w: np.ndarray
+    arcs: tuple  # arcs[a][b] == _arc_between(s, a, b)
+
+
+def _geometry(ring, points) -> _Geometry:
+    ring = tuple(ring)
+    s = len(ring)
+    pts = list(points)
+    sx = np.array([x for x, _ in ring], dtype=float)
+    sy = np.array([y for _, y in ring], dtype=float)
+    dx = sx[:, None] - sx[None, :]
+    dy = sy[:, None] - sy[None, :]
+    px = np.array([p.x for p in pts], dtype=float)[:, None] - sx[None, :]
+    py = np.array([p.y for p in pts], dtype=float)[:, None] - sy[None, :]
+    return _Geometry(
+        ring,
+        dx * dx + dy * dy,
+        np.abs(dx),
+        sy[:, None] == sy[None, :],
+        px * px + py * py,
+        np.array([p.is_blue for p in pts], dtype=bool),
+        np.array([p.weight for p in pts], dtype=float),
+        tuple(tuple(_arc_between(s, a, b) for b in range(s)) for a in range(s)),
+    )
+
+
+def _coverage(geo: _Geometry, lam: float, tol: TolerancePolicy) -> np.ndarray:
+    """`is_covered` for every point (row) and site (column) at radius lam."""
+    r2 = lam * lam
+    return coverage_mask(geo.pd2 - r2, geo.blue, tol.band(r2))
+
+
+def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[bool]]:
+    """ok[i][j]: `centers_compatible` of sites i and j at radius lam, in the
+    same float operations (linear in x at the same height)."""
+    two = 2.0 * lam
+    need = 4.0 * lam * lam
+    ok = np.where(geo.same, geo.adx >= two - tol.x_slack(two), geo.d2 >= need - tol.band(need))
+    return ok.tolist()
+
+
+def site_weights(sites, points, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
+    """Covered weight of a radius-lam disk at every site, like `disk_weight`."""
+    if lam < 0:
+        raise ValueError("disk radius must be nonnegative")
+    geo = _geometry(sites, points)
+    return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
+
+
+class _ChordSolver:
+    """Chord recursion over the site weights w and the pair table ok
+    (computed from the sites when not given)."""
+
+    def __init__(self, sites, w, lam, tol, ok=None):
+        self.w = w
+        self.ok = _pair_table(_geometry(sites, ()), lam, tol) if ok is None else ok
+        self.memo: dict[tuple, float] = {}
+        self.choice: dict[tuple, tuple[int, int] | None] = {}
 
     def gamma(self, a: int, b: int, apex: int, arc: tuple[int, ...], budget: int) -> float:
+        """Best weight added inside arc, across the chord (a, b) from apex,
+        with at most budget more sites."""
         if budget == 0 or not arc:
             return 0.0
-        key = GammaKey(a, b, apex, arc, budget)
+        key = (a, b, apex, arc, budget)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         best = 0.0  # placing nothing more is always allowed
         pick = None
+        ok_a, ok_b, ok_apex = self.ok[a], self.ok[b], self.ok[apex]
         for m, cand in enumerate(arc):
-            if not self.admissible(cand, (a, b, apex)):
+            if not (ok_a[cand] and ok_b[cand] and ok_apex[cand]):
                 continue
             left = arc[:m]  # between b and cand
             right = arc[m + 1 :]  # between cand and a
@@ -164,7 +208,7 @@ class _ChordSolver:
     def collect(self, a: int, b: int, apex: int, arc: tuple[int, ...], budget: int, out: list[int]):
         if budget == 0 or not arc:
             return
-        pick = self.choice.get(GammaKey(a, b, apex, arc, budget))
+        pick = self.choice.get((a, b, apex, arc, budget))
         if pick is None:
             return
         cand, kp = pick
@@ -174,8 +218,9 @@ class _ChordSolver:
         self.collect(cand, b, a, arc[:m], budget - 1 - kp, out)
 
 
-def _enumerate_best(sites, w, lam, k, tol, max_subsets=200_000):
-    """Canonical best over all feasible subsets of at most k sites."""
+def _enumerate_best(sites, w, ok, k, max_subsets=200_000):
+    """Canonical best over all pairwise compatible subsets of at most k
+    sites."""
     s = len(sites)
     total = sum(math.comb(s, j) for j in range(min(k, s) + 1))
     if total > max_subsets:
@@ -184,11 +229,7 @@ def _enumerate_best(sites, w, lam, k, tol, max_subsets=200_000):
     best_key = (0.0, 0, ())  # the empty selection
     for size in range(1, min(k, s) + 1):
         for combo in combinations(range(s), size):
-            ok = all(
-                centers_compatible(sites[a], sites[b], lam, tol)
-                for a, b in combinations(combo, 2)
-            )
-            if not ok:
+            if not all(ok[a][b] for a, b in combinations(combo, 2)):
                 continue
             weight = sum(w[i] for i in combo)
             keys = tuple(sorted((sites[i] for i in combo), reverse=True))
@@ -199,31 +240,30 @@ def _enumerate_best(sites, w, lam, k, tol, max_subsets=200_000):
     return best_ids, -best_key[0]
 
 
-def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Best placement of at most k radius-lam disks at the given ring sites."""
-    ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
+    """Best selection of at most k radius-lam disks at the ring sites: its
+    union weight and its site ids, ascending."""
     if lam <= 0.0:
-        return empty_placement(max(lam, 0.0))
+        return 0.0, ()
+    ring = geo.ring
     s = len(ring)
-    w = site_weights(ring, points, lam, tol)
+    cov = _coverage(geo, lam, tol)
+    w = point_order_sums(cov, geo.w).tolist()
+    ok = _pair_table(geo, lam, tol)
 
-    best_ids, best_weight = _enumerate_best(ring, w, lam, min(k, 2), tol)
+    best_ids, best_weight = _enumerate_best(ring, w, ok, min(k, 2))
 
     if k >= 3 and s >= 3:
-        dp = _ChordSolver(ring, w, lam, tol)
+        dp = _ChordSolver(ring, w, lam, tol, ok)
         for a in range(s):
+            ok_a = ok[a]
             for b in range(s):
-                if a == b:
+                if a == b or not ok_a[b]:
                     continue
-                mid = _arc_between(s, a, b)
-                outer = _arc_between(s, b, a)
-                for apex in mid:
-                    if not (
-                        centers_compatible(ring[a], ring[b], lam, tol)
-                        and dp.admissible(apex, (a, b))
-                    ):
+                ok_b = ok[b]
+                outer = geo.arcs[b][a]
+                for apex in geo.arcs[a][b]:
+                    if not (ok_a[apex] and ok_b[apex]):
                         continue
                     val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, outer, k - 3)
                     if val < best_weight:
@@ -242,19 +282,28 @@ def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: Toleranc
                         best_ids = tuple(sorted(ids))
 
     chosen = tuple(sorted(best_ids))
-    feasible = all(
-        centers_compatible(ring[a], ring[b], lam, tol)
-        for a, b in combinations(chosen, 2)
-    )
-    if not feasible:
+    if not all(ok[a][b] for a, b in combinations(chosen, 2)):
         # The three-anchor guard missed a far pair; recover exactly.
-        chosen, _ = _enumerate_best(ring, w, lam, k, tol)
+        chosen, _ = _enumerate_best(ring, w, ok, k)
         chosen = tuple(sorted(chosen))
+    union = cov[:, list(chosen)].any(axis=1, keepdims=True)
+    return float(point_order_sums(union, geo.w)[0]), chosen
+
+
+def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
+    """Best placement of at most k radius-lam disks at the given ring sites."""
+    ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if lam <= 0.0:
+        return empty_placement(max(lam, 0.0))
+    _, chosen = _solve_radius(_geometry(ring, points), lam, k, tol)
     return site_placement(points, ring, lam, chosen, tol)
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Candidate-radius loop over the discrete site ring."""
+    """Candidate-radius loop over the discrete site ring: the first radius
+    of the largest union weight, as one `Placement`."""
     ring = sites if isinstance(sites, SiteRing) else canonical_ring(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -266,9 +315,11 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
         if merged and v - merged[-1] <= MERGE_EPS:
             continue
         merged.append(v)
+    geo = _geometry(ring.sites, points)
     best = None
     for v in merged:
-        pl = solve_discrete_fixed_radius(ring, points, v, k, tol)
-        if best is None or pl.total_weight > best.total_weight:
-            best = pl
-    return best
+        weight, chosen = _solve_radius(geo, v, k, tol)
+        if best is None or weight > best[0]:
+            best = (weight, chosen, v)
+    _, chosen, lam = best
+    return site_placement(points, ring.sites, lam, chosen, tol)

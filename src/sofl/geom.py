@@ -27,6 +27,8 @@ __all__ = [
     "classify",
     "is_covered",
     "disk_weight",
+    "coverage_mask",
+    "point_order_sums",
     "center_on_line_through",
     "centers_compatible",
 ]
@@ -145,6 +147,23 @@ def is_covered(point: ColoredPoint, disk: Disk, tol: TolerancePolicy = DEFAULT_T
 def disk_weight(disk: Disk, points, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Total signed weight of the points covered by one disk (linear scan)."""
     return sum(p.weight for p in points if is_covered(p, disk, tol))
+
+
+def coverage_mask(s: np.ndarray, blue: np.ndarray, band: float) -> np.ndarray:
+    """`is_covered` for every point (row) and disk (column), given
+    s = dist2 - r^2 and band = tol.band(r^2) as `classify` computes them."""
+    return np.where(blue[:, None], s <= band, s < -band)
+
+
+def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Covered weight per column of a points x disks mask, summed over the
+    rows in point order like `disk_weight`, so any float weights give the
+    same sums."""
+    if not len(cov):
+        return np.zeros(cov.shape[1])
+    v = np.where(cov, w[:, None], 0.0)
+    np.cumsum(v, axis=0, out=v)
+    return v[-1]
 
 
 def _xy(p) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Color, TolerancePolicy
+from .geom import DEFAULT_TOL, Color, TolerancePolicy, coverage_mask, point_order_sums
 from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "DpTables",
     "LineGeometry",
     "line_geometry",
+    "interval_ends",
     "candidate_centers",
     "solve_radius",
     "influence_intervals",
@@ -174,36 +175,33 @@ def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
     return xs[keep], order[keep]
 
 
-def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
-    """Indices of the points within lam of the line, and the merged
-    candidate centers of radius lam and budget k, ascending."""
-    _check(lam, k)
+def interval_ends(geo: LineGeometry, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
+    """Indices of the points within lam of the line, and their influence
+    intervals as l, r in point order."""
     idx, h = _reach(geo.dy2, lam, tol)
     px = geo.px[idx]
     ends = np.empty(2 * len(idx))
     ends[0::2] = px - h
     ends[1::2] = px + h
+    return idx, ends
+
+
+def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
+    """Indices of the points within lam of the line, and the merged
+    candidate centers of radius lam and budget k, ascending."""
+    _check(lam, k)
+    idx, ends = interval_ends(geo, lam, tol)
     return idx, _centers(ends, lam, k, tol)[0]
 
 
 def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
-    """geom.is_covered for every point (row) and center (column), in the
-    same float operations."""
+    """geom.is_covered for every point (row) and center (column)."""
     r2 = lam * lam
-    band = tol.band(r2)
     s = px[:, None] - xs[None, :]
     s *= s
     s += dy2[:, None]
     s -= r2
-    return np.where(blue[:, None], s <= band, s < -band)
-
-
-def _point_order_sum(cov, w):
-    """Covered weight per column of the mask, summed over the rows in point
-    order like geom.disk_weight, so any float weights give the same sums."""
-    v = np.where(cov, w[:, None], 0.0)
-    np.cumsum(v, axis=0, out=v)
-    return v[-1]
+    return coverage_mask(s, blue, tol.band(r2))
 
 
 def _predecessors(xs, lam: float, tol: TolerancePolicy):
@@ -288,11 +286,11 @@ def solve_radius(geo: LineGeometry, lam: float, k: int,
     cov = _coverage(xs, geo.px[idx], geo.dy2[idx], geo.blue[idx], lam, tol)
     w = geo.w[idx]
     p = _predecessors(xs, lam, tol)
-    chosen = _backtrack(_dp_layers(_point_order_sum(cov, w), p, k), p)
+    chosen = _backtrack(_dp_layers(point_order_sums(cov, w), p, k), p)
     if not chosen:
         return 0.0, ()
     union = cov[:, chosen].any(axis=1, keepdims=True)
-    return float(_point_order_sum(union, w)[0]), tuple(xs[chosen].tolist())
+    return float(point_order_sums(union, w)[0]), tuple(xs[chosen].tolist())
 
 
 # --- the stage functions ----------------------------------------------------
@@ -301,11 +299,10 @@ def solve_radius(geo: LineGeometry, lam: float, k: int,
 def influence_intervals(points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
     """[x-h, x+h] per point within lam of the line, h = sqrt(lam^2 - dy^2)."""
     pts = list(points)
-    idx, h = _reach((np.array([p.y for p in pts], dtype=float) - line_y) ** 2, lam, tol)
-    px = np.array([p.x for p in pts], dtype=float)[idx]
+    idx, ends = interval_ends(line_geometry(pts, line_y), lam, tol)
     return [
         InfluenceInterval(pts[i].id, l, r, pts[i].color)
-        for i, l, r in zip(idx.tolist(), (px - h).tolist(), (px + h).tolist())
+        for i, l, r in zip(idx.tolist(), ends[0::2].tolist(), ends[1::2].tolist())
     ]
 
 
@@ -336,10 +333,8 @@ def build_center_sequence(intervals, lam: float, k: int, tol: TolerancePolicy = 
 def weight_array(seq: CenterSequence, points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
     """Covered weight of a radius-lam disk at every candidate center."""
     geo = line_geometry(points, line_y)
-    if not len(geo.px):
-        return [0.0] * len(seq.xs)
     cov = _coverage(np.array(seq.xs, dtype=float), geo.px, geo.dy2, geo.blue, lam, tol)
-    return _point_order_sum(cov, geo.w).tolist()
+    return point_order_sums(cov, geo.w).tolist()
 
 
 def predecessor_array(seq: CenterSequence, lam: float, tol: TolerancePolicy = DEFAULT_TOL):

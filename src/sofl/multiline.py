@@ -23,8 +23,9 @@ from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
     centers_compatible,
+    coverage_mask,
 )
-from .klink import influence_intervals
+from .klink import interval_ends, line_geometry
 from .placement import LineCenter, Placement, empty_placement, line_placement
 
 __all__ = [
@@ -66,17 +67,22 @@ def _check_lines(lines) -> list[float]:
     return list(LineSet(tuple(float(y) for y in lines)).ys)
 
 
-def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
-    """Candidate centers across lines: endpoints, hop chains, sentinels."""
+def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
+                      geos=None):
+    """Candidate centers across lines: endpoints, hop chains, sentinels.
+
+    geos holds each line's `klink.line_geometry` of the points; a radius
+    loop builds it once per solve.
+    """
     lines = _check_lines(lines)
     if lam <= 0:
         raise ValueError("candidate centers require a positive radius")
+    if geos is None:
+        geos = [line_geometry(points, ly) for ly in lines]
 
     endpoints: list[tuple[float, int]] = []
-    for li, ly in enumerate(lines):
-        for iv in influence_intervals(points, ly, lam, tol):
-            endpoints.append((iv.l, li))
-            endpoints.append((iv.r, li))
+    for li, geo in enumerate(geos):
+        endpoints.extend((x, li) for x in interval_ends(geo, lam, tol)[1].tolist())
 
     per_line: list[list[float]] = [[] for _ in lines]
 
@@ -137,15 +143,13 @@ def _search_best(points, lines, lam, k, centers, tol):
     gains = []  # optimistic per-center gain: its covered positive weight
     # geom.is_covered for every center and point at once, in the same float
     # operations; weights are summed in point order like geom.disk_weight.
-    r2 = lam * lam
-    band = tol.band(r2)
     px = np.array([p.x for p in points], dtype=float)
     py = np.array([p.y for p in points], dtype=float)
-    dx = px[None, :] - np.array([c.x for c in centers])[:, None]
-    dy = py[None, :] - np.array([lines[c.line_index] for c in centers])[:, None]
-    s = (dx * dx + dy * dy) - r2
-    blue = np.array([p.is_blue for p in points])
-    for row in np.where(blue[None, :], s <= band, s < -band).tolist():
+    dx = px[:, None] - np.array([c.x for c in centers])[None, :]
+    dy = py[:, None] - np.array([lines[c.line_index] for c in centers])[None, :]
+    blue = np.array([p.is_blue for p in points], dtype=bool)
+    r2 = lam * lam
+    for row in coverage_mask((dx * dx + dy * dy) - r2, blue, tol.band(r2)).T.tolist():
         m = 0
         w = 0.0
         gain = 0.0
@@ -209,14 +213,16 @@ def _search_best(points, lines, lam, k, centers, tol):
     return best_ids
 
 
-def solve_tlines_fixed_radius(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Best placement of at most k radius-lam disks centered on the lines."""
+def solve_tlines_fixed_radius(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
+                              geos=None) -> Placement:
+    """Best placement of at most k radius-lam disks centered on the lines
+    (geos as in `multiline_centers`)."""
     lines = _check_lines(lines)
     if k < 1:
         raise ValueError("k must be at least 1")
     if lam <= 0.0:
         return empty_placement(max(lam, 0.0))
-    centers = multiline_centers(points, lines, lam, k, tol)
+    centers = multiline_centers(points, lines, lam, k, tol, geos)
     best_ids = _search_best(points, lines, lam, k, centers, tol)
     chosen = [centers[i] for i in best_ids]
     for i, a in enumerate(chosen):
@@ -246,10 +252,11 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
             groups[-1][1] |= kind != KIND_CHAIN
         else:
             groups.append([v, kind != KIND_CHAIN])
+    geos = [line_geometry(points, ly) for ly in lines]
     best = None
     for v, standard in groups:
         if standard:
-            pl = solve_tlines_fixed_radius(points, lines, v, k, tol)
+            pl = solve_tlines_fixed_radius(points, lines, v, k, tol, geos)
             if best is None or pl.total_weight > best.total_weight:
                 best = pl
     blues = [(min((p.y - ly) ** 2 for ly in lines), p.weight) for p in points if p.is_blue]
@@ -260,7 +267,7 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
         reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
         if reach < best.total_weight or (reach <= best.total_weight and v > best.radius):
             continue
-        pl = solve_tlines_fixed_radius(points, lines, v, k, tol)
+        pl = solve_tlines_fixed_radius(points, lines, v, k, tol, geos)
         if pl.total_weight > best.total_weight or (
             pl.total_weight == best.total_weight and v < best.radius
         ):

@@ -1,17 +1,19 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from sofl.discrete import (
     ConvexPositionError,
+    _geometry,
+    _pair_table,
     canonical_ring,
     site_weights,
     solve_discrete,
     solve_discrete_fixed_radius,
-    zeta,
 )
-from sofl.geom import centers_compatible, dist2
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, disk_weight, dist2
 from sofl.oracle import brute_discrete
 from conftest import B, R, random_instance
 
@@ -46,6 +48,49 @@ def test_site_weights():
     assert w == [0.0]  # boundary red is open-interior excluded
     w = site_weights([(0.0, 0.0)], [B(0, 50, 50, 2.0)], 1.0)
     assert w == [0.0]
+
+
+def test_site_weights_float_weights_match_scalar():
+    # Non-integer weights: the sums must be taken in point order to match.
+    ring = canonical_ring([(0, 0), (10, 0), (12, 8), (5, 13), (-2, 8)]).sites
+    on_circle = R(0, 3.0, 4.0, -2.5)  # exactly 5 from (0, 0): excluded
+    in_band = B(1, 10.0, 5.0 + 1e-9, 1.25)  # just past 5 from (10, 0): included
+    w = dict(zip(ring, site_weights(ring, [on_circle, in_band], 5.0)))
+    assert w[(0.0, 0.0)] == 0.0 and w[(10.0, 0.0)] == 1.25
+    rng = random.Random(11)
+    for n in (3, 8, 40):
+        pts = [on_circle, in_band]
+        for i in range(2, n):
+            x, y = rng.uniform(-4, 14), rng.uniform(-4, 16)
+            if rng.random() < 0.5:
+                pts.append(B(i, x, y, rng.uniform(0.1, 9)))
+            else:
+                pts.append(R(i, x, y, -rng.uniform(0.1, 9)))
+        for lam in (2.5, 5.0, 7.5):
+            expect = [disk_weight(Disk(x, y, lam), pts) for x, y in ring]
+            assert site_weights(ring, pts, lam) == expect
+
+
+def test_pair_table_matches_centers_compatible():
+    # (0, 0)-(4, 0) and (-3, 4)-(7, 4) share a height; (0, 0)-(-3, 4) and
+    # (4, 0)-(7, 4) are 5 apart.
+    ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)]).sites
+    geo = _geometry(ring, ())
+    for tol in (DEFAULT_TOL, TolerancePolicy(1e-3, "absolute"), TolerancePolicy(0.0)):
+        lams = [0.5, 2.5, 3.0, 5.0]
+        for gap in (4.0, 10.0):
+            # exactly 2*lam, and 2*lam less half the slack
+            lams += [gap / 2, (gap + tol.x_slack(gap) / 2) / 2]
+        for lam in lams:
+            table = _pair_table(geo, lam, tol)
+            assert table == [[centers_compatible(a, b, lam, tol) for b in ring] for a in ring]
+        assert _pair_table(geo, 2.0, tol)[ring.index((0.0, 0.0))][ring.index((4.0, 0.0))]
+
+
+def zeta(candidate_xy, anchors_xy) -> float:
+    """Minimum distance from a candidate site to the three anchor sites."""
+    cx, cy = candidate_xy
+    return math.sqrt(min(dist2(cx, cy, ax, ay) for ax, ay in anchors_xy))
 
 
 def test_zeta():
@@ -143,6 +188,21 @@ def test_weight_monotone_in_k():
             solve_discrete(inst.sites, inst.points, k).total_weight for k in (1, 2, 3, 4)
         ]
         assert weights == sorted(weights)
+
+
+def test_full_size_solves_pinned():
+    # s >= 12 is past brute_discrete's site guard, so these pin the solver's
+    # own radius, weight and site ids on two full-size generator instances.
+    cases = [
+        (1, 12, 3, 6.4557858395331955, 58.0, [2, 4, 6]),
+        (3, 14, 4, 5.026255242359107, 33.0, [0, 4, 6, 9]),
+    ]
+    for seed, s, k, radius, weight, ids in cases:
+        inst = random_instance(seed, 20, k, variant="discrete", s=s)
+        pl = solve_discrete(inst.sites, inst.points, inst.k)
+        assert pl.radius == radius, f"seed {seed}"
+        assert pl.total_weight == weight, f"seed {seed}"
+        assert [c.site_id for c in pl.centers] == ids, f"seed {seed}"
 
 
 def test_chosen_sites_convex_subset_connected():
