@@ -38,6 +38,8 @@ __all__ = [
     "candidate_radii_discrete",
     "line_contacts",
     "with_gains",
+    "radius_groups",
+    "check_lines",
     "KIND_ZERO",
     "KIND_BLUE",
     "KIND_BLUE_BLUE",
@@ -77,6 +79,31 @@ def _merge_sorted(entries):
             continue
         out.append(e)
     return out
+
+
+def radius_groups(entries) -> list[tuple[float, bool]]:
+    """(value, standard) per MERGE_EPS group of candidate radii, ascending:
+    each group's smallest value, standard when any member is not a chain
+    gain. Groups are cut against their smallest value, as `_merge_sorted`
+    cuts against the kept predecessor."""
+    groups: list[list] = []
+    for v, kind in sorted((e.value, e.kind) for e in entries):
+        if groups and v - groups[-1][0] <= MERGE_EPS:
+            groups[-1][1] |= kind != KIND_CHAIN
+        else:
+            groups.append([v, kind != KIND_CHAIN])
+    return [(v, standard) for v, standard in groups]
+
+
+def check_lines(lines) -> list[float]:
+    """Line heights as floats; raises ValueError unless there is at least
+    one and they are strictly increasing."""
+    ys = [float(y) for y in lines]
+    if not ys:
+        raise ValueError("at least one line is required")
+    if any(b <= a for a, b in zip(ys, ys[1:])):
+        raise ValueError("lines must be strictly increasing")
+    return ys
 
 
 def _line_entries(points, line_y: float, line_index: int | None, tol: TolerancePolicy):
@@ -309,11 +336,7 @@ def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k:
     lines are not enumerated. Duplicated values across lines are kept (they
     differ in provenance); the solver deduplicates by value before solving.
     """
-    lines = list(lines)
-    if not lines:
-        raise ValueError("at least one line is required")
-    if any(b <= a for a, b in zip(lines, lines[1:])):
-        raise ValueError("lines must be strictly increasing")
+    lines = check_lines(lines)
     out = [CandidateRadius(0.0, KIND_ZERO)]
     for li, ly in enumerate(lines):
         es = _line_entries(points, ly, li, tol)

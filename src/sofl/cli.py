@@ -58,23 +58,21 @@ def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy,
     return solve_special(inst.points, 0.0, inst.k, VariantSpec(inst.variant), tol).placement
 
 
+# The brute-force reference of each variant that `_solve` solves directly.
+# The oracle functions are looked up at call time, so a rebound
+# `oracle.brute_*` (a tracer's wrapper) is the one called.
+_REFERENCE = {
+    "csofl": lambda inst, tol: oracle.brute_csofl(inst.points, 0.0, inst.k, tol),
+    "tlines": lambda inst, tol: oracle.brute_tlines(inst.points, inst.lines, inst.k, tol),
+    "discrete": lambda inst, tol: oracle.brute_discrete(inst.sites, inst.points, inst.k, tol),
+}
+
+
 def _check(inst: ProblemInstance, tol: TolerancePolicy, out) -> int:
     """Run the optimized and brute paths, print both, compare."""
-    if inst.variant == "csofl":
-        fast = solve_csofl(inst.points, 0.0, inst.k, tol)
-        ref = oracle.brute_csofl(inst.points, 0.0, inst.k, tol)
-        print(f"solver  weight={fast.total_weight:.12g} lambda={fast.radius:.12g}", file=out)
-        print(f"oracle  weight={ref.weight:.12g} lambda={ref.radius:.12g}", file=out)
-        ok = fast.total_weight == ref.weight and fast.radius == ref.radius
-    elif inst.variant == "tlines":
-        fast = solve_tlines(inst.points, inst.lines, inst.k, tol)
-        ref = oracle.brute_tlines(inst.points, inst.lines, inst.k, tol)
-        print(f"solver  weight={fast.total_weight:.12g} lambda={fast.radius:.12g}", file=out)
-        print(f"oracle  weight={ref.weight:.12g} lambda={ref.radius:.12g}", file=out)
-        ok = fast.total_weight == ref.weight and fast.radius == ref.radius
-    elif inst.variant == "discrete":
-        fast = solve_discrete(inst.sites, inst.points, inst.k, tol)
-        ref = oracle.brute_discrete(inst.sites, inst.points, inst.k, tol=tol)
+    if inst.variant in _REFERENCE:
+        fast = _solve(inst, "dp", tol, jobs=1)
+        ref = _REFERENCE[inst.variant](inst, tol)
         print(f"solver  weight={fast.total_weight:.12g} lambda={fast.radius:.12g}", file=out)
         print(f"oracle  weight={ref.weight:.12g} lambda={ref.radius:.12g}", file=out)
         ok = fast.total_weight == ref.weight and fast.radius == ref.radius

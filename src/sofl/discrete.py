@@ -26,9 +26,7 @@ step makes the same float operations as the scalar predicates
 order, so the results equal a scalar evaluation bit for bit. A radius
 returns the union weight of its chosen sites, taken from their mask
 columns, so the radius loop compares union weights and builds one
-`Placement` per solve, for the radius it returns. `site_weights`,
-`solve_discrete_fixed_radius` and `_ChordSolver` are thin wrappers over the
-same helpers.
+`Placement` per solve, for the radius it returns.
 """
 
 from __future__ import annotations
@@ -40,15 +38,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .candidates import MERGE_EPS, candidate_radii_discrete
+from .candidates import candidate_radii_discrete
 from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, point_order_sums
-from .placement import Placement, empty_placement, site_placement
+from .placement import Placement, empty_placement, selection_key, site_placement
 
 __all__ = [
     "ConvexPositionError",
     "SiteRing",
     "canonical_ring",
-    "site_weights",
     "solve_discrete_fixed_radius",
     "solve_discrete",
 ]
@@ -157,21 +154,12 @@ def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[b
     return ok.tolist()
 
 
-def site_weights(sites, points, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """Covered weight of a radius-lam disk at every site, like `disk_weight`."""
-    if lam < 0:
-        raise ValueError("disk radius must be nonnegative")
-    geo = _geometry(sites, points)
-    return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
-
-
 class _ChordSolver:
-    """Chord recursion over the site weights w and the pair table ok
-    (computed from the sites when not given)."""
+    """Chord recursion over the site weights w and the pair table ok."""
 
-    def __init__(self, sites, w, lam, tol, ok=None):
+    def __init__(self, w, ok):
         self.w = w
-        self.ok = _pair_table(_geometry(sites, ()), lam, tol) if ok is None else ok
+        self.ok = ok
         self.memo: dict[tuple, float] = {}
         self.choice: dict[tuple, tuple[int, int] | None] = {}
 
@@ -220,7 +208,7 @@ class _ChordSolver:
 
 def _enumerate_best(sites, w, ok, k, max_subsets=200_000):
     """Canonical best over all pairwise compatible subsets of at most k
-    sites."""
+    sites: its site ids and its `selection_key`."""
     s = len(sites)
     total = sum(math.comb(s, j) for j in range(min(k, s) + 1))
     if total > max_subsets:
@@ -232,12 +220,13 @@ def _enumerate_best(sites, w, ok, k, max_subsets=200_000):
             if not all(ok[a][b] for a, b in combinations(combo, 2)):
                 continue
             weight = sum(w[i] for i in combo)
-            keys = tuple(sorted((sites[i] for i in combo), reverse=True))
-            key = (-weight, len(combo), keys)
+            if -weight > best_key[0]:
+                continue  # cannot tie or win
+            key = selection_key(weight, [sites[i] for i in combo])
             if key < best_key:
                 best_key = key
                 best_ids = combo
-    return best_ids, -best_key[0]
+    return best_ids, best_key
 
 
 def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
@@ -251,10 +240,10 @@ def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
     w = point_order_sums(cov, geo.w).tolist()
     ok = _pair_table(geo, lam, tol)
 
-    best_ids, best_weight = _enumerate_best(ring, w, ok, min(k, 2))
+    best_ids, best_key = _enumerate_best(ring, w, ok, min(k, 2))
 
     if k >= 3 and s >= 3:
-        dp = _ChordSolver(ring, w, lam, tol, ok)
+        dp = _ChordSolver(w, ok)
         for a in range(s):
             ok_a = ok[a]
             for b in range(s):
@@ -266,19 +255,13 @@ def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
                     if not (ok_a[apex] and ok_b[apex]):
                         continue
                     val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, outer, k - 3)
-                    if val < best_weight:
-                        continue
+                    if -val > best_key[0]:
+                        continue  # cannot tie or win
                     ids = [a, apex, b]
                     dp.collect(a, b, apex, outer, k - 3, ids)
-                    keys = tuple(sorted((ring[i] for i in ids), reverse=True))
-                    key = (-val, len(ids), keys)
-                    cur = (
-                        -best_weight,
-                        len(best_ids),
-                        tuple(sorted((ring[i] for i in best_ids), reverse=True)),
-                    )
-                    if key < cur:
-                        best_weight = val
+                    key = selection_key(val, [ring[i] for i in ids])
+                    if key < best_key:
+                        best_key = key
                         best_ids = tuple(sorted(ids))
 
     chosen = tuple(sorted(best_ids))
@@ -309,17 +292,11 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
         raise ValueError("k must be at least 1")
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
-    values = sorted({c.value for c in candidate_radii_discrete(points, ring.sites, tol)})
-    merged = []
-    for v in values:
-        if merged and v - merged[-1] <= MERGE_EPS:
-            continue
-        merged.append(v)
     geo = _geometry(ring.sites, points)
     best = None
-    for v in merged:
-        weight, chosen = _solve_radius(geo, v, k, tol)
+    for c in candidate_radii_discrete(points, ring.sites, tol):
+        weight, chosen = _solve_radius(geo, c.value, k, tol)
         if best is None or weight > best[0]:
-            best = (weight, chosen, v)
+            best = (weight, chosen, c.value)
     _, chosen, lam = best
     return site_placement(points, ring.sites, lam, chosen, tol)

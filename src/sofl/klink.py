@@ -22,8 +22,7 @@ union weight of the chosen disks, taken from the mask rows of the chosen
 centers, so a radius loop compares union weights and recomputes one union,
 for the `Placement` of the radius it returns. Every step makes the same
 float operations as the scalar geometry predicates and sums weights in
-point order, so the results equal a scalar evaluation bit for bit. The
-public stage functions are thin wrappers over the same helpers.
+point order, so the results equal a scalar evaluation bit for bit.
 
 Ties are broken deterministically: maximum weight, then fewest centers,
 then the selection whose largest center is smallest (continuing leftward).
@@ -32,57 +31,21 @@ The brute-force oracle applies the same rule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Color, TolerancePolicy, coverage_mask, point_order_sums
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, point_order_sums
 from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
-    "InfluenceInterval",
-    "CenterSequence",
-    "DpTables",
     "LineGeometry",
     "line_geometry",
     "interval_ends",
     "candidate_centers",
     "solve_radius",
-    "influence_intervals",
-    "build_center_sequence",
-    "weight_array",
-    "predecessor_array",
-    "build_dp_tables",
-    "max_weight_k_links",
     "solve_fixed_radius",
-    "edge_weight",
 ]
-
-
-@dataclass(frozen=True)
-class InfluenceInterval:
-    point_id: int
-    l: float
-    r: float
-    color: Color
-
-
-@dataclass(frozen=True)
-class CenterSequence:
-    """Strictly increasing candidate center abscissae with provenance tags."""
-
-    xs: tuple[float, ...]
-    source: tuple[tuple, ...]
-
-
-@dataclass
-class DpTables:
-    w: list[float]
-    p: list[int | None]
-    phi: list[list[tuple[float, int]]]  # (weight, -centers used), per (i, j)
-    back: list[list[bool]]  # True where center i is taken at budget j
 
 
 class LineGeometry(NamedTuple):
@@ -102,9 +65,6 @@ def line_geometry(points, line_y: float) -> LineGeometry:
         np.array([p.is_blue for p in pts], dtype=bool),
         np.array([p.weight for p in pts], dtype=float),
     )
-
-
-# --- the numpy helpers ------------------------------------------------------
 
 
 def _reach(dy2, lam: float, tol: TolerancePolicy):
@@ -150,17 +110,17 @@ def _check(lam: float, k: int) -> None:
 
 
 def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
-    """Merged candidate centers, and each one's index in the raw list.
+    """Merged candidate centers, ascending.
 
     ends holds each reaching point's interval as l, r in point order. The
     raw list is every endpoint followed by its shifts by -1, +1, -2, +2, ...
     times 2*lam, then the two sentinels; it is stable-sorted, so among equal
-    values the first in that order is kept. The index is None when nothing
-    is in reach and the two sentinels alone remain.
+    values the first in that order is kept. With nothing in reach the two
+    sentinels alone remain.
     """
     margin = 2.0 * k * lam
     if not len(ends):
-        return np.array([0.0, margin]), None
+        return np.array([0.0, margin])
     offs = np.array([2.0 * j * lam for j in range(1, k)])
     raw = np.empty(len(ends) * (2 * k - 1) + 2)
     grid = raw[:-2].reshape(len(ends), 2 * k - 1)
@@ -169,10 +129,8 @@ def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
     grid[:, 2::2] = ends[:, None] + offs
     raw[-2] = ends[0::2].min() - margin
     raw[-1] = ends[1::2].max() + margin
-    order = np.argsort(raw, kind="stable")
-    xs = raw[order]
-    keep = _merge(xs, tol)
-    return xs[keep], order[keep]
+    xs = raw[np.argsort(raw, kind="stable")]
+    return xs[_merge(xs, tol)]
 
 
 def interval_ends(geo: LineGeometry, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
@@ -191,7 +149,7 @@ def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolic
     candidate centers of radius lam and budget k, ascending."""
     _check(lam, k)
     idx, ends = interval_ends(geo, lam, tol)
-    return idx, _centers(ends, lam, k, tol)[0]
+    return idx, _centers(ends, lam, k, tol)
 
 
 def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
@@ -293,93 +251,7 @@ def solve_radius(geo: LineGeometry, lam: float, k: int,
     return float(point_order_sums(union, w)[0]), tuple(xs[chosen].tolist())
 
 
-# --- the stage functions ----------------------------------------------------
-
-
-def influence_intervals(points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """[x-h, x+h] per point within lam of the line, h = sqrt(lam^2 - dy^2)."""
-    pts = list(points)
-    idx, ends = interval_ends(line_geometry(pts, line_y), lam, tol)
-    return [
-        InfluenceInterval(pts[i].id, l, r, pts[i].color)
-        for i, l, r in zip(idx.tolist(), ends[0::2].tolist(), ends[1::2].tolist())
-    ]
-
-
-def build_center_sequence(intervals, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> CenterSequence:
-    _check(lam, k)
-    ivs = list(intervals)
-    ends = np.array([e for iv in ivs for e in (iv.l, iv.r)], dtype=float)
-    xs, order = _centers(ends, lam, k, tol)
-    if order is None:
-        return CenterSequence(tuple(xs.tolist()), (("sentinel-s",), ("sentinel-t",)))
-    width = 2 * k - 1
-    n_raw = len(ends) * width
-    source = []
-    for o in order.tolist():
-        if o >= n_raw:
-            source.append(("sentinel-s",) if o == n_raw else ("sentinel-t",))
-            continue
-        e, col = divmod(o, width)
-        iv, side = ivs[e // 2], "lr"[e % 2]
-        if col == 0:
-            source.append(("endpoint", iv.point_id, side))
-        else:
-            j = (col + 1) // 2
-            source.append(("shift", iv.point_id, side, -j if col % 2 else j))
-    return CenterSequence(tuple(xs.tolist()), tuple(source))
-
-
-def weight_array(seq: CenterSequence, points, line_y: float, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """Covered weight of a radius-lam disk at every candidate center."""
-    geo = line_geometry(points, line_y)
-    cov = _coverage(np.array(seq.xs, dtype=float), geo.px, geo.dy2, geo.blue, lam, tol)
-    return point_order_sums(cov, geo.w).tolist()
-
-
-def predecessor_array(seq: CenterSequence, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """p[i] = rightmost i' < i with xs[i] - xs[i'] >= 2*lam, or None."""
-    p = _predecessors(np.array(seq.xs, dtype=float), lam, tol)
-    return [j if j >= 0 else None for j in p.tolist()]
-
-
-def _index_array(p):
-    return np.array([-1 if j is None else j for j in p], dtype=np.intp)
-
-
-def build_dp_tables(w, p, k: int) -> DpTables:
-    layers = _dp_layers(np.array(w, dtype=float), _index_array(p), k)
-    cols = [(lw.tolist(), (lr - (k + 1)).tolist(), taken.tolist()) for lw, lr, taken in layers]
-    phi = [[(0.0, 0)] + [(lw[i], neg[i]) for lw, neg, _ in cols] for i in range(len(w))]
-    back = [[False] + [taken[i] for _, _, taken in cols] for i in range(len(w))]
-    return DpTables(list(w), list(p), phi, back)
-
-
-def max_weight_k_links(w, p, k: int):
-    """Best total weight over at most k centers linked through p[].
-
-    Unused budget costs nothing, so the value is never negative. Returns the
-    value and the chosen indices under the canonical tie rule.
-    """
-    if len(w) == 0:
-        return 0.0, []
-    pa = _index_array(p)
-    layers = _dp_layers(np.array(w, dtype=float), pa, k)
-    return float(layers[-1][0][-1]), _backtrack(layers, pa)
-
-
 def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks centered on one line."""
     _, xs = solve_radius(line_geometry(points, line_y), lam, k, tol)
     return line_placement(points, [line_y], max(lam, 0.0), tuple(LineCenter(x) for x in xs), tol)
-
-
-def edge_weight(i: int, j: int, seq: CenterSequence, w, lam: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Pairwise link cost used only for property testing the selection graph:
-    +inf when the centers are too close, otherwise -(w[i] + w[j])."""
-    if not i < j:
-        raise ValueError("edge requires i < j")
-    gap = seq.xs[j] - seq.xs[i]
-    if gap < 2.0 * lam - tol.x_slack(2.0 * lam):
-        return math.inf
-    return -(w[i] + w[j])

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_tlines
+from .candidates import candidate_radii_tlines, check_lines, radius_groups
 from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -26,45 +25,18 @@ from .geom import (
     coverage_mask,
 )
 from .klink import interval_ends, line_geometry
-from .placement import LineCenter, Placement, empty_placement, line_placement
+from .placement import LineCenter, Placement, empty_placement, line_placement, selection_key
 
 __all__ = [
-    "LineSet",
-    "MultiCenter",
     "ValidationFailureError",
     "multiline_centers",
     "solve_tlines_fixed_radius",
     "solve_tlines",
 ]
 
-# A multi-line candidate is just a line-indexed center.
-MultiCenter = LineCenter
-
 
 class ValidationFailureError(RuntimeError):
     """The search returned a pairwise-infeasible selection (a bug)."""
-
-
-@dataclass(frozen=True)
-class LineSet:
-    """Strictly increasing horizontal line heights."""
-
-    ys: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.ys:
-            raise ValueError("at least one line is required")
-        if any(b <= a for a, b in zip(self.ys, self.ys[1:])):
-            raise ValueError("lines must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.ys)
-
-
-def _check_lines(lines) -> list[float]:
-    if isinstance(lines, LineSet):
-        return list(lines.ys)
-    return list(LineSet(tuple(float(y) for y in lines)).ys)
 
 
 def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
@@ -74,7 +46,7 @@ def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = 
     geos holds each line's `klink.line_geometry` of the points; a radius
     loop builds it once per solve.
     """
-    lines = _check_lines(lines)
+    lines = check_lines(lines)
     if lam <= 0:
         raise ValueError("candidate centers require a positive radius")
     if geos is None:
@@ -130,7 +102,7 @@ def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = 
             add(lo, li)
             add(hi, li)
 
-    out = [MultiCenter(x, li) for li, row in enumerate(per_line) for x in row]
+    out = [LineCenter(x, li) for li, row in enumerate(per_line) for x in row]
     out.sort(key=lambda c: (c.x, c.line_index))
     return out
 
@@ -183,8 +155,9 @@ def _search_best(points, lines, lam, k, centers, tol):
     def consider(chosen: list[int], mask: int):
         nonlocal best_key, best_ids
         w = union_weight(mask)
-        keys = [centers[i].sort_key() for i in chosen]
-        key = (-w, len(keys), tuple(sorted(keys, reverse=True)))
+        if best_key is not None and -w > best_key[0]:
+            return  # cannot tie or win
+        key = selection_key(w, [centers[i].sort_key() for i in chosen])
         if best_key is None or key < best_key:
             best_key = key
             best_ids = tuple(chosen)
@@ -217,7 +190,7 @@ def solve_tlines_fixed_radius(points, lines, lam: float, k: int, tol: ToleranceP
                               geos=None) -> Placement:
     """Best placement of at most k radius-lam disks centered on the lines
     (geos as in `multiline_centers`)."""
-    lines = _check_lines(lines)
+    lines = check_lines(lines)
     if k < 1:
         raise ValueError("k must be at least 1")
     if lam <= 0.0:
@@ -245,13 +218,8 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
     cannot beat the incumbent (less weight, or equal weight at a larger
     radius).
     """
-    lines = _check_lines(lines)
-    groups: list[list] = []  # [value, standard?] per MERGE_EPS group
-    for v, kind in sorted((c.value, c.kind) for c in candidate_radii_tlines(points, lines, tol, k)):
-        if groups and v - groups[-1][0] <= MERGE_EPS:
-            groups[-1][1] |= kind != KIND_CHAIN
-        else:
-            groups.append([v, kind != KIND_CHAIN])
+    lines = check_lines(lines)
+    groups = radius_groups(candidate_radii_tlines(points, lines, tol, k))
     geos = [line_geometry(points, ly) for ly in lines]
     best = None
     for v, standard in groups:

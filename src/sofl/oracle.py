@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .candidates import (
-    MERGE_EPS,
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
+    radius_groups,
 )
 from .geom import (
     DEFAULT_TOL,
@@ -74,7 +74,12 @@ def _coverage(points, centers, lam, tol):
 def brute_fixed_radius(points, centers, lam: float, k: int,
                        tol: TolerancePolicy = DEFAULT_TOL,
                        max_centers: int = 20, max_k: int = 4) -> OracleResult:
-    """Exhaustive search over all feasible subsets of at most k centers."""
+    """Exhaustive search over all feasible subsets of at most k centers.
+
+    The tie key is written out here rather than taken from
+    `placement.selection_key`, so that this reference stays independent of
+    the solvers' copy of the rule.
+    """
     if len(centers) > max_centers:
         raise TooLargeError(f"{len(centers)} centers exceeds the guard {max_centers}")
     if k > max_k:
@@ -229,15 +234,9 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     """Candidate-radius loop over exhaustive multi-line subset search."""
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    values = sorted({c.value for c in candidate_radii_tlines(points, lines, tol, k)})
-    merged: list[float] = []
-    for v in values:
-        if merged and v - merged[-1] <= MERGE_EPS:
-            continue
-        merged.append(v)
     best = OracleResult(0.0, 0.0, (), (0, 0))
     lines = list(lines)
-    for lam in merged:
+    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, tol, k)):
         if lam <= 0.0:
             continue
         cents = multiline_centers(points, lines, lam, k, tol)
@@ -253,8 +252,7 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     return best
 
 
-def brute_discrete(sites, points, k: int, lambda_set=None,
-                   tol: TolerancePolicy = DEFAULT_TOL,
+def brute_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL,
                    max_sites: int = 10, max_k: int = 4) -> OracleResult:
     """Exhaustive subset search over sites for each candidate radius."""
     sites = tuple(tuple(s) for s in sites)
@@ -262,15 +260,9 @@ def brute_discrete(sites, points, k: int, lambda_set=None,
         raise TooLargeError(f"s={len(sites)} exceeds the guard {max_sites}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    if lambda_set is None:
-        lambda_set = [c.value for c in candidate_radii_discrete(points, sites, tol)]
-    merged: list[float] = []
-    for v in sorted(lambda_set):
-        if merged and v - merged[-1] <= MERGE_EPS:
-            continue
-        merged.append(v)
     best = OracleResult(0.0, 0.0, (), (0, 0))
-    for lam in merged:
+    for cand in candidate_radii_discrete(points, sites, tol):
+        lam = cand.value
         if lam <= 0.0:
             continue
         res = brute_fixed_radius(points, list(sites), lam, k, tol,

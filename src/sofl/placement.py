@@ -80,8 +80,8 @@ def selection_key(weight: float, center_keys) -> tuple:
     """Canonical comparison key for equally deep searches; minimize it.
 
     Rule: largest weight first, then fewest centers, then the selection
-    whose largest center key is smallest, continuing leftward. The same rule
-    is applied by the optimized solvers and the brute-force oracles so that
-    chosen centers agree, not just optimal values.
+    whose largest center key is smallest, continuing leftward. The solvers
+    call it; the brute-force oracle writes the same rule out on its own, so
+    that chosen centers agree, not just optimal values.
     """
     return (-weight, len(center_keys), tuple(sorted(center_keys, reverse=True)))

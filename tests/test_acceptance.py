@@ -23,12 +23,6 @@ from sofl.geom import (
     dist2,
 )
 from sofl.instance import format_instance, generate, parse_instance
-from sofl.klink import (
-    build_center_sequence,
-    edge_weight,
-    influence_intervals,
-    weight_array,
-)
 from sofl.multiline import multiline_centers, solve_tlines, solve_tlines_fixed_radius
 from sofl.oracle import (
     brute_csofl,
@@ -45,7 +39,7 @@ from sofl.variants_k1 import (
     maxblue_nored_naive,
 )
 from sofl.discrete import solve_discrete
-from conftest import random_instance
+from conftest import edge_weight, line_centers_and_weights, random_instance
 
 GOLDEN_DIR = "golden"
 
@@ -90,14 +84,12 @@ def test_c2_concave_monge():
         lam = cands[1 + seed % (len(cands) - 1)].value if len(cands) > 1 else 0.0
         if lam <= 0:
             continue
-        ivs = influence_intervals(inst.points, 0.0, lam)
-        seq = build_center_sequence(ivs, lam, 2)
-        w = weight_array(seq, inst.points, 0.0, lam)
-        m = len(seq.xs)
+        xs, w = line_centers_and_weights(inst.points, 0.0, lam, 2)
+        m = len(xs)
         for i in range(m - 3):
             for j in range(i + 2, m - 1):
-                lhs = edge_weight(i, j, seq, w, lam) + edge_weight(i + 1, j + 1, seq, w, lam)
-                rhs = edge_weight(i, j + 1, seq, w, lam) + edge_weight(i + 1, j, seq, w, lam)
+                lhs = edge_weight(i, j, xs, w, lam) + edge_weight(i + 1, j + 1, xs, w, lam)
+                rhs = edge_weight(i, j + 1, xs, w, lam) + edge_weight(i + 1, j, xs, w, lam)
                 quadruples += 1
                 if not lhs <= rhs:
                     violations += 1

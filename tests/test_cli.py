@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -114,3 +115,23 @@ def test_check_all_variants(tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == EXIT_OK, f"{variant} k={kw['k']}\n{out}"
         assert "PASS" in out
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_SOLVE = pathlib.Path(__file__).resolve().parent / "golden_solve.txt"
+
+
+def _golden_solve_text(capsys) -> str:
+    """`sofl solve --format json` on every golden instance, each output
+    under a `# <file name>` header line."""
+    parts = []
+    for path in sorted(GOLDEN.glob("*.txt")):
+        assert main(["solve", "--input", str(path), "--format", "json"]) == EXIT_OK
+        parts.append(f"# {path.name}\n" + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_golden_bytes(capsys):
+    # Pins the chosen centers and covered ids, which `sofl check` does not
+    # compare, on all 30 golden instances.
+    assert _golden_solve_text(capsys).encode() == GOLDEN_SOLVE.read_bytes()

@@ -6,19 +6,35 @@ import pytest
 
 from sofl.discrete import (
     ConvexPositionError,
+    _ChordSolver,
+    _coverage,
     _geometry,
     _pair_table,
     canonical_ring,
-    site_weights,
     solve_discrete,
     solve_discrete_fixed_radius,
 )
-from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, disk_weight, dist2
+from sofl.geom import (
+    DEFAULT_TOL,
+    Disk,
+    TolerancePolicy,
+    centers_compatible,
+    disk_weight,
+    dist2,
+    point_order_sums,
+)
 from sofl.oracle import brute_discrete
 from conftest import B, R, random_instance
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+
+
+def site_weights(sites, points, lam, tol=DEFAULT_TOL):
+    """Covered weight of a radius-lam disk at every site, as the solver's
+    per-radius step computes it."""
+    geo = _geometry(sites, points)
+    return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
 
 
 def test_canonical_ring_clockwise_from_min():
@@ -110,19 +126,17 @@ def test_square_uniform_k4():
 
 
 def test_chord_recursion_base_cases():
-    from sofl.discrete import _ChordSolver
-    from sofl.geom import DEFAULT_TOL
-
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
+    geo = _geometry(ring.sites, ())
     w = [1.0, 1.0, 1.0, 1.0]
-    dp = _ChordSolver(ring.sites, w, 1.0, DEFAULT_TOL)
+    dp = _ChordSolver(w, _pair_table(geo, 1.0, DEFAULT_TOL))
     arc = (2,)
     assert dp.gamma(0, 1, 3, arc, 0) == 0.0  # exhausted budget adds nothing
     assert dp.gamma(0, 1, 3, (), 2) == 0.0  # empty arc adds nothing
     # one budget left: the single arc site is admissible and worth its weight
     assert dp.gamma(1, 3, 0, arc, 1) == 1.0
     # inadmissible when the radius grows past half the anchor spacing
-    tight = _ChordSolver(ring.sites, w, 6.0, DEFAULT_TOL)
+    tight = _ChordSolver(w, _pair_table(geo, 6.0, DEFAULT_TOL))
     assert tight.gamma(1, 3, 0, arc, 1) == 0.0
 
 

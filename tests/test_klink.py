@@ -2,26 +2,24 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sofl.candidates import candidate_radii_line
-from sofl.geom import DEFAULT_TOL, Color, Disk, disk_weight
+from sofl.geom import DEFAULT_TOL, Disk, disk_weight
 from sofl.klink import (
-    CenterSequence,
-    InfluenceInterval,
-    build_center_sequence,
-    build_dp_tables,
-    edge_weight,
-    influence_intervals,
+    _backtrack,
+    _centers,
+    _dp_layers,
+    _predecessors,
+    candidate_centers,
+    interval_ends,
     line_geometry,
-    max_weight_k_links,
-    predecessor_array,
     solve_fixed_radius,
     solve_radius,
-    weight_array,
 )
 from sofl.placement import union_coverage
-from conftest import B, R, random_instance
+from conftest import B, R, edge_weight, line_centers_and_weights, random_instance
 
 
 def brute_best_subsets(xs, w, lam, k):
@@ -46,59 +44,81 @@ def canonical(sets, xs):
     return min(sets, key=lambda c: (len(c), tuple(sorted((xs[i] for i in c), reverse=True))))
 
 
+def intervals(points, lam):
+    """(l, r) per point within lam of the line y = 0, in point order."""
+    _, ends = interval_ends(line_geometry(points, 0.0), lam)
+    return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
+
+
+def centers(points, lam, k):
+    return tuple(candidate_centers(line_geometry(points, 0.0), lam, k)[1].tolist())
+
+
+def predecessors(xs, lam):
+    """`_predecessors` as a list, None where there is no predecessor."""
+    p = _predecessors(np.array(xs, dtype=float), lam, DEFAULT_TOL)
+    return [j if j >= 0 else None for j in p.tolist()]
+
+
+def best_links(xs, w, lam, k):
+    """The kernel's DP and backtrack: best total weight over at most k
+    centers at gap >= 2*lam, and the chosen indices."""
+    p = _predecessors(np.array(xs, dtype=float), lam, DEFAULT_TOL)
+    layers = _dp_layers(np.array(w, dtype=float), p, k)
+    return float(layers[-1][0][-1]), _backtrack(layers, p)
+
+
 # --- influence intervals ---------------------------------------------------
 
 
 def test_interval_basic():
-    (iv,) = influence_intervals([B(0, 3, 1)], 0.0, 2.0)
-    assert iv.l == pytest.approx(3 - math.sqrt(3))
-    assert iv.r == pytest.approx(3 + math.sqrt(3))
+    ((l, r),) = intervals([B(0, 3, 1)], 2.0)
+    assert l == pytest.approx(3 - math.sqrt(3))
+    assert r == pytest.approx(3 + math.sqrt(3))
 
 
 def test_interval_tangent():
-    (iv,) = influence_intervals([B(0, 3, 1)], 0.0, 1.0)
-    assert (iv.l, iv.r) == (3.0, 3.0)
+    ((l, r),) = intervals([B(0, 3, 1)], 1.0)
+    assert (l, r) == (3.0, 3.0)
 
 
 def test_interval_out_of_reach():
-    assert influence_intervals([B(0, 3, 2)], 0.0, 1.0) == []
+    assert intervals([B(0, 3, 2)], 1.0) == []
 
 
 # --- center sequence -------------------------------------------------------
 
 
 def test_sequence_k1():
-    seq = build_center_sequence(influence_intervals([B(0, 1, 1)], 0.0, 1.0), 1.0, 1)
-    assert seq.xs == pytest.approx((-1.0, 1.0, 3.0))  # interval [1,1] degenerate
+    assert centers([B(0, 1, 1)], 1.0, 1) == pytest.approx((-1.0, 1.0, 3.0))  # interval [1,1] degenerate
 
 
 def test_sequence_k1_interval():
-    ivs = influence_intervals([B(0, 1, 1)], 0.0, math.sqrt(2))
-    seq = build_center_sequence(ivs, 1.0, 1)
-    assert seq.xs == pytest.approx((-2.0, 0.0, 2.0, 4.0))
+    _, ends = interval_ends(line_geometry([B(0, 1, 1)], 0.0), math.sqrt(2))
+    xs = _centers(ends, 1.0, 1, DEFAULT_TOL)
+    assert tuple(xs.tolist()) == pytest.approx((-2.0, 0.0, 2.0, 4.0))
 
 
 def test_sequence_k2_shifts_merge():
-    ivs = influence_intervals([B(0, 1, 1)], 0.0, math.sqrt(2))
+    _, ends = interval_ends(line_geometry([B(0, 1, 1)], 0.0), math.sqrt(2))
     # interval is [0, 2]; with lam=1, k=2 the shifts interleave
-    seq = build_center_sequence(ivs, 1.0, 2)
-    assert seq.xs == pytest.approx((-4.0, -2.0, 0.0, 2.0, 4.0, 6.0))
-    assert seq.source[0] == ("sentinel-s",)
-    assert seq.source[-1] == ("sentinel-t",)
+    xs = tuple(_centers(ends, 1.0, 2, DEFAULT_TOL).tolist())
+    assert xs == pytest.approx((-4.0, -2.0, 0.0, 2.0, 4.0, 6.0))
+    # the sentinels, 2*k*lam beyond the outermost endpoints, come first and last
+    assert xs[0] == ends.min() - 4.0
+    assert xs[-1] == ends.max() + 4.0
 
 
 def test_sequence_empty_intervals():
-    seq = build_center_sequence([], 1.0, 2)
-    assert seq.xs == (0.0, 4.0)
+    assert centers([], 1.0, 2) == (0.0, 4.0)
 
 
 def test_sequence_merges_against_last_kept_value():
     # 0.6e-9 merges into 0.0; 1.2e-9 is within the slack of 0.6e-9 but not
     # of 0.0, the last kept value, so it stays.
-    ivs = [InfluenceInterval(0, 0.0, 0.6e-9, Color.BLUE),
-           InfluenceInterval(1, 1.2e-9, 5.0, Color.BLUE)]
-    seq = build_center_sequence(ivs, 1.0, 1)
-    assert seq.xs == (-2.0, 0.0, 1.2e-09, 5.0, 7.0)
+    ends = np.array([0.0, 0.6e-9, 1.2e-9, 5.0])
+    xs = _centers(ends, 1.0, 1, DEFAULT_TOL)
+    assert tuple(xs.tolist()) == (-2.0, 0.0, 1.2e-09, 5.0, 7.0)
 
 
 def test_sequence_strictly_increasing():
@@ -107,9 +127,8 @@ def test_sequence_strictly_increasing():
         for cand in candidate_radii_line(inst.points):
             if cand.value <= 0:
                 continue
-            ivs = influence_intervals(inst.points, 0.0, cand.value)
-            seq = build_center_sequence(ivs, cand.value, 3)
-            assert all(a < b for a, b in zip(seq.xs, seq.xs[1:]))
+            xs = centers(inst.points, cand.value, 3)
+            assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
 # --- weights and predecessors ----------------------------------------------
@@ -117,11 +136,9 @@ def test_sequence_strictly_increasing():
 
 def test_weight_array_values():
     pts = [B(0, 1, 1, 5.0), R(1, 1.2, 0.4, -2.0)]
-    ivs = influence_intervals(pts, 0.0, 1.0)
-    seq = build_center_sequence(ivs, 1.0, 1)
-    w = weight_array(seq, pts, 0.0, 1.0)
+    xs, w = line_centers_and_weights(pts, 0.0, 1.0, 1)
     assert w[0] == 0.0 and w[-1] == 0.0  # sentinels never cover
-    i = seq.xs.index(1.0)
+    i = xs.index(1.0)
     assert w[i] == 3.0  # blue on boundary plus red strictly inside
 
 
@@ -133,10 +150,8 @@ def test_weight_array_bulk_matches_scalar():
             pts.append(B(i, rng.randint(0, 30), rng.randint(1, 8), rng.randint(1, 9)))
         else:
             pts.append(R(i, rng.randint(0, 30), rng.randint(1, 8), -rng.randint(1, 9)))
-    ivs = influence_intervals(pts, 0.0, 3.0)
-    seq = build_center_sequence(ivs, 3.0, 2)
-    bulk = weight_array(seq, pts, 0.0, 3.0)
-    scalar = [disk_weight(Disk(x, 0.0, 3.0), pts) for x in seq.xs]
+    xs, bulk = line_centers_and_weights(pts, 0.0, 3.0, 2)
+    scalar = [disk_weight(Disk(x, 0.0, 3.0), pts) for x in xs]
     assert bulk == scalar
 
 
@@ -151,28 +166,19 @@ def test_weight_array_float_weights_match_scalar():
             else:
                 pts.append(R(i, rng.randint(0, 30), rng.randint(1, 8), -rng.uniform(0.1, 9)))
         for lam in (2.5, 3.0, 8.0):
-            seq = build_center_sequence(influence_intervals(pts, 0.0, lam), lam, 2)
-            bulk = weight_array(seq, pts, 0.0, lam)
-            assert bulk == [disk_weight(Disk(x, 0.0, lam), pts) for x in seq.xs]
+            xs, bulk = line_centers_and_weights(pts, 0.0, lam, 2)
+            assert bulk == [disk_weight(Disk(x, 0.0, lam), pts) for x in xs]
 
 
 def test_predecessor_tiny_lambda():
     # 2*lam is below the slack, so every earlier center qualifies; p[i] < i.
-    s = CenterSequence((0.0, 1.0, 2.0), ((),) * 3)
-    assert predecessor_array(s, 1e-10) == [None, 0, 1]
+    assert predecessors((0.0, 1.0, 2.0), 1e-10) == [None, 0, 1]
 
 
 def test_predecessor_examples():
-    class Seq:
-        pass
-
-    s = Seq()
-    s.xs = (0.0, 1.9, 4.0)
-    assert predecessor_array(s, 1.0) == [None, None, 1]
-    s.xs = (0.0, 2.0, 4.0)
-    assert predecessor_array(s, 1.0) == [None, 0, 1]
-    s.xs = (0.0,)
-    assert predecessor_array(s, 1.0) == [None]
+    assert predecessors((0.0, 1.9, 4.0), 1.0) == [None, None, 1]
+    assert predecessors((0.0, 2.0, 4.0), 1.0) == [None, 0, 1]
+    assert predecessors((0.0,), 1.0) == [None]
 
 
 def test_predecessor_matches_definition():
@@ -181,13 +187,7 @@ def test_predecessor_matches_definition():
         xs = sorted(rng.sample(range(100), rng.randint(1, 20)))
         xs = tuple(float(x) for x in xs)
         lam = rng.uniform(0.5, 5)
-
-        class Seq:
-            pass
-
-        s = Seq()
-        s.xs = xs
-        p = predecessor_array(s, lam)
+        p = predecessors(xs, lam)
         need = 2 * lam - DEFAULT_TOL.x_slack(2 * lam)
         for i, x in enumerate(xs):
             want = [j for j in range(i) if x - xs[j] >= need]
@@ -200,14 +200,7 @@ def test_predecessor_matches_definition():
 def test_dp_example():
     xs = (0.0, 2.0, 4.0, 6.0, 8.0)
     w = [0.0, 5.0, -2.0, 7.0, 0.0]
-
-    class Seq:
-        pass
-
-    s = Seq()
-    s.xs = xs
-    p = predecessor_array(s, 1.0)
-    value, chosen = max_weight_k_links(w, p, 2)
+    value, chosen = best_links(xs, w, 1.0, 2)
     ref, _sets = brute_best_subsets(xs, w, 1.0, 2)
     assert ref == 12.0
     assert value == 12.0
@@ -217,28 +210,14 @@ def test_dp_example():
 def test_dp_k1_is_max():
     w = [0.0, 5.0, -2.0, 7.0, 0.0]
     xs = (0.0, 2.0, 4.0, 6.0, 8.0)
-
-    class Seq:
-        pass
-
-    s = Seq()
-    s.xs = xs
-    p = predecessor_array(s, 1.0)
-    value, chosen = max_weight_k_links(w, p, 1)
+    value, chosen = best_links(xs, w, 1.0, 1)
     assert value == 7.0 and chosen == [3]
 
 
 def test_dp_all_nonpositive():
     xs = (0.0, 2.0, 4.0)
     w = [-1.0, 0.0, -3.0]
-
-    class Seq:
-        pass
-
-    s = Seq()
-    s.xs = xs
-    p = predecessor_array(s, 1.0)
-    value, chosen = max_weight_k_links(w, p, 2)
+    value, chosen = best_links(xs, w, 1.0, 2)
     assert value == 0.0 and chosen == []
 
 
@@ -252,14 +231,7 @@ def test_dp_matches_enumeration_with_canonical_ties():
         w = [float(rng.randint(-5, 9)) for _ in range(m)]
         lam = rng.uniform(0.3, 4)
         k = rng.randint(1, 3)
-
-        class Seq:
-            pass
-
-        s = Seq()
-        s.xs = xs
-        p = predecessor_array(s, lam)
-        value, chosen = max_weight_k_links(w, p, k)
+        value, chosen = best_links(xs, w, lam, k)
         ref, sets = brute_best_subsets(xs, w, lam, k)
         assert value == ref
         assert tuple(chosen) == canonical(sets, xs)
@@ -271,16 +243,8 @@ def test_phi_monotone_in_index():
         m = rng.randint(2, 12)
         xs = tuple(sorted(rng.uniform(0, 20) for _ in range(m)))
         w = [float(rng.randint(-5, 9)) for _ in range(m)]
-
-        class Seq:
-            pass
-
-        s = Seq()
-        s.xs = xs
-        p = predecessor_array(s, 1.0)
-        tables = build_dp_tables(w, p, 3)
-        for j in range(4):
-            col = [tables.phi[i][j][0] for i in range(m)]
+        p = _predecessors(np.array(xs), 1.0, DEFAULT_TOL)
+        for col, _, _ in _dp_layers(np.array(w), p, 3):
             assert all(b >= a for a, b in zip(col, col[1:]))
 
 
@@ -288,16 +252,11 @@ def test_phi_monotone_in_index():
 
 
 def test_edge_weight_rules():
-    class Seq:
-        pass
-
-    s = Seq()
-    s.xs = (0.0, 1.5, 10.0)
     w = [3.0, 4.0, 0.0]
-    assert edge_weight(0, 1, s, w, 1.0) == math.inf
-    s.xs = (0.0, 2.0, 10.0)
-    assert edge_weight(0, 1, s, w, 1.0) == -7.0
-    assert edge_weight(0, 2, s, w, 1.0) == -3.0
+    assert edge_weight(0, 1, (0.0, 1.5, 10.0), w, 1.0) == math.inf
+    xs = (0.0, 2.0, 10.0)
+    assert edge_weight(0, 1, xs, w, 1.0) == -7.0
+    assert edge_weight(0, 2, xs, w, 1.0) == -3.0
 
 
 def test_concave_monge_on_random_instances():
@@ -309,14 +268,12 @@ def test_concave_monge_on_random_instances():
         if cand.value <= 0:
             cand = cands[-1]
         lam = cand.value
-        ivs = influence_intervals(inst.points, 0.0, lam)
-        seq = build_center_sequence(ivs, lam, 2)
-        w = weight_array(seq, inst.points, 0.0, lam)
-        m = len(seq.xs)
+        xs, w = line_centers_and_weights(inst.points, 0.0, lam, 2)
+        m = len(xs)
         for i in range(m - 3):
             for j in range(i + 2, m - 1):
-                lhs = edge_weight(i, j, seq, w, lam) + edge_weight(i + 1, j + 1, seq, w, lam)
-                rhs = edge_weight(i, j + 1, seq, w, lam) + edge_weight(i + 1, j, seq, w, lam)
+                lhs = edge_weight(i, j, xs, w, lam) + edge_weight(i + 1, j + 1, xs, w, lam)
+                rhs = edge_weight(i, j + 1, xs, w, lam) + edge_weight(i + 1, j, xs, w, lam)
                 assert lhs <= rhs
                 checked += 1
     assert checked >= 10_000
@@ -393,14 +350,11 @@ def test_endpoint_optimality_when_positive():
             lam = cand.value
             if lam <= 0:
                 continue
-            ivs = influence_intervals(inst.points, 0.0, lam)
-            seq = build_center_sequence(ivs, lam, 2)
-            w = weight_array(seq, inst.points, 0.0, lam)
-            value, _ = max_weight_k_links(w, predecessor_array(seq, lam), 2)
+            xs, w = line_centers_and_weights(inst.points, 0.0, lam, 2)
+            value, _ = best_links(xs, w, lam, 2)
             if value <= 0:
                 continue
-            _, sets = brute_best_subsets(seq.xs, w, lam, 2)
-            endpoint_idx = {
-                i for i, tag in enumerate(seq.source) if tag[0] == "endpoint"
-            }
+            _, sets = brute_best_subsets(xs, w, lam, 2)
+            ends = set(interval_ends(line_geometry(inst.points, 0.0), lam)[1].tolist())
+            endpoint_idx = {i for i, x in enumerate(xs) if x in ends}
             assert any(any(i in endpoint_idx for i in s) for s in sets)

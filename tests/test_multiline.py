@@ -5,7 +5,7 @@ import pytest
 
 from sofl.candidates import candidate_radii_tlines
 from sofl.geom import Disk, centers_compatible, is_covered
-from sofl.klink import build_center_sequence, influence_intervals
+from sofl.klink import candidate_centers, line_geometry
 from sofl.multiline import (
     multiline_centers,
     solve_tlines,
@@ -20,9 +20,9 @@ def test_centers_single_line_match_klink():
     pts = [B(0, 1, 1), R(1, 4, 2, -2.0)]
     lam, k = 1.5, 2
     ml = multiline_centers(pts, [0.0], lam, k)
-    seq = build_center_sequence(influence_intervals(pts, 0.0, lam), lam, k)
+    _, xs = candidate_centers(line_geometry(pts, 0.0), lam, k)
     assert [c.line_index for c in ml] == [0] * len(ml)
-    assert [c.x for c in ml] == pytest.approx(list(seq.xs))
+    assert [c.x for c in ml] == pytest.approx(xs.tolist())
 
 
 def test_cross_line_hops():
