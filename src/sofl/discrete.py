@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .candidates import candidate_radii_discrete
-from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, point_order_sums
+from .geom import DEFAULT_TOL, TolerancePolicy, compatible_table, coverage_mask, point_order_sums
 from .placement import Placement, empty_placement, selection_key, site_placement
 
 __all__ = [
@@ -148,10 +148,7 @@ def _coverage(geo: _Geometry, lam: float, tol: TolerancePolicy) -> np.ndarray:
 def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[bool]]:
     """ok[i][j]: `centers_compatible` of sites i and j at radius lam, in the
     same float operations (linear in x at the same height)."""
-    two = 2.0 * lam
-    need = 4.0 * lam * lam
-    ok = np.where(geo.same, geo.adx >= two - tol.x_slack(two), geo.d2 >= need - tol.band(need))
-    return ok.tolist()
+    return compatible_table(geo.same, geo.adx, geo.d2, lam, tol).tolist()
 
 
 class _ChordSolver:

@@ -31,6 +31,7 @@ __all__ = [
     "point_order_sums",
     "center_on_line_through",
     "centers_compatible",
+    "compatible_table",
 ]
 
 
@@ -210,3 +211,13 @@ def centers_compatible(
         return abs(x1 - x2) >= 2.0 * lam - tol.x_slack(2.0 * lam)
     need = 4.0 * lam * lam
     return dist2(x1, y1, x2, y2) >= need - tol.band(need)
+
+
+def compatible_table(same: np.ndarray, adx: np.ndarray, d2: np.ndarray, lam: float,
+                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """`centers_compatible` of many center pairs at once, in the same float
+    operations, given each pair's same-height flag, |dx| and squared
+    distance dx*dx + dy*dy."""
+    two = 2.0 * lam
+    need = 4.0 * lam * lam
+    return np.where(same, adx >= two - tol.x_slack(two), d2 >= need - tol.band(need))

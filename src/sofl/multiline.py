@@ -3,17 +3,20 @@
 Candidate centers per line are the influence-interval endpoints plus chains
 of hops at center distance exactly 2*lam: along a line a hop moves 2*lam in
 x, across two lines closer than 2*lam it moves the reduced offset
-sqrt(4*lam^2 - dy^2). Selection is an exact depth-first search over the
-x-sorted candidates with an optimistic bound, because non-overlap between
-centers on different lines is a pairwise Euclidean constraint that a simple
-left-to-right link cannot capture. The returned placement is re-validated
-pairwise and its weight recomputed as union coverage.
+sqrt(4*lam^2 - dy^2); each generation of hops is one numpy batch. Selection
+is an exact depth-first search over the x-sorted candidates with an
+optimistic bound, because non-overlap between centers on different lines is
+a pairwise Euclidean constraint that a simple left-to-right link cannot
+capture. Per radius, numpy gives each candidate its covered points and the
+candidates compatible with it as int bitsets, so a node ANDs bitsets instead
+of testing pairs. The returned placement is re-validated pairwise with the
+scalar `geom.centers_compatible` and its weight recomputed as union
+coverage.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -22,7 +25,9 @@ from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
     centers_compatible,
+    compatible_table,
     coverage_mask,
+    point_order_sums,
 )
 from .klink import interval_ends, line_geometry
 from .placement import LineCenter, Placement, empty_placement, line_placement, selection_key
@@ -39,151 +44,219 @@ class ValidationFailureError(RuntimeError):
     """The search returned a pairwise-infeasible selection (a bug)."""
 
 
+def _admit(kx, kl, cx, cl, tol: TolerancePolicy):
+    """Keep mask of the candidates cx on lines cl, in insertion order: a
+    value is kept iff it is not `tol.close` to a value already kept on its
+    line, among kx on lines kl or the candidates kept before it.
+
+    Kept values are pairwise farther apart than their slack, and a value
+    further along in sorted order is farther away by more than its slack
+    can grow, so a value close to some kept value is close to a sorted
+    neighbour. Runs of close sorted neighbours thus decide independently. A
+    run whose ends are close is all mutually close, and its earliest value
+    alone is kept; any other run is decided value by value.
+    """
+    keep = np.zeros(len(cx), dtype=bool)
+    x = np.concatenate([kx, cx])
+    li = np.concatenate([kl, cl])
+    o = np.lexsort((x, li))
+    x, li = x[o], li[o]
+    rank = o - len(kx)  # insertion order; the kept values come first
+    slack = tol.x_slacks(x)
+    brk = np.ones(len(x), dtype=bool)
+    brk[1:] = (x[1:] - x[:-1] > np.maximum(slack[1:], slack[:-1])) | (li[1:] != li[:-1])
+    if brk.all():
+        keep[:] = True
+        return keep
+    start = brk.nonzero()[0]
+    last = np.append(start[1:], len(x)) - 1
+    tight = x[last] - x[start] <= np.maximum(slack[last], slack[start])
+    first = np.minimum.reduceat(rank, start)
+    run = np.cumsum(brk) - 1
+    won = rank[(rank == first[run]) & tight[run]]
+    keep[won[won >= 0]] = True
+    for r in (~tight).nonzero()[0].tolist():
+        got: list[float] = []
+        for at in sorted(range(start[r], last[r] + 1), key=rank.__getitem__):
+            if rank[at] < 0:
+                got.append(x[at])
+            elif not any(tol.close(v, x[at]) for v in got):
+                got.append(x[at])
+                keep[rank[at]] = True
+    return keep
+
+
+def _hop_table(lines, lam: float, tol: TolerancePolicy):
+    """Hop offsets and target lines per source line (rows), in the order a
+    value's hops are admitted: -2*lam, +2*lam on its own line, then -off,
+    +off on each line closer than 2*lam; padded with target -1."""
+    need2 = 4.0 * lam * lam
+    band = tol.band(need2)
+    off, to = [], []
+    for li, ly in enumerate(lines):
+        hops = [(2.0 * lam, li)]
+        for lj, ly2 in enumerate(lines):
+            dy2 = (ly2 - ly) ** 2
+            if lj != li and dy2 - need2 <= band:
+                hops.append((math.sqrt(max(0.0, need2 - dy2)), lj))
+        hops += [(0.0, -1)] * (len(lines) - len(hops))
+        off.append([v for d, _ in hops for v in (-d, d)])
+        to.append([lj for _, lj in hops for _ in (0, 1)])
+    return np.array(off), np.array(to)
+
+
 def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
                       geos=None):
     """Candidate centers across lines: endpoints, hop chains, sentinels.
 
     geos holds each line's `klink.line_geometry` of the points; a radius
-    loop builds it once per solve.
+    loop builds it once per solve. The endpoints are admitted in (x, line)
+    order, then k - 1 generations of hops (`_hop_table`) from the values
+    the previous generation admitted, then each line's two sentinels;
+    `_admit` drops near-duplicates of every batch.
     """
     lines = check_lines(lines)
     if lam <= 0:
         raise ValueError("candidate centers require a positive radius")
     if geos is None:
         geos = [line_geometry(points, ly) for ly in lines]
+    t = len(lines)
+    margin = 2.0 * k * lam
+    ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
+    ex = np.concatenate(ends)
+    el = np.repeat(np.arange(t), [len(e) for e in ends])
+    kx, kl = np.empty(0), np.empty(0, dtype=int)
 
-    endpoints: list[tuple[float, int]] = []
-    for li, geo in enumerate(geos):
-        endpoints.extend((x, li) for x in interval_ends(geo, lam, tol)[1].tolist())
+    def admit(cx, cl):
+        nonlocal kx, kl
+        keep = _admit(kx, kl, cx, cl, tol)
+        kx, kl = np.concatenate([kx, cx[keep]]), np.concatenate([kl, cl[keep]])
+        return cx[keep], cl[keep]
 
-    per_line: list[list[float]] = [[] for _ in lines]
-
-    def add(x: float, li: int) -> bool:
-        row = per_line[li]
-        i = bisect_left(row, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(row) and tol.close(row[j], x):
-                return False
-        insort(row, x)
-        return True
-
-    if not endpoints:
-        for li in range(len(lines)):
-            add(0.0, li)
-            add(2.0 * k * lam, li)
+    pair = np.array([li for li in range(t) for _ in (0, 1)])
+    if not len(ex):
+        admit(np.array([0.0, margin] * t), pair)
     else:
-        frontier = []
-        for x, li in sorted(endpoints):
-            if add(x, li):
-                frontier.append((x, li))
-        need2 = 4.0 * lam * lam
-        band = tol.band(need2)
+        o = np.lexsort((el, ex))
+        bx, bl = ex[o], el[o]
+        if k > 1:
+            off, to = _hop_table(lines, lam, tol)
         for _ in range(k - 1):
-            nxt = []
-            for x, li in frontier:
-                hops = [(x - 2.0 * lam, li), (x + 2.0 * lam, li)]
-                for lj, ly in enumerate(lines):
-                    if lj == li:
-                        continue
-                    dy2 = (ly - lines[li]) ** 2
-                    if dy2 - need2 > band:
-                        continue
-                    off = math.sqrt(max(0.0, need2 - dy2))
-                    hops.append((x - off, lj))
-                    hops.append((x + off, lj))
-                for hx, hl in hops:
-                    if add(hx, hl):
-                        nxt.append((hx, hl))
-            frontier = nxt
-        margin = 2.0 * k * lam
-        lo = min(x for x, _ in endpoints) - margin
-        hi = max(x for x, _ in endpoints) + margin
-        for li in range(len(lines)):
-            add(lo, li)
-            add(hi, li)
+            fx, fl = admit(bx, bl)
+            tf = to[fl]
+            ok = tf >= 0
+            bx, bl = (fx[:, None] + off[fl])[ok], tf[ok]
+        # The sentinels come after the last batch in insertion order.
+        sx = np.array([ex.min() - margin, ex.max() + margin] * t)
+        admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
 
-    out = [LineCenter(x, li) for li, row in enumerate(per_line) for x in row]
-    out.sort(key=lambda c: (c.x, c.line_index))
-    return out
+    o = np.lexsort((kl, kx))
+    return [LineCenter(x, li) for x, li in zip(kx[o].tolist(), kl[o].tolist())]
+
+
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j set for column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _coverage_table(points, lines, lam, centers, tol):
+    """The searched centers as indices into centers and as x and y arrays,
+    and per searched position its gain (covered positive weight) and its
+    covered points as a bitset. Coverage makes the float operations of
+    `geom.is_covered`; weights are summed in point order like
+    `geom.disk_weight`. A center whose own disk nets nothing can never
+    improve a union of non-overlapping disks, and the fewest-centers tie
+    rule drops it, so only the others are searched."""
+    w = np.array([p.weight for p in points], dtype=float)
+    px = np.array([p.x for p in points], dtype=float)
+    py = np.array([p.y for p in points], dtype=float)
+    blue = np.array([p.is_blue for p in points], dtype=bool)
+    cx = np.array([c.x for c in centers], dtype=float)
+    cy = np.array([lines[c.line_index] for c in centers], dtype=float)
+    dx = px[:, None] - cx[None, :]
+    dy = py[:, None] - cy[None, :]
+    r2 = lam * lam
+    cov = coverage_mask((dx * dx + dy * dy) - r2, blue, tol.band(r2))
+    order = np.flatnonzero(point_order_sums(cov, w) > 0)
+    cov = cov[:, order]
+    gains = point_order_sums(cov & (w > 0)[:, None], w).tolist()
+    return order.tolist(), cx[order], cy[order], gains, _bitsets(cov.T)
+
+
+def _compat_table(cx, cy, lam, tol) -> list[int]:
+    """Per center, the centers compatible with it as a bitset over
+    positions, decided by `geom.compatible_table`."""
+    dx = cx[:, None] - cx[None, :]
+    dy = cy[:, None] - cy[None, :]
+    same = cy[:, None] == cy[None, :]
+    return _bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
 
 
 def _search_best(points, lines, lam, k, centers, tol):
-    """Exact DFS over candidates; returns the canonical best index tuple."""
-    point_w = [p.weight for p in points]
-    masks = []
-    weights = []
-    gains = []  # optimistic per-center gain: its covered positive weight
-    # geom.is_covered for every center and point at once, in the same float
-    # operations; weights are summed in point order like geom.disk_weight.
-    px = np.array([p.x for p in points], dtype=float)
-    py = np.array([p.y for p in points], dtype=float)
-    dx = px[:, None] - np.array([c.x for c in centers])[None, :]
-    dy = py[:, None] - np.array([lines[c.line_index] for c in centers])[None, :]
-    blue = np.array([p.is_blue for p in points], dtype=bool)
-    r2 = lam * lam
-    for row in coverage_mask((dx * dx + dy * dy) - r2, blue, tol.band(r2)).T.tolist():
-        m = 0
-        w = 0.0
-        gain = 0.0
-        for i, hit in enumerate(row):
-            if hit:
-                m |= 1 << i
-                w += point_w[i]
-                if point_w[i] > 0:
-                    gain += point_w[i]
-        masks.append(m)
-        weights.append(w)
-        gains.append(gain)
+    """Exact DFS over the searched centers in x order; returns the
+    canonical best index tuple.
 
-    # Centers whose own disk nets nothing can never improve a union of
-    # non-overlapping disks, and the fewest-centers tie rule drops them.
-    order = [i for i in range(len(centers)) if weights[i] > 0]
+    A node carries the bitset of later positions compatible with every
+    chosen center (the AND of their `_compat_table` rows) and walks its set
+    bits in ascending order; the bits left after the one taken are the
+    later positions. A child is searched on unless its weight plus the
+    largest gains still to come cannot reach the incumbent's weight.
+    """
+    order, cx, cy, gains, masks = _coverage_table(points, lines, lam, centers, tol)
+    point_w = [p.weight for p in points]
+    keys = [centers[i].sort_key() for i in order]
+    m = len(order)
+    compat: list[int] = []
+    # top[pos][b]: the sum of the b largest gains among positions pos..,
+    # added largest first. A child has chosen one center, so b < k.
+    top = [[0.0] * k] * (m + 1)
+    if k > 1:
+        compat = _compat_table(cx, cy, lam, tol)
+        largest: list[float] = []
+        for pos in range(m - 1, -1, -1):
+            largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
+            top[pos] = [sum(largest[:b]) for b in range(k)]
+
+    weights: dict[int, float] = {}  # union weight per covered-point bitset
 
     def union_weight(mask: int) -> float:
-        total = 0.0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += point_w[i]
-            mask >>= 1
-            i += 1
+        total = weights.get(mask)
+        if total is None:
+            total = 0.0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                total += point_w[low.bit_length() - 1]
+                rest ^= low
+            weights[mask] = total
         return total
 
-    best_key = None
+    best_key = selection_key(0.0, [])  # the empty selection
     best_ids: tuple[int, ...] = ()
 
-    def consider(chosen: list[int], mask: int):
+    def rec(chosen: list[int], mask: int, allowed: int):
         nonlocal best_key, best_ids
-        w = union_weight(mask)
-        if best_key is not None and -w > best_key[0]:
-            return  # cannot tie or win
-        key = selection_key(w, [centers[i].sort_key() for i in chosen])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_ids = tuple(chosen)
+        budget = k - len(chosen) - 1  # left after one more center
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            at = low.bit_length() - 1
+            chosen.append(at)
+            nxt = mask | masks[at]
+            w = union_weight(nxt)
+            if -w <= best_key[0]:  # can tie or win
+                key = selection_key(w, [keys[i] for i in chosen])
+                if key < best_key:
+                    best_key = key
+                    best_ids = tuple(chosen)
+            rest = allowed & compat[at] if budget else 0
+            if rest and w + top[at + 1][budget] >= -best_key[0]:
+                rec(chosen, nxt, rest)
+            chosen.pop()
 
-    coords = [(centers[i].x, lines[centers[i].line_index]) for i in range(len(centers))]
-
-    def rec(pos: int, chosen: list[int], mask: int, current: float):
-        nonlocal best_key
-        consider(chosen, mask)
-        if len(chosen) == k or pos >= len(order):
-            return
-        budget = k - len(chosen)
-        top = sorted((gains[i] for i in order[pos:]), reverse=True)[:budget]
-        if best_key is not None and current + sum(top) < -best_key[0]:
-            return
-        for at in range(pos, len(order)):
-            ci = order[at]
-            if all(
-                centers_compatible(coords[ci], coords[cj], lam, tol) for cj in chosen
-            ):
-                chosen.append(ci)
-                rec(at + 1, chosen, mask | masks[ci], union_weight(mask | masks[ci]))
-                chosen.pop()
-
-    rec(0, [], 0, 0.0)
-    return best_ids
+    rec([], 0, (1 << m) - 1)
+    return tuple(order[i] for i in best_ids)
 
 
 def solve_tlines_fixed_radius(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,

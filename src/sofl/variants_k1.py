@@ -40,12 +40,9 @@ from .geom import (
 
 __all__ = [
     "PairCircle",
-    "BisectorCounts",
     "FarthestCellBreaks",
     "AllBlueOutcome",
     "pair_disk",
-    "red_onin_test",
-    "pair_red_counts",
     "maxblue_nored_naive",
     "maxblue_nored_fast",
     "farthest_breaks",
@@ -62,15 +59,6 @@ class PairCircle:
     q_id: int
     center_x: float
     radius: float
-
-
-@dataclass(frozen=True)
-class BisectorCounts:
-    """Reds on-or-inside a pair circle, split by which side of the anchor
-    the red lies on; n1 counts reds right of the anchor, n2 left of it."""
-
-    n1: int
-    n2: int
 
 
 @dataclass(frozen=True)
@@ -102,59 +90,6 @@ def pair_disk(u, v, line_y: float = 0.0) -> PairCircle | None:
     a = u if u.id <= v.id else v
     rad = math.sqrt(dist2(cx, line_y, a.x, a.y))
     return PairCircle(min(u.id, v.id), max(u.id, v.id), cx, rad)
-
-
-def red_onin_test(p, q, r, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Whether r lies on or inside the line-centered circle through p and q.
-
-    Decided from bisector-crossing comparisons where they are defined; the
-    vertical p-r configuration falls back to the direct distance test.
-    """
-    res = center_on_line_through(p, q, 0.0)
-    if res is None:
-        raise DegenerateInputError("circle through p and q is undefined")
-    cx, rad = res
-    direct = None
-    try:
-        direct = center_on_line_through(p, r, 0.0)
-    except DegenerateInputError:
-        pass
-    if direct is None:
-        s = dist2(r.x, r.y, cx, 0.0) - rad * rad
-        return s <= tol.band(rad * rad)
-    xpr = direct[0]
-    if p.x < r.x:
-        return cx >= xpr
-    return cx <= xpr
-
-
-def pair_red_counts(points, tol: TolerancePolicy = DEFAULT_TOL):
-    """For every ordered blue pair (p, q), the split count of reds on or
-    inside the circle through them. Quadratic reference implementation."""
-    blues = [p for p in points if p.is_blue]
-    reds = [p for p in points if not p.is_blue]
-    out: dict[tuple[int, int], BisectorCounts] = {}
-    for p in blues:
-        for q in blues:
-            if q.id == p.id:
-                continue
-            try:
-                if center_on_line_through(p, q, 0.0) is None:
-                    continue
-            except DegenerateInputError:
-                continue
-            n1 = n2 = 0
-            for r in reds:
-                if r.x == p.x:
-                    if red_onin_test(p, q, r, tol):
-                        n1 += 1
-                elif red_onin_test(p, q, r, tol):
-                    if p.x < r.x:
-                        n1 += 1
-                    else:
-                        n2 += 1
-            out[(p.id, q.id)] = BisectorCounts(n1, n2)
-    return out
 
 
 def _feasible_blue_count(disk: Disk, blues, reds, tol) -> int | None:

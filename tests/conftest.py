@@ -1,10 +1,21 @@
 import math
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 
 import pytest
 
-from sofl.geom import DEFAULT_TOL, Color, ColoredPoint, point_order_sums
+from sofl.geom import (
+    DEFAULT_TOL,
+    Color,
+    ColoredPoint,
+    DegenerateInputError,
+    TolerancePolicy,
+    center_on_line_through,
+    dist2,
+    point_order_sums,
+)
 from sofl.instance import generate, parse_instance
-from sofl.klink import _coverage, candidate_centers, line_geometry
+from sofl.klink import _coverage, candidate_centers, interval_ends, line_geometry
 
 
 def B(i, x, y, w=1.0):
@@ -54,3 +65,118 @@ def random_instance(seed, n, k, variant="csofl", **kw):
 @pytest.fixture
 def mk_points():
     return B, R
+
+
+def reference_multiline_centers(points, lines, lam, k, tol=DEFAULT_TOL):
+    """`multiline.multiline_centers` written as a scalar insertion loop:
+    each value is inserted into its line's sorted row unless it is
+    `tol.close` to a row neighbour, endpoints in (x, line) order, then k - 1
+    generations of hops from the values the previous generation kept, then
+    two sentinels per line."""
+    per_line = [[] for _ in lines]
+
+    def add(x, li):
+        row = per_line[li]
+        i = bisect_left(row, x)
+        for j in (i - 1, i):
+            if 0 <= j < len(row) and tol.close(row[j], x):
+                return False
+        insort(row, x)
+        return True
+
+    endpoints = []
+    for li, ly in enumerate(lines):
+        geo = line_geometry(points, ly)
+        endpoints.extend((x, li) for x in interval_ends(geo, lam, tol)[1].tolist())
+    if not endpoints:
+        for li in range(len(lines)):
+            add(0.0, li)
+            add(2.0 * k * lam, li)
+    else:
+        frontier = [(x, li) for x, li in sorted(endpoints) if add(x, li)]
+        need2 = 4.0 * lam * lam
+        band = tol.band(need2)
+        for _ in range(k - 1):
+            nxt = []
+            for x, li in frontier:
+                hops = [(x - 2.0 * lam, li), (x + 2.0 * lam, li)]
+                for lj, ly in enumerate(lines):
+                    if lj == li:
+                        continue
+                    dy2 = (ly - lines[li]) ** 2
+                    if dy2 - need2 > band:
+                        continue
+                    off = math.sqrt(max(0.0, need2 - dy2))
+                    hops.append((x - off, lj))
+                    hops.append((x + off, lj))
+                nxt += [(hx, hl) for hx, hl in hops if add(hx, hl)]
+            frontier = nxt
+        margin = 2.0 * k * lam
+        lo = min(x for x, _ in endpoints) - margin
+        hi = max(x for x, _ in endpoints) + margin
+        for li in range(len(lines)):
+            add(lo, li)
+            add(hi, li)
+    return sorted((x, li) for li, row in enumerate(per_line) for x in row)
+
+
+@dataclass(frozen=True)
+class BisectorCounts:
+    """Reds on-or-inside a pair circle, split by which side of the anchor
+    the red lies on; n1 counts reds right of the anchor, n2 left of it."""
+
+    n1: int
+    n2: int
+
+
+def red_onin_test(p, q, r, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """Whether r lies on or inside the line-centered circle through p and q.
+
+    Decided from bisector-crossing comparisons where they are defined; the
+    vertical p-r configuration falls back to the direct distance test.
+    """
+    res = center_on_line_through(p, q, 0.0)
+    if res is None:
+        raise DegenerateInputError("circle through p and q is undefined")
+    cx, rad = res
+    direct = None
+    try:
+        direct = center_on_line_through(p, r, 0.0)
+    except DegenerateInputError:
+        pass
+    if direct is None:
+        s = dist2(r.x, r.y, cx, 0.0) - rad * rad
+        return s <= tol.band(rad * rad)
+    xpr = direct[0]
+    if p.x < r.x:
+        return cx >= xpr
+    return cx <= xpr
+
+
+def pair_red_counts(points, tol: TolerancePolicy = DEFAULT_TOL):
+    """For every ordered blue pair (p, q), the split count of reds on or
+    inside the circle through them. Quadratic reference implementation."""
+    blues = [p for p in points if p.is_blue]
+    reds = [p for p in points if not p.is_blue]
+    out: dict[tuple[int, int], BisectorCounts] = {}
+    for p in blues:
+        for q in blues:
+            if q.id == p.id:
+                continue
+            try:
+                if center_on_line_through(p, q, 0.0) is None:
+                    continue
+            except DegenerateInputError:
+                continue
+            n1 = n2 = 0
+            for r in reds:
+                if r.x == p.x:
+                    if red_onin_test(p, q, r, tol):
+                        n1 += 1
+                elif red_onin_test(p, q, r, tol):
+                    if p.x < r.x:
+                        n1 += 1
+                    else:
+                        n2 += 1
+            out[(p.id, q.id)] = BisectorCounts(n1, n2)
+    return out

@@ -190,8 +190,7 @@ def test_c4_k1_equivalence():
 
     import random as _random
 
-    from sofl.variants_k1 import red_onin_test
-    from conftest import B, R
+    from conftest import B, R, red_onin_test
 
     rng = _random.Random(424242)
     checked = 0

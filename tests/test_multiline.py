@@ -1,19 +1,26 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from sofl.candidates import candidate_radii_tlines
-from sofl.geom import Disk, centers_compatible, is_covered
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
+from sofl.instance import emit_result, generate, parse_instance
 from sofl.klink import candidate_centers, line_geometry
 from sofl.multiline import (
+    _compat_table,
+    _coverage_table,
     multiline_centers,
     solve_tlines,
     solve_tlines_fixed_radius,
 )
 from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
+from sofl.placement import LineCenter
 from sofl.solver import solve_csofl
-from conftest import B, R, random_instance
+from conftest import B, R, random_instance, reference_multiline_centers
+
+POLICIES = (DEFAULT_TOL, TolerancePolicy(1e-3, "absolute"), TolerancePolicy(0.0))
 
 
 def test_centers_single_line_match_klink():
@@ -137,3 +144,105 @@ def test_all_red_zero():
     pts = [R(0, 0, 1), R(1, 3, 3)]
     pl = solve_tlines(pts, [0.0, 2.0], 2)
     assert pl.radius == 0.0 and pl.total_weight == 0.0
+
+
+def assert_tables_match_scalar(points, lines, lam, centers, tol):
+    """The search tables against `is_covered` and `centers_compatible`,
+    pair by pair; returns the searched indices and the compatibility rows."""
+    order, cx, cy, _, masks = _coverage_table(points, lines, lam, centers, tol)
+    compat = _compat_table(cx, cy, lam, tol)
+    xy = [(centers[i].x, lines[centers[i].line_index]) for i in order]
+    assert xy == list(zip(cx.tolist(), cy.tolist()))
+    for a, (ax, ay) in enumerate(xy):
+        cov = [is_covered(p, Disk(ax, ay, lam), tol) for p in points]
+        assert masks[a] == sum(1 << i for i, hit in enumerate(cov) if hit)
+        row = [bool(compat[a] >> b & 1) for b in range(len(xy))]
+        expect = [centers_compatible(xy[a], q, lam, tol) for q in xy]
+        assert row[:a] + row[a + 1 :] == expect[:a] + expect[a + 1 :], (a, tol)
+    return order, compat
+
+
+def test_compat_bitsets_touching_pairs():
+    # lam = 5; lines 3 and 6 above line 0 give cross offsets sqrt(91) and
+    # exactly 8, the same line exactly 2*lam = 10; each center also gets a
+    # variant just inside and just outside the slack.
+    lam = 5.0
+    lines = [0.0, 3.0, 6.0]
+    for tol in POLICIES:
+        nudge = max(tol.x_slack(10.0), 1e-12)
+        xs = {0: [0.0, 10.0, 10.0 - nudge / 2, 10.0 - 2 * nudge, -10.0]}
+        xs[1] = [math.sqrt(91.0), -math.sqrt(91.0), math.sqrt(91.0) - 2 * nudge]
+        xs[2] = [8.0, -8.0, 8.0 - nudge / 2, 8.0 - 2 * nudge]
+        centers = [LineCenter(x, li) for li, row in xs.items() for x in row]
+        points = [B(i, c.x, lines[c.line_index]) for i, c in enumerate(centers)]
+        order, compat = assert_tables_match_scalar(points, lines, lam, centers, tol)
+        assert order == list(range(len(centers)))
+        # (0, 0) touches (10, 0) and (8, 6), and overlaps (10 - 2*nudge, 0)
+        assert [compat[0] >> b & 1 for b in (1, 8, 3)] == [1, 1, 0]
+
+
+def test_compat_bitsets_match_scalar_on_instances():
+    for seed in range(30):
+        inst = random_instance(seed, 3 + seed % 4, 1 + seed % 3, variant="tlines", t=2 + seed % 2)
+        radii = sorted({c.value for c in candidate_radii_tlines(inst.points, inst.lines, k=inst.k)})
+        for lam in [v for v in radii if v > 0][:4]:
+            for tol in POLICIES:
+                cents = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
+                assert_tables_match_scalar(inst.points, inst.lines, lam, cents, tol)
+
+
+def hexed(pairs):
+    return [(x.hex(), li) for x, li in pairs]
+
+
+def test_centers_match_reference_loop():
+    # Integer x and heights within 1e-6 of a line make hops land on each
+    # other and near each other; the absolute 2e-6 policy chains such
+    # near-duplicates into runs that are not all mutually close.
+    policies = POLICIES + (TolerancePolicy(2e-6, "absolute"), TolerancePolicy(1e-6))
+    for seed in range(60):
+        rng = random.Random(seed)
+        lines = sorted(rng.sample(range(6), rng.choice([2, 3])))
+        k = rng.choice([1, 2, 3])
+        pts = []
+        for i in range(rng.randint(1, 5)):
+            y = rng.choice(lines) + rng.choice([0.0, 1e-6, -1e-6, 1.0, 2.0])
+            w = rng.randint(1, 9)
+            x = rng.randint(-4, 4)
+            pts.append(B(i, x, y, w) if rng.random() < 0.6 else R(i, x, y, -w))
+        for tol in policies:
+            for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 1 + 1e-6, 2.0000005):
+                got = [(c.x, c.line_index) for c in multiline_centers(pts, lines, lam, k, tol)]
+                ref = reference_multiline_centers(pts, lines, lam, k, tol)
+                assert hexed(got) == hexed(ref), (seed, tol, lam)
+
+
+def test_centers_match_reference_loop_on_instances():
+    for seed in range(40):
+        inst = random_instance(seed, 1 + seed % 7, 1 + seed % 4, variant="tlines", t=1 + seed % 3)
+        radii = sorted({c.value for c in candidate_radii_tlines(inst.points, inst.lines, k=inst.k)})
+        for lam in [v for v in radii if v > 0][:6] + [1e-10, 3.25]:
+            for tol in POLICIES:
+                got = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
+                ref = reference_multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
+                assert hexed((c.x, c.line_index) for c in got) == hexed(ref), (seed, tol, lam)
+
+
+@pytest.mark.parametrize(
+    "n, k, expect",
+    [
+        (8, 4, '{"lambda": 9.0625, "weight": 21.0, "centers": [{"x": 2.9375, "line": 0}, '
+               '{"x": 19.6562207944, "line": 1}], "covered_blue": [0, 2, 3, 4, 6], '
+               '"covered_red": [5]}\n'),
+        (12, 3, '{"lambda": 24.920072231, "weight": 34.0, "centers": [{"x": -14.8396859884, '
+                '"line": 0}, {"x": 37.9, "line": 1}], "covered_blue": [0, 2, 3, 4, 6, 8, 9, 10], '
+                '"covered_red": [11]}\n'),
+    ],
+)
+def test_heavy_tail_instances_pinned(n, k, expect):
+    # The two slowest t=2 generator instances of the DFS era; the JSON is
+    # what the scalar-check search printed.
+    inst = parse_instance(generate(1, n, k, "tlines", t=2))
+    pl = solve_tlines(inst.points, inst.lines, inst.k)
+    assert emit_result(pl, "json") == expect
+    assert pl.radius == {8: 9.0625, 12: 24.920072231034965}[n]

@@ -12,10 +12,8 @@ from sofl.variants_k1 import (
     maxblue_nored_fast,
     maxblue_nored_naive,
     pair_disk,
-    pair_red_counts,
-    red_onin_test,
 )
-from conftest import B, R, random_instance
+from conftest import B, R, pair_red_counts, random_instance, red_onin_test
 
 
 # --- the on-or-inside test ---------------------------------------------------
