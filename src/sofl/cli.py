@@ -13,7 +13,6 @@ from . import oracle
 from .discrete import solve_discrete
 from .geom import Disk, TolerancePolicy, is_covered
 from .instance import (
-    ParseError,
     ProblemInstance,
     SemanticError,
     emit_result,
@@ -157,17 +156,19 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
+        tol = TolerancePolicy(eps=args.tol)
         with open(args.input) as fh:
             inst = parse_instance(fh.read())
         if args.k is not None:
             inst = ProblemInstance(inst.variant, args.k, inst.points, inst.lines, inst.sites)
+            if inst.k < 1:
+                raise SemanticError("k must be at least 1")
             if inst.variant == "discrete" and inst.k >= len(inst.sites):
                 raise SemanticError("k must be smaller than the number of sites")
-    except (OSError, ParseError, SemanticError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    tol = TolerancePolicy(eps=args.tol)
     if args.command == "solve":
         try:
             placement = _solve(inst, args.algorithm, tol, args.jobs)

@@ -82,8 +82,8 @@ class TolerancePolicy:
     mode: str = "relative"
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < math.inf:  # also rejects nan
+            raise ValueError(f"eps must be finite and nonnegative, not {self.eps!r}")
         if self.mode not in ("relative", "absolute"):
             raise ValueError(f"unknown tolerance mode {self.mode!r}")
 

@@ -7,11 +7,12 @@ sqrt(4*lam^2 - dy^2); each generation of hops is one numpy batch. Selection
 is an exact depth-first search over the x-sorted candidates with an
 optimistic bound, because non-overlap between centers on different lines is
 a pairwise Euclidean constraint that a simple left-to-right link cannot
-capture. Per radius, numpy gives each candidate its covered points and the
+capture. The per-radius kernel `_solve_radius` runs on each line's geometry,
+built once per solve; numpy gives each candidate its covered points and the
 candidates compatible with it as int bitsets, so a node ANDs bitsets instead
-of testing pairs. The returned placement is re-validated pairwise with the
-scalar `geom.centers_compatible` and its weight recomputed as union
-coverage.
+of testing pairs. The kernel re-validates its selection pairwise with the
+scalar `geom.centers_compatible` and returns its union weight, so the radius
+loop builds one `Placement`, for the radius it returns.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .geom import (
     TolerancePolicy,
     centers_compatible,
     compatible_table,
-    coverage_mask,
     point_order_sums,
 )
-from .klink import interval_ends, line_geometry
-from .placement import LineCenter, Placement, empty_placement, line_placement, selection_key
+from .klink import _coverage, interval_ends, line_geometry
+from .placement import LineCenter, Placement, line_placement, selection_key
 
 __all__ = [
     "ValidationFailureError",
@@ -105,21 +105,16 @@ def _hop_table(lines, lam: float, tol: TolerancePolicy):
     return np.array(off), np.array(to)
 
 
-def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
-                      geos=None):
-    """Candidate centers across lines: endpoints, hop chains, sentinels.
+def _candidates(geos, lines, lam: float, k: int, tol: TolerancePolicy):
+    """Candidate centers across lines as x and line index arrays, sorted by
+    (x, line): endpoints, hop chains, sentinels.
 
-    geos holds each line's `klink.line_geometry` of the points; a radius
-    loop builds it once per solve. The endpoints are admitted in (x, line)
-    order, then k - 1 generations of hops (`_hop_table`) from the values
-    the previous generation admitted, then each line's two sentinels;
-    `_admit` drops near-duplicates of every batch.
+    geos holds each line's `klink.line_geometry` of the points. The
+    endpoints are admitted in (x, line) order, then k - 1 generations of
+    hops (`_hop_table`) from the values the previous generation admitted,
+    then each line's two sentinels; `_admit` drops near-duplicates of every
+    batch.
     """
-    lines = check_lines(lines)
-    if lam <= 0:
-        raise ValueError("candidate centers require a positive radius")
-    if geos is None:
-        geos = [line_geometry(points, ly) for ly in lines]
     t = len(lines)
     margin = 2.0 * k * lam
     ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
@@ -151,7 +146,16 @@ def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = 
         admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
 
     o = np.lexsort((kl, kx))
-    return [LineCenter(x, li) for x, li in zip(kx[o].tolist(), kl[o].tolist())]
+    return kx[o], kl[o]
+
+
+def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
+    """Candidate centers across lines (`_candidates`) as `LineCenter`s."""
+    lines = check_lines(lines)
+    if lam <= 0:
+        raise ValueError("candidate centers require a positive radius")
+    xs, li = _candidates([line_geometry(points, ly) for ly in lines], lines, lam, k, tol)
+    return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
 
 
 def _bitsets(rows: np.ndarray) -> list[int]:
@@ -160,28 +164,23 @@ def _bitsets(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
-def _coverage_table(points, lines, lam, centers, tol):
-    """The searched centers as indices into centers and as x and y arrays,
-    and per searched position its gain (covered positive weight) and its
-    covered points as a bitset. Coverage makes the float operations of
-    `geom.is_covered`; weights are summed in point order like
-    `geom.disk_weight`. A center whose own disk nets nothing can never
-    improve a union of non-overlapping disks, and the fewest-centers tie
-    rule drops it, so only the others are searched."""
-    w = np.array([p.weight for p in points], dtype=float)
-    px = np.array([p.x for p in points], dtype=float)
-    py = np.array([p.y for p in points], dtype=float)
-    blue = np.array([p.is_blue for p in points], dtype=bool)
-    cx = np.array([c.x for c in centers], dtype=float)
-    cy = np.array([lines[c.line_index] for c in centers], dtype=float)
-    dx = px[:, None] - cx[None, :]
-    dy = py[:, None] - cy[None, :]
-    r2 = lam * lam
-    cov = coverage_mask((dx * dx + dy * dy) - r2, blue, tol.band(r2))
+def _coverage_table(geos, xs, li, lam, tol):
+    """The searched candidates as indices into xs, and per searched position
+    its gain (covered positive weight) and its covered points as a bitset.
+    Each line's columns come from `klink._coverage` of its geometry, and
+    weights are summed in point order like `geom.disk_weight`. A center
+    whose own disk nets nothing can never improve a union of non-overlapping
+    disks, and the fewest-centers tie rule drops it, so only the others are
+    searched."""
+    px, blue, w = geos[0].px, geos[0].blue, geos[0].w
+    cov = np.empty((len(px), len(xs)), dtype=bool)
+    for i, geo in enumerate(geos):
+        on = li == i
+        cov[:, on] = _coverage(xs[on], px, geo.dy2, blue, lam, tol)
     order = np.flatnonzero(point_order_sums(cov, w) > 0)
     cov = cov[:, order]
     gains = point_order_sums(cov & (w > 0)[:, None], w).tolist()
-    return order.tolist(), cx[order], cy[order], gains, _bitsets(cov.T)
+    return order, gains, _bitsets(cov.T)
 
 
 def _compat_table(cx, cy, lam, tol) -> list[int]:
@@ -193,9 +192,10 @@ def _compat_table(cx, cy, lam, tol) -> list[int]:
     return _bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
 
 
-def _search_best(points, lines, lam, k, centers, tol):
-    """Exact DFS over the searched centers in x order; returns the
-    canonical best index tuple.
+def _search_best(geos, lines, lam, k, xs, li, tol):
+    """Exact DFS over the searched candidates in (x, line) order; returns
+    the best union weight, summed in point order like `union_coverage`, and
+    the indices into xs of the canonical best selection, ascending.
 
     A node carries the bitset of later positions compatible with every
     chosen center (the AND of their `_compat_table` rows) and walks its set
@@ -203,16 +203,16 @@ def _search_best(points, lines, lam, k, centers, tol):
     later positions. A child is searched on unless its weight plus the
     largest gains still to come cannot reach the incumbent's weight.
     """
-    order, cx, cy, gains, masks = _coverage_table(points, lines, lam, centers, tol)
-    point_w = [p.weight for p in points]
-    keys = [centers[i].sort_key() for i in order]
+    order, gains, masks = _coverage_table(geos, xs, li, lam, tol)
+    point_w = geos[0].w.tolist()
+    keys = list(zip(xs[order].tolist(), li[order].tolist()))
     m = len(order)
     compat: list[int] = []
     # top[pos][b]: the sum of the b largest gains among positions pos..,
     # added largest first. A child has chosen one center, so b < k.
     top = [[0.0] * k] * (m + 1)
     if k > 1:
-        compat = _compat_table(cx, cy, lam, tol)
+        compat = _compat_table(xs[order], np.array(lines)[li[order]], lam, tol)
         largest: list[float] = []
         for pos in range(m - 1, -1, -1):
             largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
@@ -256,29 +256,38 @@ def _search_best(points, lines, lam, k, centers, tol):
             chosen.pop()
 
     rec([], 0, (1 << m) - 1)
-    return tuple(order[i] for i in best_ids)
+    return -best_key[0], order[list(best_ids)]
 
 
-def solve_tlines_fixed_radius(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
-                              geos=None) -> Placement:
-    """Best placement of at most k radius-lam disks centered on the lines
-    (geos as in `multiline_centers`)."""
-    lines = check_lines(lines)
+def _solve_radius(geos, lines, lam: float, k: int, tol: TolerancePolicy):
+    """Best selection of at most k radius-lam disks centered on the lines:
+    its union weight and its centers as (x, line index) pairs, ascending.
+    The selection is re-validated pairwise with the scalar
+    `geom.centers_compatible`."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if lam <= 0.0:
-        return empty_placement(max(lam, 0.0))
-    centers = multiline_centers(points, lines, lam, k, tol, geos)
-    best_ids = _search_best(points, lines, lam, k, centers, tol)
-    chosen = [centers[i] for i in best_ids]
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1 :]:
-            pa = (a.x, lines[a.line_index])
-            pb = (b.x, lines[b.line_index])
-            if not centers_compatible(pa, pb, lam, tol):
-                raise ValidationFailureError(f"overlapping selection {a} / {b}")
-    chosen.sort(key=lambda c: (c.x, c.line_index))
-    return line_placement(points, lines, lam, chosen, tol)
+        return 0.0, ()
+    xs, li = _candidates(geos, lines, lam, k, tol)
+    weight, ids = _search_best(geos, lines, lam, k, xs, li, tol)
+    chosen = tuple(zip(xs[ids].tolist(), li[ids].tolist()))
+    for i, (ax, al) in enumerate(chosen):
+        for bx, bl in chosen[i + 1 :]:
+            if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
+                raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
+    return weight, chosen
+
+
+def _placement(points, lines, lam: float, chosen, tol: TolerancePolicy) -> Placement:
+    return line_placement(points, lines, max(lam, 0.0), tuple(LineCenter(*c) for c in chosen), tol)
+
+
+def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
+                              tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
+    """Best placement of at most k radius-lam disks centered on the lines."""
+    lines = check_lines(lines)
+    _, chosen = _solve_radius([line_geometry(points, ly) for ly in lines], lines, lam, k, tol)
+    return _placement(points, lines, lam, chosen, tol)
 
 
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
@@ -294,23 +303,16 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
     lines = check_lines(lines)
     groups = radius_groups(candidate_radii_tlines(points, lines, tol, k))
     geos = [line_geometry(points, ly) for ly in lines]
-    best = None
-    for v, standard in groups:
-        if standard:
-            pl = solve_tlines_fixed_radius(points, lines, v, k, tol, geos)
-            if best is None or pl.total_weight > best.total_weight:
-                best = pl
     blues = [(min((p.y - ly) ** 2 for ly in lines), p.weight) for p in points if p.is_blue]
-    for v, standard in groups:
-        if standard:
-            continue
-        r2 = v * v
-        reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
-        if reach < best.total_weight or (reach <= best.total_weight and v > best.radius):
-            continue
-        pl = solve_tlines_fixed_radius(points, lines, v, k, tol, geos)
-        if pl.total_weight > best.total_weight or (
-            pl.total_weight == best.total_weight and v < best.radius
-        ):
-            best = pl
-    return best
+    best = None  # (weight, radius, chosen)
+    # Standard radii come first, so the tie rule can fire only for a chain gain.
+    for v, standard in sorted(groups, key=lambda g: not g[1]):
+        if not standard:
+            r2 = v * v
+            reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
+            if reach < best[0] or (reach <= best[0] and v > best[1]):
+                continue
+        w, chosen = _solve_radius(geos, lines, v, k, tol)
+        if best is None or w > best[0] or (w == best[0] and v < best[1]):
+            best = (w, v, chosen)
+    return _placement(points, lines, best[1], best[2], tol)

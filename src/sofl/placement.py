@@ -23,18 +23,12 @@ class LineCenter:
     x: float
     line_index: int = 0
 
-    def sort_key(self) -> tuple[float, int]:
-        return (self.x, self.line_index)
-
 
 @dataclass(frozen=True)
 class SiteCenter:
     site_id: int
     x: float
     y: float
-
-    def sort_key(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,22 @@ def test_parse_error_exit_code(inst_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_k_override_below_one_exit_code(inst_file, capsys, command):
+    path = inst_file("variant csofl\nk 1\nB 0 1 1\n")
+    assert main([command, "--input", path, "--k", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: k must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_bad_tolerance_exit_code(inst_file, capsys, command, eps):
+    path = inst_file("variant csofl\nk 1\nB 0 1 1\n")
+    assert main([command, "--input", path, "--tol", eps]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: eps must be finite and nonnegative")
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["solve", "--input", "/nonexistent/file.txt"]) == EXIT_INPUT
 
@@ -135,3 +151,31 @@ def test_solve_json_golden_bytes(capsys):
     # Pins the chosen centers and covered ids, which `sofl check` does not
     # compare, on all 30 golden instances.
     assert _golden_solve_text(capsys).encode() == GOLDEN_SOLVE.read_bytes()
+
+
+GOLDEN_TLINES = pathlib.Path(__file__).resolve().parent / "golden_tlines_solve.txt"
+
+
+def _tlines_cases():
+    """(seed, t, k, n) of the pinned t-lines instances: t and k cycle over
+    2-3 and n over 5-8, or 5-6 for t = k = 3, whose search is the slowest."""
+    for seed in range(40):
+        t, k = 2 + seed % 2, 2 + seed // 2 % 2
+        yield seed, t, k, 5 + seed // 4 % (2 if t == k == 3 else 4)
+
+
+def _tlines_solve_text(write, capsys) -> str:
+    """`sofl solve --format json` on each pinned t-lines instance, under a
+    `# seed=.. t=.. k=.. n=..` header line."""
+    parts = []
+    for seed, t, k, n in _tlines_cases():
+        path = write(generate(seed, n, k, "tlines", t=t))
+        assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+        parts.append(f"# seed={seed} t={t} k={k} n={n}\n" + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_tlines_bytes(inst_file, capsys):
+    # The golden t-lines files all have k = 1; these pin the hops, the
+    # compatibility table and the top-k bound of k = 2 and 3.
+    assert _tlines_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES.read_bytes()

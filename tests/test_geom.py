@@ -106,8 +106,9 @@ def test_center_equidistance_bulk():
 def test_tolerance_modes():
     assert TolerancePolicy(1e-6, "absolute").band(1e9) == 1e-6
     assert TolerancePolicy(1e-6, "relative").band(1e9) == pytest.approx(1e3)
-    with pytest.raises(ValueError):
-        TolerancePolicy(-1.0)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TolerancePolicy(eps)
     with pytest.raises(ValueError):
         TolerancePolicy(mode="fuzzy")
 

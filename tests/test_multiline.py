@@ -2,21 +2,24 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from sofl.candidates import candidate_radii_tlines
+from sofl.candidates import candidate_radii_tlines, radius_groups
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
 from sofl.instance import emit_result, generate, parse_instance
 from sofl.klink import candidate_centers, line_geometry
+import sofl.multiline
 from sofl.multiline import (
     _compat_table,
     _coverage_table,
+    _solve_radius,
     multiline_centers,
     solve_tlines,
     solve_tlines_fixed_radius,
 )
 from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
-from sofl.placement import LineCenter
+from sofl.placement import LineCenter, line_placement
 from sofl.solver import solve_csofl
 from conftest import B, R, random_instance, reference_multiline_centers
 
@@ -149,7 +152,11 @@ def test_all_red_zero():
 def assert_tables_match_scalar(points, lines, lam, centers, tol):
     """The search tables against `is_covered` and `centers_compatible`,
     pair by pair; returns the searched indices and the compatibility rows."""
-    order, cx, cy, _, masks = _coverage_table(points, lines, lam, centers, tol)
+    geos = [line_geometry(points, ly) for ly in lines]
+    xs = np.array([c.x for c in centers])
+    li = np.array([c.line_index for c in centers])
+    order, _, masks = _coverage_table(geos, xs, li, lam, tol)
+    cx, cy = xs[order], np.array(lines)[li[order]]
     compat = _compat_table(cx, cy, lam, tol)
     xy = [(centers[i].x, lines[centers[i].line_index]) for i in order]
     assert xy == list(zip(cx.tolist(), cy.tolist()))
@@ -159,7 +166,7 @@ def assert_tables_match_scalar(points, lines, lam, centers, tol):
         row = [bool(compat[a] >> b & 1) for b in range(len(xy))]
         expect = [centers_compatible(xy[a], q, lam, tol) for q in xy]
         assert row[:a] + row[a + 1 :] == expect[:a] + expect[a + 1 :], (a, tol)
-    return order, compat
+    return order.tolist(), compat
 
 
 def test_compat_bitsets_touching_pairs():
@@ -189,6 +196,53 @@ def test_compat_bitsets_match_scalar_on_instances():
             for tol in POLICIES:
                 cents = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
                 assert_tables_match_scalar(inst.points, inst.lines, lam, cents, tol)
+
+
+def assert_kernel_weights_are_unions(points, lines, k, tol=DEFAULT_TOL):
+    """At every candidate radius, `_solve_radius`'s weight is the union
+    weight `line_placement` recomputes for its selection, bit for bit."""
+    geos = [line_geometry(points, ly) for ly in lines]
+    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, tol, k)):
+        weight, chosen = _solve_radius(geos, lines, lam, k, tol)
+        centers = tuple(LineCenter(x, li) for x, li in chosen)
+        pl = line_placement(points, lines, max(lam, 0.0), centers, tol)
+        assert weight.hex() == pl.total_weight.hex(), (lam, chosen)
+
+
+def test_kernel_weight_is_union_weight_on_instances():
+    for seed in range(24):
+        inst = random_instance(seed, 3 + seed % 4, 1 + seed % 3, variant="tlines", t=2 + seed % 2)
+        for tol in POLICIES:
+            assert_kernel_weights_are_unions(inst.points, inst.lines, inst.k, tol)
+
+
+def test_kernel_weight_is_union_weight_float_weights():
+    # Weights spread over many magnitudes, so that a sum in any other order
+    # than point order would round differently.
+    for seed in range(24):
+        rng = random.Random(seed)
+        lines = [0.0, 1.5, 3.0][: rng.choice([2, 3])]
+        pts = []
+        for i in range(rng.randint(3, 6)):
+            w = rng.uniform(0.1, 1.0) * 10.0 ** rng.randint(-8, 8)
+            x, y = rng.uniform(-4, 4), rng.choice(lines) + rng.uniform(-2, 2)
+            pts.append(B(i, x, y, w) if rng.random() < 0.6 else R(i, x, y, -w))
+        assert_kernel_weights_are_unions(pts, lines, rng.choice([1, 2, 3]))
+
+
+def test_solve_tlines_builds_one_placement(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return line_placement(*args, **kw)
+
+    monkeypatch.setattr(sofl.multiline, "line_placement", counted)
+    for seed in range(6):
+        inst = random_instance(seed, 5, 2, variant="tlines", t=2)
+        calls.clear()
+        pl = solve_tlines(inst.points, inst.lines, inst.k)
+        assert calls == [pl.radius], f"seed {seed}"
 
 
 def hexed(pairs):
