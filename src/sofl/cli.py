@@ -11,7 +11,7 @@ import sys
 
 from . import oracle
 from .discrete import solve_discrete
-from .geom import Disk, TolerancePolicy, is_covered
+from .geom import TolerancePolicy
 from .instance import (
     ProblemInstance,
     SemanticError,
@@ -20,7 +20,7 @@ from .instance import (
     parse_instance,
 )
 from .multiline import solve_tlines
-from .placement import LineCenter, Placement
+from .placement import LineCenter, Placement, line_placement
 from .solver import VariantSpec, solve_csofl, solve_special
 from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
 
@@ -28,17 +28,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
-
-
-def _placement_from_k1(points, result, tol) -> Placement | None:
-    if result is None:
-        return None
-    cx, rad, _count = result
-    disk = Disk(cx, 0.0, rad)
-    blue = frozenset(p.id for p in points if p.is_blue and is_covered(p, disk, tol))
-    red = frozenset(p.id for p in points if not p.is_blue and is_covered(p, disk, tol))
-    weight = sum(p.weight for p in points if p.id in blue | red)
-    return Placement(rad, (LineCenter(cx, 0),), weight, blue, red)
 
 
 def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy,
@@ -51,10 +40,13 @@ def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy,
         return solve_discrete(inst.sites, inst.points, inst.k, tol)
     if inst.variant == "maxblue-nored" and inst.k == 1 and algorithm in ("naive", "fast"):
         fn = maxblue_nored_naive if algorithm == "naive" else maxblue_nored_fast
-        return _placement_from_k1(inst.points, fn(inst.points, tol), tol)
-    if inst.variant == "allblue-minred" and inst.k == 1 and algorithm == "fvd":
-        return _placement_from_k1(inst.points, allblue_minred(inst.points, tol), tol)
-    return solve_special(inst.points, 0.0, inst.k, VariantSpec(inst.variant), tol).placement
+    elif inst.variant == "allblue-minred" and inst.k == 1 and algorithm == "fvd":
+        fn = allblue_minred
+    else:
+        return solve_special(inst.points, 0.0, inst.k, VariantSpec(inst.variant), tol).placement
+    result = fn(inst.points, tol)  # (center x, radius, count) or None
+    return None if result is None else line_placement(
+        inst.points, [0.0], result[1], (LineCenter(result[0]),), tol)
 
 
 # The brute-force reference of each variant that `_solve` solves directly.
@@ -165,6 +157,8 @@ def main(argv=None) -> int:
                 raise SemanticError("k must be at least 1")
             if inst.variant == "discrete" and inst.k >= len(inst.sites):
                 raise SemanticError("k must be smaller than the number of sites")
+        if args.command == "solve" and args.jobs < 1:
+            raise SemanticError("jobs must be at least 1")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

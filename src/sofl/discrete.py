@@ -25,8 +25,8 @@ step makes the same float operations as the scalar predicates
 `geom.is_covered` and `geom.centers_compatible` and sums weights in point
 order, so the results equal a scalar evaluation bit for bit. A radius
 returns the union weight of its chosen sites, taken from their mask
-columns, so the radius loop compares union weights and builds one
-`Placement` per solve, for the radius it returns.
+columns, so the radius loop (`placement.best_radius`) compares union
+weights and builds one `Placement` per solve, for the radius it returns.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .candidates import candidate_radii_discrete
 from .geom import DEFAULT_TOL, TolerancePolicy, compatible_table, coverage_mask, point_order_sums
-from .placement import Placement, empty_placement, selection_key, site_placement
+from .placement import Placement, best_radius, empty_placement, selection_key, site_placement
 
 __all__ = [
     "ConvexPositionError",
@@ -282,18 +282,14 @@ def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: Toleranc
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Candidate-radius loop over the discrete site ring: the first radius
-    of the largest union weight, as one `Placement`."""
+    """`best_radius` over `candidate_radii_discrete`, every radius solved:
+    the first radius of the largest union weight, as one `Placement`."""
     ring = sites if isinstance(sites, SiteRing) else canonical_ring(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
     geo = _geometry(ring.sites, points)
-    best = None
-    for c in candidate_radii_discrete(points, ring.sites, tol):
-        weight, chosen = _solve_radius(geo, c.value, k, tol)
-        if best is None or weight > best[0]:
-            best = (weight, chosen, c.value)
-    _, chosen, lam = best
+    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites, tol)]
+    _, lam, chosen = best_radius(radii, lambda v: _solve_radius(geo, v, k, tol))
     return site_placement(points, ring.sites, lam, chosen, tol)

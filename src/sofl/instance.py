@@ -233,6 +233,16 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
     """Deterministic instance text for the given parameters."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < 0 or (n == 0 and variant == "allblue-minred"):
+        raise ValueError("n must be nonnegative, and positive for allblue-minred")
+    if coord_range < 0:
+        raise ValueError("coord range must be nonnegative")
+    if weight_range < 1 and variant not in SPECIAL_VARIANTS:
+        raise ValueError("weight range must be at least 1")
+    if variant == "tlines" and t < 1:
+        raise ValueError("tlines instances need t >= 1")
     if variant == "discrete" and k >= s:
         raise ValueError("discrete instances need k < s")
     rng = Lcg(seed)
@@ -248,10 +258,15 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
         cx = cy = coord_range / 2.0
         radius = coord_range / 2.0
         angles: list[float] = []
+        rejected = 0
         while len(angles) < s:
             a = 2.0 * math.pi * rng.uniform()
             if all(min(abs(a - b), 2.0 * math.pi - abs(a - b)) > 0.05 for b in angles):
                 angles.append(a)
+            elif (rejected := rejected + 1) == 100_000:
+                # Sites 0.05 rad apart jam at about 94, earlier on some seeds.
+                raise ValueError(f"no room for {s} sites 0.05 rad apart after "
+                                 f"{rejected} rejected draws")
         sites = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
         for sx, sy in canonical_ring(sites).sites:
             out.append(f"site {_fmt(sx)} {_fmt(sy)}")
@@ -261,7 +276,7 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
     y_max = max(1, coord_range // 2) if above_line else coord_range
     y_min = 1 if above_line else 0
     colors = [rng.uniform() < red_fraction for _ in range(n)]
-    if variant == "allblue-minred" and n > 0 and all(colors):
+    if variant == "allblue-minred" and all(colors):
         colors[-1] = False  # that variant needs at least one blue point
     for is_red in colors:
         x = rng.randint(0, coord_range)

@@ -12,7 +12,7 @@ built once per solve; numpy gives each candidate its covered points and the
 candidates compatible with it as int bitsets, so a node ANDs bitsets instead
 of testing pairs. The kernel re-validates its selection pairwise with the
 scalar `geom.centers_compatible` and returns its union weight, so the radius
-loop builds one `Placement`, for the radius it returns.
+loop (`placement.best_radius`) builds one `Placement`, for the one it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .geom import (
     point_order_sums,
 )
 from .klink import _coverage, interval_ends, line_geometry
-from .placement import LineCenter, Placement, line_placement, selection_key
+from .placement import LineCenter, Placement, best_radius, line_placement, selection_key
 
 __all__ = [
     "ValidationFailureError",
@@ -291,28 +291,20 @@ def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
 
 
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Candidate-radius loop over all lines with the standard objective.
-
-    The result equals a full evaluation of the k-aware candidate set in
-    ascending order with strict improvements only. Standard radii are solved
-    first; a radius that only a chain gain produced is then solved, in
-    ascending order, unless the blue weight within reach of some line
-    cannot beat the incumbent (less weight, or equal weight at a larger
-    radius).
-    """
+    """Max-weight placement of at most k disks centered on the lines:
+    `best_radius` over the radius groups of `candidate_radii_tlines` with
+    the kernel `_solve_radius`, the standard groups first. A chain-gain
+    radius can win only if the blue weight within reach of some line beats
+    the best so far: more weight, or as much at a smaller radius."""
     lines = check_lines(lines)
     groups = radius_groups(candidate_radii_tlines(points, lines, tol, k))
     geos = [line_geometry(points, ly) for ly in lines]
     blues = [(min((p.y - ly) ** 2 for ly in lines), p.weight) for p in points if p.is_blue]
-    best = None  # (weight, radius, chosen)
-    # Standard radii come first, so the tie rule can fire only for a chain gain.
-    for v, standard in sorted(groups, key=lambda g: not g[1]):
-        if not standard:
-            r2 = v * v
-            reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
-            if reach < best[0] or (reach <= best[0] and v > best[1]):
-                continue
-        w, chosen = _solve_radius(geos, lines, v, k, tol)
-        if best is None or w > best[0] or (w == best[0] and v < best[1]):
-            best = (w, v, chosen)
-    return _placement(points, lines, best[1], best[2], tol)
+
+    def can_win(v: float, best) -> bool:
+        r2 = v * v
+        reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
+        return reach > best[0] or (reach == best[0] and v < best[1])
+
+    _, lam, chosen = best_radius(groups, lambda v: _solve_radius(geos, lines, v, k, tol), can_win)
+    return _placement(points, lines, lam, chosen, tol)

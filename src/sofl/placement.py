@@ -15,6 +15,7 @@ __all__ = [
     "line_placement",
     "site_placement",
     "selection_key",
+    "best_radius",
 ]
 
 
@@ -79,3 +80,23 @@ def selection_key(weight: float, center_keys) -> tuple:
     that chosen centers agree, not just optimal values.
     """
     return (-weight, len(center_keys), tuple(sorted(center_keys, reverse=True)))
+
+
+def best_radius(groups, kernel, can_win=None, map=map):
+    """The radius loop of every solver: (weight, radius, chosen) of the
+    first radius of the largest kernel(radius) = (weight, chosen), as a full
+    evaluation gives. Of the ascending (radius, first) groups, every first
+    radius is solved through map, then each other one, ascending, if
+    can_win(radius, best): it could have more weight, or as much at a
+    smaller radius."""
+    firsts = [v for v, first in groups if first]
+    best = None
+    for v, (weight, chosen) in zip(firsts, map(kernel, firsts)):
+        if best is None or weight > best[0]:
+            best = (weight, v, chosen)
+    for v, first in groups:
+        if not first and can_win(v, best):
+            weight, chosen = kernel(v)
+            if weight > best[0] or (weight == best[0] and v < best[1]):
+                best = (weight, v, chosen)
+    return best

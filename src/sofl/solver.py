@@ -4,7 +4,7 @@ The general solve returns what a full evaluation of the k-aware candidate
 set gives: the placement with the largest weight, at the smallest candidate
 radius among ties. It solves every standard radius but only those chain
 gains whose placement could be lost before the next standard radius is
-solved (see `solve_csofl`). The special cases are handled by reweighting:
+solved (`placement.best_radius`). The special cases are handled by reweighting:
 to cover all blues while touching as few reds as possible, give each red a
 small negative weight and each blue more than all reds combined; to cover as
 many blues as possible while covering no red, give each blue a small
@@ -17,13 +17,14 @@ import bisect
 import dataclasses
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts, with_gains
 from .geom import DEFAULT_TOL, TolerancePolicy
 from .klink import line_geometry, solve_radius
-from .placement import LineCenter, Placement, line_placement
+from .placement import LineCenter, Placement, best_radius, line_placement
 
 __all__ = [
     "InvalidDeltaError",
@@ -61,67 +62,47 @@ class SpecialResult:
     all_blue_covered: bool
 
 
-def _solve_all(geo, radii, k, tol, jobs):
-    """(union weight, centers) of `solve_radius` for every radius."""
-    kernel = functools.partial(solve_radius, geo, k=k, tol=tol)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(kernel, radii, chunksize=max(1, len(radii) // (4 * jobs))))
-    return [kernel(lam) for lam in radii]
-
-
 def solve_csofl(points, line_y: float = 0.0, k: int = 1,
                 tol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> Placement:
     """Max-weight placement of at most k disks of a common minimum radius.
 
-    The result equals a full evaluation of `candidate_radii_line(..., k=k)`
-    in ascending order with strict improvements only, but a chain gain
-    (a radius where a run of touching disks starts to fit, see
-    `line_contacts`) is solved only when it can matter:
-
-    - every standard radius is solved;
-    - a gain strictly between standard radii c_i < c_{i+1} is solved when a
-      loss falls in (gain, c_{i+1}), or, past the last standard radius, when
-      a loss follows it or it is the last gain; otherwise every placement
-      feasible at the gain is still feasible at the next solved radius;
-    - then the unsolved gains between the best radius and the standard
-      radius below it are solved in ascending order, and the first that
-      reaches the best weight wins.
-
-    A loss within MERGE_EPS of the gain counts; one at the next standard
-    radius does not, since the placement is still feasible there. Radii
-    are compared by the union weight `solve_radius` returns, and only the
-    returned radius gets a `Placement`. With jobs > 1 the first two groups
-    run in a process pool; the result does not depend on jobs.
+    `best_radius` over `candidate_radii_line(..., k=k)` with the kernel
+    `klink.solve_radius`. Let c_{i+1} be the standard radius after a chain
+    gain g (see `line_contacts`). Unless a loss falls in
+    [g - MERGE_EPS, c_{i+1}), every placement feasible at g is feasible at
+    c_{i+1}, so g can win only if g < best radius <= c_{i+1}. The first
+    radii are the standard ones, each gain with such a loss and the last
+    radius, which nothing after it stands in for; with jobs > 1 they run in
+    a pool of at most `os.cpu_count()` processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     standard = candidate_radii_line(points, line_y, tol)
     gains, losses = line_contacts(points, line_y, k)
     std = [c.value for c in standard]
-    pending = [c.value for c in with_gains(standard, gains) if c.kind == KIND_CHAIN]
-    solve, rest = [], []
-    for g in pending:
-        nxt = bisect.bisect_right(std, g)
-        upper = std[nxt] if nxt < len(std) else math.inf
-        i = bisect.bisect_left(losses, g - MERGE_EPS)
-        lost = i < len(losses) and losses[i] < upper
-        (solve if lost or (upper == math.inf and g == pending[-1]) else rest).append(g)
-    geo = line_geometry(points, line_y)
-    radii = sorted(std + solve)
-    results = _solve_all(geo, radii, k, tol, jobs)
-    best = 0
-    for i in range(1, len(results)):
-        if results[i][0] > results[best][0]:
-            best = i
-    lam, (weight, xs) = radii[best], results[best]
-    below = bisect.bisect_left(std, lam) - 1
-    for g in rest:
-        if below >= 0 and std[below] < g < lam:
-            g_weight, g_xs = solve_radius(geo, g, k, tol)
-            if g_weight >= weight:
-                lam, xs = g, g_xs
-                break
+    radii = with_gains(standard, gains)
+
+    def upper(g: float) -> float:  # c_{i+1}, or inf past the last standard radius
+        i = bisect.bisect_right(std, g)
+        return std[i] if i < len(std) else math.inf
+
+    def lost(g: float) -> bool:  # a loss in [g - MERGE_EPS, c_{i+1})
+        return bisect.bisect_left(losses, g - MERGE_EPS) < bisect.bisect_left(losses, upper(g))
+
+    def can_win(g: float, best) -> bool:
+        return g < best[1] <= upper(g)
+
+    groups = [(c.value, c.kind != KIND_CHAIN or c is radii[-1] or lost(c.value)) for c in radii]
+    kernel = functools.partial(solve_radius, line_geometry(points, line_y), k=k, tol=tol)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        _, lam, xs = best_radius(groups, kernel, can_win)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pool_map = functools.partial(pool.map, chunksize=max(1, len(groups) // (4 * workers)))
+            _, lam, xs = best_radius(groups, kernel, can_win, pool_map)
     return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -60,6 +61,22 @@ def edge_weight(i, j, xs, w, lam, tol=DEFAULT_TOL):
 def random_instance(seed, n, k, variant="csofl", **kw):
     """Deterministic instance via the documented generator."""
     return parse_instance(generate(seed, n, k, variant, **kw))
+
+
+def tol_edge_instance(seed):
+    """The tolerance-edge fuzz of ROADMAP item 1: csofl with k = 2, n in
+    [2, 5], x in [-4, 4], 60% blue, weights 1..9 and heights drawn from
+    {1e-5, 1e-6, randint(1, 4)}, all from `random.Random(seed)`. The
+    benchmark's `small-check` workload draws the same instances."""
+    rng = random.Random(seed)
+    rows = ["variant csofl", "k 2"]
+    for _ in range(rng.randint(2, 5)):
+        blue = rng.random() < 0.6
+        x = rng.randint(-4, 4)
+        y = rng.choice([1e-5, 1e-6, rng.randint(1, 4)])
+        w = rng.randint(1, 9)
+        rows.append(f"{'B' if blue else 'R'} {x} {y!r} {w if blue else -w}")
+    return parse_instance("\n".join(rows) + "\n")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -99,6 +100,54 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
 def test_gen_stdout_matches_api(capsys):
     assert main(["gen", "--seed", "4", "--n", "3", "--k", "1", "--variant", "csofl"]) == EXIT_OK
     assert capsys.readouterr().out == generate(4, 3, 1, "csofl")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--k", "0"], "k must be at least 1"),
+    (["--n", "-2"], "n must be nonnegative, and positive for allblue-minred"),
+    (["--n", "0", "--variant", "allblue-minred"],
+     "n must be nonnegative, and positive for allblue-minred"),
+    (["--weight-range", "0"], "weight range must be at least 1"),
+    (["--coord-range", "-1"], "coord range must be nonnegative"),
+    (["--variant", "tlines", "--t", "0"], "tlines instances need t >= 1"),
+    (["--variant", "discrete", "--s", "120"],
+     "no room for 120 sites 0.05 rad apart after 100000 rejected draws"),
+])
+def test_gen_rejects_bad_sizes(capsys, args, message):
+    argv = ["gen", "--seed", "1", "--n", "3", "--k", "1", "--variant", "csofl"] + args
+    assert main(argv) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_gen_accepts_unused_sizes(capsys):
+    # --t and --s only matter for their own variant, and the special
+    # variants draw no weights.
+    for args in (["--variant", "csofl", "--t", "0", "--s", "0"],
+                 ["--variant", "maxblue-nored", "--weight-range", "0"],
+                 ["--variant", "csofl", "--n", "0"]):
+        assert main(["gen", "--seed", "1", "--n", "3", "--k", "1"] + args) == EXIT_OK
+    capsys.readouterr()
+
+
+# sha256 of the texts of `generate(seed, 4, 3, "discrete", s=80)` for
+# seeds 0..9, concatenated, as recorded before the draw had a cap.
+DENSE_SITES_SHA256 = "ec9e9ded078c471e3afe5b7f4c0a8a866d29c05821c426f2fb8e54f1ea0e078d"
+
+
+def test_gen_dense_sites_bytes():
+    # Each of these draws rejects 184 to 371 angles; a draw that ends under
+    # the cap on rejected draws gives the bytes it gave without one.
+    text = "".join(generate(seed, 4, 3, "discrete", s=80) for seed in range(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_SITES_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_code(inst_file, capsys, jobs):
+    path = inst_file("variant csofl\nk 1\nB 0 1 1\n")
+    assert main(["solve", "--input", path, "--jobs", jobs]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: jobs must be at least 1\n"
 
 
 def test_check_too_large_exit_code(inst_file, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sofl import solver
 from sofl.oracle import brute_csofl, brute_special_counts
 from sofl.solver import (
     InvalidDeltaError,
@@ -77,6 +78,44 @@ def test_jobs_parameter_is_inert_k3():
         assert solve_csofl(inst.points, 0.0, 3, jobs=2) == solve_csofl(inst.points, 0.0, 3, jobs=1)
 
 
+class RecordingExecutor:
+    """Stands in for `ProcessPoolExecutor`: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 64, [2]), (4, 3, [3]), (1, 8, []), (None, 8, []), (4, 1, []),
+])
+def test_jobs_pool_is_capped_at_cpu_count(monkeypatch, cpus, jobs, workers):
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+    inst = random_instance(3, 6, 2)
+    assert solve_csofl(inst.points, 0.0, 2, jobs=jobs) == solve_csofl(inst.points, 0.0, 2)
+    assert RecordingExecutor.created == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        solve_csofl([B(0, 0, 1)], 0.0, 1, jobs=jobs)
+
+
 def _h(lam, y):
     return math.sqrt(lam * lam - y * y)
 
@@ -103,6 +142,17 @@ def test_chain_contact_past_standard_radii_seed1480():
     assert pl.radius == pytest.approx(lam, rel=1e-12)
     ref = brute_csofl(inst.points, 0.0, 2)
     assert (ref.weight, ref.radius) == (pl.total_weight, pl.radius)
+
+
+def test_chain_gain_lost_before_next_standard_radius():
+    # Two touching disks first hold blues 0, 1 and 4 and red 3 at the gain
+    # 5.0574; red 2 blocks the chain again at the loss 5.0735, before the
+    # next standard radius 6.4031, so that radius cannot stand in for it.
+    pts = [B(0, -7, 5, 2), B(1, -8, 4, 1), R(2, 7, 2, -4), R(3, -7, 1, -2), B(4, 5, 4, 1)]
+    pl = solve_csofl(pts, 0.0, 2)
+    ref = brute_csofl(pts, 0.0, 2)
+    assert pl.total_weight == ref.weight == 2.0
+    assert pl.radius == ref.radius == pytest.approx(5.057438560245589, rel=1e-12)
 
 
 # --- reductions --------------------------------------------------------------
