@@ -10,11 +10,14 @@ O(n^2 k) more radii. In the discrete setting the radius is pinned by a
 demand point on the boundary of a disk at a candidate site. Red-red contacts
 of a single disk never pin the radius because such a disk can shrink until a
 blue point takes over, and site-site half distances cannot pin it either.
+
+Radius lists are sorted and merged by `geom.merge_keep` at the absolute
+MERGE_EPS, whatever the tolerance policy: a radius within MERGE_EPS of the
+last kept one is dropped.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -29,6 +32,7 @@ from .geom import (
     TolerancePolicy,
     center_on_line_through,
     dist2,
+    merge_keep,
 )
 
 __all__ = [
@@ -71,28 +75,29 @@ def _entry_key(e: CandidateRadius):
     return (e.value, -1 if e.line_index is None else e.line_index, e.kind, e.ids)
 
 
-def _merge_sorted(entries):
-    """Drop entries whose value sits within MERGE_EPS of the kept predecessor."""
-    out = []
-    for e in entries:
-        if out and e.value - out[-1].value <= MERGE_EPS:
-            continue
-        out.append(e)
-    return out
+def _radius_keep(values):
+    """`geom.merge_keep` of ascending radii at the absolute MERGE_EPS."""
+    vs = np.array(values, dtype=float)
+    return merge_keep(vs, np.full(len(vs), MERGE_EPS))
+
+
+def _sorted_unique(entries):
+    """Entries sorted by `_entry_key`, less each one within MERGE_EPS of the
+    last kept value."""
+    entries = sorted(entries, key=_entry_key)
+    keep = _radius_keep([e.value for e in entries])
+    return [e for e, kept in zip(entries, keep.tolist()) if kept]
 
 
 def radius_groups(entries) -> list[tuple[float, bool]]:
     """(value, standard) per MERGE_EPS group of candidate radii, ascending:
     each group's smallest value, standard when any member is not a chain
-    gain. Groups are cut against their smallest value, as `_merge_sorted`
-    cuts against the kept predecessor."""
-    groups: list[list] = []
-    for v, kind in sorted((e.value, e.kind) for e in entries):
-        if groups and v - groups[-1][0] <= MERGE_EPS:
-            groups[-1][1] |= kind != KIND_CHAIN
-        else:
-            groups.append([v, kind != KIND_CHAIN])
-    return [(v, standard) for v, standard in groups]
+    gain. A group starts at each value `_radius_keep` keeps."""
+    entries = sorted(entries, key=lambda e: e.value)
+    vs = np.array([e.value for e in entries], dtype=float)
+    starts = _radius_keep(vs).nonzero()[0]
+    standard = np.array([e.kind != KIND_CHAIN for e in entries], dtype=bool)
+    return list(zip(vs[starts].tolist(), np.logical_or.reduceat(standard, starts).tolist()))
 
 
 def check_lines(lines) -> list[float]:
@@ -139,28 +144,25 @@ def candidate_radii_line(points, line_y: float = 0.0, tol: TolerancePolicy = DEF
     """
     entries = [CandidateRadius(0.0, KIND_ZERO)]
     entries += _line_entries(points, line_y, None, tol)
-    entries.sort(key=_entry_key)
-    standard = _merge_sorted(entries)
+    standard = _sorted_unique(entries)
     if k < 2:
         return standard
     return with_gains(standard, line_contacts(points, line_y, k)[0])
 
 
 def with_gains(standard, gains):
-    """Merge gains into sorted standard radii, dropping each gain within
-    MERGE_EPS of a kept entry, so the result stays MERGE_EPS-separated and a
-    standard radius is never displaced by a gain."""
-    kept = [e.value for e in standard]
-    out = list(standard)
-    for g in gains:
-        i = bisect.bisect_left(kept, g.value)
-        if (i > 0 and g.value - kept[i - 1] <= MERGE_EPS) or (
-            i < len(kept) and kept[i] - g.value <= MERGE_EPS
-        ):
-            continue
-        kept.insert(i, g.value)
-        out.insert(i, g)
-    return out
+    """Merge ascending gains into sorted, MERGE_EPS-separated standard radii:
+    a gain within MERGE_EPS of a standard radius is dropped, and the others
+    are merged among themselves like any radius list. The result stays
+    MERGE_EPS-separated, and a standard radius is never displaced by a gain."""
+    s = np.array([-math.inf] + [e.value for e in standard] + [math.inf])
+    g = np.array([e.value for e in gains], dtype=float)
+    i = np.searchsorted(s, g)
+    far = (g - s[i - 1] > MERGE_EPS) & (s[i] - g > MERGE_EPS)
+    rest = [e for e, f in zip(gains, far.tolist()) if f]
+    keep = _radius_keep([e.value for e in rest])
+    rest = [e for e, kept in zip(rest, keep.tolist()) if kept]
+    return sorted([*standard, *rest], key=lambda e: e.value)
 
 
 # Row-normalized units: an eigenvalue within _ROOT_NEAR of the real axis,
@@ -339,11 +341,10 @@ def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k:
     lines = check_lines(lines)
     out = [CandidateRadius(0.0, KIND_ZERO)]
     for li, ly in enumerate(lines):
-        es = _line_entries(points, ly, li, tol)
-        es.sort(key=_entry_key)
+        es = _sorted_unique(_line_entries(points, ly, li, tol))
         gains = [dataclasses.replace(g, line_index=li) for g in line_contacts(points, ly, k)[0]]
         # a point sitting exactly on its line folds into the global zero
-        out.extend(e for e in with_gains(_merge_sorted(es), gains) if e.value > MERGE_EPS)
+        out.extend(e for e in with_gains(es, gains) if e.value > MERGE_EPS)
     out.sort(key=_entry_key)
     return out
 
@@ -360,5 +361,4 @@ def candidate_radii_discrete(points, sites, tol: TolerancePolicy = DEFAULT_TOL):
                     math.sqrt(dist2(p.x, p.y, sx, sy)), KIND_POINT_SITE, (p.id, si)
                 )
             )
-    entries.sort(key=_entry_key)
-    return _merge_sorted(entries)
+    return _sorted_unique(entries)

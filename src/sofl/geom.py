@@ -5,6 +5,15 @@ while a red point is harmed only by the open interior, so a red point exactly
 on the boundary is not covered. Every squared-distance comparison is routed
 through a TolerancePolicy so that boundary decisions stay consistent across
 modules.
+
+Near-equal candidate values are merged by one rule, `merge_keep`: in
+ascending order, a value within its slack of the last kept value is
+dropped. It merges klink's centers and the candidate center abscissae of
+`variants_k1.allblue_minred` (slack `tol.x_slacks`), and every candidate
+radius list (an absolute `candidates.MERGE_EPS`). `multiline._admit` applies another
+rule on purpose: it keeps the first admitted value per line in insertion
+order, not the smallest. `candidates._contacts` drops only exactly equal
+roots.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ __all__ = [
     "disk_weight",
     "coverage_mask",
     "point_order_sums",
+    "merge_keep",
     "center_on_line_through",
     "centers_compatible",
     "compatible_table",
@@ -71,31 +81,21 @@ class ColoredPoint:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Epsilon policy for boundary decisions.
-
-    In relative mode the band scales with the compared quantity; absolute
-    mode applies eps directly. Squared distances get ``band``, unsquared
-    linear quantities get ``x_slack``.
-    """
+    """Relative epsilon policy for boundary decisions: squared distances
+    get the band eps * max(1, r^2), unsquared linear quantities the slack
+    eps * max(1, |x|)."""
 
     eps: float = 1e-9
-    mode: str = "relative"
 
     def __post_init__(self):
         if not 0 <= self.eps < math.inf:  # also rejects nan
             raise ValueError(f"eps must be finite and nonnegative, not {self.eps!r}")
-        if self.mode not in ("relative", "absolute"):
-            raise ValueError(f"unknown tolerance mode {self.mode!r}")
 
     def band(self, r2: float) -> float:
-        if self.mode == "relative":
-            return self.eps * max(1.0, r2)
-        return self.eps
+        return self.eps * max(1.0, r2)
 
     def x_slack(self, scale: float) -> float:
-        if self.mode == "relative":
-            return self.eps * max(1.0, abs(scale))
-        return self.eps
+        return self.eps * max(1.0, abs(scale))
 
     def close(self, a: float, b: float) -> bool:
         return abs(a - b) <= self.x_slack(max(abs(a), abs(b)))
@@ -104,9 +104,7 @@ class TolerancePolicy:
         """`x_slack` of every value. For a >= b, `close(a, b)` is exactly
         a - b <= max(slack of a, slack of b), since eps * max(1, .) is
         monotone."""
-        if self.mode == "relative":
-            return self.eps * np.maximum(1.0, np.abs(xs))
-        return np.full(len(xs), self.eps)
+        return self.eps * np.maximum(1.0, np.abs(xs))
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -165,6 +163,32 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = np.where(cov, w[:, None], 0.0)
     np.cumsum(v, axis=0, out=v)
     return v[-1]
+
+
+def merge_keep(xs: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Keep mask of the sequential merge of ascending xs: a value is dropped
+    when its distance to the last kept value is at most the larger of their
+    two slacks (coincident values are merged, never perturbed).
+
+    The guess compares each value with its predecessor. It can only be wrong
+    right after a dropped value, where the last kept value lies further back
+    (a run of near-equal values can span more than the slack). Those
+    positions are checked against the last kept value, and the first wrong
+    one is flipped until none is; flips move strictly rightward, so every
+    other position keeps its correct guess.
+    """
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = xs[1:] - xs[:-1] > np.maximum(slack[1:], slack[:-1])
+    while True:
+        after = (~keep[:-1]).nonzero()[0] + 1
+        if not len(after):
+            return keep
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(xs)), 0))[after - 1]
+        far = xs[after] - xs[last] > np.maximum(slack[after], slack[last])
+        wrong = after[far != keep[after]]
+        if not len(wrong):
+            return keep
+        keep[wrong[0]] = not keep[wrong[0]]
 
 
 def _xy(p) -> tuple[float, float]:

@@ -11,10 +11,11 @@ skipped:
     R <x> <y> <w>                (red point, w < 0)
 
 For the two special variants the weight column is omitted and weights are
-assigned by the reduction (delta = -1 or +1). Parsing then printing then
-parsing is the identity; sites are canonicalized to a clockwise convex ring
-starting at the lexicographically smallest site, and site ids in results
-refer to that order.
+assigned by the reduction (`solver.reduce_allblue_minred` or
+`solver.reduce_maxblue_nored` at its default delta). Parsing then printing
+then parsing is the identity; sites are canonicalized to a clockwise convex
+ring starting at the lexicographically smallest site, and site ids in
+results refer to that order.
 
 The generator is a documented 64-bit LCG so identical seeds give identical
 bytes everywhere:
@@ -27,6 +28,7 @@ weights are integers, which keeps every weight sum exact in floating point.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from .discrete import ConvexPositionError, canonical_ring
 from .geom import Color, ColoredPoint
 from .placement import Placement, SiteCenter
+from .solver import reduce_allblue_minred, reduce_maxblue_nored
 
 __all__ = [
     "ProblemInstance",
@@ -169,23 +172,19 @@ def parse_instance(text: str) -> ProblemInstance:
         if variant in _LINE_Y_VARIANTS and not y > 0:
             raise SemanticError("points must lie strictly above the line (y > 0)")
 
-    if variant == "allblue-minred":
-        n_red = sum(1 for h, *_ in raw_points if h == "R")
-        blue_w, red_w = float(n_red + 1), -1.0
-        if not any(h == "B" for h, *_ in raw_points):
-            raise SemanticError("allblue-minred needs at least one blue point")
-    elif variant == "maxblue-nored":
-        n_blue = sum(1 for h, *_ in raw_points if h == "B")
-        blue_w, red_w = 1.0, -float(n_blue + 1)
-    else:
-        blue_w = red_w = 0.0  # unused
+    if variant == "allblue-minred" and not any(h == "B" for h, *_ in raw_points):
+        raise SemanticError("allblue-minred needs at least one blue point")
 
     points = []
     for i, (head, x, y, w) in enumerate(raw_points):
         color = Color.BLUE if head == "B" else Color.RED
-        if special:
-            w = blue_w if head == "B" else red_w
+        if w is None:  # a special variant: reweighted below
+            w = 1.0 if head == "B" else -1.0
         points.append(ColoredPoint(i, x, y, color, w))
+    if variant == "allblue-minred":
+        points = reduce_allblue_minred(points)
+    elif variant == "maxblue-nored":
+        points = reduce_maxblue_nored(points)
 
     return ProblemInstance(variant, k, tuple(points), lines, ring)
 
@@ -258,11 +257,17 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
         cx = cy = coord_range / 2.0
         radius = coord_range / 2.0
         angles: list[float] = []
+        ascending: list[float] = []
         rejected = 0
         while len(angles) < s:
             a = 2.0 * math.pi * rng.uniform()
-            if all(min(abs(a - b), 2.0 * math.pi - abs(a - b)) > 0.05 for b in angles):
+            # Float subtraction is monotone, so the kept angle nearest to a
+            # either way round is a sorted neighbour of a or an end.
+            i = bisect.bisect_left(ascending, a)
+            near = ascending[max(i - 1, 0):i + 1] + ascending[:1] + ascending[-1:]
+            if all(min(abs(a - b), 2.0 * math.pi - abs(a - b)) > 0.05 for b in near):
                 angles.append(a)
+                bisect.insort(ascending, a)
             elif (rejected := rejected + 1) == 100_000:
                 # Sites 0.05 rad apart jam at about 94, earlier on some seeds.
                 raise ValueError(f"no room for {s} sites 0.05 rad apart after "

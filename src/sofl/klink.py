@@ -14,8 +14,8 @@ on top of the best solution ending at p[i], the rightmost center at gap
 >= 2*lam to its left.
 
 `solve_radius` runs every step with numpy on per-point arrays built once
-per instance (`line_geometry`): a stable sort and a sequential
-near-duplicate merge of the centers, a dense points x centers coverage
+per instance (`line_geometry`): a stable sort and the near-duplicate
+merge of the centers (`geom.merge_keep`), a dense points x centers coverage
 mask, `searchsorted` predecessors with an exact fix-up, one pass per
 budget layer of the DP, and a backtrack of at most k steps. It returns the
 union weight of the chosen disks, taken from the mask rows of the chosen
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, point_order_sums
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, point_order_sums
 from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
@@ -75,33 +75,6 @@ def _reach(dy2, lam: float, tol: TolerancePolicy):
     return idx, np.sqrt(np.maximum(0.0, lam2 - dy2[idx]))
 
 
-def _merge(xs, tol: TolerancePolicy):
-    """Keep mask of the sequential merge of sorted xs: a value close to the
-    last kept value is dropped (coincident centers are merged, never
-    perturbed).
-
-    The guess compares each value with its predecessor. It can only be wrong
-    right after a dropped value, where the last kept value lies further back
-    (a run of near-equal values can span more than the slack). Those
-    positions are checked against the last kept value, and the first wrong
-    one is flipped until none is; flips move strictly rightward, so every
-    other position keeps its correct guess.
-    """
-    slack = tol.x_slacks(xs)
-    keep = np.ones(len(xs), dtype=bool)
-    keep[1:] = xs[1:] - xs[:-1] > np.maximum(slack[1:], slack[:-1])
-    while True:
-        after = (~keep[:-1]).nonzero()[0] + 1
-        if not len(after):
-            return keep
-        last = np.maximum.accumulate(np.where(keep, np.arange(len(xs)), 0))[after - 1]
-        far = xs[after] - xs[last] > np.maximum(slack[after], slack[last])
-        wrong = after[far != keep[after]]
-        if not len(wrong):
-            return keep
-        keep[wrong[0]] = not keep[wrong[0]]
-
-
 def _check(lam: float, k: int) -> None:
     if lam <= 0:
         raise ValueError("center sequence requires a positive radius")
@@ -130,7 +103,7 @@ def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
     raw[-2] = ends[0::2].min() - margin
     raw[-1] = ends[1::2].max() + margin
     xs = raw[np.argsort(raw, kind="stable")]
-    return xs[_merge(xs, tol)]
+    return xs[merge_keep(xs, tol.x_slacks(xs))]
 
 
 def interval_ends(geo: LineGeometry, lam: float, tol: TolerancePolicy = DEFAULT_TOL):

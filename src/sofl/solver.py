@@ -43,15 +43,9 @@ class InvalidDeltaError(ValueError):
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Which special objective to solve and the base weight magnitude."""
+    """Which special objective to solve."""
 
     name: str  # "allblue-minred" or "maxblue-nored"
-    delta: float | None = None
-
-    def resolved_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
-        return -1.0 if self.name == "allblue-minred" else 1.0
 
 
 @dataclass(frozen=True)
@@ -138,11 +132,10 @@ def solve_special(points, line_y: float, k: int, variant: VariantSpec,
     ended up covered; it can be False only when no k disks of any candidate
     radius can cover all blues at once.
     """
-    delta = variant.resolved_delta()
     if variant.name == "allblue-minred":
-        reduced = reduce_allblue_minred(points, delta)
+        reduced = reduce_allblue_minred(points)
     elif variant.name == "maxblue-nored":
-        reduced = reduce_maxblue_nored(points, delta)
+        reduced = reduce_maxblue_nored(points)
     else:
         raise ValueError(f"not a special variant: {variant.name!r}")
     placement = solve_csofl(reduced, line_y, k, tol)

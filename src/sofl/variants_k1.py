@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
@@ -36,6 +38,7 @@ from .geom import (
     center_on_line_through,
     classify,
     dist2,
+    merge_keep,
 )
 
 __all__ = [
@@ -204,6 +207,12 @@ def _farthest_owner(blues, x: float):
     return best
 
 
+def _merged(xs, tol) -> list[float]:
+    """xs sorted, less each value within its slack of the last kept one."""
+    xs = np.sort(np.array(xs, dtype=float), kind="stable")
+    return xs[merge_keep(xs, tol.x_slacks(xs))].tolist()
+
+
 def farthest_breaks(blue_points, tol: TolerancePolicy = DEFAULT_TOL) -> FarthestCellBreaks:
     """Farthest-blue owner map restricted to the line.
 
@@ -222,12 +231,8 @@ def farthest_breaks(blue_points, tol: TolerancePolicy = DEFAULT_TOL) -> Farthest
             except DegenerateInputError:
                 continue
             if res is not None:
-                insort(crossings, res[0])
-    merged: list[float] = []
-    for x in crossings:
-        if merged and tol.close(x, merged[-1]):
-            continue
-        merged.append(x)
+                crossings.append(res[0])
+    merged = _merged(crossings, tol)
     if not merged:
         return FarthestCellBreaks(_farthest_owner(blues, 0.0).id, ())
     probes = [merged[0] - 1.0]
@@ -277,14 +282,7 @@ def allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL) -> AllBlu
             if lo - slack <= res[0] <= hi + slack:
                 cand_xs.append(res[0])
 
-    cand_xs.sort()
-    uniq: list[float] = []
-    for x in cand_xs:
-        if uniq and tol.close(x, uniq[-1]):
-            continue
-        uniq.append(x)
-
-    best = min(_covering_eval(x, blues, reds, tol) for x in uniq)
+    best = min(_covering_eval(x, blues, reds, tol) for x in _merged(cand_xs, tol))
     fvd_only = None
     if fb.breaks:
         fvd_only = min(_covering_eval(x, blues, reds, tol) for x, _ in fb.breaks)

@@ -92,7 +92,7 @@ def test_pair_table_matches_centers_compatible():
     # (4, 0)-(7, 4) are 5 apart.
     ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)]).sites
     geo = _geometry(ring, ())
-    for tol in (DEFAULT_TOL, TolerancePolicy(1e-3, "absolute"), TolerancePolicy(0.0)):
+    for tol in (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0)):
         lams = [0.5, 2.5, 3.0, 5.0]
         for gap in (4.0, 10.0):
             # exactly 2*lam, and 2*lam less half the slack

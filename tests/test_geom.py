@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sofl.candidates import MERGE_EPS
 from sofl.geom import (
     Color,
     ColoredPoint,
@@ -16,6 +18,7 @@ from sofl.geom import (
     disk_weight,
     dist2,
     is_covered,
+    merge_keep,
 )
 from conftest import B, R
 
@@ -104,13 +107,63 @@ def test_center_equidistance_bulk():
 
 
 def test_tolerance_modes():
-    assert TolerancePolicy(1e-6, "absolute").band(1e9) == 1e-6
-    assert TolerancePolicy(1e-6, "relative").band(1e9) == pytest.approx(1e3)
+    tol = TolerancePolicy(1e-6)
+    assert tol.band(1e9) == pytest.approx(1e3)
+    assert tol.band(0.5) == tol.x_slack(-0.5) == 1e-6
+    assert tol.x_slack(-1e3) == pytest.approx(1e-3)
     for eps in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             TolerancePolicy(eps)
-    with pytest.raises(ValueError):
-        TolerancePolicy(mode="fuzzy")
+
+
+def scalar_keep(xs, close) -> list[bool]:
+    """The sequential merge, one value at a time: drop a value close to the
+    last kept one."""
+    keep, last = [], None
+    for x in xs:
+        keep.append(last is None or not close(x, last))
+        if keep[-1]:
+            last = x
+    return keep
+
+
+def near_runs(rng, slack) -> list[float]:
+    """Ascending values in runs whose steps are a fraction of the slack, or
+    zero (an exact tie), so a run can span several slacks."""
+    x = rng.choice([1e-3, 1.0, 1e3]) * rng.uniform(-50, 50)
+    xs = []
+    for _ in range(rng.randint(2, 40)):
+        if rng.random() < 0.2:
+            x += rng.uniform(1, 5) * slack(x) * 10
+        else:
+            x += rng.choice([0.0, 0.3, 0.5, 0.9, 1.0, 1.1]) * slack(x)
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 0.0])
+def test_merge_keep_equals_scalar_loop_tolerance(eps):
+    tol = TolerancePolicy(eps)
+    rng = random.Random(eps)
+    for _ in range(300):
+        xs = near_runs(rng, lambda x: tol.x_slack(x) or 1e-9)
+        got = merge_keep(np.array(xs), tol.x_slacks(np.array(xs)))
+        assert got.tolist() == scalar_keep(xs, tol.close), xs
+
+
+def test_merge_keep_equals_scalar_loop_radii():
+    rng = random.Random(5)
+    for _ in range(300):
+        xs = [abs(x) for x in near_runs(rng, lambda x: MERGE_EPS)]
+        xs.sort()
+        got = merge_keep(np.array(xs), np.full(len(xs), MERGE_EPS))
+        assert got.tolist() == scalar_keep(xs, lambda v, last: v - last <= MERGE_EPS), xs
+
+
+def test_merge_keep_short_inputs():
+    assert merge_keep(np.zeros(0), np.zeros(0)).tolist() == []
+    assert merge_keep(np.array([2.0]), np.array([1.0])).tolist() == [True]
+    assert merge_keep(np.array([2.0, 2.0]), np.zeros(2)).tolist() == [True, False]
 
 
 def test_point_weight_signs_enforced():
