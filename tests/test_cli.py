@@ -228,3 +228,36 @@ def test_solve_json_tlines_bytes(inst_file, capsys):
     # The golden t-lines files all have k = 1; these pin the hops, the
     # compatibility table and the top-k bound of k = 2 and 3.
     assert _tlines_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES.read_bytes()
+
+
+GOLDEN_K1 = pathlib.Path(__file__).resolve().parent / "golden_k1_solve.txt"
+
+
+def _k1_cases():
+    """(seed, n, red fraction, coordinate range) of the pinned k = 1
+    instances: n cycles over 100-400, the red fraction over 0.3-0.7 and the
+    coordinate range over 6, 20 and 40, the smallest packing many
+    coincident points."""
+    for seed in range(12):
+        yield seed, 100 + 100 * (seed % 4), (0.3, 0.5, 0.7)[seed // 4], (6, 20, 40)[seed % 3]
+
+
+def _k1_solve_text(write, capsys) -> str:
+    """`sofl solve --algorithm fast` on the maxblue-nored and `--algorithm
+    fvd` on the allblue-minred copy of each pinned k = 1 instance, as json,
+    under a `# seed=.. n=.. red=.. range=.. <algorithm>` header line."""
+    parts = []
+    for seed, n, red, span in _k1_cases():
+        for variant, algorithm in (("maxblue-nored", "fast"), ("allblue-minred", "fvd")):
+            path = write(generate(seed, n, 1, variant, red_fraction=red, coord_range=span))
+            argv = ["solve", "--input", path, "--algorithm", algorithm, "--format", "json"]
+            assert main(argv) == EXIT_OK
+            parts.append(f"# seed={seed} n={n} red={red} range={span} {algorithm}\n"
+                         + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_k1_bytes(inst_file, capsys):
+    # The golden corpus pins only `--algorithm dp`, and the k = 1 oracle
+    # stops at n = 12; these pin the numpy k = 1 kernels at n 100-400.
+    assert _k1_solve_text(inst_file, capsys).encode() == GOLDEN_K1.read_bytes()
