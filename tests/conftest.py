@@ -1,8 +1,9 @@
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from sofl.geom import (
@@ -10,13 +11,18 @@ from sofl.geom import (
     Color,
     ColoredPoint,
     DegenerateInputError,
+    Disk,
+    Region,
     TolerancePolicy,
     center_on_line_through,
+    classify,
     dist2,
+    merge_keep,
     point_order_sums,
 )
 from sofl.instance import generate, parse_instance
 from sofl.klink import _coverage, candidate_centers, interval_ends, line_geometry
+from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
 
 def B(i, x, y, w=1.0):
@@ -197,3 +203,149 @@ def pair_red_counts(points, tol: TolerancePolicy = DEFAULT_TOL):
                         n2 += 1
             out[(p.id, q.id)] = BisectorCounts(n1, n2)
     return out
+
+
+# --- scalar references of the k = 1 kernels ----------------------------------
+
+
+def reference_maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
+    """`variants_k1.maxblue_nored_fast` as a scalar loop: per blue anchor p,
+    the p-red bisector crossings sorted per side of p, then every candidate
+    circle through p (p's own, then `pair_disk` with each blue and each
+    red) counts its reds inside with two `bisect` calls."""
+    blues = [p for p in points if p.is_blue]
+    reds = [p for p in points if not p.is_blue]
+    best = None
+    best_key = None
+    for p in blues:
+        right_keys: list[float] = []
+        left_keys: list[float] = []
+        degen: list = []
+        for r in reds:
+            if r.x == p.x:
+                degen.append(r)
+                continue
+            res = center_on_line_through(p, r, 0.0)
+            if res is None:
+                continue
+            (right_keys if r.x > p.x else left_keys).append(res[0])
+        right_keys.sort()
+        left_keys.sort()
+
+        cands: list[tuple[float, float]] = [(p.x, p.y)]  # circle through p alone
+        for q in blues:
+            if q.id == p.id:
+                continue
+            try:
+                pc = pair_disk(p, q)
+            except DegenerateInputError:
+                continue
+            if pc is not None:
+                cands.append((pc.center_x, pc.radius))
+        for r in reds:
+            try:
+                pc = pair_disk(p, r)
+            except DegenerateInputError:
+                continue
+            if pc is not None:
+                cands.append((pc.center_x, pc.radius))
+
+        for cx, rad in cands:
+            slack = tol.x_slack(cx)
+            inside = bisect_left(right_keys, cx - slack)
+            inside += len(left_keys) - bisect_right(left_keys, cx + slack)
+            if inside:
+                continue
+            disk = Disk(cx, 0.0, rad)
+            if any(classify(r, disk, tol) is Region.INSIDE for r in degen):
+                continue
+            count = sum(1 for b in blues if classify(b, disk, tol) is not Region.OUTSIDE)
+            if not count:
+                continue
+            key = (-count, rad, cx)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (cx, rad, count)
+    return best
+
+
+def _farthest_owner(blues, x: float):
+    best = blues[0]
+    best_d2 = dist2(x, 0.0, best.x, best.y)
+    for b in blues[1:]:
+        d2 = dist2(x, 0.0, b.x, b.y)
+        if d2 > best_d2:
+            best, best_d2 = b, d2
+    return best
+
+
+def _merged(xs, tol) -> list[float]:
+    xs = np.sort(np.array(xs, dtype=float), kind="stable")
+    return xs[merge_keep(xs, tol.x_slacks(xs))].tolist()
+
+
+def reference_farthest_breaks(blues, tol: TolerancePolicy = DEFAULT_TOL):
+    """`variants_k1.farthest_breaks` as a scalar loop: the merged blue-pair
+    crossings, and each region's owner by a strict `>` scan at its
+    midpoint."""
+    crossings: list[float] = []
+    for i, p in enumerate(blues):
+        for q in blues[i + 1:]:
+            try:
+                res = center_on_line_through(p, q, 0.0)
+            except DegenerateInputError:
+                continue
+            if res is not None:
+                crossings.append(res[0])
+    merged = _merged(crossings, tol)
+    if not merged:
+        return FarthestCellBreaks(_farthest_owner(blues, 0.0).id, ())
+    probes = [merged[0] - 1.0]
+    probes += [(a + b) / 2.0 for a, b in zip(merged, merged[1:])]
+    probes.append(merged[-1] + 1.0)
+    owners = [_farthest_owner(blues, x).id for x in probes]
+    breaks = []
+    for i in range(len(merged)):
+        if owners[i + 1] != owners[i]:
+            breaks.append((merged[i], owners[i + 1]))
+    return FarthestCellBreaks(owners[0], tuple(breaks))
+
+
+def _covering_eval(x: float, blues, reds, tol):
+    r2 = max(dist2(x, 0.0, b.x, b.y) for b in blues)
+    rad = math.sqrt(r2)
+    disk = Disk(x, 0.0, rad)
+    count = sum(1 for r in reds if classify(r, disk, tol) is Region.INSIDE)
+    return (count, rad, x)
+
+
+def reference_allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL):
+    """`variants_k1.allblue_minred_details` as a scalar loop over the owner
+    cells of `reference_farthest_breaks` and their candidate centers."""
+    blues = [p for p in points if p.is_blue]
+    reds = [p for p in points if not p.is_blue]
+    fb = reference_farthest_breaks(blues, tol)
+    by_id = {p.id: p for p in points}
+    bounds = [-math.inf] + [x for x, _ in fb.breaks] + [math.inf]
+    owners = [fb.first_owner] + [owner for _, owner in fb.breaks]
+    cand_xs: list[float] = [x for x, _ in fb.breaks]
+    for ci, owner_id in enumerate(owners):
+        lo, hi = bounds[ci], bounds[ci + 1]
+        owner = by_id[owner_id]
+        cand_xs.append(min(max(owner.x, lo), hi))
+        for r in reds:
+            try:
+                res = center_on_line_through(owner, r, 0.0)
+            except DegenerateInputError:
+                continue
+            if res is None:
+                continue
+            slack = tol.x_slack(res[0])
+            if lo - slack <= res[0] <= hi + slack:
+                cand_xs.append(res[0])
+    best = min(_covering_eval(x, blues, reds, tol) for x in _merged(cand_xs, tol))
+    fvd_only = None
+    if fb.breaks:
+        fvd_only = min(_covering_eval(x, blues, reds, tol) for x, _ in fb.breaks)
+    suboptimal = fvd_only is not None and fvd_only[0] > best[0]
+    return AllBlueOutcome(best[::-1], fvd_only[::-1] if fvd_only else None, suboptimal)

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from sofl import cli
 from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
 from sofl.instance import generate
 
@@ -153,6 +154,17 @@ def test_jobs_below_one_exit_code(inst_file, capsys, jobs):
 def test_check_too_large_exit_code(inst_file, capsys):
     pts = "\n".join(f"B {i} 1 1" for i in range(9))  # beyond the n<=8 guard
     path = inst_file(f"variant csofl\nk 1\n{pts}\n")
+    assert main(["check", "--input", path]) == EXIT_TOO_LARGE
+
+
+def test_check_guard_before_solve(inst_file, monkeypatch):
+    # The oracle's size guard fires before any solver runs.
+    def boom(*args):
+        raise AssertionError("solver ran before the oracle's size guard")
+
+    monkeypatch.setattr(cli, "maxblue_nored_naive", boom)
+    monkeypatch.setattr(cli, "maxblue_nored_fast", boom)
+    path = inst_file(generate(3, 400, 1, "maxblue-nored"))
     assert main(["check", "--input", path]) == EXIT_TOO_LARGE
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from sofl.geom import Disk, Region, center_on_line_through, classify, dist2
+from sofl.geom import Disk, Region, TolerancePolicy, center_on_line_through, classify, dist2
+from sofl.instance import generate, parse_instance
 from sofl.oracle import brute_k1_allblue, brute_k1_maxblue
 from sofl.variants_k1 import (
     allblue_minred,
@@ -13,7 +14,16 @@ from sofl.variants_k1 import (
     maxblue_nored_naive,
     pair_disk,
 )
-from conftest import B, R, pair_red_counts, random_instance, red_onin_test
+from conftest import (
+    B,
+    R,
+    pair_red_counts,
+    random_instance,
+    red_onin_test,
+    reference_allblue_minred_details,
+    reference_farthest_breaks,
+    reference_maxblue_nored_fast,
+)
 
 
 # --- the on-or-inside test ---------------------------------------------------
@@ -243,3 +253,67 @@ def test_pair_disk_canonical_anchor():
     assert pc.p_id == 1 and pc.q_id == 3
     # radius measured from the lower-id point
     assert pc.radius == math.sqrt(dist2(pc.center_x, 0, 0, 1))
+
+
+# --- the numpy kernels against their scalar references ------------------------
+
+
+def _adversarial_rows(seed):
+    """(x, y, is_blue) rows of one adversarial k = 1 instance: a dense
+    integer grid full of coincident points, reds straight above blues,
+    blues in equal-x pairs, a single blue among reds, or a wide grid whose
+    farthest map has more probes than one block."""
+    rng = random.Random(seed)
+    kind = seed % 5
+    if kind in (0, 4):
+        span = rng.randint(2, 5) if kind == 0 else 40
+        text = generate(seed, rng.randint(1, 60), 1, "maxblue-nored",
+                        red_fraction=rng.choice((0.2, 0.5, 0.8)), coord_range=span)
+        return [(p.x, p.y, p.is_blue) for p in parse_instance(text).points]
+    blues = [(float(rng.randint(0, 6)), float(rng.randint(1, 4)))
+             for _ in range(1 if kind == 3 else rng.randint(2, 12))]
+    if kind == 2:
+        blues += [(x, float(rng.randint(1, 4))) for x, _ in blues]
+    reds = [(x, y + rng.choice((0.5, 1.0, 2.0))) for x, y in blues if rng.random() < 0.6]
+    reds += [(float(rng.randint(0, 6)), float(rng.randint(1, 4)))
+             for _ in range(rng.randint(0, 8))]
+    rows = [(x, y, True) for x, y in blues] + [(x, y, False) for x, y in reds]
+    rng.shuffle(rows)
+    return rows
+
+
+def _copies(rows):
+    """The instance, mirrored, translated and scaled by 2^20 and 2^-20."""
+    for fx, fy in ((lambda x: x, lambda y: y),
+                   (lambda x: -x, lambda y: y),
+                   (lambda x: x + 0.1, lambda y: y),
+                   (lambda x: x * 2.0**20, lambda y: y * 2.0**20),
+                   (lambda x: x * 2.0**-20, lambda y: y * 2.0**-20)):
+        yield [(B if blue else R)(i, fx(x), fy(y)) for i, (x, y, blue) in enumerate(rows)]
+
+
+def _same(got, ref):
+    return got == ref and repr(got) == repr(ref)
+
+
+def test_kernels_equal_scalar_references():
+    # The kernels must return the scalar loops' tuples bit for bit and as
+    # Python floats and ints, which `sofl check` prints with repr. At eps = 0
+    # the integer grids put points exactly on candidate boundaries and
+    # crossings exactly on the lookup keys.
+    # Mirrored, the circle of radius 5 about x = 0 through (0, 5) and (3, 4)
+    # is both an anchor's own candidate at x = -0.0 and a pair's at 0.0.
+    cocircular = [[(0.0, 5.0, True), (3.0, 4.0, True)],
+                  [(0.0, 5.0, True), (3.0, 4.0, True), (-4.0, 3.0, False), (4.0, 3.0, True)]]
+    for seed, rows in enumerate(cocircular + [_adversarial_rows(s) for s in range(60)]):
+        for c, pts in enumerate(_copies(rows)):
+            tol = TolerancePolicy((1e-9, 0.0)[(seed + c) % 2])
+            got, ref = maxblue_nored_fast(pts, tol), reference_maxblue_nored_fast(pts, tol)
+            assert _same(got, ref), (seed, c)
+            blues = [p for p in pts if p.is_blue]
+            if not blues:
+                continue
+            got, ref = farthest_breaks(blues, tol), reference_farthest_breaks(blues, tol)
+            assert _same(got, ref), (seed, c)
+            got = allblue_minred_details(pts, tol)
+            assert _same(got, reference_allblue_minred_details(pts, tol)), (seed, c)
