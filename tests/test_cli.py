@@ -273,3 +273,30 @@ def test_solve_json_k1_bytes(inst_file, capsys):
     # The golden corpus pins only `--algorithm dp`, and the k = 1 oracle
     # stops at n = 12; these pin the numpy k = 1 kernels at n 100-400.
     assert _k1_solve_text(inst_file, capsys).encode() == GOLDEN_K1.read_bytes()
+
+
+GOLDEN_LINE = pathlib.Path(__file__).resolve().parent / "golden_line_solve.txt"
+
+# (variant, seed, n, k) of the pinned large single-line instances
+LINE_CASES = [
+    ("csofl", 0, 48, 2), ("csofl", 1, 64, 3), ("csofl", 2, 80, 4), ("csofl", 3, 96, 2),
+    ("csofl", 4, 96, 3), ("csofl", 5, 72, 4), ("maxblue-nored", 6, 64, 2),
+    ("allblue-minred", 7, 64, 2),
+]
+
+
+def _line_solve_text(write, capsys) -> str:
+    """`sofl solve --format json` on each pinned single-line instance, under
+    a `# <variant> seed=.. n=.. k=..` header line."""
+    parts = []
+    for variant, seed, n, k in LINE_CASES:
+        path = write(generate(seed, n, k, variant))
+        assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+        parts.append(f"# {variant} seed={seed} n={n} k={k}\n" + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_line_bytes(inst_file, capsys):
+    # The golden corpus pins `--algorithm dp` only at n <= 12; these pin the
+    # batched line kernel at n 48-96 and k 2-4, reductions included.
+    assert _line_solve_text(inst_file, capsys).encode() == GOLDEN_LINE.read_bytes()
