@@ -142,7 +142,7 @@ def _geometry(ring, points) -> _Geometry:
 def _coverage(geo: _Geometry, lam: float, tol: TolerancePolicy) -> np.ndarray:
     """`is_covered` for every point (row) and site (column) at radius lam."""
     r2 = lam * lam
-    return coverage_mask(geo.pd2 - r2, geo.blue, tol.band(r2))
+    return coverage_mask(geo.pd2 - r2, geo.blue[:, None], tol.band(r2))
 
 
 def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[bool]]:

@@ -8,7 +8,10 @@ modules.
 
 Near-equal candidate values are merged by one rule, `merge_keep`: in
 ascending order, a value within its slack of the last kept value is
-dropped. It merges klink's centers and the candidate center abscissae of
+dropped. A start mask keeps flagged values, so the rows of a chunk,
+laid end to end with each row's first value flagged, merge in one call
+without merging into each other. It merges klink's centers (a chunk of
+radii, one row each) and the candidate center abscissae of
 `variants_k1.allblue_minred` (slack `tol.x_slacks`), and every candidate
 radius list (an absolute `candidates.MERGE_EPS`). `multiline._admit` applies another
 rule on purpose: it keeps the first admitted value per line in insertion
@@ -106,6 +109,10 @@ class TolerancePolicy:
         monotone."""
         return self.eps * np.maximum(1.0, np.abs(xs))
 
+    def bands(self, r2s: np.ndarray) -> np.ndarray:
+        """`band` of every squared radius."""
+        return self.eps * np.maximum(1.0, r2s)
+
 
 DEFAULT_TOL = TolerancePolicy()
 
@@ -148,10 +155,11 @@ def disk_weight(disk: Disk, points, tol: TolerancePolicy = DEFAULT_TOL) -> float
     return sum(p.weight for p in points if is_covered(p, disk, tol))
 
 
-def coverage_mask(s: np.ndarray, blue: np.ndarray, band: float) -> np.ndarray:
-    """`is_covered` for every point (row) and disk (column), given
-    s = dist2 - r^2 and band = tol.band(r^2) as `classify` computes them."""
-    return np.where(blue[:, None], s <= band, s < -band)
+def coverage_mask(s: np.ndarray, blue, band) -> np.ndarray:
+    """`is_covered` of point-disk pairs, given s = dist2 - r^2 and
+    band = tol.band(r^2) as `classify` computes them; blue and band
+    broadcast against s (blue[:, None] for a points x disks matrix)."""
+    return np.where(blue, s <= band, s < -band)
 
 
 def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -165,10 +173,14 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
     return v[-1]
 
 
-def merge_keep(xs: np.ndarray, slack: np.ndarray) -> np.ndarray:
+def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Keep mask of the sequential merge of ascending xs: a value is dropped
     when its distance to the last kept value is at most the larger of their
     two slacks (coincident values are merged, never perturbed).
+
+    The values flagged in `start` are always kept. So several ascending
+    rows, laid end to end, merge in one call with each row's first value
+    flagged: no value is compared with an earlier row.
 
     The guess compares each value with its predecessor. It can only be wrong
     right after a dropped value, where the last kept value lies further back
@@ -179,8 +191,12 @@ def merge_keep(xs: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """
     keep = np.ones(len(xs), dtype=bool)
     keep[1:] = xs[1:] - xs[:-1] > np.maximum(slack[1:], slack[:-1])
+    if start is not None:
+        keep |= start
     while True:
         after = (~keep[:-1]).nonzero()[0] + 1
+        if start is not None:
+            after = after[~start[after]]
         if not len(after):
             return keep
         last = np.maximum.accumulate(np.where(keep, np.arange(len(xs)), 0))[after - 1]

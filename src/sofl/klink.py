@@ -1,6 +1,6 @@
 """Single-line fixed-radius machinery: influence intervals, the candidate
 center grid, and the budgeted center-selection dynamic program, as one
-numpy kernel.
+numpy kernel over a chunk of radii.
 
 For a fixed radius lam, every point within lam of the line contributes an
 influence interval of center positions whose disk covers it. Candidate
@@ -13,16 +13,34 @@ first i+1 centers with j picks left and either skips center i or takes it
 on top of the best solution ending at p[i], the rightmost center at gap
 >= 2*lam to its left.
 
-`solve_radius` runs every step with numpy on per-point arrays built once
-per instance (`line_geometry`): a stable sort and the near-duplicate
-merge of the centers (`geom.merge_keep`), a dense points x centers coverage
-mask, `searchsorted` predecessors with an exact fix-up, one pass per
-budget layer of the DP, and a backtrack of at most k steps. It returns the
-union weight of the chosen disks, taken from the mask rows of the chosen
-centers, so a radius loop compares union weights and recomputes one union,
-for the `Placement` of the radius it returns. Every step makes the same
-float operations as the scalar geometry predicates and sums weights in
-point order, so the results equal a scalar evaluation bit for bit.
+`solve_radii` solves a chunk of radii at once, one row per radius, on
+per-point arrays built once per instance (`line_geometry`):
+- centers: each row's raw centers are sorted stably, then all rows are
+  merged in one `geom.merge_keep` call that always keeps a row's first
+  value, so no row merges into another; rows are padded with +inf;
+- coverage as ranges: in floats s = (px - x)^2 + dy^2 - lam^2 is unimodal
+  in x, so the centers covering a point form one run [lo, hi) of its sorted
+  row. A `searchsorted` guess is fixed up exactly with the predicate of
+  `geom.coverage_mask`. One search serves every row: the complex key
+  row + 1j*x sorts by (row, x), exactly;
+- center weights: when every weight is an integer and their absolute sum
+  is at most 2^53 (`LineGeometry.exact`), every partial sum is exact, so a
+  prefix sum of +w at lo and -w at hi gives the point-order sums;
+  otherwise every (point, center) pair of the ranges is summed in point
+  order;
+- predecessors by one search and an exact fix-up, bounded at the row
+  start; the DP layers over the padded rows; a backtrack of at most k
+  steps for every row at once;
+- the union weight of the chosen disks, from the ranges of the chosen
+  centers.
+Every step makes the same float operations as the scalar geometry
+predicates and sums weights in point order, so the results equal a scalar
+evaluation bit for bit. A chunk holds as many radii as fit _CELLS raw
+centers (at least one), which bounds the memory of a solve; `solve_radius`
+is a chunk of one radius.
+
+A radius loop compares the returned union weights and recomputes one
+union, for the `Placement` of the radius it returns.
 
 Ties are broken deterministically: maximum weight, then fewest centers,
 then the selection whose largest center is smallest (continuing leftward).
@@ -35,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, point_order_sums
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep
 from .placement import LineCenter, Placement, line_placement
 
 __all__ = [
@@ -43,9 +61,14 @@ __all__ = [
     "line_geometry",
     "interval_ends",
     "candidate_centers",
+    "solve_radii",
     "solve_radius",
     "solve_fixed_radius",
 ]
+
+# Raw candidate centers per chunk of radii. Every array of a chunk has at
+# most a few times this many cells, so a solve's memory stays flat.
+_CELLS = 1 << 14
 
 
 class LineGeometry(NamedTuple):
@@ -55,109 +78,200 @@ class LineGeometry(NamedTuple):
     dy2: np.ndarray  # squared height over the line
     blue: np.ndarray
     w: np.ndarray
+    exact: bool  # integer weights with absolute sum at most 2^53: sums are exact
 
 
 def line_geometry(points, line_y: float) -> LineGeometry:
     pts = list(points)
+    w = np.array([p.weight for p in pts], dtype=float)
+    exact = bool((np.isfinite(w) & (w == np.round(w))).all())
     return LineGeometry(
         np.array([p.x for p in pts], dtype=float),
         (np.array([p.y for p in pts], dtype=float) - line_y) ** 2,
         np.array([p.is_blue for p in pts], dtype=bool),
-        np.array([p.weight for p in pts], dtype=float),
+        w,
+        exact and sum(abs(int(v)) for v in w.tolist()) <= 2**53,
     )
 
 
-def _reach(dy2, lam: float, tol: TolerancePolicy):
-    """Indices of the points within lam of the line, and their half-widths
-    h = sqrt(lam^2 - dy^2)."""
-    lam2 = lam * lam
-    idx = (dy2 - lam2 <= tol.band(lam2)).nonzero()[0]
-    return idx, np.sqrt(np.maximum(0.0, lam2 - dy2[idx]))
-
-
-def _check(lam: float, k: int) -> None:
-    if lam <= 0:
-        raise ValueError("center sequence requires a positive radius")
+def _check(k: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
 
 
-def _centers(ends, lam: float, k: int, tol: TolerancePolicy):
-    """Merged candidate centers, ascending.
+def _reach(dy2, lam2, band):
+    """Whether each point is within lam of the line, and the half-width
+    sqrt(lam^2 - dy^2) of its influence interval (0 when tangent)."""
+    return dy2 - lam2 <= band, np.sqrt(np.maximum(0.0, lam2 - dy2))
 
-    ends holds each reaching point's interval as l, r in point order. The
-    raw list is every endpoint followed by its shifts by -1, +1, -2, +2, ...
-    times 2*lam, then the two sentinels; it is stable-sorted, so among equal
-    values the first in that order is kept. With nothing in reach the two
-    sentinels alone remain.
+
+def _ends(geo: LineGeometry, lams, tol: TolerancePolicy):
+    """Per radius (row) and point (column): whether the point is within lam
+    of the line, and its influence interval as l, r, +inf out of reach."""
+    lam2 = (lams * lams)[:, None]
+    reach, h = _reach(geo.dy2, lam2, tol.bands(lam2))
+    ends = np.empty(reach.shape + (2,))
+    ends[..., 0] = geo.px - h
+    ends[..., 1] = geo.px + h
+    ends[~reach] = np.inf
+    return reach, ends
+
+
+def _centers(ends, lams, k: int, tol: TolerancePolicy):
+    """Merged candidate centers per row, ascending and padded with +inf, and
+    each row's count.
+
+    ends holds each row's intervals as l, r per point, +inf out of reach.
+    The raw list of a row is every endpoint followed by its shifts by -1,
+    +1, -2, +2, ... times 2*lam, then the two sentinels; it is sorted
+    stably, so among equal values the first in that order is kept. A row
+    with nothing in reach keeps its two sentinels, 0 and 2*k*lam, unmerged.
     """
-    margin = 2.0 * k * lam
-    if not len(ends):
-        return np.array([0.0, margin])
-    offs = np.array([2.0 * j * lam for j in range(1, k)])
-    raw = np.empty(len(ends) * (2 * k - 1) + 2)
-    grid = raw[:-2].reshape(len(ends), 2 * k - 1)
-    grid[:, 0] = ends
-    grid[:, 1::2] = ends[:, None] - offs
-    grid[:, 2::2] = ends[:, None] + offs
-    raw[-2] = ends[0::2].min() - margin
-    raw[-1] = ends[1::2].max() + margin
-    xs = raw[np.argsort(raw, kind="stable")]
-    return xs[merge_keep(xs, tol.x_slacks(xs))]
+    rows, n = ends.shape[:2]
+    offs = (2.0 * np.arange(1, k)) * lams[:, None, None, None]
+    raw = np.empty((rows, n, 2, 2 * k - 1))
+    raw[..., 0] = ends
+    raw[..., 1::2] = ends[..., None] - offs
+    raw[..., 2::2] = ends[..., None] + offs
+    margin = 2.0 * k * lams
+    live = np.isfinite(ends[..., 0])
+    some = live.any(axis=1)
+    first = np.where(some, ends[..., 0].min(axis=1, initial=np.inf) - margin, 0.0)
+    last = np.max(ends[..., 1], axis=1, where=live, initial=-np.inf)
+    last = np.where(some, last + margin, margin)
+    raw = np.concatenate([raw.reshape(rows, -1), first[:, None], last[:, None]], axis=1)
+    raw.sort(axis=1, kind="stable")
+    count = 2 + 2 * (2 * k - 1) * live.sum(axis=1)
+    flat = raw[np.arange(raw.shape[1]) < count[:, None]]
+    ends_at = np.cumsum(count)
+    start = np.zeros(len(flat), dtype=bool)
+    start[ends_at - count] = True
+    start[ends_at[~some] - 1] = True
+    keep = merge_keep(flat, tol.x_slacks(flat), start)
+    row = np.repeat(np.arange(rows), count)[keep]
+    m = np.bincount(row, minlength=rows)
+    xs = np.full((rows, m.max()), np.inf)
+    xs[row, np.arange(len(row)) - (np.cumsum(m) - m)[row]] = flat[keep]
+    return xs, m
 
 
 def interval_ends(geo: LineGeometry, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
     """Indices of the points within lam of the line, and their influence
     intervals as l, r in point order."""
-    idx, h = _reach(geo.dy2, lam, tol)
-    px = geo.px[idx]
+    lam2 = lam * lam
+    reach, h = _reach(geo.dy2, lam2, tol.band(lam2))
+    idx = reach.nonzero()[0]
     ends = np.empty(2 * len(idx))
-    ends[0::2] = px - h
-    ends[1::2] = px + h
+    ends[0::2] = geo.px[idx] - h[idx]
+    ends[1::2] = geo.px[idx] + h[idx]
     return idx, ends
 
 
 def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
     """Indices of the points within lam of the line, and the merged
     candidate centers of radius lam and budget k, ascending."""
-    _check(lam, k)
-    idx, ends = interval_ends(geo, lam, tol)
-    return idx, _centers(ends, lam, k, tol)
+    if lam <= 0:
+        raise ValueError("center sequence requires a positive radius")
+    _check(k)
+    lams = np.array([lam], dtype=float)
+    reach, ends = _ends(geo, lams, tol)
+    xs, m = _centers(ends, lams, k, tol)
+    return reach[0].nonzero()[0], xs[0, : m[0]]
 
 
-def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
-    """geom.is_covered for every point (row) and center (column)."""
-    r2 = lam * lam
-    s = px[:, None] - xs[None, :]
-    s *= s
-    s += dy2[:, None]
-    s -= r2
-    return coverage_mask(s, blue, tol.band(r2))
+def _keys(row, x):
+    """row + 1j*x, built without arithmetic so that x = inf stays exact;
+    complex values sort by (row, x)."""
+    out = np.empty(np.broadcast(row, x).shape, dtype=complex)
+    out.real = row
+    out.imag = x
+    return out
 
 
-def _predecessors(xs, lam: float, tol: TolerancePolicy):
-    """p[i] = rightmost j < i with xs[i] - xs[j] >= 2*lam (less the slack),
-    else -1.
+def _first(j, m, pred):
+    """The first index in [0, m) at which the monotone (false, then true)
+    pred holds, else m, stepped to from the guess j."""
+    while True:
+        down = (j > 0) & pred(np.maximum(j - 1, 0))
+        up = (j < m) & ~pred(np.minimum(j, m - 1))
+        if not (down | up).any():
+            return j
+        j = j - down + up
+
+
+def _ranges(keys, xs, m, row, px, dy2, blue, r2, band):
+    """Per (row, point) pair, the run [lo, hi) of the row's centers whose
+    disk covers the point (`geom.is_covered`).
+
+    The centers x < px that cover the point are a suffix of those, and the
+    ones at x >= px a prefix. So lo, the first center with x >= px or
+    covering, and hi, the first with x > px and not covering, are monotone
+    searches, and the covered centers are [lo, hi) when lo covers, else
+    none.
+    """
+    fx = xs.ravel()
+    base = row * xs.shape[1]
+    mr = m[row]
+
+    def covers(j):
+        s = px - fx[base + j]
+        s *= s
+        s += dy2
+        s -= r2
+        return coverage_mask(s, blue, band)
+
+    hb = np.sqrt(np.maximum(0.0, r2 - dy2 + np.where(blue, band, -band)))
+    lo = np.searchsorted(keys, _keys(row, px - hb), "left") - base
+    hi = np.searchsorted(keys, _keys(row, px + hb), "right") - base
+    lo = _first(lo, mr, lambda j: (fx[base + j] >= px) | covers(j))
+    hi = _first(hi, mr, lambda j: (fx[base + j] > px) & ~covers(j))
+    return lo, np.where((lo < hi) & covers(np.minimum(lo, mr - 1)), hi, lo)
+
+
+def _center_weights(row, lo, hi, w, shape, exact: bool):
+    """Covered weight of every center, as a (rows, centers) array: the sum
+    over the (row, point) pairs whose range holds the center, in point
+    order."""
+    rows, cols = shape
+    if exact:
+        at = row * (cols + 1)
+        d = (np.bincount(at + lo, w, rows * (cols + 1))
+             - np.bincount(at + hi, w, rows * (cols + 1)))
+        return np.cumsum(d.reshape(rows, cols + 1), axis=1)[:, :cols]
+    n = hi - lo
+    pair = np.repeat(np.arange(len(lo)), n)
+    col = lo[pair] + np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+    return np.bincount(row[pair] * cols + col, w[pair], rows * cols).reshape(shape)
+
+
+def _predecessors(keys, xs, need):
+    """p[r, i] = rightmost j < i with xs[r, i] - xs[r, j] >= need[r], else
+    -1; padding gets p = i - 1.
 
     searchsorted gives a guess. The predicate, evaluated in floats, is
     monotone in j, so stepping up while the next index satisfies it and down
     while the current one fails gives the exact answer. p[i] < i holds even
     when the bound is not positive (tiny lam).
     """
-    need = 2.0 * lam - tol.x_slack(2.0 * lam)
-    i = np.arange(len(xs))
-    p = np.minimum(np.searchsorted(xs, xs - need, side="right") - 1, i - 1)
-    while True:
-        up = (xs - xs[p + 1] >= need) & (p + 1 < i)
-        down = (xs - xs[p] < need) & (p >= 0)  # xs[-1] is masked out
-        if not (up | down).any():
-            return p
-        p = p + up - down
+    rows, cols = xs.shape
+    fx = xs.ravel()
+    base = np.arange(rows)[:, None] * cols
+    need = need[:, None]
+    i = np.arange(cols)
+    guess = np.searchsorted(keys, _keys(np.arange(rows)[:, None], xs - need), "right")
+    p = np.minimum(guess - base - 1, i - 1)
+    with np.errstate(invalid="ignore"):  # inf - inf between two pads
+        while True:
+            up = (p + 1 < i) & (xs - fx[base + p + 1] >= need)
+            down = (p >= 0) & (xs - fx[base + np.maximum(p, 0)] < need)
+            if not (up | down).any():
+                return p
+            p = p + up - down
 
 
 def _dp_layers(w, p, k: int):
-    """Budget layers 1..k of the DP, each as (weight, rank, taken) arrays
-    over the centers, where rank = k + 1 - centers used.
+    """Budget layers 1..k of the DP along each row, each as (weight, rank,
+    taken) arrays over the centers, where rank = k + 1 - centers used.
 
     Layer j at i is the best (weight, -centers) over the first i+1 centers
     and at most j picks: a running maximum, from the empty selection, of the
@@ -169,59 +283,97 @@ def _dp_layers(w, p, k: int):
     not).
     """
     radix = k + 2
-    m = len(w)
-    prev_w = np.zeros(m + 1)  # index 0 is the empty selection
-    prev_r = np.full(m + 1, k + 1)
-    take_w = np.zeros(m + 1)
-    take_r = np.full(m + 1, k + 1)
-    rises = np.zeros(m + 1, dtype=np.intp)
-    p1 = p + 1
+    rows, cols = w.shape
+    prev_w = np.zeros((rows, cols + 1))  # column 0 is the empty selection
+    prev_r = np.full((rows, cols + 1), k + 1)
+    take_w = prev_w.copy()
+    take_r = prev_r.copy()
+    rises = np.zeros((rows, cols + 1), dtype=np.intp)
+    at = p + 1 + np.arange(rows)[:, None] * (cols + 1)  # p[i] in the flat layer
     layers = []
     for _ in range(k):
-        np.add(prev_w[p1], w, out=take_w[1:])
-        np.subtract(prev_r[p1], 1, out=take_r[1:])
-        prev_w = np.maximum.accumulate(take_w)
-        np.cumsum(prev_w[1:] > prev_w[:-1], out=rises[1:])
+        np.add(prev_w.ravel()[at], w, out=take_w[:, 1:])
+        np.subtract(prev_r.ravel()[at], 1, out=take_r[:, 1:])
+        prev_w = np.maximum.accumulate(take_w, axis=1)
+        np.cumsum(prev_w[:, 1:] > prev_w[:, :-1], axis=1, out=rises[:, 1:])
         key = rises * radix + np.where(take_w == prev_w, take_r, 0)
-        best = np.maximum.accumulate(key)
+        best = np.maximum.accumulate(key, axis=1)
         prev_r = best % radix
-        layers.append((prev_w[1:], prev_r[1:], key[1:] > best[:-1]))
+        layers.append((prev_w[:, 1:], prev_r[:, 1:], key[:, 1:] > best[:, :-1]))
     return layers
 
 
-def _backtrack(layers, p) -> list[int]:
-    """Chosen indices, left to right: per layer from the top, the last
-    taken center at or before the current index, then its predecessor."""
-    chosen = []
-    i = len(p) - 1
+def _backtrack(layers, p, last):
+    """Chosen indices per row, as a (rows, k) array ascending along each
+    row, -1 where fewer were chosen: per layer from the top, the last taken
+    center at or before the current index (from `last`), then its
+    predecessor."""
+    rows = np.arange(len(p))
+    cols = np.arange(p.shape[1])
+    i = last
+    picks = []
     for _, _, taken in reversed(layers):
-        hits = taken[: i + 1].nonzero()[0]
-        if not len(hits):
-            break
-        i = int(hits[-1])
-        chosen.append(i)
-        i = int(p[i])
-    chosen.reverse()
-    return chosen
+        at = np.maximum.accumulate(np.where(taken, cols, -1), axis=1)
+        hit = np.where(i >= 0, at[rows, i], -1)
+        picks.append(hit)
+        i = np.where(hit >= 0, p[rows, hit], -1)
+    return np.stack(picks[::-1], axis=1)
+
+
+def _coverage_rows(geo: LineGeometry, lams, k: int, tol: TolerancePolicy):
+    """Centers, coverage ranges and center weights of positive radii: xs
+    and m as `_centers` gives them, their search keys, the (row, point
+    index) of every point in reach with its range [lo, hi), and the center
+    weights."""
+    reach, ends = _ends(geo, lams, tol)
+    xs, m = _centers(ends, lams, k, tol)
+    row, idx = reach.nonzero()
+    r2 = lams * lams
+    keys = _keys(np.arange(len(lams))[:, None], xs).ravel()
+    lo, hi = _ranges(keys, xs, m, row, geo.px[idx], geo.dy2[idx], geo.blue[idx],
+                     r2[row], tol.bands(r2)[row])
+    weights = _center_weights(row, lo, hi, geo.w[idx], xs.shape, geo.exact)
+    return xs, m, keys, row, idx, lo, hi, weights
+
+
+def _solve_chunk(geo: LineGeometry, lams, k: int, tol: TolerancePolicy):
+    """`solve_radii` of positive radii."""
+    xs, m, keys, row, idx, lo, hi, weights = _coverage_rows(geo, lams, k, tol)
+    two = 2.0 * lams
+    p = _predecessors(keys, xs, two - tol.x_slacks(two))
+    chosen = _backtrack(_dp_layers(weights, p, k), p, m - 1)
+    pick = chosen[row]
+    hit = ((pick >= lo[:, None]) & (pick < hi[:, None])).any(axis=1)
+    union = np.bincount(row, np.where(hit, geo.w[idx], 0.0), len(lams)).tolist()
+    out = []
+    for r, (c, x) in enumerate(zip(chosen.tolist(), xs.tolist())):
+        c = [j for j in c if j >= 0]
+        out.append((union[r], tuple(x[j] for j in c)) if c else (0.0, ()))
+    return out
+
+
+def solve_radii(geo: LineGeometry, lams, k: int,
+                tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[float, tuple[float, ...]]]:
+    """For each radius lam, the best selection of at most k radius-lam disks
+    centered on the line: its union weight and its center abscissae,
+    ascending; (0.0, ()) when lam <= 0 or nothing is within lam of the
+    line."""
+    _check(k)
+    lams = np.asarray(lams, dtype=float)
+    out = [(0.0, ())] * len(lams)
+    live = (lams > 0).nonzero()[0]
+    rows = max(1, _CELLS // (2 * (2 * k - 1) * len(geo.px) + 2))
+    for a in range(0, len(live), rows):
+        at = live[a: a + rows]
+        for r, res in zip(at.tolist(), _solve_chunk(geo, lams[at], k, tol)):
+            out[r] = res
+    return out
 
 
 def solve_radius(geo: LineGeometry, lam: float, k: int,
                  tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, tuple[float, ...]]:
-    """Best selection of at most k radius-lam disks centered on the line:
-    its union weight and its center abscissae, ascending."""
-    if lam <= 0.0:
-        return 0.0, ()
-    idx, xs = candidate_centers(geo, lam, k, tol)
-    if not len(idx):
-        return 0.0, ()
-    cov = _coverage(xs, geo.px[idx], geo.dy2[idx], geo.blue[idx], lam, tol)
-    w = geo.w[idx]
-    p = _predecessors(xs, lam, tol)
-    chosen = _backtrack(_dp_layers(point_order_sums(cov, w), p, k), p)
-    if not chosen:
-        return 0.0, ()
-    union = cov[:, chosen].any(axis=1, keepdims=True)
-    return float(point_order_sums(union, w)[0]), tuple(xs[chosen].tolist())
+    """`solve_radii` of one radius."""
+    return solve_radii(geo, [lam], k, tol)[0]
 
 
 def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:

@@ -27,9 +27,10 @@ from .geom import (
     TolerancePolicy,
     centers_compatible,
     compatible_table,
+    coverage_mask,
     point_order_sums,
 )
-from .klink import _coverage, interval_ends, line_geometry
+from .klink import interval_ends, line_geometry
 from .placement import LineCenter, Placement, best_radius, line_placement, selection_key
 
 __all__ = [
@@ -164,10 +165,21 @@ def _bitsets(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
+def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
+    """geom.is_covered for every point (row) and center (column) of one
+    line."""
+    r2 = lam * lam
+    s = px[:, None] - xs[None, :]
+    s *= s
+    s += dy2[:, None]
+    s -= r2
+    return coverage_mask(s, blue[:, None], tol.band(r2))
+
+
 def _coverage_table(geos, xs, li, lam, tol):
     """The searched candidates as indices into xs, and per searched position
     its gain (covered positive weight) and its covered points as a bitset.
-    Each line's columns come from `klink._coverage` of its geometry, and
+    Each line's columns come from `_coverage` of its geometry, and
     weights are summed in point order like `geom.disk_weight`. A center
     whose own disk nets nothing can never improve a union of non-overlapping
     disks, and the fewest-centers tie rule drops it, so only the others are

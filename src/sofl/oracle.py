@@ -186,7 +186,8 @@ def _k1_candidate_disks(points, include_vertical=True):
 
 def brute_k1_maxblue(points, tol: TolerancePolicy = DEFAULT_TOL, max_n: int = 12):
     """Reference for the single-disk max-blue objective; same tuple contract
-    as the optimized algorithms, or None when nothing feasible exists."""
+    as the optimized algorithms (a -0.0 center returned as 0.0), or None
+    when nothing feasible exists."""
     if len(points) > max_n:
         raise TooLargeError(f"n={len(points)} exceeds the guard {max_n}")
     blues = [p for p in points if p.is_blue]
@@ -204,7 +205,7 @@ def brute_k1_maxblue(points, tol: TolerancePolicy = DEFAULT_TOL, max_n: int = 12
         if best_key is None or key < best_key:
             best_key = key
             best = (cx, rad, count)
-    return best
+    return None if best is None else (best[0] + 0.0, best[1], best[2])
 
 
 def brute_k1_allblue(points, tol: TolerancePolicy = DEFAULT_TOL, max_n: int = 12):

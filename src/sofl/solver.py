@@ -17,13 +17,11 @@ import bisect
 import dataclasses
 import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts, with_gains
 from .geom import DEFAULT_TOL, TolerancePolicy
-from .klink import line_geometry, solve_radius
+from .klink import line_geometry, solve_radii, solve_radius
 from .placement import LineCenter, Placement, best_radius, line_placement
 
 __all__ = [
@@ -66,8 +64,9 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
     [g - MERGE_EPS, c_{i+1}), every placement feasible at g is feasible at
     c_{i+1}, so g can win only if g < best radius <= c_{i+1}. The first
     radii are the standard ones, each gain with such a loss and the last
-    radius, which nothing after it stands in for; with jobs > 1 they run in
-    a pool of at most `os.cpu_count()` processes.
+    radius, which nothing after it stands in for; they are solved in chunks
+    by `klink.solve_radii`. jobs is accepted for compatibility and has no
+    effect.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -89,14 +88,9 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
         return g < best[1] <= upper(g)
 
     groups = [(c.value, c.kind != KIND_CHAIN or c is radii[-1] or lost(c.value)) for c in radii]
-    kernel = functools.partial(solve_radius, line_geometry(points, line_y), k=k, tol=tol)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        _, lam, xs = best_radius(groups, kernel, can_win)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pool_map = functools.partial(pool.map, chunksize=max(1, len(groups) // (4 * workers)))
-            _, lam, xs = best_radius(groups, kernel, can_win, pool_map)
+    geo = line_geometry(points, line_y)
+    kernel = functools.partial(solve_radius, geo, k=k, tol=tol)
+    _, lam, xs = best_radius(groups, kernel, can_win, lambda _, lams: solve_radii(geo, lams, k, tol))
     return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)
 
 

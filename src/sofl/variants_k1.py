@@ -114,7 +114,9 @@ def _feasible_blue_count(disk: Disk, blues, reds, tol) -> int | None:
 def maxblue_nored_naive(points, tol: TolerancePolicy = DEFAULT_TOL):
     """Scan all bisector and vertical candidates; keep the disk covering the
     most blues with no red strictly inside, smallest radius first, then
-    smallest center. Returns (center_x, radius, blue_count) or None."""
+    smallest center. Returns (center_x, radius, blue_count) or None; a
+    center of -0.0 is returned as 0.0, since the candidate order decides
+    which of two equal keys is kept."""
     blues = [p for p in points if p.is_blue]
     reds = [p for p in points if not p.is_blue]
     disks = []
@@ -137,7 +139,7 @@ def maxblue_nored_naive(points, tol: TolerancePolicy = DEFAULT_TOL):
         if best_key is None or key < best_key:
             best_key = key
             best = (cx, rad, count)
-    return best
+    return None if best is None else (best[0] + 0.0, best[1], best[2])
 
 
 def _cross_x(px, py, qx, qy):
@@ -205,7 +207,7 @@ def maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
         inside += len(left) - np.searchsorted(left, cx + slack, "right")
         cx, rad = cx[inside == 0, None], rad[inside == 0, None]
         r2 = rad * rad
-        band = tol.eps * np.maximum(1.0, r2)
+        band = tol.bands(r2)
         degen = red & (x == p.x)
         ok = ~(_s(x[degen], y[degen], cx, r2) < -band).any(axis=1)
         count = (_s(bx, by, cx[ok], r2[ok]) <= band[ok]).sum(axis=1)
@@ -217,7 +219,7 @@ def maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
         key = (-int(count[i]), float(rad[i]), float(cx[i]))
         if best is None or key < best:
             best = key
-    return None if best is None else (best[2], best[1], -best[0])
+    return None if best is None else (best[2] + 0.0, best[1], -best[0])
 
 
 # Rows per block of a line points x blues matrix. A farthest map has up to

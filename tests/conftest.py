@@ -16,12 +16,13 @@ from sofl.geom import (
     TolerancePolicy,
     center_on_line_through,
     classify,
+    coverage_mask,
     dist2,
     merge_keep,
     point_order_sums,
 )
 from sofl.instance import generate, parse_instance
-from sofl.klink import _coverage, candidate_centers, interval_ends, line_geometry
+from sofl.klink import _coverage_rows, interval_ends, line_geometry
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
 
@@ -47,11 +48,9 @@ def increasing_root(f, lo, hi):
 
 def line_centers_and_weights(points, line_y, lam, k, tol=DEFAULT_TOL):
     """The candidate centers of one line and the disk weight at each, as
-    `klink.solve_radius` builds them."""
-    geo = line_geometry(points, line_y)
-    idx, xs = candidate_centers(geo, lam, k, tol)
-    cov = _coverage(xs, geo.px[idx], geo.dy2[idx], geo.blue[idx], lam, tol)
-    return xs.tolist(), point_order_sums(cov, geo.w[idx]).tolist()
+    `klink.solve_radii` builds them."""
+    xs, m, *_, weights = _coverage_rows(line_geometry(points, line_y), np.array([lam]), k, tol)
+    return xs[0, : m[0]].tolist(), weights[0, : m[0]].tolist()
 
 
 def edge_weight(i, j, xs, w, lam, tol=DEFAULT_TOL):
@@ -266,7 +265,7 @@ def reference_maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
             if best_key is None or key < best_key:
                 best_key = key
                 best = (cx, rad, count)
-    return best
+    return None if best is None else (best[0] + 0.0, best[1], best[2])
 
 
 def _farthest_owner(blues, x: float):
@@ -349,3 +348,93 @@ def reference_allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL)
         fvd_only = min(_covering_eval(x, blues, reds, tol) for x, _ in fb.breaks)
     suboptimal = fvd_only is not None and fvd_only[0] > best[0]
     return AllBlueOutcome(best[::-1], fvd_only[::-1] if fvd_only else None, suboptimal)
+
+
+# --- the dense single-radius line kernel -------------------------------------
+
+
+def _reference_centers(ends, lam, k, tol):
+    margin = 2.0 * k * lam
+    if not len(ends):
+        return np.array([0.0, margin])
+    offs = np.array([2.0 * j * lam for j in range(1, k)])
+    raw = np.empty(len(ends) * (2 * k - 1) + 2)
+    grid = raw[:-2].reshape(len(ends), 2 * k - 1)
+    grid[:, 0] = ends
+    grid[:, 1::2] = ends[:, None] - offs
+    grid[:, 2::2] = ends[:, None] + offs
+    raw[-2] = ends[0::2].min() - margin
+    raw[-1] = ends[1::2].max() + margin
+    xs = raw[np.argsort(raw, kind="stable")]
+    return xs[merge_keep(xs, tol.x_slacks(xs))]
+
+
+def _reference_predecessors(xs, lam, tol):
+    need = 2.0 * lam - tol.x_slack(2.0 * lam)
+    i = np.arange(len(xs))
+    p = np.minimum(np.searchsorted(xs, xs - need, side="right") - 1, i - 1)
+    while True:
+        up = (xs - xs[p + 1] >= need) & (p + 1 < i)
+        down = (xs - xs[p] < need) & (p >= 0)
+        if not (up | down).any():
+            return p
+        p = p + up - down
+
+
+def _reference_dp_taken(w, p, k):
+    radix = k + 2
+    m = len(w)
+    prev_w = np.zeros(m + 1)
+    prev_r = np.full(m + 1, k + 1)
+    take_w = np.zeros(m + 1)
+    take_r = np.full(m + 1, k + 1)
+    rises = np.zeros(m + 1, dtype=np.intp)
+    layers = []
+    for _ in range(k):
+        np.add(prev_w[p + 1], w, out=take_w[1:])
+        np.subtract(prev_r[p + 1], 1, out=take_r[1:])
+        prev_w = np.maximum.accumulate(take_w)
+        np.cumsum(prev_w[1:] > prev_w[:-1], out=rises[1:])
+        key = rises * radix + np.where(take_w == prev_w, take_r, 0)
+        best = np.maximum.accumulate(key)
+        prev_r = best % radix
+        layers.append(key[1:] > best[:-1])
+    return layers
+
+
+def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
+    """`klink.solve_radius` as the dense single-radius kernel it replaced:
+    a points x centers coverage mask, weights summed in point order down
+    its columns, and one DP pass per budget layer over one radius."""
+    if lam <= 0.0:
+        return 0.0, ()
+    lam2 = lam * lam
+    idx = (geo.dy2 - lam2 <= tol.band(lam2)).nonzero()[0]
+    if not len(idx):
+        return 0.0, ()
+    h = np.sqrt(np.maximum(0.0, lam2 - geo.dy2[idx]))
+    ends = np.empty(2 * len(idx))
+    ends[0::2] = geo.px[idx] - h
+    ends[1::2] = geo.px[idx] + h
+    xs = _reference_centers(ends, lam, k, tol)
+    s = geo.px[idx][:, None] - xs[None, :]
+    s *= s
+    s += geo.dy2[idx][:, None]
+    s -= lam2
+    cov = coverage_mask(s, geo.blue[idx][:, None], tol.band(lam2))
+    w = geo.w[idx]
+    p = _reference_predecessors(xs, lam, tol)
+    chosen = []
+    i = len(p) - 1
+    for taken in reversed(_reference_dp_taken(point_order_sums(cov, w), p, k)):
+        hits = taken[: i + 1].nonzero()[0]
+        if not len(hits):
+            break
+        i = int(hits[-1])
+        chosen.append(i)
+        i = int(p[i])
+    chosen.reverse()
+    if not chosen:
+        return 0.0, ()
+    union = cov[:, chosen].any(axis=1, keepdims=True)
+    return float(point_order_sums(union, w)[0]), tuple(xs[chosen].tolist())

@@ -50,6 +50,18 @@ def test_solve_algorithms_agree(inst_file, capsys):
     assert outs[0]["covered_blue"] == outs[1]["covered_blue"]
 
 
+def test_solve_k1_scans_print_the_same_zero_center(inst_file, capsys):
+    # The circle about x = 0 through (-0, 5) and (3, 4) is both the anchor's
+    # own candidate at x = -0.0 and the pair's at 0.0; the two scans meet
+    # them in opposite orders.
+    path = inst_file("variant maxblue-nored\nk 1\nB -0 5\nB 3 4\n")
+    want = ('{"lambda": 5.0, "weight": 2.0, "centers": [{"x": 0.0, "line": 0}], '
+            '"covered_blue": [0, 1], "covered_red": []}\n')
+    for algo in ("naive", "fast"):
+        assert main(["solve", "--input", path, "--algorithm", algo, "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == want, algo
+
+
 def test_solve_fvd(inst_file, capsys):
     path = inst_file("variant allblue-minred\nk 1\nB -1 1\nB 1 1\nR 0 2\n")
     assert main(["solve", "--input", path, "--algorithm", "fvd", "--format", "json"]) == EXIT_OK

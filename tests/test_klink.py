@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -7,19 +8,31 @@ import pytest
 
 from sofl.candidates import candidate_radii_line
 from sofl.geom import DEFAULT_TOL, Disk, disk_weight
+from sofl import klink
 from sofl.klink import (
     _backtrack,
     _centers,
     _dp_layers,
+    _keys,
     _predecessors,
     candidate_centers,
     interval_ends,
     line_geometry,
     solve_fixed_radius,
+    solve_radii,
     solve_radius,
 )
 from sofl.placement import union_coverage
-from conftest import B, R, edge_weight, line_centers_and_weights, random_instance
+from sofl.solver import reduce_allblue_minred, reduce_maxblue_nored
+from conftest import (
+    B,
+    R,
+    edge_weight,
+    line_centers_and_weights,
+    random_instance,
+    reference_solve_radius,
+    tol_edge_instance,
+)
 
 
 def brute_best_subsets(xs, w, lam, k):
@@ -54,18 +67,31 @@ def centers(points, lam, k):
     return tuple(candidate_centers(line_geometry(points, 0.0), lam, k)[1].tolist())
 
 
+def grid(ends, lam, k):
+    """`_centers` of one row of interval ends given as l, r, l, r, ..."""
+    xs, m = _centers(np.reshape(ends, (1, -1, 2)), np.array([lam]), k, DEFAULT_TOL)
+    return xs[0, : m[0]]
+
+
+def pred_array(xs, lam):
+    """`_predecessors` of one row of centers."""
+    xs = np.array([xs], dtype=float)
+    two = np.array([2.0 * lam])
+    return _predecessors(_keys(0, xs).ravel(), xs, two - DEFAULT_TOL.x_slacks(two))[0]
+
+
 def predecessors(xs, lam):
     """`_predecessors` as a list, None where there is no predecessor."""
-    p = _predecessors(np.array(xs, dtype=float), lam, DEFAULT_TOL)
-    return [j if j >= 0 else None for j in p.tolist()]
+    return [j if j >= 0 else None for j in pred_array(xs, lam).tolist()]
 
 
 def best_links(xs, w, lam, k):
     """The kernel's DP and backtrack: best total weight over at most k
     centers at gap >= 2*lam, and the chosen indices."""
-    p = _predecessors(np.array(xs, dtype=float), lam, DEFAULT_TOL)
-    layers = _dp_layers(np.array(w, dtype=float), p, k)
-    return float(layers[-1][0][-1]), _backtrack(layers, p)
+    p = pred_array(xs, lam)[None]
+    layers = _dp_layers(np.array([w], dtype=float), p, k)
+    chosen = _backtrack(layers, p, np.array([len(xs) - 1]))[0]
+    return float(layers[-1][0][0, -1]), [j for j in chosen.tolist() if j >= 0]
 
 
 # --- influence intervals ---------------------------------------------------
@@ -95,14 +121,14 @@ def test_sequence_k1():
 
 def test_sequence_k1_interval():
     _, ends = interval_ends(line_geometry([B(0, 1, 1)], 0.0), math.sqrt(2))
-    xs = _centers(ends, 1.0, 1, DEFAULT_TOL)
+    xs = grid(ends, 1.0, 1)
     assert tuple(xs.tolist()) == pytest.approx((-2.0, 0.0, 2.0, 4.0))
 
 
 def test_sequence_k2_shifts_merge():
     _, ends = interval_ends(line_geometry([B(0, 1, 1)], 0.0), math.sqrt(2))
     # interval is [0, 2]; with lam=1, k=2 the shifts interleave
-    xs = tuple(_centers(ends, 1.0, 2, DEFAULT_TOL).tolist())
+    xs = tuple(grid(ends, 1.0, 2).tolist())
     assert xs == pytest.approx((-4.0, -2.0, 0.0, 2.0, 4.0, 6.0))
     # the sentinels, 2*k*lam beyond the outermost endpoints, come first and last
     assert xs[0] == ends.min() - 4.0
@@ -117,7 +143,7 @@ def test_sequence_merges_against_last_kept_value():
     # 0.6e-9 merges into 0.0; 1.2e-9 is within the slack of 0.6e-9 but not
     # of 0.0, the last kept value, so it stays.
     ends = np.array([0.0, 0.6e-9, 1.2e-9, 5.0])
-    xs = _centers(ends, 1.0, 1, DEFAULT_TOL)
+    xs = grid(ends, 1.0, 1)
     assert tuple(xs.tolist()) == (-2.0, 0.0, 1.2e-09, 5.0, 7.0)
 
 
@@ -243,8 +269,8 @@ def test_phi_monotone_in_index():
         m = rng.randint(2, 12)
         xs = tuple(sorted(rng.uniform(0, 20) for _ in range(m)))
         w = [float(rng.randint(-5, 9)) for _ in range(m)]
-        p = _predecessors(np.array(xs), 1.0, DEFAULT_TOL)
-        for col, _, _ in _dp_layers(np.array(w), p, 3):
+        p = pred_array(xs, 1.0)[None]
+        for (col,), _, _ in _dp_layers(np.array([w]), p, 3):
             assert all(b >= a for a, b in zip(col, col[1:]))
 
 
@@ -358,3 +384,64 @@ def test_endpoint_optimality_when_positive():
             ends = set(interval_ends(line_geometry(inst.points, 0.0), lam)[1].tolist())
             endpoint_idx = {i for i, x in enumerate(xs) if x in ends}
             assert any(any(i in endpoint_idx for i in s) for s in sets)
+
+
+# --- the chunked kernel against the dense single-radius one ----------------
+
+
+def _reweighted(points, weights):
+    return [dataclasses.replace(p, weight=w if p.is_blue else -w) for p, w in zip(points, weights)]
+
+
+def _transformed(points, scale, sign):
+    return [dataclasses.replace(p, x=sign * scale * p.x, y=scale * p.y) for p in points]
+
+
+def _kernel_cases():
+    """(points, k) pairs: generator csofl instances and both reductions,
+    tolerance-edge instances, float weights, integer weights whose absolute
+    sum is 2^53 and just past it, each also scaled by 2^-20 and 2^20 and
+    mirrored."""
+    rng = random.Random(41)
+    for seed in range(12):
+        k = 1 + seed % 4
+        pts = random_instance(seed, 3 + seed, k).points
+        yield pts, k
+        yield reduce_allblue_minred(pts), k
+        yield reduce_maxblue_nored(pts), k
+        yield _reweighted(pts, [rng.choice((0.1, 0.2, 0.7, 1 / 3, 1e16, 3.0)) for _ in pts]), k
+    for seed in (912, 1436, 1622, 1840, 2521):
+        yield tol_edge_instance(seed).points, 2
+    pts = random_instance(7, 8, 2).points
+    big = [2.0**50] * 8
+    yield _reweighted(pts, big), 3
+    big[0] += 1.0
+    yield _reweighted(pts, big), 3
+
+
+def test_solve_radii_equals_dense_reference(monkeypatch):
+    # Pins repr, not just ==, since `sofl solve` prints what the kernel
+    # returns. Each list of radii is solved in one chunk, then in chunks of
+    # 7, most lists not a multiple of it.
+    exact = set()
+    for base, k in _kernel_cases():
+        for scale, sign in ((1.0, 1.0), (2.0**-20, -1.0), (2.0**20, 1.0)):
+            pts = _transformed(base, scale, sign)
+            geo = line_geometry(pts, 0.0)
+            exact.add(geo.exact)
+            low = min(abs(p.y) for p in pts if p.y) / 2.0  # reaches nothing
+            lams = [-1.0, 0.0, low] + [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
+            want = repr([reference_solve_radius(geo, lam, k) for lam in lams])
+            for rows in (len(lams), 7):
+                monkeypatch.setattr(klink, "_CELLS", rows * (2 * (2 * k - 1) * len(pts) + 2))
+                assert repr(solve_radii(geo, lams, k)) == want, (k, scale, sign, rows)
+    assert exact == {True, False}
+
+
+def test_exact_sums_guard():
+    pts = random_instance(7, 8, 2).points
+    big = [2.0**50] * 8
+    assert line_geometry(_reweighted(pts, big), 0.0).exact
+    big[0] += 1.0
+    assert not line_geometry(_reweighted(pts, big), 0.0).exact
+    assert not line_geometry(_reweighted(pts, [0.5] + [1.0] * 7), 0.0).exact

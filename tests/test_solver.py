@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from sofl import solver
 from sofl.oracle import brute_csofl, brute_special_counts
 from sofl.solver import (
     InvalidDeltaError,
@@ -76,38 +75,6 @@ def test_jobs_parameter_is_inert_k3():
     for _ in range(3):
         inst = random_instance(rng.randrange(10_000), rng.randint(5, 8), 3)
         assert solve_csofl(inst.points, 0.0, 3, jobs=2) == solve_csofl(inst.points, 0.0, 3, jobs=1)
-
-
-class RecordingExecutor:
-    """Stands in for `ProcessPoolExecutor`: records max_workers and maps in
-    this process, so no worker is ever started."""
-
-    created: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        assert chunksize >= 1
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus, jobs, workers", [
-    (2, 64, [2]), (4, 3, [3]), (1, 8, []), (None, 8, []), (4, 1, []),
-])
-def test_jobs_pool_is_capped_at_cpu_count(monkeypatch, cpus, jobs, workers):
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "created", [])
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
-    inst = random_instance(3, 6, 2)
-    assert solve_csofl(inst.points, 0.0, 2, jobs=jobs) == solve_csofl(inst.points, 0.0, 2)
-    assert RecordingExecutor.created == workers
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
