@@ -21,7 +21,7 @@ from sofl.geom import (
     merge_keep,
     point_order_sums,
 )
-from sofl.instance import generate, parse_instance
+from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, interval_ends, line_geometry
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
@@ -82,6 +82,39 @@ def tol_edge_instance(seed):
         w = rng.randint(1, 9)
         rows.append(f"{'B' if blue else 'R'} {x} {y!r} {w if blue else -w}")
     return parse_instance("\n".join(rows) + "\n")
+
+
+def thin_ring_text(seed):
+    """The thin-ring discrete family of ROADMAP item 3, as instance text:
+    s in [6, 10] sites at sorted uniform angles a, each at
+    (round(20 cos a), round(20 e sin a 5) / 5) with e drawn from
+    {0.05, 0.1, 0.2, 0.35}, k in [3, min(5, s - 1)], and 4-12 points, 70%
+    blue, |w| 1..9, x in [-22, 22] and y in [-6, 6], all from
+    `random.Random(seed)`. The rounding makes some rings non-convex, which
+    the parser rejects (`thin_ring_instance`)."""
+    rng = random.Random(seed)
+    s = rng.randint(6, 10)
+    k = rng.randint(3, min(5, s - 1))
+    e = rng.choice([0.05, 0.1, 0.2, 0.35])
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(s))
+    rows = ["variant discrete", f"k {k}"]
+    for a in angles:
+        rows.append(f"site {round(20 * math.cos(a))!r} {round(20 * e * math.sin(a) * 5) / 5!r}")
+    for _ in range(rng.randint(4, 12)):
+        blue = rng.random() < 0.7
+        w = rng.randint(1, 9)
+        x, y = rng.randint(-22, 22), rng.randint(-6, 6)
+        rows.append(f"{'B' if blue else 'R'} {x} {y} {w if blue else -w}")
+    return "\n".join(rows) + "\n"
+
+
+def thin_ring_instance(seed):
+    """The parsed `thin_ring_text(seed)`, or None when its sites are not in
+    strictly convex position."""
+    try:
+        return parse_instance(thin_ring_text(seed))
+    except SemanticError:
+        return None
 
 
 @pytest.fixture

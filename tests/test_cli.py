@@ -8,6 +8,8 @@ from sofl import cli
 from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
 from sofl.instance import generate
 
+from conftest import thin_ring_instance, thin_ring_text
+
 
 @pytest.fixture
 def inst_file(tmp_path):
@@ -312,3 +314,30 @@ def test_solve_json_line_bytes(inst_file, capsys):
     # The golden corpus pins `--algorithm dp` only at n <= 12; these pin the
     # batched line kernel at n 48-96 and k 2-4, reductions included.
     assert _line_solve_text(inst_file, capsys).encode() == GOLDEN_LINE.read_bytes()
+
+
+GOLDEN_THIN = pathlib.Path(__file__).resolve().parent / "golden_discrete_thin.txt"
+
+# Thin-ring seeds on which the chord recursion, while it checked a new site
+# only against the three sites of its triangle, chose sites that were not
+# pairwise compatible.
+THIN_FAR_PAIR_SEEDS = (207, 504, 563, 608, 838, 901, 1327, 1369, 1388, 1426)
+
+
+def _thin_solve_text(write, capsys) -> str:
+    """`sofl solve --format json` on every valid thin-ring instance of seeds
+    0..119 and of `THIN_FAR_PAIR_SEEDS`, under a `# seed=..` header line."""
+    parts = []
+    for seed in [*range(120), *THIN_FAR_PAIR_SEEDS]:
+        if thin_ring_instance(seed) is None:
+            continue
+        path = write(thin_ring_text(seed))
+        assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+        parts.append(f"# seed={seed}\n" + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_discrete_thin_bytes(inst_file, capsys):
+    # Generator sites lie on a circle; these pin the chord recursion on
+    # nearly flat rings, where it must rule out far pairs on its own.
+    assert _thin_solve_text(inst_file, capsys).encode() == GOLDEN_THIN.read_bytes()
