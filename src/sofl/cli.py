@@ -1,7 +1,8 @@
 """Command line driver: solve, gen, and check subcommands.
 
 Exit codes: 0 ok, 1 oracle mismatch (check), 2 parse or semantic error,
-3 oracle size guard exceeded.
+3 oracle size guard exceeded. A solver fault, such as a
+`ValidationFailureError`, is not an input error: it propagates.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     if args.command == "solve":
         try:
             placement = _solve(inst, args.algorithm, tol, args.jobs)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         sys.stdout.write(emit_result(placement, args.format))

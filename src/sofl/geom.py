@@ -41,6 +41,7 @@ __all__ = [
     "disk_weight",
     "coverage_mask",
     "point_order_sums",
+    "bitsets",
     "merge_keep",
     "center_on_line_through",
     "centers_compatible",
@@ -171,6 +172,22 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = np.where(cov, w[:, None], 0.0)
     np.cumsum(v, axis=0, out=v)
     return v[-1]
+
+
+def bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j set for column j.
+
+    The rows are padded to whole 64-bit words and packed in one flat call;
+    `np.packbits` along an axis is several times slower."""
+    m, n = rows.shape
+    words = max(1, -(-n // 64))
+    buf = np.zeros((m, 64 * words), dtype=bool)
+    buf[:, :n] = rows
+    packed = np.packbits(buf, bitorder="little").view("<u8").reshape(m, words)
+    out = packed[:, 0].tolist()
+    for j in range(1, words):
+        out = [x | y << 64 * j for x, y in zip(out, packed[:, j].tolist())]
+    return out
 
 
 def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:

@@ -25,24 +25,27 @@ from .candidates import candidate_radii_tlines, check_lines, radius_groups
 from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
+    bitsets,
     centers_compatible,
     compatible_table,
     coverage_mask,
     point_order_sums,
 )
 from .klink import interval_ends, line_geometry
-from .placement import LineCenter, Placement, best_radius, line_placement, selection_key
+from .placement import (
+    LineCenter,
+    Placement,
+    ValidationFailureError,
+    best_radius,
+    line_placement,
+    selection_key,
+)
 
 __all__ = [
-    "ValidationFailureError",
     "multiline_centers",
     "solve_tlines_fixed_radius",
     "solve_tlines",
 ]
-
-
-class ValidationFailureError(RuntimeError):
-    """The search returned a pairwise-infeasible selection (a bug)."""
 
 
 def _admit(kx, kl, cx, cl, tol: TolerancePolicy):
@@ -159,12 +162,6 @@ def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = 
     return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
 
 
-def _bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set for column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
     """geom.is_covered for every point (row) and center (column) of one
     line."""
@@ -192,7 +189,7 @@ def _coverage_table(geos, xs, li, lam, tol):
     order = np.flatnonzero(point_order_sums(cov, w) > 0)
     cov = cov[:, order]
     gains = point_order_sums(cov & (w > 0)[:, None], w).tolist()
-    return order, gains, _bitsets(cov.T)
+    return order, gains, bitsets(cov.T)
 
 
 def _compat_table(cx, cy, lam, tol) -> list[int]:
@@ -201,7 +198,7 @@ def _compat_table(cx, cy, lam, tol) -> list[int]:
     dx = cx[:, None] - cx[None, :]
     dy = cy[:, None] - cy[None, :]
     same = cy[:, None] == cy[None, :]
-    return _bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
+    return bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
 
 
 def _search_best(geos, lines, lam, k, xs, li, tol):

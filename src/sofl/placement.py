@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .geom import DEFAULT_TOL, Disk, TolerancePolicy, is_covered
 
 __all__ = [
+    "ValidationFailureError",
     "LineCenter",
     "SiteCenter",
     "Placement",
@@ -17,6 +18,10 @@ __all__ = [
     "selection_key",
     "best_radius",
 ]
+
+
+class ValidationFailureError(RuntimeError):
+    """A solver chose a pairwise-infeasible selection (a bug)."""
 
 
 @dataclass(frozen=True)

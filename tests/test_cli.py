@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 import pathlib
+import random
+from itertools import combinations
 
 import pytest
 
-from sofl import cli
+from sofl import cli, discrete, multiline
 from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
-from sofl.instance import generate
+from sofl.geom import centers_compatible
+from sofl.instance import generate, parse_instance
+from sofl.placement import ValidationFailureError
 
 from conftest import thin_ring_instance, thin_ring_text
 
@@ -169,6 +174,41 @@ def test_check_too_large_exit_code(inst_file, capsys):
     pts = "\n".join(f"B {i} 1 1" for i in range(9))  # beyond the n<=8 guard
     path = inst_file(f"variant csofl\nk 1\n{pts}\n")
     assert main(["check", "--input", path]) == EXIT_TOO_LARGE
+
+
+@pytest.mark.parametrize("module, text", [
+    (discrete, "variant discrete\nk 2\nsite 0 0\nsite 4 0\nsite 0 4\nB 1 1 1\n"),
+    (multiline, "variant tlines\nk 2\nlines 0 3\nB 0 1 1\nB 4 2 1\n"),
+], ids=["discrete", "tlines"])
+def test_solver_fault_is_not_an_input_error(inst_file, monkeypatch, module, text):
+    # A kernel that chose an infeasible selection has a bug; exit 2 would
+    # blame the input.
+    def infeasible(*args):
+        raise ValidationFailureError("overlapping selection")
+
+    monkeypatch.setattr(module, "_solve_radius", infeasible)
+    with pytest.raises(ValidationFailureError):
+        main(["solve", "--input", inst_file(text)])
+
+
+def test_solve_discrete_26_site_thin_ellipse(inst_file, capsys):
+    # 26 sites on a 40 x 8 ellipse. The chord recursion, checking each new
+    # site only against its triangle, chose sites that were not pairwise
+    # compatible here, and re-checking by subset enumeration gave up.
+    rng = random.Random(0)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(26))
+    rows = ["variant discrete", "k 6"]
+    rows += [f"site {40 * math.cos(a)!r} {8 * math.sin(a)!r}" for a in angles]
+    rows += [f"B {rng.randint(-42, 42)} {rng.randint(-9, 9)} {rng.randint(1, 9)}"
+             for _ in range(10)]
+    text = "\n".join(rows) + "\n"
+    assert main(["solve", "--input", inst_file(text), "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weight"] == 52.0  # every blue
+    sites = [parse_instance(text).sites[c["site"]] for c in doc["centers"]]
+    assert len(sites) >= 2
+    for a, b in combinations(sites, 2):
+        assert centers_compatible(a, b, doc["lambda"])
 
 
 def test_check_guard_before_solve(inst_file, monkeypatch):

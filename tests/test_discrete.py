@@ -1,6 +1,7 @@
 import math
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,7 +25,7 @@ from sofl.geom import (
     point_order_sums,
 )
 from sofl.oracle import brute_discrete
-from conftest import B, R, random_instance
+from conftest import B, R, random_instance, thin_ring_instance
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
@@ -33,7 +34,7 @@ SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
 def site_weights(sites, points, lam, tol=DEFAULT_TOL):
     """Covered weight of a radius-lam disk at every site, as the solver's
     per-radius step computes it."""
-    geo = _geometry(sites, points)
+    geo = _geometry(sites, points, 1)
     return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
 
 
@@ -91,7 +92,7 @@ def test_pair_table_matches_centers_compatible():
     # (0, 0)-(4, 0) and (-3, 4)-(7, 4) share a height; (0, 0)-(-3, 4) and
     # (4, 0)-(7, 4) are 5 apart.
     ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)]).sites
-    geo = _geometry(ring, ())
+    geo = _geometry(ring, (), 1)
     for tol in (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0)):
         lams = [0.5, 2.5, 3.0, 5.0]
         for gap in (4.0, 10.0):
@@ -127,17 +128,63 @@ def test_square_uniform_k4():
 
 def test_chord_recursion_base_cases():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
-    geo = _geometry(ring.sites, ())
+    geo = _geometry(ring.sites, (), 3)
     w = [1.0, 1.0, 1.0, 1.0]
-    dp = _ChordSolver(w, _pair_table(geo, 1.0, DEFAULT_TOL))
+    dp = _ChordSolver(w, _pair_table(geo, 1.0, DEFAULT_TOL), geo.adm)
     arc = (2,)
     assert dp.gamma(0, 1, 3, arc, 0) == 0.0  # exhausted budget adds nothing
     assert dp.gamma(0, 1, 3, (), 2) == 0.0  # empty arc adds nothing
     # one budget left: the single arc site is admissible and worth its weight
     assert dp.gamma(1, 3, 0, arc, 1) == 1.0
     # inadmissible when the radius grows past half the anchor spacing
-    tight = _ChordSolver(w, _pair_table(geo, 6.0, DEFAULT_TOL))
+    tight = _ChordSolver(w, _pair_table(geo, 6.0, DEFAULT_TOL), geo.adm)
     assert tight.gamma(1, 3, 0, arc, 1) == 0.0
+    # A thin rhombus: across its short diagonal the far site is outside the
+    # circle of the near triangle and enters; across its long diagonal it
+    # is inside and is rejected, at a radius where every pair is compatible.
+    ring = canonical_ring([(-10, 0), (0, 1), (10, 0), (0, -1)]).sites
+    assert ring == ((-10.0, 0.0), (0.0, 1.0), (10.0, 0.0), (0.0, -1.0))
+    geo = _geometry(ring, (), 3)
+    ok = _pair_table(geo, 0.5, DEFAULT_TOL)
+    assert all(ok[i][j] for i, j in combinations(range(4), 2))
+    thin = _ChordSolver(w, ok, geo.adm)
+    assert thin.gamma(1, 3, 2, (0,), 1) == 1.0
+    assert thin.gamma(0, 2, 1, (3,), 1) == 0.0
+
+
+def exact_incircle(a, b, c, d) -> Fraction:
+    """The in-circle determinant of (a, b, c, d) in exact arithmetic: > 0 iff
+    d is strictly inside the circle through a counter-clockwise (a, b, c)."""
+    rows = []
+    for px, py in (a, b, c):
+        dx, dy = Fraction(px) - Fraction(d[0]), Fraction(py) - Fraction(d[1])
+        rows.append((dx, dy, dx * dx + dy * dy))
+    (ax, ay, al), (bx, by, bl), (cx, cy, cl) = rows
+    return al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
+
+
+def test_admission_rejects_only_sites_strictly_inside():
+    # Every entry the recursion reads: chord (a, b), apex c in arcs[a][b],
+    # entering site d in arcs[b][a]. (a, b, c) is counter-clockwise, and a
+    # rejected d is strictly inside circle(a, b, c) by exact arithmetic.
+    rings = [inst.sites for seed in range(80)
+             if (inst := thin_ring_instance(seed)) is not None and len(inst.sites) <= 8]
+    rings += [random_instance(seed, 1, 1, variant="discrete", s=5 + seed % 4).sites
+              for seed in range(24)]
+    rejected = 0
+    for ring in rings:
+        geo = _geometry(ring, (), 3)
+        for a, b in permutations(range(len(ring)), 2):
+            for c in geo.arcs[a][b]:
+                pa, pb, pc = ring[a], ring[b], ring[c]
+                orient = ((Fraction(pb[0]) - Fraction(pa[0])) * (Fraction(pc[1]) - Fraction(pa[1]))
+                          - (Fraction(pb[1]) - Fraction(pa[1])) * (Fraction(pc[0]) - Fraction(pa[0])))
+                assert orient > 0
+                for d in geo.arcs[b][a]:
+                    if not geo.adm[a][b][c] >> d & 1:
+                        rejected += 1
+                        assert exact_incircle(pa, pb, pc, ring[d]) > 0, (ring, a, b, c, d)
+    assert len(rings) >= 40 and rejected > 1000
 
 
 def test_k1_best_single_site():
