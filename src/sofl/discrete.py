@@ -3,31 +3,25 @@
 Chosen sites of any solution lie in convex position (they are a subset of a
 convex ring), so every triangulation of them is outerplanar and has an ear.
 The chord recursion grows one from an ear triangle: it attaches a next site
-across a chord (a, b), inside the arc of the ring beyond it, and splits the
-arc and the leftover disk budget between the two new chords. The site must
-keep distance 2*lam from a, b and the apex c of the triangle across the
-chord, and must not lie strictly inside the circle through a, b and c. So
-every triangulation it builds is Delaunay, and every Delaunay triangulation
-of a chosen set stays reachable. The closest pair of a point set is an edge
-of each of its Delaunay triangulations, so the distance checks on the edges
-suffice: the recursion returns only pairwise compatible selections, and the
-pairwise check of its result raises `ValidationFailureError` if it does not.
-
-The in-circle test does not depend on the radius and is built once per
-solve (`_admission`). A site is rejected only when the float determinant
-puts it inside beyond Shewchuk's static error bound. On the generator's
-rings every site lies on one circle, so nearly every entry is undecided and
-admitted; for cocircular sites the edge checks alone already imply pairwise
-compatibility. Budgets of one or two disks need no recursion: one pass over
-the site weights and the pair table gives the best single site and the best
-compatible pair (`_best_upto_two`).
+d across a chord (a, b), inside the arc of the ring beyond it, and splits
+the arc and the leftover disk budget between the two new chords. d must
+keep distance 2*lam from a, b and the apex c across the chord, and must not
+lie inside circle(a, b, c) by more than the float error of the in-circle
+test (`_admission`, built once per solve). Every Delaunay triangulation of a
+chosen set stays reachable, and its closest pair is an edge, so the edge
+checks suffice. Where d lies inside by less, the angles of (a, c, b, d) at
+a and b sum to nearly 180 degrees, so the flipped diagonal (c, d) is still
+no shorter than one of the checked edges. The pairwise check of the result
+stays only as a detector that raises `ValidationFailureError`. Budgets of
+one or two disks need one pass over the site weights and the pair table
+(`_best_upto_two`).
 
 `solve_discrete` builds the geometry of a solve once (`_geometry`): the
 site x site squared distances, |dx| and same-height flags, the point x site
-squared distances, the colours and weights, every ring arc and, for k >= 3,
-the admission table. One radius is then a few numpy operations (the coverage
-mask, the site weights as point-order sums, the table of compatible site
-pairs) plus the chord recursion over plain lists (`_solve_radius`). Every
+squared distances, the colours and weights, and every ring arc. One radius
+is then a few numpy operations (the coverage mask, the site weights as
+point-order sums, the table of compatible site pairs, converted once to
+lists) plus the chord recursion over plain lists (`_solve_radius`). Every
 step makes the same float operations as the scalar predicates
 `geom.is_covered` and `geom.centers_compatible` and sums weights in point
 order, so the results equal a scalar evaluation bit for bit. A radius
@@ -40,28 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from .candidates import candidate_radii_discrete
-from .geom import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    bitsets,
-    compatible_table,
-    coverage_mask,
-    point_order_sums,
-)
-from .placement import (
-    Placement,
-    ValidationFailureError,
-    best_radius,
-    empty_placement,
-    selection_key,
-    site_placement,
-)
+from .geom import DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums
+from .placement import Placement, ValidationFailureError, best_radius, empty_placement, selection_key, site_placement
 
 __all__ = [
     "ConvexPositionError",
@@ -123,7 +103,8 @@ def _arc_between(s: int, after: int, before: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Geometry(NamedTuple):
+@dataclass(frozen=True)
+class _Geometry:
     """Site and point arrays of one solve, shared by every radius."""
 
     ring: tuple[tuple[float, float], ...]
@@ -134,7 +115,11 @@ class _Geometry(NamedTuple):
     blue: np.ndarray
     w: np.ndarray
     arcs: tuple  # arcs[a][b] == _arc_between(s, a, b)
-    adm: list | None  # adm[a][b][c]: `_admission` bitset
+
+    @cached_property
+    def adm(self) -> list:
+        """`_admission` of the ring; only the chord recursion (k >= 3) reads it."""
+        return _admission(self.ring)
 
 
 # Shewchuk's static error bound of the float in-circle determinant
@@ -142,22 +127,15 @@ class _Geometry(NamedTuple):
 # Robust Geometric Predicates", 1997).
 _ICC_ERRBOUND = (10.0 + 96.0 * 2.0**-53) * 2.0**-53
 
-# Entries of one (a, b, c, d) block of the in-circle table while it is built.
-# Blocks of this size keep its temporaries in cache: at s = 16 the table
-# takes 1.1 ms and 0.6 MB of peak memory, against 1.6 ms and 2.2 MB in one
-# block.
-_BLOCK = 1 << 14
 
-
-def _admission(sx: np.ndarray, sy: np.ndarray) -> list:
-    """adm[a][b][c]: bitset of the sites d that may enter across chord
-    (a, b) from apex c. A site is left out only when the float in-circle
-    determinant of (a, b, c, d), evaluated as Shewchuk's `incircle`,
-    exceeds its static error bound, which for a counter-clockwise (a, b, c)
-    proves d strictly inside their circle. The recursion asks only for
-    apexes c in arcs[a][b], and those (a, b, c) are counter-clockwise
-    because the ring is clockwise."""
-    s = len(sx)
+def _admission(ring) -> list:
+    """adm[a][b][c]: bitset of the sites d that may enter across chord (a, b)
+    from apex c: all but those whose float in-circle determinant, evaluated
+    as Shewchuk's `incircle`, exceeds its static error bound. The recursion
+    asks only for apexes c in arcs[a][b], counter-clockwise from (a, b) on
+    the clockwise ring, where that proves d strictly inside circle(a, b, c)."""
+    s = len(ring)
+    sx, sy = np.array(ring, dtype=float).reshape(s, 2).T
     ex = sx[:, None] - sx[None, :]  # ex[i, d] = x_i - x_d
     ey = sy[:, None] - sy[None, :]
     lift = ex * ex + ey * ey
@@ -165,20 +143,15 @@ def _admission(sx: np.ndarray, sy: np.ndarray) -> list:
     q = p.transpose(1, 0, 2)
     cross = p - q  # cross[c, a, d] == -cross[a, c, d], exactly
     perm = np.abs(p) + np.abs(q)  # symmetric in its first two indices
-    out = np.empty((s, s, s, s), dtype=bool)
-    step = max(1, _BLOCK // s**3)
-    for lo in range(0, s, step):
-        la = lift[lo : lo + step, None, None, :]  # lift[a, d], as [a, b, c, d]
-        lb = lift[:, None, :]  # lift[b, d]
-        x, m = cross[lo : lo + step], perm[lo : lo + step]  # [a, j, d]
-        det = la * cross - lb * x[:, None] + lift * x[:, :, None]
-        bound = la * perm + lb * m[:, None] + lift * m[:, :, None]
-        out[lo : lo + step] = ~(det > _ICC_ERRBOUND * bound)
-    bits = bitsets(out.reshape(s**3, s))
+    la = lift[:, None, None, :]  # lift[a, d], as [a, b, c, d]
+    lb = lift[:, None, :]  # lift[b, d]
+    det = la * cross - lb * cross[:, None] + lift * cross[:, :, None]
+    bound = la * perm + lb * perm[:, None] + lift * perm[:, :, None]
+    bits = bitsets(~(det > _ICC_ERRBOUND * bound).reshape(s**3, s))
     return [[bits[i : i + s] for i in range(a * s * s, (a + 1) * s * s, s)] for a in range(s)]
 
 
-def _geometry(ring, points, k: int) -> _Geometry:
+def _geometry(ring, points) -> _Geometry:
     ring = tuple(ring)
     s = len(ring)
     pts = list(points)
@@ -197,7 +170,6 @@ def _geometry(ring, points, k: int) -> _Geometry:
         np.array([p.is_blue for p in pts], dtype=bool),
         np.array([p.weight for p in pts], dtype=float),
         tuple(tuple(_arc_between(s, a, b) for b in range(s)) for a in range(s)),
-        _admission(sx, sy) if k >= 3 and s >= 3 else None,  # only the recursion reads it
     )
 
 
@@ -214,8 +186,7 @@ def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[b
 
 
 class _ChordSolver:
-    """Chord recursion over the site weights w, the pair table ok and the
-    admission table adm of `_admission`."""
+    """Chord recursion over the site weights w, pair table ok and `_admission` table adm."""
 
     def __init__(self, w, ok, adm):
         self.w = w
@@ -330,7 +301,7 @@ def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: Toleranc
         raise ValueError("k must be at least 1")
     if lam <= 0.0:
         return empty_placement(max(lam, 0.0))
-    _, chosen = _solve_radius(_geometry(ring, points, k), lam, k, tol)
+    _, chosen = _solve_radius(_geometry(ring, points), lam, k, tol)
     return site_placement(points, ring, lam, chosen, tol)
 
 
@@ -342,7 +313,7 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
         raise ValueError("k must be at least 1")
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
-    geo = _geometry(ring.sites, points, k)
+    geo = _geometry(ring.sites, points)
     radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites, tol)]
     _, lam, chosen = best_radius(radii, lambda v: _solve_radius(geo, v, k, tol))
     return site_placement(points, ring.sites, lam, chosen, tol)

@@ -175,19 +175,9 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set for column j.
-
-    The rows are padded to whole 64-bit words and packed in one flat call;
-    `np.packbits` along an axis is several times slower."""
-    m, n = rows.shape
-    words = max(1, -(-n // 64))
-    buf = np.zeros((m, 64 * words), dtype=bool)
-    buf[:, :n] = rows
-    packed = np.packbits(buf, bitorder="little").view("<u8").reshape(m, words)
-    out = packed[:, 0].tolist()
-    for j in range(1, words):
-        out = [x | y << 64 * j for x, y in zip(out, packed[:, j].tolist())]
-    return out
+    """Each row of a boolean matrix as an int with bit j set for column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:

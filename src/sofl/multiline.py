@@ -32,14 +32,7 @@ from .geom import (
     point_order_sums,
 )
 from .klink import interval_ends, line_geometry
-from .placement import (
-    LineCenter,
-    Placement,
-    ValidationFailureError,
-    best_radius,
-    line_placement,
-    selection_key,
-)
+from .placement import LineCenter, Placement, ValidationFailureError, best_radius, line_placement, selection_key
 
 __all__ = [
     "multiline_centers",

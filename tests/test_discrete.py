@@ -34,7 +34,7 @@ SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
 def site_weights(sites, points, lam, tol=DEFAULT_TOL):
     """Covered weight of a radius-lam disk at every site, as the solver's
     per-radius step computes it."""
-    geo = _geometry(sites, points, 1)
+    geo = _geometry(sites, points)
     return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
 
 
@@ -92,7 +92,7 @@ def test_pair_table_matches_centers_compatible():
     # (0, 0)-(4, 0) and (-3, 4)-(7, 4) share a height; (0, 0)-(-3, 4) and
     # (4, 0)-(7, 4) are 5 apart.
     ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)]).sites
-    geo = _geometry(ring, (), 1)
+    geo = _geometry(ring, ())
     for tol in (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0)):
         lams = [0.5, 2.5, 3.0, 5.0]
         for gap in (4.0, 10.0):
@@ -128,7 +128,7 @@ def test_square_uniform_k4():
 
 def test_chord_recursion_base_cases():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
-    geo = _geometry(ring.sites, (), 3)
+    geo = _geometry(ring.sites, ())
     w = [1.0, 1.0, 1.0, 1.0]
     dp = _ChordSolver(w, _pair_table(geo, 1.0, DEFAULT_TOL), geo.adm)
     arc = (2,)
@@ -144,7 +144,7 @@ def test_chord_recursion_base_cases():
     # is inside and is rejected, at a radius where every pair is compatible.
     ring = canonical_ring([(-10, 0), (0, 1), (10, 0), (0, -1)]).sites
     assert ring == ((-10.0, 0.0), (0.0, 1.0), (10.0, 0.0), (0.0, -1.0))
-    geo = _geometry(ring, (), 3)
+    geo = _geometry(ring, ())
     ok = _pair_table(geo, 0.5, DEFAULT_TOL)
     assert all(ok[i][j] for i, j in combinations(range(4), 2))
     thin = _ChordSolver(w, ok, geo.adm)
@@ -166,14 +166,17 @@ def exact_incircle(a, b, c, d) -> Fraction:
 def test_admission_rejects_only_sites_strictly_inside():
     # Every entry the recursion reads: chord (a, b), apex c in arcs[a][b],
     # entering site d in arcs[b][a]. (a, b, c) is counter-clockwise, and a
-    # rejected d is strictly inside circle(a, b, c) by exact arithmetic.
+    # rejected d is strictly inside circle(a, b, c) by exact arithmetic. An
+    # admitted d strictly inside is within float error of the circle: the
+    # flipped diagonal (c, d) is no shorter than the shortest side of the
+    # quadrilateral (a, c, b, d), so the edge checks bound it.
     rings = [inst.sites for seed in range(80)
              if (inst := thin_ring_instance(seed)) is not None and len(inst.sites) <= 8]
     rings += [random_instance(seed, 1, 1, variant="discrete", s=5 + seed % 4).sites
               for seed in range(24)]
-    rejected = 0
+    rejected = admitted_inside = 0
     for ring in rings:
-        geo = _geometry(ring, (), 3)
+        geo = _geometry(ring, ())
         for a, b in permutations(range(len(ring)), 2):
             for c in geo.arcs[a][b]:
                 pa, pb, pc = ring[a], ring[b], ring[c]
@@ -181,10 +184,15 @@ def test_admission_rejects_only_sites_strictly_inside():
                           - (Fraction(pb[1]) - Fraction(pa[1])) * (Fraction(pc[0]) - Fraction(pa[0])))
                 assert orient > 0
                 for d in geo.arcs[b][a]:
+                    inside = exact_incircle(pa, pb, pc, ring[d]) > 0
                     if not geo.adm[a][b][c] >> d & 1:
                         rejected += 1
-                        assert exact_incircle(pa, pb, pc, ring[d]) > 0, (ring, a, b, c, d)
-    assert len(rings) >= 40 and rejected > 1000
+                        assert inside, (ring, a, b, c, d)
+                    elif inside:
+                        admitted_inside += 1
+                        sides = [dist2(*p, *q) for p, q in ((pa, pc), (pc, pb), (pb, ring[d]), (ring[d], pa))]
+                        assert dist2(*pc, *ring[d]) >= min(sides), (ring, a, b, c, d)
+    assert len(rings) >= 40 and rejected > 1000 and admitted_inside > 0
 
 
 def test_k1_best_single_site():

@@ -48,7 +48,7 @@ def full_tlines(points, lines, k, tol=DEFAULT_TOL):
 
 def full_discrete(sites, points, k, tol=DEFAULT_TOL):
     ring = discrete.canonical_ring(sites).sites
-    geo = discrete._geometry(ring, points, k)
+    geo = discrete._geometry(ring, points)
     radii = [c.value for c in candidate_radii_discrete(points, ring, tol)]
     lam, chosen = full_evaluation(radii, lambda v: discrete._solve_radius(geo, v, k, tol))
     return site_placement(points, ring, lam, chosen, tol)
