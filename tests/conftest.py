@@ -117,6 +117,27 @@ def thin_ring_instance(seed):
         return None
 
 
+def wide_tlines_text(seed):
+    """A t-lines instance as text, from `random.Random(seed)`: t cycles over
+    1 and 4 and k over 1 and 4; heights are distinct integers in [-4, 4];
+    3-7 points, or 2 when t = k = 4, whose search is the slowest, 65% blue,
+    with y a line height plus one of 0, +-1e-6, 5e-7 or an integer in
+    [-3, 3], x an integer in [-6, 6] plus 0, 0.5 or 1e-6, and |w| drawn from
+    [0.1, 9.9] rounded to 1, 3 or 7 decimals."""
+    rng = random.Random(seed)
+    t = (1, 4)[seed % 2]
+    k = (1, 4)[seed // 2 % 2]
+    lines = sorted(rng.sample(range(-4, 5), t))
+    rows = ["variant tlines", f"k {k}", "lines " + " ".join(str(y) for y in lines)]
+    for _ in range(2 if t == k == 4 else rng.randint(3, 7)):
+        y = rng.choice(lines) + rng.choice([0.0, 1e-6, -1e-6, 5e-7, float(rng.randint(-3, 3))])
+        x = rng.randint(-6, 6) + rng.choice([0.0, 0.5, 1e-6])
+        w = round(rng.uniform(0.1, 9.9), rng.choice([1, 3, 7]))
+        blue = rng.random() < 0.65
+        rows.append(f"{'B' if blue else 'R'} {x!r} {y!r} {w if blue else -w!r}")
+    return "\n".join(rows) + "\n"
+
+
 @pytest.fixture
 def mk_points():
     return B, R

@@ -13,7 +13,7 @@ from sofl.geom import centers_compatible
 from sofl.instance import generate, parse_instance
 from sofl.placement import ValidationFailureError
 
-from conftest import thin_ring_instance, thin_ring_text
+from conftest import thin_ring_instance, thin_ring_text, wide_tlines_text
 
 
 @pytest.fixture
@@ -294,6 +294,27 @@ def test_solve_json_tlines_bytes(inst_file, capsys):
     # The golden t-lines files all have k = 1; these pin the hops, the
     # compatibility table and the top-k bound of k = 2 and 3.
     assert _tlines_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES.read_bytes()
+
+
+GOLDEN_TLINES_WIDE = pathlib.Path(__file__).resolve().parent / "golden_tlines_wide.txt"
+
+
+def _tlines_wide_solve_text(write, capsys) -> str:
+    """`sofl solve --format json` on `wide_tlines_text(seed)` for seeds
+    0..31, under a `# seed=..` header line."""
+    parts = []
+    for seed in range(32):
+        path = write(wide_tlines_text(seed))
+        assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+        parts.append(f"# seed={seed}\n" + capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_solve_json_tlines_wide_bytes(inst_file, capsys):
+    # `golden_tlines_solve.txt` spans t and k in {2, 3} on integer
+    # coordinates; these pin t and k of 1 and 4, points within 1e-6 of a
+    # line and float weights.
+    assert _tlines_wide_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES_WIDE.read_bytes()
 
 
 GOLDEN_K1 = pathlib.Path(__file__).resolve().parent / "golden_k1_solve.txt"
