@@ -175,9 +175,18 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set for column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    """Each row of a boolean matrix as an int with bit j set for column j.
+
+    Rows are packed into little-endian 64-bit words, which `tolist` turns
+    into ints; wider rows join their words from the top down."""
+    words = -(-rows.shape[1] // 64)
+    packed = np.zeros((len(rows), 8 * words), dtype=np.uint8)
+    packed[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    cols = packed.view("<u8").T.tolist()
+    out = cols[-1] if cols else [0] * len(rows)
+    for col in reversed(cols[:-1]):
+        out = [hi << 64 | lo for hi, lo in zip(out, col)]
+    return out
 
 
 def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -260,11 +269,12 @@ def centers_compatible(
     return dist2(x1, y1, x2, y2) >= need - tol.band(need)
 
 
-def compatible_table(same: np.ndarray, adx: np.ndarray, d2: np.ndarray, lam: float,
+def compatible_table(same: np.ndarray, adx: np.ndarray, d2: np.ndarray, lam,
                      tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """`centers_compatible` of many center pairs at once, in the same float
     operations, given each pair's same-height flag, |dx| and squared
-    distance dx*dx + dy*dy."""
+    distance dx*dx + dy*dy; lam is a radius or an array of radii that
+    broadcasts against them."""
     two = 2.0 * lam
     need = 4.0 * lam * lam
-    return np.where(same, adx >= two - tol.x_slack(two), d2 >= need - tol.band(need))
+    return np.where(same, adx >= two - tol.x_slacks(two), d2 >= need - tol.bands(need))

@@ -3,21 +3,32 @@
 Candidate centers per line are the influence-interval endpoints plus chains
 of hops at center distance exactly 2*lam: along a line a hop moves 2*lam in
 x, across two lines closer than 2*lam it moves the reduced offset
-sqrt(4*lam^2 - dy^2); each generation of hops is one numpy batch. Selection
-is an exact depth-first search over the x-sorted candidates with an
-optimistic bound, because non-overlap between centers on different lines is
-a pairwise Euclidean constraint that a simple left-to-right link cannot
-capture. The per-radius kernel `_solve_radius` runs on each line's geometry,
-built once per solve; numpy gives each candidate its covered points and the
-candidates compatible with it as int bitsets, so a node ANDs bitsets instead
-of testing pairs. The kernel re-validates its selection pairwise with the
-scalar `geom.centers_compatible` and returns its union weight, so the radius
-loop (`placement.best_radius`) builds one `Placement`, for the one it returns.
+sqrt(4*lam^2 - dy^2). Selection is an exact depth-first search over the
+x-sorted candidates with an optimistic bound, because non-overlap between
+centers on different lines is a pairwise Euclidean constraint that a simple
+left-to-right link cannot capture.
+
+`_solve_radii` solves a chunk of radii at once, one row per radius, on each
+line's geometry, built once per solve:
+- candidates: every row's endpoints (`klink._ends`), then each generation
+  of hops, then the sentinels, each go through one `_admit` call for the
+  whole chunk, keyed row * t + line;
+- tables: one points x candidates coverage mask gives each candidate its
+  gain and its covered points as an int bitset; flat lists of the pairs
+  within a row give the compatible later candidates as int bitsets; the
+  bound of the largest gains still to come is one numpy pass;
+- search: per row, in Python, where a node ANDs bitsets instead of testing
+  center pairs. Union weights are memoized per covered-point bitset for a
+  whole solve, since they do not depend on the radius.
+A chunk holds as many radii as fit `klink._CELLS` coverage cells;
+`_solve_radius` is a chunk of one. Every selection is re-validated pairwise
+with the scalar `geom.centers_compatible`. The kernel returns its union
+weight, so the radius loop (`placement.best_radius`) builds one
+`Placement`, for the radius it returns; it solves the first radii through
+its `map` hook in chunks, and each chain radius it admits as a chunk of one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,7 +42,8 @@ from .geom import (
     coverage_mask,
     point_order_sums,
 )
-from .klink import interval_ends, line_geometry
+from . import klink
+from .klink import _ends, line_geometry
 from .placement import LineCenter, Placement, ValidationFailureError, best_radius, line_placement, selection_key
 
 __all__ = [
@@ -83,157 +95,199 @@ def _admit(kx, kl, cx, cl, tol: TolerancePolicy):
     return keep
 
 
-def _hop_table(lines, lam: float, tol: TolerancePolicy):
-    """Hop offsets and target lines per source line (rows), in the order a
-    value's hops are admitted: -2*lam, +2*lam on its own line, then -off,
-    +off on each line closer than 2*lam; padded with target -1."""
-    need2 = 4.0 * lam * lam
-    band = tol.band(need2)
-    off, to = [], []
-    for li, ly in enumerate(lines):
-        hops = [(2.0 * lam, li)]
-        for lj, ly2 in enumerate(lines):
-            dy2 = (ly2 - ly) ** 2
-            if lj != li and dy2 - need2 <= band:
-                hops.append((math.sqrt(max(0.0, need2 - dy2)), lj))
-        hops += [(0.0, -1)] * (len(lines) - len(hops))
-        off.append([v for d, _ in hops for v in (-d, d)])
-        to.append([lj for _, lj in hops for _ in (0, 1)])
-    return np.array(off), np.array(to)
+def _stacked(geos):
+    """The points against every line at once: the `klink.LineGeometry` of
+    the first line with the squared heights over all lines, shape (t, n)."""
+    return geos[0]._replace(dy2=np.stack([geo.dy2 for geo in geos]))
 
 
-def _candidates(geos, lines, lam: float, k: int, tol: TolerancePolicy):
-    """Candidate centers across lines as x and line index arrays, sorted by
-    (x, line): endpoints, hop chains, sentinels.
-
-    geos holds each line's `klink.line_geometry` of the points. The
-    endpoints are admitted in (x, line) order, then k - 1 generations of
-    hops (`_hop_table`) from the values the previous generation admitted,
-    then each line's two sentinels; `_admit` drops near-duplicates of every
-    batch.
-    """
+def _hop_tables(lines, lams, tol: TolerancePolicy):
+    """Per radius and source line, the hop offsets and target lines in the
+    order a value's hops are admitted: -2*lam, +2*lam on its own line,
+    then -off, +off on each line closer than 2*lam, off = sqrt(4*lam^2 -
+    dy^2); target -1 marks a line out of reach. Shapes (radii, t, 2t)."""
     t = len(lines)
-    margin = 2.0 * k * lam
-    ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
-    ex = np.concatenate(ends)
-    el = np.repeat(np.arange(t), [len(e) for e in ends])
-    kx, kl = np.empty(0), np.empty(0, dtype=int)
+    to = [[li] + [lj for lj in range(t) if lj != li] for li in range(t)]
+    dy2 = np.array([[(lines[lj] - lines[li]) ** 2 for lj in row] for li, row in enumerate(to)])
+    need2 = (4.0 * lams * lams)[:, None, None]
+    dist = np.sqrt(np.maximum(0.0, need2 - dy2))
+    dist[..., 0] = (2.0 * lams)[:, None]
+    reach = dy2 - need2 <= tol.bands(need2)
+    reach[..., 0] = True
+    off = np.stack([-dist, dist], axis=3).reshape(len(lams), t, 2 * t)
+    return off, np.repeat(np.where(reach, to, -1), 2, axis=2)
 
-    def admit(cx, cl):
-        nonlocal kx, kl
-        keep = _admit(kx, kl, cx, cl, tol)
-        kx, kl = np.concatenate([kx, cx[keep]]), np.concatenate([kl, cl[keep]])
-        return cx[keep], cl[keep]
 
-    pair = np.array([li for li in range(t) for _ in (0, 1)])
-    if not len(ex):
-        admit(np.array([0.0, margin] * t), pair)
-    else:
-        o = np.lexsort((el, ex))
-        bx, bl = ex[o], el[o]
-        if k > 1:
-            off, to = _hop_table(lines, lam, tol)
-        for _ in range(k - 1):
-            fx, fl = admit(bx, bl)
-            tf = to[fl]
-            ok = tf >= 0
-            bx, bl = (fx[:, None] + off[fl])[ok], tf[ok]
-        # The sentinels come after the last batch in insertion order.
-        sx = np.array([ex.min() - margin, ex.max() + margin] * t)
-        admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
+def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy):
+    """Candidate centers of positive radii across lines, as x, radius
+    (row) and line index arrays sorted by (row, x, line): endpoints, hop
+    chains, sentinels.
 
-    o = np.lexsort((kl, kx))
-    return kx[o], kl[o]
+    geo holds the points against every line (`_stacked`). Per row, the
+    endpoints (`klink._ends`) are admitted in (x, line) order, then k - 1
+    generations of hops (`_hop_tables`) from the values the previous
+    generation admitted, then each line's two sentinels; `_admit` drops
+    near-duplicates of every batch. All rows go through one `_admit` per
+    batch, keyed row * t + line: runs never cross rows, and each row keeps
+    its insertion order.
+    """
+    t, rows = len(lines), len(lams)
+    _, ends = _ends(geo, lams[:, None], tol)
+    ends = ends.reshape(rows, -1)  # per row: line, point, l/r
+    live = ends < np.inf
+    ex = ends[live]
+    er, at = live.nonzero()
+    ekey = er * t + np.repeat(np.arange(t), ends.shape[1] // t)[at]
+    kx, kk = np.empty(0), np.empty(0, dtype=int)
+
+    def admit(cx, ck):
+        nonlocal kx, kk
+        keep = _admit(kx, kk, cx, ck, tol)
+        kx, kk = np.concatenate([kx, cx[keep]]), np.concatenate([kk, ck[keep]])
+        return cx[keep], ck[keep]
+
+    o = np.lexsort((ekey, ex, er))
+    bx, bk = ex[o], ekey[o]
+    if k > 1:
+        off, to = _hop_tables(lines, lams, tol)
+    for _ in range(k - 1):
+        fx, fk = admit(bx, bk)
+        fr, fl = np.divmod(fk, t)
+        tf = to[fr, fl]
+        ok = tf >= 0
+        bx, bk = (fx[:, None] + off[fr, fl])[ok], (fr[:, None] * t + tf)[ok]
+    # The sentinels come after the last batch in insertion order; a row
+    # with nothing in reach has only 0 and 2*k*lam on each line.
+    margin = 2.0 * k * lams
+    some = live.any(axis=1)
+    lo = np.where(some, ends.min(axis=1, initial=np.inf) - margin, 0.0)
+    hi = np.where(some, np.max(ends, axis=1, where=live, initial=-np.inf) + margin, margin)
+    sx = np.repeat(np.stack([lo, hi], axis=1), t, axis=0).ravel()
+    admit(np.concatenate([bx, sx]), np.concatenate([bk, np.repeat(np.arange(rows * t), 2)]))
+
+    row, line = np.divmod(kk, t)
+    o = np.lexsort((line, kx, row))
+    return kx[o], row[o], line[o]
 
 
 def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
-    """Candidate centers across lines (`_candidates`) as `LineCenter`s."""
+    """Candidate centers across lines (`_candidates` of one radius) as
+    `LineCenter`s."""
     lines = check_lines(lines)
     if lam <= 0:
         raise ValueError("candidate centers require a positive radius")
-    xs, li = _candidates([line_geometry(points, ly) for ly in lines], lines, lam, k, tol)
+    geo = _stacked([line_geometry(points, ly) for ly in lines])
+    xs, _, li = _candidates(geo, lines, np.array([lam], dtype=float), k, tol)
     return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
 
 
-def _coverage(xs, px, dy2, blue, lam: float, tol: TolerancePolicy):
-    """geom.is_covered for every point (row) and center (column) of one
-    line."""
-    r2 = lam * lam
-    s = px[:, None] - xs[None, :]
+def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
+    """`geom.is_covered` of every point (row of the mask) by every center
+    (column)."""
+    r2 = (lams * lams)[row]
+    s = geo.px[:, None] - xs
     s *= s
-    s += dy2[:, None]
+    s += geo.dy2[li].T
     s -= r2
-    return coverage_mask(s, blue[:, None], tol.band(r2))
+    return coverage_mask(s, geo.blue[:, None], tol.bands(r2))
 
 
-def _coverage_table(geos, xs, li, lam, tol):
-    """The searched candidates as indices into xs, and per searched position
-    its gain (covered positive weight) and its covered points as a bitset.
-    Each line's columns come from `_coverage` of its geometry, and
-    weights are summed in point order like `geom.disk_weight`. A center
-    whose own disk nets nothing can never improve a union of non-overlapping
-    disks, and the fewest-centers tie rule drops it, so only the others are
-    searched."""
-    px, blue, w = geos[0].px, geos[0].blue, geos[0].w
-    cov = np.empty((len(px), len(xs)), dtype=bool)
-    for i, geo in enumerate(geos):
-        on = li == i
-        cov[:, on] = _coverage(xs[on], px, geo.dy2, blue, lam, tol)
-    order = np.flatnonzero(point_order_sums(cov, w) > 0)
-    cov = cov[:, order]
-    gains = point_order_sums(cov & (w > 0)[:, None], w).tolist()
-    return order, gains, bitsets(cov.T)
+def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
+    """Per center (rows ascending), the later centers of its row compatible
+    with it, as a bitset over the positions in the row, decided by
+    `geom.compatible_table`; the search never looks back. The pairs go in
+    blocks of about `klink._CELLS` / 8, since a block holds about eight
+    arrays with one cell per pair."""
+    count = np.bincount(row, minlength=len(lams))
+    pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+    later = count[row] - pos - 1
+    bits = np.zeros((len(row), count.max(initial=0)), dtype=bool)
+    block = max(1, klink._CELLS // 8)
+    cuts = np.searchsorted(np.cumsum(later), np.arange(block, later.sum(), block))
+    for a in np.split(np.arange(len(row)), cuts):
+        i = np.repeat(a, later[a])
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later[a]) - later[a], later[a])
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
+        bits[i[ok], pos[j[ok]]] = True
+    return bitsets(bits)
 
 
-def _compat_table(cx, cy, lam, tol) -> list[int]:
-    """Per center, the centers compatible with it as a bitset over
-    positions, decided by `geom.compatible_table`."""
-    dx = cx[:, None] - cx[None, :]
-    dy = cy[:, None] - cy[None, :]
-    same = cy[:, None] == cy[None, :]
-    return bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
+def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
+    """Search tables of the centers xs on lines li at radii lams[row], rows
+    ascending: the searched centers as indices into xs, and per searched
+    center its gain (covered positive weight), its covered points as a
+    bitset and, for k > 1, its compatible later centers (`_compat`).
 
-
-def _search_best(geos, lines, lam, k, xs, li, tol):
-    """Exact DFS over the searched candidates in (x, line) order; returns
-    the best union weight, summed in point order like `union_coverage`, and
-    the indices into xs of the canonical best selection, ascending.
-
-    A node carries the bitset of later positions compatible with every
-    chosen center (the AND of their `_compat_table` rows) and walks its set
-    bits in ascending order; the bits left after the one taken are the
-    later positions. A child is searched on unless its weight plus the
-    largest gains still to come cannot reach the incumbent's weight.
+    Weights are summed in point order like `geom.disk_weight`. A center
+    whose own disk nets nothing can never improve a union of
+    non-overlapping disks, and the fewest-centers tie rule drops it, so
+    only the others are searched.
     """
-    order, gains, masks = _coverage_table(geos, xs, li, lam, tol)
-    point_w = geos[0].w.tolist()
-    keys = list(zip(xs[order].tolist(), li[order].tolist()))
-    m = len(order)
-    compat: list[int] = []
-    # top[pos][b]: the sum of the b largest gains among positions pos..,
-    # added largest first. A child has chosen one center, so b < k.
-    top = [[0.0] * k] * (m + 1)
+    cov = _coverage(geo, lams, xs, row, li, tol)
+    order = np.flatnonzero(point_order_sums(cov, geo.w) > 0)
+    cov = cov[:, order]
+    gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
+    compat = []
     if k > 1:
-        compat = _compat_table(xs[order], np.array(lines)[li[order]], lam, tol)
-        largest: list[float] = []
-        for pos in range(m - 1, -1, -1):
-            largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
-            top[pos] = [sum(largest[:b]) for b in range(k)]
+        compat = _compat(xs[order], np.array(lines)[li[order]], row[order], lams, tol)
+    return order, gains, bitsets(cov.T), compat
 
-    weights: dict[int, float] = {}  # union weight per covered-point bitset
 
-    def union_weight(mask: int) -> float:
-        total = weights.get(mask)
-        if total is None:
-            total = 0.0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                total += point_w[low.bit_length() - 1]
-                rest ^= low
-            weights[mask] = total
+def _top_gains(gains, row, rows: int, k: int):
+    """Per row, position and budget b < k, the sum of the b largest gains at
+    or after that position of the row, added largest first; rows are
+    padded with all-zero positions.
+
+    The j-th largest gain of a suffix is the largest, over its positions q,
+    of min(gain at q, the (j-1)-th largest after q); a missing one adds
+    nothing."""
+    count = np.bincount(row, minlength=rows)
+    pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+    g = np.full((rows, count.max(initial=0) + 1), -np.inf)
+    g[row, pos] = gains
+    top = np.zeros(g.shape + (k,))
+    kth = np.full_like(g, np.inf)
+    for b in range(1, k):
+        after = np.full_like(g, -np.inf)
+        after[:, :-1] = kth[:, 1:]
+        kth = np.maximum.accumulate(np.minimum(g, after)[:, ::-1], axis=1)[:, ::-1]
+        top[..., b] = top[..., b - 1] + np.where(kth > -np.inf, kth, 0.0)
+    return top
+
+
+class _UnionWeights(dict):
+    """Union weight per covered-point bitset, summed in point order like
+    `union_coverage`. It does not depend on the radius, so one serves a
+    whole solve."""
+
+    def __init__(self, w):
+        super().__init__()
+        self.w = w.tolist()
+
+    def __missing__(self, mask: int) -> float:
+        total = 0.0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            total += self.w[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = total
         return total
 
+
+def _search(keys, masks, compat, top, k: int, weights: _UnionWeights):
+    """Exact DFS over one row's searched centers in (x, line) order; returns
+    the best union weight and the positions of the canonical best
+    selection, ascending.
+
+    A node carries the bitset of later positions compatible with every
+    chosen center (the AND of their compatibility rows) and walks its set
+    bits in ascending order; the bits left after the one taken are the
+    later positions. A child is searched on unless its weight plus the
+    largest gains still to come (`top`) cannot reach the incumbent's weight.
+    """
     best_key = selection_key(0.0, [])  # the empty selection
     best_ids: tuple[int, ...] = ()
 
@@ -246,7 +300,7 @@ def _search_best(geos, lines, lam, k, xs, li, tol):
             at = low.bit_length() - 1
             chosen.append(at)
             nxt = mask | masks[at]
-            w = union_weight(nxt)
+            w = weights[nxt]
             if -w <= best_key[0]:  # can tie or win
                 key = selection_key(w, [keys[i] for i in chosen])
                 if key < best_key:
@@ -257,27 +311,67 @@ def _search_best(geos, lines, lam, k, xs, li, tol):
                 rec(chosen, nxt, rest)
             chosen.pop()
 
-    rec([], 0, (1 << m) - 1)
-    return -best_key[0], order[list(best_ids)]
+    rec([], 0, (1 << len(masks)) - 1)
+    return -best_key[0], best_ids
 
 
-def _solve_radius(geos, lines, lam: float, k: int, tol: TolerancePolicy):
-    """Best selection of at most k radius-lam disks centered on the lines:
-    its union weight and its centers as (x, line index) pairs, ascending.
-    The selection is re-validated pairwise with the scalar
-    `geom.centers_compatible`."""
+def _solve_chunk(geo, lines, lams, k: int, tol: TolerancePolicy, weights: _UnionWeights):
+    """`_solve_radii` of positive radii, on the `_stacked` geometry."""
+    xs, row, li = _candidates(geo, lines, lams, k, tol)
+    order, gains, masks, compat = _tables(geo, lines, lams, xs, row, li, k, tol)
+    sr = row[order]
+    top = _top_gains(gains, sr, len(lams), k)
+    ends = np.cumsum(np.bincount(sr, minlength=len(lams))).tolist()
+    cx, cl = xs[order].tolist(), li[order].tolist()
+    out = []
+    a = 0
+    for r, b in enumerate(ends):
+        keys = list(zip(cx[a:b], cl[a:b]))
+        weight, ids = _search(keys, masks[a:b], compat[a:b], top[r, : b - a + 1].tolist(), k, weights)
+        chosen = tuple(keys[i] for i in ids)
+        lam = float(lams[r])
+        for i, (ax, al) in enumerate(chosen):
+            for bx, bl in chosen[i + 1:]:
+                if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
+                    raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
+        out.append((weight, chosen))
+        a = b
+    return out
+
+
+def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _UnionWeights | None = None):
+    """For each radius lam, the best selection of at most k radius-lam disks
+    centered on the lines: its union weight and its centers as (x, line
+    index) pairs, ascending; (0.0, ()) when lam <= 0. Each selection is
+    re-validated pairwise with the scalar `geom.centers_compatible`.
+
+    A chunk holds as many radii as fit `klink._CELLS` coverage cells (at
+    least one): n points times the raw candidates of a radius, at most 2tn
+    endpoints times 1 + 2t + ... + (2t)^(k-1) for the hop generations, plus
+    2t sentinels. weights memoizes union weights across chunks; pass one
+    per solve."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if lam <= 0.0:
-        return 0.0, ()
-    xs, li = _candidates(geos, lines, lam, k, tol)
-    weight, ids = _search_best(geos, lines, lam, k, xs, li, tol)
-    chosen = tuple(zip(xs[ids].tolist(), li[ids].tolist()))
-    for i, (ax, al) in enumerate(chosen):
-        for bx, bl in chosen[i + 1 :]:
-            if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
-                raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
-    return weight, chosen
+    if weights is None:
+        weights = _UnionWeights(geos[0].w)
+    lams = np.asarray(lams, dtype=float)
+    out = [(0.0, ())] * len(lams)
+    live = (lams > 0).nonzero()[0]
+    t, n = len(lines), len(geos[0].px)
+    raw = 2 * t * n * sum((2 * t) ** g for g in range(k)) + 2 * t
+    step = max(1, klink._CELLS // (max(1, n) * raw))
+    geo = _stacked(geos)
+    for a in range(0, len(live), step):
+        at = live[a: a + step]
+        for r, res in zip(at.tolist(), _solve_chunk(geo, lines, lams[at], k, tol, weights)):
+            out[r] = res
+    return out
+
+
+def _solve_radius(geos, lines, lam: float, k: int, tol: TolerancePolicy,
+                  weights: _UnionWeights | None = None):
+    """`_solve_radii` of one radius."""
+    return _solve_radii(geos, lines, [lam], k, tol, weights)[0]
 
 
 def _placement(points, lines, lam: float, chosen, tol: TolerancePolicy) -> Placement:
@@ -295,7 +389,8 @@ def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks centered on the lines:
     `best_radius` over the radius groups of `candidate_radii_tlines` with
-    the kernel `_solve_radius`, the standard groups first. A chain-gain
+    the kernel `_solve_radius`, the first radii in chunks by
+    `_solve_radii`, with one union-weight memo. A chain-gain
     radius can win only if the blue weight within reach of some line beats
     the best so far: more weight, or as much at a smaller radius."""
     lines = check_lines(lines)
@@ -308,5 +403,7 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
         reach = sum(w for dy2, w in blues if dy2 - r2 <= tol.band(r2))
         return reach > best[0] or (reach == best[0] and v < best[1])
 
-    _, lam, chosen = best_radius(groups, lambda v: _solve_radius(geos, lines, v, k, tol), can_win)
+    weights = _UnionWeights(geos[0].w)
+    _, lam, chosen = best_radius(groups, lambda v: _solve_radius(geos, lines, v, k, tol, weights),
+                                 can_win, lambda _, lams: _solve_radii(geos, lines, lams, k, tol, weights))
     return _placement(points, lines, lam, chosen, tol)

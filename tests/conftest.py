@@ -14,8 +14,11 @@ from sofl.geom import (
     Disk,
     Region,
     TolerancePolicy,
+    bitsets,
     center_on_line_through,
+    centers_compatible,
     classify,
+    compatible_table,
     coverage_mask,
     dist2,
     merge_keep,
@@ -23,6 +26,8 @@ from sofl.geom import (
 )
 from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, interval_ends, line_geometry
+from sofl.multiline import _admit
+from sofl.placement import ValidationFailureError, selection_key
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
 
@@ -492,3 +497,152 @@ def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
         return 0.0, ()
     union = cov[:, chosen].any(axis=1, keepdims=True)
     return float(point_order_sums(union, w)[0]), tuple(xs[chosen].tolist())
+
+
+# --- the per-radius t-lines kernel -------------------------------------------
+
+
+def _reference_hop_table(lines, lam, tol):
+    need2 = 4.0 * lam * lam
+    band = tol.band(need2)
+    off, to = [], []
+    for li, ly in enumerate(lines):
+        hops = [(2.0 * lam, li)]
+        for lj, ly2 in enumerate(lines):
+            dy2 = (ly2 - ly) ** 2
+            if lj != li and dy2 - need2 <= band:
+                hops.append((math.sqrt(max(0.0, need2 - dy2)), lj))
+        hops += [(0.0, -1)] * (len(lines) - len(hops))
+        off.append([v for d, _ in hops for v in (-d, d)])
+        to.append([lj for _, lj in hops for _ in (0, 1)])
+    return np.array(off), np.array(to)
+
+
+def reference_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
+    """`multiline._candidates` of one radius as the per-radius numpy kernel
+    it replaced: x and line index arrays sorted by (x, line)."""
+    t = len(lines)
+    margin = 2.0 * k * lam
+    ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
+    ex = np.concatenate(ends)
+    el = np.repeat(np.arange(t), [len(e) for e in ends])
+    kx, kl = np.empty(0), np.empty(0, dtype=int)
+
+    def admit(cx, cl):
+        nonlocal kx, kl
+        keep = _admit(kx, kl, cx, cl, tol)
+        kx, kl = np.concatenate([kx, cx[keep]]), np.concatenate([kl, cl[keep]])
+        return cx[keep], cl[keep]
+
+    pair = np.array([li for li in range(t) for _ in (0, 1)])
+    if not len(ex):
+        admit(np.array([0.0, margin] * t), pair)
+    else:
+        o = np.lexsort((el, ex))
+        bx, bl = ex[o], el[o]
+        if k > 1:
+            off, to = _reference_hop_table(lines, lam, tol)
+        for _ in range(k - 1):
+            fx, fl = admit(bx, bl)
+            tf = to[fl]
+            ok = tf >= 0
+            bx, bl = (fx[:, None] + off[fl])[ok], tf[ok]
+        sx = np.array([ex.min() - margin, ex.max() + margin] * t)
+        admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
+    o = np.lexsort((kl, kx))
+    return kx[o], kl[o]
+
+
+def _reference_coverage_table(geos, xs, li, lam, tol):
+    px, blue, w = geos[0].px, geos[0].blue, geos[0].w
+    r2 = lam * lam
+    cov = np.empty((len(px), len(xs)), dtype=bool)
+    for i, geo in enumerate(geos):
+        on = li == i
+        s = px[:, None] - xs[on][None, :]
+        s *= s
+        s += geo.dy2[:, None]
+        s -= r2
+        cov[:, on] = coverage_mask(s, blue[:, None], tol.band(r2))
+    order = np.flatnonzero(point_order_sums(cov, w) > 0)
+    cov = cov[:, order]
+    gains = point_order_sums(cov & (w > 0)[:, None], w).tolist()
+    return order, gains, bitsets(cov.T)
+
+
+def _reference_compat_table(cx, cy, lam, tol):
+    dx = cx[:, None] - cx[None, :]
+    dy = cy[:, None] - cy[None, :]
+    same = cy[:, None] == cy[None, :]
+    return bitsets(compatible_table(same, np.abs(dx), dx * dx + dy * dy, lam, tol))
+
+
+def _reference_search_best(geos, lines, lam, k, xs, li, tol):
+    order, gains, masks = _reference_coverage_table(geos, xs, li, lam, tol)
+    point_w = geos[0].w.tolist()
+    keys = list(zip(xs[order].tolist(), li[order].tolist()))
+    m = len(order)
+    compat = []
+    top = [[0.0] * k] * (m + 1)
+    if k > 1:
+        compat = _reference_compat_table(xs[order], np.array(lines)[li[order]], lam, tol)
+        largest = []
+        for pos in range(m - 1, -1, -1):
+            largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
+            top[pos] = [sum(largest[:b]) for b in range(k)]
+    weights = {}
+
+    def union_weight(mask):
+        total = weights.get(mask)
+        if total is None:
+            total = 0.0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                total += point_w[low.bit_length() - 1]
+                rest ^= low
+            weights[mask] = total
+        return total
+
+    best_key = selection_key(0.0, [])
+    best_ids = ()
+
+    def rec(chosen, mask, allowed):
+        nonlocal best_key, best_ids
+        budget = k - len(chosen) - 1
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            at = low.bit_length() - 1
+            chosen.append(at)
+            nxt = mask | masks[at]
+            w = union_weight(nxt)
+            if -w <= best_key[0]:
+                key = selection_key(w, [keys[i] for i in chosen])
+                if key < best_key:
+                    best_key = key
+                    best_ids = tuple(chosen)
+            rest = allowed & compat[at] if budget else 0
+            if rest and w + top[at + 1][budget] >= -best_key[0]:
+                rec(chosen, nxt, rest)
+            chosen.pop()
+
+    rec([], 0, (1 << m) - 1)
+    return -best_key[0], order[list(best_ids)]
+
+
+def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL):
+    """`multiline._solve_radius` as the per-radius kernel that `_solve_radii`
+    replaced: candidates, a dense coverage table and a full compatibility
+    table of one radius, sorted-list top-gain bounds, and a DFS with a
+    union-weight memo of its own."""
+    if lam <= 0.0:
+        return 0.0, ()
+    xs, li = reference_tlines_candidates(geos, lines, lam, k, tol)
+    weight, ids = _reference_search_best(geos, lines, lam, k, xs, li, tol)
+    chosen = tuple(zip(xs[ids].tolist(), li[ids].tolist()))
+    for i, (ax, al) in enumerate(chosen):
+        for bx, bl in chosen[i + 1:]:
+            if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
+                raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
+    return weight, chosen

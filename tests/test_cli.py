@@ -3,11 +3,12 @@ import json
 import math
 import pathlib
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from sofl import cli, discrete, multiline
+from sofl import cli, discrete, klink, multiline
 from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
 from sofl.geom import centers_compatible
 from sofl.instance import generate, parse_instance
@@ -176,17 +177,18 @@ def test_check_too_large_exit_code(inst_file, capsys):
     assert main(["check", "--input", path]) == EXIT_TOO_LARGE
 
 
-@pytest.mark.parametrize("module, text", [
-    (discrete, "variant discrete\nk 2\nsite 0 0\nsite 4 0\nsite 0 4\nB 1 1 1\n"),
-    (multiline, "variant tlines\nk 2\nlines 0 3\nB 0 1 1\nB 4 2 1\n"),
+@pytest.mark.parametrize("module, kernel, text", [
+    (discrete, "_solve_radius", "variant discrete\nk 2\nsite 0 0\nsite 4 0\nsite 0 4\nB 1 1 1\n"),
+    (multiline, "_solve_radii", "variant tlines\nk 2\nlines 0 3\nB 0 1 1\nB 4 2 1\n"),
 ], ids=["discrete", "tlines"])
-def test_solver_fault_is_not_an_input_error(inst_file, monkeypatch, module, text):
+def test_solver_fault_is_not_an_input_error(inst_file, monkeypatch, module, kernel, text):
     # A kernel that chose an infeasible selection has a bug; exit 2 would
-    # blame the input.
+    # blame the input. The t-lines solver reaches its one-radius kernel
+    # through `_solve_radii`.
     def infeasible(*args):
         raise ValidationFailureError("overlapping selection")
 
-    monkeypatch.setattr(module, "_solve_radius", infeasible)
+    monkeypatch.setattr(module, kernel, infeasible)
     with pytest.raises(ValidationFailureError):
         main(["solve", "--input", inst_file(text)])
 
@@ -279,11 +281,11 @@ def _tlines_cases():
         yield seed, t, k, 5 + seed // 4 % (2 if t == k == 3 else 4)
 
 
-def _tlines_solve_text(write, capsys) -> str:
-    """`sofl solve --format json` on each pinned t-lines instance, under a
-    `# seed=.. t=.. k=.. n=..` header line."""
+def _tlines_solve_text(write, capsys, cases=None) -> str:
+    """`sofl solve --format json` on each pinned t-lines instance, or on the
+    given cases of them, under a `# seed=.. t=.. k=.. n=..` header line."""
     parts = []
-    for seed, t, k, n in _tlines_cases():
+    for seed, t, k, n in cases or _tlines_cases():
         path = write(generate(seed, n, k, "tlines", t=t))
         assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
         parts.append(f"# seed={seed} t={t} k={k} n={n}\n" + capsys.readouterr().out)
@@ -299,11 +301,11 @@ def test_solve_json_tlines_bytes(inst_file, capsys):
 GOLDEN_TLINES_WIDE = pathlib.Path(__file__).resolve().parent / "golden_tlines_wide.txt"
 
 
-def _tlines_wide_solve_text(write, capsys) -> str:
+def _tlines_wide_solve_text(write, capsys, seeds=range(32)) -> str:
     """`sofl solve --format json` on `wide_tlines_text(seed)` for seeds
-    0..31, under a `# seed=..` header line."""
+    0..31, or the given ones, under a `# seed=..` header line."""
     parts = []
-    for seed in range(32):
+    for seed in seeds:
         path = write(wide_tlines_text(seed))
         assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
         parts.append(f"# seed={seed}\n" + capsys.readouterr().out)
@@ -315,6 +317,26 @@ def test_solve_json_tlines_wide_bytes(inst_file, capsys):
     # coordinates; these pin t and k of 1 and 4, points within 1e-6 of a
     # line and float weights.
     assert _tlines_wide_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES_WIDE.read_bytes()
+
+
+def _pinned(path, headers) -> str:
+    """The blocks of a golden file whose header line is in headers."""
+    blocks = re.split(r"(?m)^(?=# )", path.read_text())
+    return "".join(b for b in blocks if b.partition("\n")[0] in headers)
+
+
+def test_solve_json_tlines_bytes_in_small_chunks(inst_file, monkeypatch, capsys):
+    # With 64 cells a chunk holds one radius and a block of compatible
+    # pairs eight; the pinned bytes must not depend on the split. Only the
+    # cheaper pinned cases run: t = k = 4 of the wide pin and t or k = 3 of
+    # the other take minutes in blocks that small.
+    monkeypatch.setattr(klink, "_CELLS", 64)
+    seeds = [seed for seed in range(32) if seed % 4 != 3]
+    got = _tlines_wide_solve_text(inst_file, capsys, seeds)
+    assert got == _pinned(GOLDEN_TLINES_WIDE, {f"# seed={seed}" for seed in seeds})
+    cases = [case for case in _tlines_cases() if case[1] == case[2] == 2]
+    got = _tlines_solve_text(inst_file, capsys, cases)
+    assert got == _pinned(GOLDEN_TLINES, {"# seed={} t={} k={} n={}".format(*case) for case in cases})
 
 
 GOLDEN_K1 = pathlib.Path(__file__).resolve().parent / "golden_k1_solve.txt"

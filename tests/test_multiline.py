@@ -8,12 +8,14 @@ import pytest
 from sofl.candidates import candidate_radii_tlines, radius_groups
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
 from sofl.instance import emit_result, generate, parse_instance
+from sofl import klink
 from sofl.klink import candidate_centers, line_geometry
 import sofl.multiline
 from sofl.multiline import (
-    _compat_table,
-    _coverage_table,
+    _solve_radii,
     _solve_radius,
+    _stacked,
+    _tables,
     multiline_centers,
     solve_tlines,
     solve_tlines_fixed_radius,
@@ -21,7 +23,7 @@ from sofl.multiline import (
 from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
 from sofl.placement import LineCenter, line_placement
 from sofl.solver import solve_csofl
-from conftest import B, R, random_instance, reference_multiline_centers
+from conftest import B, R, random_instance, reference_multiline_centers, reference_tlines_solve_radius
 
 # 1e-4 gives a slack of 1e-3 at |x| = 10, the middle of the generator's coordinates.
 POLICIES = (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0))
@@ -150,24 +152,36 @@ def test_all_red_zero():
     assert pl.radius == 0.0 and pl.total_weight == 0.0
 
 
-def assert_tables_match_scalar(points, lines, lam, centers, tol):
-    """The search tables against `is_covered` and `centers_compatible`,
-    pair by pair; returns the searched indices and the compatibility rows."""
+def assert_tables_match_scalar(points, lines, lams, centers, tol):
+    """The search tables of the centers at every radius of lams, one row
+    each, against `is_covered`, `disk_weight` and `centers_compatible`,
+    pair by pair; returns the searched indices and the compatibility rows
+    of the first radius."""
     geos = [line_geometry(points, ly) for ly in lines]
-    xs = np.array([c.x for c in centers])
-    li = np.array([c.line_index for c in centers])
-    order, _, masks = _coverage_table(geos, xs, li, lam, tol)
-    cx, cy = xs[order], np.array(lines)[li[order]]
-    compat = _compat_table(cx, cy, lam, tol)
-    xy = [(centers[i].x, lines[centers[i].line_index]) for i in order]
-    assert xy == list(zip(cx.tolist(), cy.tolist()))
-    for a, (ax, ay) in enumerate(xy):
-        cov = [is_covered(p, Disk(ax, ay, lam), tol) for p in points]
-        assert masks[a] == sum(1 << i for i, hit in enumerate(cov) if hit)
-        row = [bool(compat[a] >> b & 1) for b in range(len(xy))]
-        expect = [centers_compatible(xy[a], q, lam, tol) for q in xy]
-        assert row[:a] + row[a + 1 :] == expect[:a] + expect[a + 1 :], (a, tol)
-    return order.tolist(), compat
+    m = len(centers)
+    xs = np.tile([c.x for c in centers], len(lams))
+    li = np.tile([c.line_index for c in centers], len(lams))
+    row = np.repeat(np.arange(len(lams)), m)
+    order, gains, masks, compat = _tables(_stacked(geos), lines, np.array(lams), xs, row, li, 2, tol)
+    assert len(order) == len(gains) == len(masks) == len(compat)
+    xy = [(c.x, lines[c.line_index]) for c in centers]
+    first = None
+    for r, lam in enumerate(lams):
+        disks = [Disk(x, y, lam) for x, y in xy]
+        net = [sum(p.weight for p in points if is_covered(p, d, tol)) for d in disks]
+        on = [g - r * m for g in order.tolist() if g // m == r]
+        assert on == [i for i in range(m) if net[i] > 0], (r, tol)
+        at = [g for g in range(len(order)) if order[g] // m == r]
+        for a, g in enumerate(at):
+            cov = [is_covered(p, disks[on[a]], tol) for p in points]
+            assert masks[g] == sum(1 << i for i, hit in enumerate(cov) if hit)
+            assert gains[g] == sum(p.weight for p, hit in zip(points, cov) if hit and p.weight > 0)
+            got = [bool(compat[g] >> b & 1) for b in range(len(on))]
+            expect = [b > a and centers_compatible(xy[on[a]], xy[on[b]], lam, tol) for b in range(len(on))]
+            assert got == expect, (a, tol, lam)
+        if first is None:
+            first = on, [compat[g] for g in at]
+    return first
 
 
 def test_compat_bitsets_touching_pairs():
@@ -183,7 +197,7 @@ def test_compat_bitsets_touching_pairs():
         xs[2] = [8.0, -8.0, 8.0 - nudge / 2, 8.0 - 2 * nudge]
         centers = [LineCenter(x, li) for li, row in xs.items() for x in row]
         points = [B(i, c.x, lines[c.line_index]) for i, c in enumerate(centers)]
-        order, compat = assert_tables_match_scalar(points, lines, lam, centers, tol)
+        order, compat = assert_tables_match_scalar(points, lines, [lam, 4.0, 6.0], centers, tol)
         assert order == list(range(len(centers)))
         # (0, 0) touches (10, 0) and (8, 6), and overlaps (10 - 2*nudge, 0)
         assert [compat[0] >> b & 1 for b in (1, 8, 3)] == [1, 1, 0]
@@ -196,7 +210,7 @@ def test_compat_bitsets_match_scalar_on_instances():
         for lam in [v for v in radii if v > 0][:4]:
             for tol in POLICIES:
                 cents = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
-                assert_tables_match_scalar(inst.points, inst.lines, lam, cents, tol)
+                assert_tables_match_scalar(inst.points, inst.lines, [lam, 2 * lam], cents, tol)
 
 
 def assert_kernel_weights_are_unions(points, lines, k, tol=DEFAULT_TOL):
@@ -302,3 +316,113 @@ def test_heavy_tail_instances_pinned(n, k, expect):
     pl = solve_tlines(inst.points, inst.lines, inst.k)
     assert emit_result(pl, "json") == expect
     assert pl.radius == {8: 9.0625, 12: 24.920072231034965}[n]
+
+
+def _scaled(points, lines, f):
+    """The points and lines with every coordinate times f, a power of two."""
+    pts = [(B if p.is_blue else R)(p.id, p.x * f, p.y * f, p.weight) for p in points]
+    return pts, [y * f for y in lines]
+
+
+def _kernel_cases():
+    """(points, lines, k) for the chunked kernel: integer x and heights
+    within 1e-6 of a line, as in `test_centers_match_reference_loop`, with
+    k cycling over 1-4 and the coordinates scaled by 1, 2^20 or 2^-20; then
+    points out of reach of both lines at small radii, and no points at all.
+    k >= 3 gets fewer points and lines, and no 2^-20: there a two-point
+    k = 4 instance has 143 searched candidates that all cover its one blue
+    point, and the search, which never prunes a tie, takes over half a
+    minute."""
+    for seed in range(36):
+        rng = random.Random(seed)
+        k = 1 + seed % 4
+        lines = sorted(rng.sample(range(6), rng.choice([1, 2] if k > 2 else [1, 2, 3])))
+        pts = []
+        for i in range(rng.randint(1, 3 if k > 2 else 5)):
+            y = rng.choice(lines) + rng.choice([0.0, 1e-6, -1e-6, 1.0, 2.0])
+            w = rng.randint(1, 9)
+            x = rng.randint(-4, 4)
+            pts.append(B(i, x, y, w) if rng.random() < 0.6 else R(i, x, y, -w))
+        yield (*_scaled(pts, lines, (1.0, 2.0 ** 20, 2.0 ** -20)[seed % (3 if k < 3 else 2)]), k)
+    yield [B(0, 0, 10), R(1, 3, -9), B(2, 5, 12, 2.5)], [0.0, 1.0], 2
+    yield [], [0.0, 1.0], 3
+
+
+def test_solve_radii_equals_per_radius_reference(monkeypatch):
+    # Every radius list is solved as one chunk, then in chunks of 1 and 7,
+    # and compared by repr with the per-radius kernel of `conftest`. The
+    # lists hold radii <= 0 and radii where nothing is within reach of any
+    # line; the 5e-7 policy (a slack of 2e-6 at |x| = 4) chains hops into
+    # runs that are not all mutually close, which `_admit` decides value by
+    # value.
+    monkeypatch.setattr(klink, "_CELLS", 1 << 30)
+    for pts, lines, k in _kernel_cases():
+        scale = max(abs(y) for y in lines) or 1.0
+        for tol in (DEFAULT_TOL, TolerancePolicy(5e-7)):
+            radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, tol, k))]
+            radii += [0.0, -1.0, 0.5 * scale, 1e-3 * scale]
+            geos = [line_geometry(pts, ly) for ly in lines]
+            expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol) for v in radii])
+            assert repr(_solve_radii(geos, lines, radii, k, tol)) == expect, (pts, lines, k, tol)
+            for size in (1, 7):
+                got = []
+                for a in range(0, len(radii), size):
+                    got += _solve_radii(geos, lines, radii[a: a + size], k, tol)
+                assert repr(got) == expect, (pts, lines, k, tol, size)
+
+
+def test_first_radii_go_through_map(monkeypatch):
+    # solve_tlines solves every first radius in one `_solve_radii` call
+    # through best_radius's map, then one radius per call for exactly the
+    # chain radii that can_win admits.
+    calls, admitted = [], []
+    solve_radii = sofl.multiline._solve_radii
+    loop = sofl.multiline.best_radius
+
+    def counted(geos, lines, lams, *args):
+        calls.append(list(lams))
+        return solve_radii(geos, lines, lams, *args)
+
+    def spied(groups, kernel, can_win, map):
+        def judged(v, best):
+            won = can_win(v, best)
+            if won:
+                admitted.append(v)
+            return won
+        return loop(groups, kernel, judged, map)
+
+    monkeypatch.setattr(sofl.multiline, "_solve_radii", counted)
+    monkeypatch.setattr(sofl.multiline, "best_radius", spied)
+    chains = won = 0
+    for seed in range(12):
+        inst = random_instance(seed, 6, 2 + seed % 2, variant="tlines", t=2)
+        calls.clear()
+        admitted.clear()
+        solve_tlines(inst.points, inst.lines, inst.k)
+        groups = radius_groups(candidate_radii_tlines(inst.points, inst.lines, DEFAULT_TOL, inst.k))
+        assert calls[0] == [v for v, first in groups if first], seed
+        assert calls[1:] == [[v] for v in admitted], seed
+        assert set(admitted) <= {v for v, first in groups if not first}, seed
+        chains += sum(1 for _, first in groups if not first)
+        won += len(admitted)
+    assert 0 < won < chains
+
+
+def test_top_gains_match_sorted_sums():
+    # Each row's bound table against the sorted-list loop it replaced: per
+    # position, the b largest gains from there on, summed largest first.
+    rng = random.Random(0)
+    for k in (2, 3, 4):
+        counts = [rng.randint(0, 9) for _ in range(6)]
+        gains = [float(rng.choice([1, 2, 2.5, 3, 7]) * 10.0 ** rng.randint(-3, 3)) for _ in range(sum(counts))]
+        row = np.repeat(np.arange(len(counts)), counts)
+        top = sofl.multiline._top_gains(np.array(gains), row, len(counts), k)
+        a = 0
+        for r, m in enumerate(counts):
+            largest, expect = [], [[0.0] * k]
+            for g in reversed(gains[a: a + m]):
+                largest = sorted(largest + [g], reverse=True)[: k - 1]
+                expect.insert(0, [sum(largest[:b]) for b in range(k)])
+            assert top[r, : m + 1].tolist() == expect, (k, r)
+            assert not top[r, m + 1:].any()
+            a += m
