@@ -329,7 +329,7 @@ def test_solve_json_tlines_bytes_in_small_chunks(inst_file, monkeypatch, capsys)
     # With 64 cells a chunk holds one radius and a block of compatible
     # pairs eight; the pinned bytes must not depend on the split. Only the
     # cheaper pinned cases run: t = k = 4 of the wide pin and t or k = 3 of
-    # the other take minutes in blocks that small.
+    # the other take about 40 s together in blocks that small.
     monkeypatch.setattr(klink, "_CELLS", 64)
     seeds = [seed for seed in range(32) if seed % 4 != 3]
     got = _tlines_wide_solve_text(inst_file, capsys, seeds)
