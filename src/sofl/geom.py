@@ -175,18 +175,9 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set for column j.
-
-    Rows are packed into little-endian 64-bit words, which `tolist` turns
-    into ints; wider rows join their words from the top down."""
-    words = -(-rows.shape[1] // 64)
-    packed = np.zeros((len(rows), 8 * words), dtype=np.uint8)
-    packed[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
-    cols = packed.view("<u8").T.tolist()
-    out = cols[-1] if cols else [0] * len(rows)
-    for col in reversed(cols[:-1]):
-        out = [hi << 64 | lo for hi, lo in zip(out, col)]
-    return out
+    """Each row of a boolean matrix as an int with bit j set for column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:

@@ -15,8 +15,7 @@ line's geometry, built once per solve:
   whole chunk, keyed row * t + line;
 - tables: one points x candidates coverage mask gives each candidate its
   gain and its covered points as an int bitset; flat lists of the pairs
-  within a row give the compatible later candidates as int bitsets; the
-  bound of the largest gains still to come is one numpy pass;
+  within a row give the compatible later candidates as int bitsets;
 - search: per row, in Python, where a node ANDs bitsets instead of testing
   center pairs. Union weights are memoized per covered-point bitset for a
   whole solve, since they do not depend on the radius.
@@ -235,28 +234,6 @@ def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
     return order, gains, bitsets(cov.T), compat
 
 
-def _top_gains(gains, row, rows: int, k: int):
-    """Per row, position and budget b < k, the sum of the b largest gains at
-    or after that position of the row, added largest first; rows are
-    padded with all-zero positions.
-
-    The j-th largest gain of a suffix is the largest, over its positions q,
-    of min(gain at q, the (j-1)-th largest after q); a missing one adds
-    nothing."""
-    count = np.bincount(row, minlength=rows)
-    pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
-    g = np.full((rows, count.max(initial=0) + 1), -np.inf)
-    g[row, pos] = gains
-    top = np.zeros(g.shape + (k,))
-    kth = np.full_like(g, np.inf)
-    for b in range(1, k):
-        after = np.full_like(g, -np.inf)
-        after[:, :-1] = kth[:, 1:]
-        kth = np.maximum.accumulate(np.minimum(g, after)[:, ::-1], axis=1)[:, ::-1]
-        top[..., b] = top[..., b - 1] + np.where(kth > -np.inf, kth, 0.0)
-    return top
-
-
 class _UnionWeights(dict):
     """Union weight per covered-point bitset, summed in point order like
     `union_coverage`. It does not depend on the radius, so one serves a
@@ -277,7 +254,7 @@ class _UnionWeights(dict):
         return total
 
 
-def _search(keys, masks, compat, top, k: int, weights: _UnionWeights):
+def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
     """Exact DFS over one row's searched centers in (x, line) order; returns
     the best union weight and the positions of the canonical best
     selection, ascending.
@@ -286,8 +263,17 @@ def _search(keys, masks, compat, top, k: int, weights: _UnionWeights):
     chosen center (the AND of their compatibility rows) and walks its set
     bits in ascending order; the bits left after the one taken are the
     later positions. A child is searched on unless its weight plus the
-    largest gains still to come (`top`) cannot reach the incumbent's weight.
+    largest gains still to come cannot reach the incumbent's weight.
     """
+    m = len(masks)
+    # top[pos][b]: the sum of the b largest gains among positions pos..,
+    # added largest first. A child has chosen one center, so b < k.
+    top = [[0.0] * k] * (m + 1)
+    if k > 1:
+        largest: list[float] = []
+        for pos in range(m - 1, -1, -1):
+            largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
+            top[pos] = [sum(largest[:b]) for b in range(k)]
     best_key = selection_key(0.0, [])  # the empty selection
     best_ids: tuple[int, ...] = ()
 
@@ -311,7 +297,7 @@ def _search(keys, masks, compat, top, k: int, weights: _UnionWeights):
                 rec(chosen, nxt, rest)
             chosen.pop()
 
-    rec([], 0, (1 << len(masks)) - 1)
+    rec([], 0, (1 << m) - 1)
     return -best_key[0], best_ids
 
 
@@ -319,15 +305,13 @@ def _solve_chunk(geo, lines, lams, k: int, tol: TolerancePolicy, weights: _Union
     """`_solve_radii` of positive radii, on the `_stacked` geometry."""
     xs, row, li = _candidates(geo, lines, lams, k, tol)
     order, gains, masks, compat = _tables(geo, lines, lams, xs, row, li, k, tol)
-    sr = row[order]
-    top = _top_gains(gains, sr, len(lams), k)
-    ends = np.cumsum(np.bincount(sr, minlength=len(lams))).tolist()
-    cx, cl = xs[order].tolist(), li[order].tolist()
+    ends = np.cumsum(np.bincount(row[order], minlength=len(lams))).tolist()
+    cx, cl, gains = xs[order].tolist(), li[order].tolist(), gains.tolist()
     out = []
     a = 0
     for r, b in enumerate(ends):
         keys = list(zip(cx[a:b], cl[a:b]))
-        weight, ids = _search(keys, masks[a:b], compat[a:b], top[r, : b - a + 1].tolist(), k, weights)
+        weight, ids = _search(keys, gains[a:b], masks[a:b], compat[a:b], k, weights)
         chosen = tuple(keys[i] for i in ids)
         lam = float(lams[r])
         for i, (ax, al) in enumerate(chosen):

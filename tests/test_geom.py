@@ -13,7 +13,6 @@ from sofl.geom import (
     Disk,
     Region,
     TolerancePolicy,
-    bitsets,
     center_on_line_through,
     classify,
     disk_weight,
@@ -209,13 +208,3 @@ def test_disk_weight_additive_over_disjoint(seed):
     assert disk_weight(d, pts) == pytest.approx(
         disk_weight(d, pts[:cut]) + disk_weight(d, pts[cut:])
     )
-
-
-def test_bitsets_match_bit_sums_across_word_widths():
-    rng = np.random.default_rng(0)
-    for cols in (0, 1, 7, 8, 63, 64, 65, 130, 200):
-        rows = rng.random((5, cols)) < 0.5
-        rows[0] = True
-        expect = [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in rows]
-        assert bitsets(rows) == expect, cols
-    assert bitsets(np.zeros((0, 70), dtype=bool)) == []
