@@ -260,12 +260,11 @@ def centers_compatible(
     return dist2(x1, y1, x2, y2) >= need - tol.band(need)
 
 
-def compatible_table(same: np.ndarray, adx: np.ndarray, d2: np.ndarray, lam,
+def compatible_table(same: np.ndarray, adx: np.ndarray, d2: np.ndarray, lam: float,
                      tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """`centers_compatible` of many center pairs at once, in the same float
     operations, given each pair's same-height flag, |dx| and squared
-    distance dx*dx + dy*dy; lam is a radius or an array of radii that
-    broadcasts against them."""
+    distance dx*dx + dy*dy."""
     two = 2.0 * lam
     need = 4.0 * lam * lam
-    return np.where(same, adx >= two - tol.x_slacks(two), d2 >= need - tol.bands(need))
+    return np.where(same, adx >= two - tol.x_slack(two), d2 >= need - tol.band(need))

@@ -37,7 +37,6 @@ from .geom import (
     TolerancePolicy,
     bitsets,
     centers_compatible,
-    compatible_table,
     coverage_mask,
     point_order_sums,
 )
@@ -193,10 +192,11 @@ def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
 
 def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
     """Per center (rows ascending), the later centers of its row compatible
-    with it, as a bitset over the positions in the row, decided by
-    `geom.compatible_table`; the search never looks back. The pairs go in
-    blocks of about `klink._CELLS` / 8, since a block holds about eight
-    arrays with one cell per pair."""
+    with it, as a bitset over the positions in the row; the search never
+    looks back. Each pair is decided at its row's radius in the float
+    operations of `geom.compatible_table`. The pairs go in blocks of about
+    `klink._CELLS` / 8, since a block holds about eight arrays with one
+    cell per pair."""
     count = np.bincount(row, minlength=len(lams))
     pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
     later = count[row] - pos - 1
@@ -208,7 +208,11 @@ def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
         j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later[a]) - later[a], later[a])
         dx = xs[i] - xs[j]
         dy = ys[i] - ys[j]
-        ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
+        lam = lams[row[i]]
+        two = 2.0 * lam
+        need = 4.0 * lam * lam
+        ok = np.where(ys[i] == ys[j], np.abs(dx) >= two - tol.x_slacks(two),
+                      dx * dx + dy * dy >= need - tol.bands(need))
         bits[i[ok], pos[j[ok]]] = True
     return bitsets(bits)
 
