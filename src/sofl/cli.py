@@ -102,7 +102,7 @@ def _check(inst: ProblemInstance, tol: TolerancePolicy, out) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sofl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -130,8 +130,15 @@ def main(argv=None) -> int:
     p_check.add_argument("--input", required=True)
     p_check.add_argument("--k", type=int, default=None)
     p_check.add_argument("--tol", type=float, default=1e-9)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once: parse_args returns a fresh namespace and keeps no state.
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.command == "gen":
         try:

@@ -246,6 +246,7 @@ class _UnionWeights(dict):
     def __init__(self, w):
         super().__init__()
         self.w = w.tolist()
+        self.positive = sum(1 << i for i, x in enumerate(self.w) if x > 0)
 
     def __missing__(self, mask: int) -> float:
         total = 0.0
@@ -266,18 +267,23 @@ def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
     A node carries the bitset of later positions compatible with every
     chosen center (the AND of their compatibility rows) and walks its set
     bits in ascending order; the bits left after the one taken are the
-    later positions. A child is searched on unless its weight plus the
-    largest gains still to come cannot reach the incumbent's weight.
+    later positions. A child is searched on only if a later center covers
+    a positive point it does not (negative terms never raise a point-order
+    sum), and its weight plus the largest gains still to come beats the
+    incumbent's, or ties it while the incumbent has more centers than it.
     """
     m = len(masks)
     # top[pos][b]: the sum of the b largest gains among positions pos..,
     # added largest first. A child has chosen one center, so b < k.
+    # fresh[pos]: the positive points covered by a center at pos or later.
     top = [[0.0] * k] * (m + 1)
+    fresh = [0] * (m + 1)
     if k > 1:
         largest: list[float] = []
         for pos in range(m - 1, -1, -1):
             largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
             top[pos] = [sum(largest[:b]) for b in range(k)]
+            fresh[pos] = fresh[pos + 1] | masks[pos] & weights.positive
     best_key = selection_key(0.0, [])  # the empty selection
     best_ids: tuple[int, ...] = ()
 
@@ -297,8 +303,10 @@ def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
                     best_key = key
                     best_ids = tuple(chosen)
             rest = allowed & compat[at] if budget else 0
-            if rest and w + top[at + 1][budget] >= -best_key[0]:
-                rec(chosen, nxt, rest)
+            if rest and fresh[at + 1] & ~nxt:
+                bound = w + top[at + 1][budget]
+                if bound > -best_key[0] or bound == -best_key[0] and best_key[1] > len(chosen):
+                    rec(chosen, nxt, rest)
             chosen.pop()
 
     rec([], 0, (1 << m) - 1)

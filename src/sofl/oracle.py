@@ -1,17 +1,21 @@
 """Brute-force reference solvers used by the test suite and `sofl check`.
 
-These share only the geometry predicates and the candidate generators with
-the optimized code; every optimum here comes from explicit subset
-enumeration, with the same deterministic tie rule as the solvers. The only
-shortcuts taken are sound dominance: disks at pairwise distance >= 2*lam are
-disjoint, so a center whose own disk nets a non-positive weight can never
-improve a selection and is skipped; for the special counts a center that
-covers no blue is skipped, and for max-blue also one that covers a red.
+These share only geometry predicates and the candidate generators with the
+optimized code: `classify`, `centers_compatible`, and for coverage one
+`coverage_mask` table per radius in `classify`'s float operations, packed
+by `bitsets`. Every optimum comes from explicit subset enumeration, under
+the solvers' tie rule written out on its own. The only shortcuts taken are
+sound dominance: disks at pairwise distance >= 2*lam are disjoint, so a
+center whose own disk nets a non-positive weight can never improve a
+selection and is skipped; for the special counts a center that covers no
+blue is skipped, and for max-blue also one that covers a red.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .candidates import (
     candidate_radii_discrete,
@@ -24,9 +28,10 @@ from .geom import (
     Disk,
     Region,
     TolerancePolicy,
+    bitsets,
     centers_compatible,
     classify,
-    is_covered,
+    coverage_mask,
 )
 from .klink import candidate_centers, line_geometry
 from .multiline import multiline_centers
@@ -57,18 +62,16 @@ class OracleResult:
     counts: tuple[int, int]  # covered (blue, red)
 
 
-def _coverage(points, centers, lam, tol):
-    disks = [Disk(x, y, lam) for x, y in centers]
-    weight = 0.0
-    nb = nr = 0
-    for p in points:
-        if any(is_covered(p, d, tol) for d in disks):
-            weight += p.weight
-            if p.is_blue:
-                nb += 1
-            else:
-                nr += 1
-    return weight, (nb, nr)
+def _masks(points, centers, lam, tol) -> list[int]:
+    """Per center, the int bitmask of the points its radius-lam disk covers
+    (bit i for points[i]), from one centers x points table in the float
+    operations of `classify`."""
+    p = np.array([(q.x, q.y) for q in points], dtype=float).reshape(-1, 2)
+    dx, dy = (p - np.array(centers, dtype=float).reshape(-1, 1, 2)).transpose(2, 0, 1)
+    r2 = lam * lam
+    s = dx * dx + dy * dy - r2
+    blue = np.array([q.is_blue for q in points], dtype=bool)
+    return bitsets(coverage_mask(s, blue, tol.band(r2)))
 
 
 def brute_fixed_radius(points, centers, lam: float, k: int,
@@ -86,37 +89,28 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
     centers = sorted(centers)
     n = len(points)
-    masks = []
-    for x, y in centers:
-        d = Disk(x, y, lam)
-        m = 0
-        for i, p in enumerate(points):
-            if is_covered(p, d, tol):
-                m |= 1 << i
-        masks.append(m)
+    masks = _masks(points, centers, lam, tol)
     point_w = [p.weight for p in points]
     weight_cache: dict[int, float] = {0: 0.0}
 
     def union_weight(mask: int) -> float:
         got = weight_cache.get(mask)
         if got is None:
-            got = sum(point_w[i] for i in range(n) if mask >> i & 1)
+            got = sum((point_w[i] for i in range(n) if mask >> i & 1), 0.0)
             weight_cache[mask] = got
         return got
 
     best_key = (0.0, 0, ())
-    best: tuple[int, ...] = ()
+    best: tuple[tuple[int, ...], int] = ((), 0)
 
     def rec(start: int, chosen: list[int], mask: int):
         nonlocal best_key, best
-        key = (
-            -union_weight(mask),
-            len(chosen),
-            tuple(sorted((centers[i] for i in chosen), reverse=True)),
-        )
-        if key < best_key:
-            best_key = key
-            best = tuple(chosen)
+        head = (-union_weight(mask), len(chosen))
+        if head <= best_key[:2]:  # can tie or win; only then build the center key
+            key = (*head, tuple(sorted((centers[i] for i in chosen), reverse=True)))
+            if key < best_key:
+                best_key = key
+                best = tuple(chosen), mask
         if len(chosen) == k:
             return
         for i in range(start, len(centers)):
@@ -126,9 +120,10 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
                 chosen.pop()
 
     rec(0, [], 0)
-    chosen_centers = tuple(centers[i] for i in best)
-    weight, counts = _coverage(points, chosen_centers, lam, tol)
-    return OracleResult(weight, lam, chosen_centers, counts)
+    ids, mask = best
+    nb = sum(1 for i, p in enumerate(points) if mask >> i & 1 and p.is_blue)
+    counts = (nb, mask.bit_count() - nb)
+    return OracleResult(union_weight(mask), lam, tuple(centers[i] for i in ids), counts)
 
 
 def _line_center_grid(points, line_y, lam, k, tol):
@@ -155,8 +150,8 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
         grid = _line_center_grid(points, line_y, lam, k, tol)
         useful = [
             c
-            for c in grid
-            if sum(p.weight for p in points if is_covered(p, Disk(c[0], c[1], lam), tol)) > 0
+            for c, m in zip(grid, _masks(points, grid, lam, tol))
+            if sum(p.weight for i, p in enumerate(points) if m >> i & 1) > 0
         ]
         res = brute_fixed_radius(
             points, useful, lam, k, tol, max_centers=len(useful), max_k=max_k
@@ -287,31 +282,21 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
         raise TooLargeError(f"n={len(points)} exceeds the guard {max_n}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    all_blue_mask = 0
-    for i, p in enumerate(points):
-        if p.is_blue:
-            all_blue_mask |= 1 << i
+    all_blue_mask = sum(1 << i for i, p in enumerate(points) if p.is_blue)
     best_blue = 0
     best_red = None
     for cand in candidate_radii_line(points, line_y, tol, k):
         lam = cand.value
         if lam <= 0.0:
             continue
-        grid = []
-        blue_masks = []
-        red_masks = []
-        for x, y in _line_center_grid(points, line_y, lam, k, tol):
-            d = Disk(x, y, lam)
-            bm = rm = 0
-            for i, p in enumerate(points):
-                if is_covered(p, d, tol):
-                    if p.is_blue:
-                        bm |= 1 << i
-                    else:
-                        rm |= 1 << i
+        grid, blue_masks, red_masks = [], [], []
+        line_grid = _line_center_grid(points, line_y, lam, k, tol)
+        for c, m in zip(line_grid, _masks(points, line_grid, lam, tol)):
+            bm = m & all_blue_mask
+            rm = m & ~all_blue_mask
             if bm == 0 or (rm and variant == "maxblue-nored"):
                 continue  # dominated, see the module docstring
-            grid.append((x, y))
+            grid.append(c)
             blue_masks.append(bm)
             red_masks.append(rm)
 

@@ -21,12 +21,14 @@ from sofl.geom import (
     compatible_table,
     coverage_mask,
     dist2,
+    is_covered,
     merge_keep,
     point_order_sums,
 )
 from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, interval_ends, line_geometry
 from sofl.multiline import _admit
+from sofl.oracle import OracleResult
 from sofl.placement import ValidationFailureError, selection_key
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
@@ -580,6 +582,7 @@ def _reference_compat_table(cx, cy, lam, tol):
 def _reference_search_best(geos, lines, lam, k, xs, li, tol):
     order, gains, masks = _reference_coverage_table(geos, xs, li, lam, tol)
     point_w = geos[0].w.tolist()
+    positive = sum(1 << i for i, x in enumerate(point_w) if x > 0)
     keys = list(zip(xs[order].tolist(), li[order].tolist()))
     m = len(order)
     compat = []
@@ -623,7 +626,11 @@ def _reference_search_best(geos, lines, lam, k, xs, li, tol):
                     best_key = key
                     best_ids = tuple(chosen)
             rest = allowed & compat[at] if budget else 0
-            if rest and w + top[at + 1][budget] >= -best_key[0]:
+            # An extension needs a positive point no chosen disk covers,
+            # and the best key it could reach, weight w + top with one
+            # more center, must not lose to the incumbent's.
+            fresh = any(masks[j] & positive & ~nxt for j in range(at + 1, m))
+            if rest and fresh and (-(w + top[at + 1][budget]), len(chosen) + 1) <= best_key[:2]:
                 rec(chosen, nxt, rest)
             chosen.pop()
 
@@ -635,7 +642,7 @@ def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL):
     """`multiline._solve_radius` as the per-radius kernel that `_solve_radii`
     replaced: candidates, a dense coverage table and a full compatibility
     table of one radius, sorted-list top-gain bounds, and a DFS with a
-    union-weight memo of its own."""
+    union-weight memo of its own, which prunes as `_search` does."""
     if lam <= 0.0:
         return 0.0, ()
     xs, li = reference_tlines_candidates(geos, lines, lam, k, tol)
@@ -646,3 +653,54 @@ def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL):
             if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
                 raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
     return weight, chosen
+
+
+def reference_brute_fixed_radius(points, centers, lam, k, tol=DEFAULT_TOL):
+    """`oracle.brute_fixed_radius` as it was before its coverage became one
+    table and its tie key lazy: masks from scalar `is_covered` calls, and
+    the full (weight, count, centers) key built at every node."""
+    centers = sorted(centers)
+    n = len(points)
+    masks = []
+    for x, y in centers:
+        d = Disk(x, y, lam)
+        m = 0
+        for i, p in enumerate(points):
+            if is_covered(p, d, tol):
+                m |= 1 << i
+        masks.append(m)
+    point_w = [p.weight for p in points]
+    best_key = (0.0, 0, ())
+    best = ()
+
+    def rec(start, chosen, mask):
+        nonlocal best_key, best
+        key = (
+            -sum(point_w[i] for i in range(n) if mask >> i & 1),
+            len(chosen),
+            tuple(sorted((centers[i] for i in chosen), reverse=True)),
+        )
+        if key < best_key:
+            best_key = key
+            best = tuple(chosen)
+        if len(chosen) == k:
+            return
+        for i in range(start, len(centers)):
+            if all(centers_compatible(centers[i], centers[j], lam, tol) for j in chosen):
+                chosen.append(i)
+                rec(i + 1, chosen, mask | masks[i])
+                chosen.pop()
+
+    rec(0, [], 0)
+    chosen_centers = tuple(centers[i] for i in best)
+    disks = [Disk(x, y, lam) for x, y in chosen_centers]
+    weight = 0.0
+    nb = nr = 0
+    for p in points:
+        if any(is_covered(p, d, tol) for d in disks):
+            weight += p.weight
+            if p.is_blue:
+                nb += 1
+            else:
+                nr += 1
+    return OracleResult(weight, lam, chosen_centers, (nb, nr))

@@ -224,6 +224,42 @@ def test_check_guard_before_solve(inst_file, monkeypatch):
     assert main(["check", "--input", path]) == EXIT_TOO_LARGE
 
 
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of one `main` call; an argparse error
+    exits through `SystemExit`."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_keeps_no_state(inst_file, monkeypatch, capsys):
+    # A run of calls in one process, with --k given then omitted and
+    # argparse errors in between; each must print and return what it does
+    # when it is the only call on a freshly built parser.
+    path = inst_file("variant csofl\nk 1\nB 0 1 2\nR 2 1 -3\nB 5 2 4\n")
+    runs = [
+        ["solve", "--input", path, "--k", "2", "--format", "json"],
+        ["check", "--input", path],
+        ["solve", "--input", path, "--format", "xml"],
+        ["solve", "--input", path],
+        ["check", "--input", path, "--k", "2", "--tol", "1e-6"],
+        ["gen", "--seed", "3", "--n", "4", "--k", "2", "--variant", "tlines"],
+        ["gen", "--seed", "3"],
+        ["check", "--input", path],
+        ["gen", "--seed", "3", "--n", "4", "--k", "1", "--variant", "csofl"],
+        ["solve", "--input", path],
+    ]
+    shared = [_call(argv, capsys) for argv in runs]
+    assert [code for code, *_ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 0, 0]
+    assert shared[1] == shared[7] and shared[3] == shared[9] and shared[0] != shared[3]
+    for argv, got in zip(runs, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli._parser())
+        assert _call(argv, capsys) == got, argv
+
+
 def test_check_pass(inst_file, capsys):
     path = inst_file("variant csofl\nk 2\nB 0 1 2\nR 2 1 -3\nB 5 2 4\n")
     assert main(["check", "--input", path]) == EXIT_OK

@@ -12,6 +12,8 @@ from sofl import klink
 from sofl.klink import candidate_centers, line_geometry
 import sofl.multiline
 from sofl.multiline import (
+    _UnionWeights,
+    _search,
     _solve_radii,
     _solve_radius,
     _stacked,
@@ -21,7 +23,7 @@ from sofl.multiline import (
     solve_tlines_fixed_radius,
 )
 from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
-from sofl.placement import LineCenter, line_placement
+from sofl.placement import LineCenter, line_placement, selection_key
 from sofl.solver import solve_csofl
 from conftest import B, R, random_instance, reference_multiline_centers, reference_tlines_solve_radius
 
@@ -328,11 +330,10 @@ def _kernel_cases():
     """(points, lines, k) for the chunked kernel: integer x and heights
     within 1e-6 of a line, as in `test_centers_match_reference_loop`, with
     k cycling over 1-4 and the coordinates scaled by 1, 2^20 or 2^-20; then
-    points out of reach of both lines at small radii, and no points at all.
-    k >= 3 gets fewer points and lines, and 2^-20 only in one two-point
-    k = 3 instance: at that scale a two-point k = 4 instance has 143
-    searched candidates that all cover its one blue point, and the search,
-    which never prunes a tie, takes over half a minute."""
+    two-point instances at 2^-20, where the tolerance band covers the blue
+    point from every candidate (at k = 4, 143 searched candidates), points
+    out of reach of both lines at small radii, and no points at all. k >= 3
+    gets fewer points and lines."""
     for seed in range(36):
         rng = random.Random(seed)
         k = 1 + seed % 4
@@ -343,10 +344,45 @@ def _kernel_cases():
             w = rng.randint(1, 9)
             x = rng.randint(-4, 4)
             pts.append(B(i, x, y, w) if rng.random() < 0.6 else R(i, x, y, -w))
-        yield (*_scaled(pts, lines, (1.0, 2.0 ** 20, 2.0 ** -20)[seed % (3 if k < 3 else 2)]), k)
+        yield (*_scaled(pts, lines, (1.0, 2.0 ** 20, 2.0 ** -20)[seed % 3]), k)
     yield (*_scaled([B(0, 0, 0, 5), R(1, 2, 1, -3)], [0.0, 1.0], 2.0 ** -20), 3)
+    yield (*_scaled([B(0, 0, 3, 8), R(1, 3, 3 + 1e-6, -9)], [3.0, 4.0], 2.0 ** -20), 4)
     yield [B(0, 0, 10), R(1, 3, -9), B(2, 5, 12, 2.5)], [0.0, 1.0], 2
     yield [], [0.0, 1.0], 3
+
+
+def test_search_equals_exhaustive_enumeration():
+    # Random search tables with small integer weights, so weights tie often
+    # and counts tie too: `_search`, with its tie and fresh-point prunes,
+    # returns the selection_key minimum over every compatible selection of
+    # at most k positions (the empty one included).
+    ties = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n, m, k = rng.randint(1, 5), rng.randint(1, 9), rng.randint(1, 4)
+        w = np.array([rng.choice([-3.0, -1.0, 1.0, 2.0]) for _ in range(n)])
+        weights = _UnionWeights(w)
+        if seed % 2:
+            masks = [rng.getrandbits(n) for _ in range(m)]
+        else:  # one point each: sums tie exactly and often meet the bound
+            masks = [1 << rng.randrange(n) for _ in range(m)]
+        gains = [sum(w[i] for i in range(n) if m_ >> i & 1 and w[i] > 0) for m_ in masks]
+        compat = [sum(1 << j for j in range(i + 1, m) if rng.random() < 0.6) for i in range(m)]
+        keys = sorted((float(rng.randint(-3, 3)), rng.randint(0, 1)) for _ in range(m))
+        best, best_ids, seen = selection_key(0.0, []), (), set()
+        for size in range(1, k + 1):
+            for ids in combinations(range(m), size):
+                if all(compat[i] >> j & 1 for i, j in combinations(ids, 2)):
+                    union = 0
+                    for i in ids:
+                        union |= masks[i]
+                    key = selection_key(weights[union], [keys[i] for i in ids])
+                    ties += key[:2] in seen
+                    seen.add(key[:2])
+                    if key < best:
+                        best, best_ids = key, ids
+        assert _search(keys, gains, masks, compat, k, weights) == (-best[0], best_ids), seed
+    assert ties > 1000
 
 
 def test_solve_radii_equals_per_radius_reference(monkeypatch):
