@@ -12,8 +12,8 @@ of a single disk never pin the radius because such a disk can shrink until a
 blue point takes over, and site-site half distances cannot pin it either.
 
 Radius lists are sorted and merged by `geom.merge_keep` at the absolute
-MERGE_EPS, whatever the tolerance policy: a radius within MERGE_EPS of the
-last kept one is dropped.
+MERGE_EPS, whatever the tolerance policy, so the generators take none: a
+radius within MERGE_EPS of the last kept one is dropped.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
-    DEFAULT_TOL,
     Color,
     DegenerateInputError,
-    TolerancePolicy,
     center_on_line_through,
     dist2,
     merge_keep,
@@ -111,7 +109,7 @@ def check_lines(lines) -> list[float]:
     return ys
 
 
-def _line_entries(points, line_y: float, line_index: int | None, tol: TolerancePolicy):
+def _line_entries(points, line_y: float, line_index: int | None):
     entries = []
     for p in points:
         if p.is_blue:
@@ -134,8 +132,7 @@ def _line_entries(points, line_y: float, line_index: int | None, tol: ToleranceP
     return entries
 
 
-def candidate_radii_line(points, line_y: float = 0.0, tol: TolerancePolicy = DEFAULT_TOL,
-                         k: int = 1):
+def candidate_radii_line(points, line_y: float = 0.0, k: int = 1):
     """Sorted, deduplicated candidate radii for at most k disks on one line.
 
     Always contains zero; empty input yields exactly that. The standard
@@ -143,7 +140,7 @@ def candidate_radii_line(points, line_y: float = 0.0, tol: TolerancePolicy = DEF
     follow as KIND_CHAIN entries (k = 1 adds none).
     """
     entries = [CandidateRadius(0.0, KIND_ZERO)]
-    entries += _line_entries(points, line_y, None, tol)
+    entries += _line_entries(points, line_y, None)
     standard = _sorted_unique(entries)
     if k < 2:
         return standard
@@ -330,7 +327,7 @@ def _contacts(pts, line_y, k):
     return tuple(gains), tuple(np.unique(lam[loss]).tolist())
 
 
-def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k: int = 1):
+def candidate_radii_tlines(points, lines, k: int = 1):
     """Per-line candidate radii, each entry tagged with its line index.
 
     Each line contributes what `candidate_radii_line` gives for it, chain
@@ -341,7 +338,7 @@ def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k:
     lines = check_lines(lines)
     out = [CandidateRadius(0.0, KIND_ZERO)]
     for li, ly in enumerate(lines):
-        es = _sorted_unique(_line_entries(points, ly, li, tol))
+        es = _sorted_unique(_line_entries(points, ly, li))
         gains = [dataclasses.replace(g, line_index=li) for g in line_contacts(points, ly, k)[0]]
         # a point sitting exactly on its line folds into the global zero
         out.extend(e for e in with_gains(es, gains) if e.value > MERGE_EPS)
@@ -349,7 +346,7 @@ def candidate_radii_tlines(points, lines, tol: TolerancePolicy = DEFAULT_TOL, k:
     return out
 
 
-def candidate_radii_discrete(points, sites, tol: TolerancePolicy = DEFAULT_TOL):
+def candidate_radii_discrete(points, sites):
     """Zero plus every point-to-site distance, sorted and deduplicated."""
     if not sites:
         raise ValueError("at least one candidate site is required")

@@ -21,11 +21,12 @@ site x site squared distances, |dx| and same-height flags, the point x site
 squared distances, the colours and weights, and every ring arc. One radius
 is then a few numpy operations (the coverage mask, the site weights as
 point-order sums, the table of compatible site pairs, converted once to
-lists) plus the chord recursion over plain lists (`_solve_radius`). Every
-step makes the same float operations as the scalar predicates
-`geom.is_covered` and `geom.centers_compatible` and sums weights in point
-order, so the results equal a scalar evaluation bit for bit. A radius
-returns the union weight of its chosen sites, taken from their mask
+lists) plus the chord recursion over plain lists (`_solve_radius`).
+`_solve_radii` runs it on each radius through `placement.in_chunks`, which
+answers lam <= 0. Every step makes the same float operations as the scalar
+predicates `geom.is_covered` and `geom.centers_compatible` and sums weights
+in point order, so the results equal a scalar evaluation bit for bit. A
+radius returns the union weight of its chosen sites, taken from their mask
 columns, so the radius loop (`placement.best_radius`) compares union
 weights and builds one `Placement` per solve, for the radius it returns.
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from .candidates import candidate_radii_discrete
 from .geom import DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums
-from .placement import Placement, ValidationFailureError, best_radius, empty_placement, selection_key, site_placement
+from .placement import Placement, ValidationFailureError, best_radius, in_chunks, selection_key, site_placement
 
 __all__ = [
     "ConvexPositionError",
@@ -253,10 +254,8 @@ def _best_upto_two(ring, w, ok, k: int):
 
 
 def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
-    """Best selection of at most k radius-lam disks at the ring sites: its
-    union weight and its site ids, ascending."""
-    if lam <= 0.0:
-        return 0.0, ()
+    """Best selection of at most k disks of radius lam > 0 at the ring
+    sites: its union weight and its site ids, ascending."""
     ring = geo.ring
     s = len(ring)
     cov = _coverage(geo, lam, tol)
@@ -294,15 +293,20 @@ def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
     return float(point_order_sums(union, geo.w)[0]), chosen
 
 
+def _solve_radii(geo: _Geometry, lams, k: int, tol: TolerancePolicy):
+    """`_solve_radius` of each radius; (0.0, ()) when lam <= 0. A radius
+    has one coverage cell per point and site."""
+    return in_chunks(lams, max(1, geo.pd2.size),
+                     lambda chunk: [_solve_radius(geo, lam, k, tol) for lam in chunk.tolist()])
+
+
 def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks at the given ring sites."""
     ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if lam <= 0.0:
-        return empty_placement(max(lam, 0.0))
-    _, chosen = _solve_radius(_geometry(ring, points), lam, k, tol)
-    return site_placement(points, ring, lam, chosen, tol)
+    _, chosen = _solve_radii(_geometry(ring, points), [lam], k, tol)[0]
+    return site_placement(points, ring, max(lam, 0.0), chosen, tol)
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
@@ -314,6 +318,6 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
     geo = _geometry(ring.sites, points)
-    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites, tol)]
-    _, lam, chosen = best_radius(radii, lambda v: _solve_radius(geo, v, k, tol))
+    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites)]
+    _, lam, chosen = best_radius(radii, lambda lams: _solve_radii(geo, lams, k, tol))
     return site_placement(points, ring.sites, lam, chosen, tol)

@@ -35,9 +35,9 @@ per-point arrays built once per instance (`line_geometry`):
   centers.
 Every step makes the same float operations as the scalar geometry
 predicates and sums weights in point order, so the results equal a scalar
-evaluation bit for bit. A chunk holds as many radii as fit _CELLS raw
-centers (at least one), which bounds the memory of a solve; `solve_radius`
-is a chunk of one radius.
+evaluation bit for bit. `placement.in_chunks` gives a chunk as many
+radii as fit `placement.CELLS` raw centers (at least one) and answers
+lam <= 0 itself; a fixed radius is a chunk of one.
 
 A radius loop compares the returned union weights and recomputes one
 union, for the `Placement` of the radius it returns.
@@ -54,21 +54,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep
-from .placement import LineCenter, Placement, line_placement
+from .placement import LineCenter, Placement, in_chunks, line_placement
 
 __all__ = [
     "LineGeometry",
     "line_geometry",
-    "interval_ends",
     "candidate_centers",
     "solve_radii",
-    "solve_radius",
     "solve_fixed_radius",
 ]
-
-# Raw candidate centers per chunk of radii. Every array of a chunk has at
-# most a few times this many cells, so a solve's memory stays flat.
-_CELLS = 1 << 14
 
 
 class LineGeometry(NamedTuple):
@@ -153,18 +147,6 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy):
     xs = np.full((rows, m.max()), np.inf)
     xs[row, np.arange(len(row)) - (np.cumsum(m) - m)[row]] = flat[keep]
     return xs, m
-
-
-def interval_ends(geo: LineGeometry, lam: float, tol: TolerancePolicy = DEFAULT_TOL):
-    """Indices of the points within lam of the line, and their influence
-    intervals as l, r in point order."""
-    lam2 = lam * lam
-    reach, h = _reach(geo.dy2, lam2, tol.band(lam2))
-    idx = reach.nonzero()[0]
-    ends = np.empty(2 * len(idx))
-    ends[0::2] = geo.px[idx] - h[idx]
-    ends[1::2] = geo.px[idx] + h[idx]
-    return idx, ends
 
 
 def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
@@ -357,26 +339,13 @@ def solve_radii(geo: LineGeometry, lams, k: int,
     """For each radius lam, the best selection of at most k radius-lam disks
     centered on the line: its union weight and its center abscissae,
     ascending; (0.0, ()) when lam <= 0 or nothing is within lam of the
-    line."""
+    line. A radius has at most 2(2k - 1)n + 2 raw centers."""
     _check(k)
-    lams = np.asarray(lams, dtype=float)
-    out = [(0.0, ())] * len(lams)
-    live = (lams > 0).nonzero()[0]
-    rows = max(1, _CELLS // (2 * (2 * k - 1) * len(geo.px) + 2))
-    for a in range(0, len(live), rows):
-        at = live[a: a + rows]
-        for r, res in zip(at.tolist(), _solve_chunk(geo, lams[at], k, tol)):
-            out[r] = res
-    return out
-
-
-def solve_radius(geo: LineGeometry, lam: float, k: int,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, tuple[float, ...]]:
-    """`solve_radii` of one radius."""
-    return solve_radii(geo, [lam], k, tol)[0]
+    return in_chunks(lams, 2 * (2 * k - 1) * len(geo.px) + 2,
+                     lambda chunk: _solve_chunk(geo, chunk, k, tol))
 
 
 def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks centered on one line."""
-    _, xs = solve_radius(line_geometry(points, line_y), lam, k, tol)
+    _, xs = solve_radii(line_geometry(points, line_y), [lam], k, tol)[0]
     return line_placement(points, [line_y], max(lam, 0.0), tuple(LineCenter(x) for x in xs), tol)

@@ -19,12 +19,12 @@ line's geometry, built once per solve:
 - search: per row, in Python, where a node ANDs bitsets instead of testing
   center pairs. Union weights are memoized per covered-point bitset for a
   whole solve, since they do not depend on the radius.
-A chunk holds as many radii as fit `klink._CELLS` coverage cells;
-`_solve_radius` is a chunk of one. Every selection is re-validated pairwise
-with the scalar `geom.centers_compatible`. The kernel returns its union
-weight, so the radius loop (`placement.best_radius`) builds one
-`Placement`, for the radius it returns; it solves the first radii through
-its `map` hook in chunks, and each chain radius it admits as a chunk of one.
+`placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
+coverage cells; a fixed radius, and each chain radius the radius loop
+(`placement.best_radius`) admits, is a chunk of one. Every selection is
+re-validated pairwise with the scalar `geom.centers_compatible`. The kernel
+returns its union weight, so the radius loop builds one `Placement`, for
+the radius it returns.
 """
 
 from __future__ import annotations
@@ -37,12 +37,21 @@ from .geom import (
     TolerancePolicy,
     bitsets,
     centers_compatible,
+    compatible_table,
     coverage_mask,
     point_order_sums,
 )
-from . import klink
+from . import placement
 from .klink import _ends, line_geometry
-from .placement import LineCenter, Placement, ValidationFailureError, best_radius, line_placement, selection_key
+from .placement import (
+    LineCenter,
+    Placement,
+    ValidationFailureError,
+    best_radius,
+    in_chunks,
+    line_placement,
+    selection_key,
+)
 
 __all__ = [
     "multiline_centers",
@@ -193,26 +202,22 @@ def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
 def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
     """Per center (rows ascending), the later centers of its row compatible
     with it, as a bitset over the positions in the row; the search never
-    looks back. Each pair is decided at its row's radius in the float
-    operations of `geom.compatible_table`. The pairs go in blocks of about
-    `klink._CELLS` / 8, since a block holds about eight arrays with one
+    looks back. Each pair is decided at its row's radius by
+    `geom.compatible_table`. The pairs go in blocks of about
+    `placement.CELLS` / 8, since a block holds about eight arrays with one
     cell per pair."""
     count = np.bincount(row, minlength=len(lams))
     pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
     later = count[row] - pos - 1
     bits = np.zeros((len(row), count.max(initial=0)), dtype=bool)
-    block = max(1, klink._CELLS // 8)
+    block = max(1, placement.CELLS // 8)
     cuts = np.searchsorted(np.cumsum(later), np.arange(block, later.sum(), block))
     for a in np.split(np.arange(len(row)), cuts):
         i = np.repeat(a, later[a])
         j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later[a]) - later[a], later[a])
         dx = xs[i] - xs[j]
         dy = ys[i] - ys[j]
-        lam = lams[row[i]]
-        two = 2.0 * lam
-        need = 4.0 * lam * lam
-        ok = np.where(ys[i] == ys[j], np.abs(dx) >= two - tol.x_slacks(two),
-                      dx * dx + dy * dy >= need - tol.bands(need))
+        ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
         bits[i[ok], pos[j[ok]]] = True
     return bitsets(bits)
 
@@ -341,33 +346,18 @@ def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _Unio
     index) pairs, ascending; (0.0, ()) when lam <= 0. Each selection is
     re-validated pairwise with the scalar `geom.centers_compatible`.
 
-    A chunk holds as many radii as fit `klink._CELLS` coverage cells (at
-    least one): n points times the raw candidates of a radius, at most 2tn
-    endpoints times 1 + 2t + ... + (2t)^(k-1) for the hop generations, plus
-    2t sentinels. weights memoizes union weights across chunks; pass one
-    per solve."""
+    A radius has n points times its raw candidates in coverage cells: at
+    most 2tn endpoints times 1 + 2t + ... + (2t)^(k-1) for the hop
+    generations, plus 2t sentinels. weights memoizes union weights across
+    chunks; pass one per solve."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if weights is None:
         weights = _UnionWeights(geos[0].w)
-    lams = np.asarray(lams, dtype=float)
-    out = [(0.0, ())] * len(lams)
-    live = (lams > 0).nonzero()[0]
     t, n = len(lines), len(geos[0].px)
     raw = 2 * t * n * sum((2 * t) ** g for g in range(k)) + 2 * t
-    step = max(1, klink._CELLS // (max(1, n) * raw))
     geo = _stacked(geos)
-    for a in range(0, len(live), step):
-        at = live[a: a + step]
-        for r, res in zip(at.tolist(), _solve_chunk(geo, lines, lams[at], k, tol, weights)):
-            out[r] = res
-    return out
-
-
-def _solve_radius(geos, lines, lam: float, k: int, tol: TolerancePolicy,
-                  weights: _UnionWeights | None = None):
-    """`_solve_radii` of one radius."""
-    return _solve_radii(geos, lines, [lam], k, tol, weights)[0]
+    return in_chunks(lams, max(1, n) * raw, lambda chunk: _solve_chunk(geo, lines, chunk, k, tol, weights))
 
 
 def _placement(points, lines, lam: float, chosen, tol: TolerancePolicy) -> Placement:
@@ -378,19 +368,18 @@ def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
                               tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks centered on the lines."""
     lines = check_lines(lines)
-    _, chosen = _solve_radius([line_geometry(points, ly) for ly in lines], lines, lam, k, tol)
+    _, chosen = _solve_radii([line_geometry(points, ly) for ly in lines], lines, [lam], k, tol)[0]
     return _placement(points, lines, lam, chosen, tol)
 
 
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks centered on the lines:
-    `best_radius` over the radius groups of `candidate_radii_tlines` with
-    the kernel `_solve_radius`, the first radii in chunks by
-    `_solve_radii`, with one union-weight memo. A chain-gain
+    `best_radius` over the radius groups of `candidate_radii_tlines`,
+    solved by `_solve_radii` with one union-weight memo. A chain-gain
     radius can win only if the blue weight within reach of some line beats
     the best so far: more weight, or as much at a smaller radius."""
     lines = check_lines(lines)
-    groups = radius_groups(candidate_radii_tlines(points, lines, tol, k))
+    groups = radius_groups(candidate_radii_tlines(points, lines, k))
     geos = [line_geometry(points, ly) for ly in lines]
     blues = [(min((p.y - ly) ** 2 for ly in lines), p.weight) for p in points if p.is_blue]
 
@@ -400,6 +389,6 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
         return reach > best[0] or (reach == best[0] and v < best[1])
 
     weights = _UnionWeights(geos[0].w)
-    _, lam, chosen = best_radius(groups, lambda v: _solve_radius(geos, lines, v, k, tol, weights),
-                                 can_win, lambda _, lams: _solve_radii(geos, lines, lams, k, tol, weights))
+    _, lam, chosen = best_radius(groups, lambda lams: _solve_radii(geos, lines, lams, k, tol, weights),
+                                 can_win)
     return _placement(points, lines, lam, chosen, tol)

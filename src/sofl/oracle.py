@@ -143,7 +143,7 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
     best = OracleResult(0.0, 0.0, (), (0, 0))
-    for cand in candidate_radii_line(points, line_y, tol, k):
+    for cand in candidate_radii_line(points, line_y, k):
         lam = cand.value
         if lam <= 0.0:
             continue
@@ -232,7 +232,7 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
     best = OracleResult(0.0, 0.0, (), (0, 0))
     lines = list(lines)
-    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, tol, k)):
+    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, k)):
         if lam <= 0.0:
             continue
         cents = multiline_centers(points, lines, lam, k, tol)
@@ -257,7 +257,7 @@ def brute_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
     best = OracleResult(0.0, 0.0, (), (0, 0))
-    for cand in candidate_radii_discrete(points, sites, tol):
+    for cand in candidate_radii_discrete(points, sites):
         lam = cand.value
         if lam <= 0.0:
             continue
@@ -285,7 +285,7 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
     all_blue_mask = sum(1 << i for i, p in enumerate(points) if p.is_blue)
     best_blue = 0
     best_red = None
-    for cand in candidate_radii_line(points, line_y, tol, k):
+    for cand in candidate_radii_line(points, line_y, k):
         lam = cand.value
         if lam <= 0.0:
             continue

@@ -1,8 +1,13 @@
-"""Solution containers and tie-break helpers shared by solvers and oracles."""
+"""Solution containers and tie-break helpers shared by solvers and oracles,
+and the radius loop of every general solver: `best_radius` over one batch
+solve, solve(radii) -> [(union weight, chosen), ...], which each solver
+drives through `in_chunks` within the one cell budget CELLS."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geom import DEFAULT_TOL, Disk, TolerancePolicy, is_covered
 
@@ -11,13 +16,18 @@ __all__ = [
     "LineCenter",
     "SiteCenter",
     "Placement",
-    "empty_placement",
     "union_coverage",
     "line_placement",
     "site_placement",
     "selection_key",
+    "CELLS",
+    "in_chunks",
     "best_radius",
 ]
+
+# Cells per chunk of radii. Every array of a chunk has at most a few times
+# this many cells, so a solve's memory stays flat.
+CELLS = 1 << 14
 
 
 class ValidationFailureError(RuntimeError):
@@ -44,10 +54,6 @@ class Placement:
     total_weight: float
     covered_blue: frozenset
     covered_red: frozenset
-
-
-def empty_placement(lam: float = 0.0) -> Placement:
-    return Placement(lam, (), 0.0, frozenset(), frozenset())
 
 
 def union_coverage(disks, points, tol: TolerancePolicy = DEFAULT_TOL):
@@ -87,21 +93,36 @@ def selection_key(weight: float, center_keys) -> tuple:
     return (-weight, len(center_keys), tuple(sorted(center_keys, reverse=True)))
 
 
-def best_radius(groups, kernel, can_win=None, map=map):
+def in_chunks(lams, cells_per_radius: int, chunk) -> list:
+    """For each radius, (0.0, ()) when lam <= 0, else what chunk gives for
+    it: the positive radii go to chunk(array of radii), in order, as many
+    at a time as fit CELLS cells at cells_per_radius each (at least one)."""
+    lams = np.asarray(lams, dtype=float)
+    out = [(0.0, ())] * len(lams)
+    live = (lams > 0).nonzero()[0]
+    step = max(1, CELLS // cells_per_radius)
+    for a in range(0, len(live), step):
+        at = live[a: a + step]
+        for r, res in zip(at.tolist(), chunk(lams[at])):
+            out[r] = res
+    return out
+
+
+def best_radius(groups, solve, can_win=None):
     """The radius loop of every solver: (weight, radius, chosen) of the
-    first radius of the largest kernel(radius) = (weight, chosen), as a full
-    evaluation gives. Of the ascending (radius, first) groups, every first
-    radius is solved through map, then each other one, ascending, if
-    can_win(radius, best): it could have more weight, or as much at a
-    smaller radius."""
+    first radius of the largest weight, as a full evaluation gives, where
+    solve(radii) gives (weight, chosen) per radius. Of the ascending
+    (radius, first) groups, every first radius is solved in one solve call,
+    then each other one, ascending, if can_win(radius, best): it could have
+    more weight, or as much at a smaller radius."""
     firsts = [v for v, first in groups if first]
     best = None
-    for v, (weight, chosen) in zip(firsts, map(kernel, firsts)):
+    for v, (weight, chosen) in zip(firsts, solve(firsts)):
         if best is None or weight > best[0]:
             best = (weight, v, chosen)
     for v, first in groups:
         if not first and can_win(v, best):
-            weight, chosen = kernel(v)
+            weight, chosen = solve([v])[0]
             if weight > best[0] or (weight == best[0] and v < best[1]):
                 best = (weight, v, chosen)
     return best

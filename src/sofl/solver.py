@@ -4,7 +4,9 @@ The general solve returns what a full evaluation of the k-aware candidate
 set gives: the placement with the largest weight, at the smallest candidate
 radius among ties. It solves every standard radius but only those chain
 gains whose placement could be lost before the next standard radius is
-solved (`placement.best_radius`). The special cases are handled by reweighting:
+solved (`placement.best_radius`): the first radii in one `klink.solve_radii`
+call, each admitted gain in a call of its own. The special cases are
+handled by reweighting:
 to cover all blues while touching as few reds as possible, give each red a
 small negative weight and each blue more than all reds combined; to cover as
 many blues as possible while covering no red, give each blue a small
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts, with_gains
 from .geom import DEFAULT_TOL, TolerancePolicy
-from .klink import line_geometry, solve_radii, solve_radius
+from .klink import line_geometry, solve_radii
 from .placement import LineCenter, Placement, best_radius, line_placement
 
 __all__ = [
@@ -58,21 +59,20 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
                 tol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> Placement:
     """Max-weight placement of at most k disks of a common minimum radius.
 
-    `best_radius` over `candidate_radii_line(..., k=k)` with the kernel
-    `klink.solve_radius`. Let c_{i+1} be the standard radius after a chain
+    `best_radius` over `candidate_radii_line(..., k=k)`, solved by
+    `klink.solve_radii`. Let c_{i+1} be the standard radius after a chain
     gain g (see `line_contacts`). Unless a loss falls in
     [g - MERGE_EPS, c_{i+1}), every placement feasible at g is feasible at
     c_{i+1}, so g can win only if g < best radius <= c_{i+1}. The first
     radii are the standard ones, each gain with such a loss and the last
-    radius, which nothing after it stands in for; they are solved in chunks
-    by `klink.solve_radii`. jobs is accepted for compatibility and has no
-    effect.
+    radius, which nothing after it stands in for; they are solved in one
+    call, in chunks. jobs is accepted for compatibility and has no effect.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    standard = candidate_radii_line(points, line_y, tol)
+    standard = candidate_radii_line(points, line_y)
     gains, losses = line_contacts(points, line_y, k)
     std = [c.value for c in standard]
     radii = with_gains(standard, gains)
@@ -89,8 +89,7 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
 
     groups = [(c.value, c.kind != KIND_CHAIN or c is radii[-1] or lost(c.value)) for c in radii]
     geo = line_geometry(points, line_y)
-    kernel = functools.partial(solve_radius, geo, k=k, tol=tol)
-    _, lam, xs = best_radius(groups, kernel, can_win, lambda _, lams: solve_radii(geo, lams, k, tol))
+    _, lam, xs = best_radius(groups, lambda lams: solve_radii(geo, lams, k, tol), can_win)
     return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)
 
 

@@ -281,7 +281,7 @@ def _covering_eval(xs: np.ndarray, bx, by, rx, ry, tol):
         r2 = r * r
         s = _s(rx, ry, xs[lo:lo + len(r), None], r2)
         rad[lo:lo + len(r)] = r[:, 0]
-        count[lo:lo + len(r)] = (s < -(tol.eps * np.maximum(1.0, r2))).sum(axis=1)
+        count[lo:lo + len(r)] = (s < -tol.bands(r2)).sum(axis=1)
     i = _first_min(count, rad, xs)
     return (float(xs[i]), float(rad[i]), int(count[i]))
 

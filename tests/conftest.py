@@ -26,10 +26,10 @@ from sofl.geom import (
     point_order_sums,
 )
 from sofl.instance import SemanticError, generate, parse_instance
-from sofl.klink import _coverage_rows, interval_ends, line_geometry
+from sofl.klink import _coverage_rows, _reach, line_geometry
 from sofl.multiline import _admit
 from sofl.oracle import OracleResult
-from sofl.placement import ValidationFailureError, selection_key
+from sofl.placement import Placement, ValidationFailureError, selection_key
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
 
@@ -51,6 +51,23 @@ def increasing_root(f, lo, hi):
         else:
             hi = mid
     return hi
+
+
+def empty_placement(lam=0.0):
+    return Placement(lam, (), 0.0, frozenset(), frozenset())
+
+
+def interval_ends(geo, lam, tol=DEFAULT_TOL):
+    """Indices of the points within lam of the line of geo
+    (`klink.LineGeometry`), and their influence intervals as l, r in point
+    order."""
+    lam2 = lam * lam
+    reach, h = _reach(geo.dy2, lam2, tol.band(lam2))
+    idx = reach.nonzero()[0]
+    ends = np.empty(2 * len(idx))
+    ends[0::2] = geo.px[idx] - h[idx]
+    ends[1::2] = geo.px[idx] + h[idx]
+    return idx, ends
 
 
 def line_centers_and_weights(points, line_y, lam, k, tol=DEFAULT_TOL):
@@ -464,7 +481,7 @@ def _reference_dp_taken(w, p, k):
 
 
 def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
-    """`klink.solve_radius` as the dense single-radius kernel it replaced:
+    """One radius of `klink.solve_radii` as the dense kernel it replaced:
     a points x centers coverage mask, weights summed in point order down
     its columns, and one DP pass per budget layer over one radius."""
     if lam <= 0.0:
@@ -639,7 +656,7 @@ def _reference_search_best(geos, lines, lam, k, xs, li, tol):
 
 
 def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL):
-    """`multiline._solve_radius` as the per-radius kernel that `_solve_radii`
+    """One radius of `multiline._solve_radii` as the per-radius kernel it
     replaced: candidates, a dense coverage table and a full compatibility
     table of one radius, sorted-list top-gain bounds, and a DFS with a
     union-weight memo of its own, which prunes as `_search` does."""

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from sofl import cli, discrete, klink, multiline
+from sofl import cli, discrete, multiline, placement
 from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
 from sofl.geom import centers_compatible
 from sofl.instance import generate, parse_instance
@@ -366,7 +366,7 @@ def test_solve_json_tlines_bytes_in_small_chunks(inst_file, monkeypatch, capsys)
     # pairs eight; the pinned bytes must not depend on the split. Only the
     # cheaper pinned cases run: t = k = 4 of the wide pin and t or k = 3 of
     # the other take about 40 s together in blocks that small.
-    monkeypatch.setattr(klink, "_CELLS", 64)
+    monkeypatch.setattr(placement, "CELLS", 64)
     seeds = [seed for seed in range(32) if seed % 4 != 3]
     got = _tlines_wide_solve_text(inst_file, capsys, seeds)
     assert got == _pinned(GOLDEN_TLINES_WIDE, {f"# seed={seed}" for seed in seeds})

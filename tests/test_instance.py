@@ -12,7 +12,8 @@ from sofl.instance import (
     generate,
     parse_instance,
 )
-from sofl.placement import LineCenter, Placement, SiteCenter, empty_placement
+from sofl.placement import LineCenter, Placement, SiteCenter
+from conftest import empty_placement
 
 
 def test_parse_minimal():

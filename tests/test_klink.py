@@ -8,7 +8,7 @@ import pytest
 
 from sofl.candidates import candidate_radii_line
 from sofl.geom import DEFAULT_TOL, Disk, disk_weight
-from sofl import klink
+from sofl import placement
 from sofl.klink import (
     _backtrack,
     _centers,
@@ -16,11 +16,9 @@ from sofl.klink import (
     _keys,
     _predecessors,
     candidate_centers,
-    interval_ends,
     line_geometry,
     solve_fixed_radius,
     solve_radii,
-    solve_radius,
 )
 from sofl.placement import union_coverage
 from sofl.solver import reduce_allblue_minred, reduce_maxblue_nored
@@ -28,6 +26,7 @@ from conftest import (
     B,
     R,
     edge_weight,
+    interval_ends,
     line_centers_and_weights,
     random_instance,
     reference_solve_radius,
@@ -333,7 +332,7 @@ def test_solve_radius_reports_union_weight():
     # touching disks counts twice there (score 8); the reported weight is
     # the union's.
     pts = [B(0, -2, 1e-6, 2), B(1, -2, 1e-6, 2), B(2, 0, 4, 1)]
-    weight, xs = solve_radius(line_geometry(pts, 0.0), 4.0, 2)
+    weight, xs = solve_radii(line_geometry(pts, 0.0), [4.0], 2)[0]
     assert xs == pytest.approx((-6.0, 2.0))
     disks = [Disk(x, 0.0, 4.0) for x in xs]
     assert weight == union_coverage(disks, pts)[0] == 4.0
@@ -433,7 +432,7 @@ def test_solve_radii_equals_dense_reference(monkeypatch):
             lams = [-1.0, 0.0, low] + [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
             want = repr([reference_solve_radius(geo, lam, k) for lam in lams])
             for rows in (len(lams), 7):
-                monkeypatch.setattr(klink, "_CELLS", rows * (2 * (2 * k - 1) * len(pts) + 2))
+                monkeypatch.setattr(placement, "CELLS", rows * (2 * (2 * k - 1) * len(pts) + 2))
                 assert repr(solve_radii(geo, lams, k)) == want, (k, scale, sign, rows)
     assert exact == {True, False}
 

@@ -8,14 +8,13 @@ import pytest
 from sofl.candidates import candidate_radii_tlines, radius_groups
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
 from sofl.instance import emit_result, generate, parse_instance
-from sofl import klink
+from sofl import placement
 from sofl.klink import candidate_centers, line_geometry
 import sofl.multiline
 from sofl.multiline import (
     _UnionWeights,
     _search,
     _solve_radii,
-    _solve_radius,
     _stacked,
     _tables,
     multiline_centers,
@@ -216,11 +215,11 @@ def test_compat_bitsets_match_scalar_on_instances():
 
 
 def assert_kernel_weights_are_unions(points, lines, k, tol=DEFAULT_TOL):
-    """At every candidate radius, `_solve_radius`'s weight is the union
+    """At every candidate radius, the kernel's weight is the union
     weight `line_placement` recomputes for its selection, bit for bit."""
     geos = [line_geometry(points, ly) for ly in lines]
-    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, tol, k)):
-        weight, chosen = _solve_radius(geos, lines, lam, k, tol)
+    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, k)):
+        weight, chosen = _solve_radii(geos, lines, [lam], k, tol)[0]
         centers = tuple(LineCenter(x, li) for x, li in chosen)
         pl = line_placement(points, lines, max(lam, 0.0), centers, tol)
         assert weight.hex() == pl.total_weight.hex(), (lam, chosen)
@@ -392,11 +391,11 @@ def test_solve_radii_equals_per_radius_reference(monkeypatch):
     # line; the 5e-7 policy (a slack of 2e-6 at |x| = 4) chains hops into
     # runs that are not all mutually close, which `_admit` decides value by
     # value.
-    monkeypatch.setattr(klink, "_CELLS", 1 << 30)
+    monkeypatch.setattr(placement, "CELLS", 1 << 30)
     for pts, lines, k in _kernel_cases():
         scale = max(abs(y) for y in lines) or 1.0
         for tol in (DEFAULT_TOL, TolerancePolicy(5e-7)):
-            radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, tol, k))]
+            radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, k))]
             radii += [0.0, -1.0, 0.5 * scale, 1e-3 * scale]
             geos = [line_geometry(pts, ly) for ly in lines]
             expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol) for v in radii])
@@ -408,10 +407,10 @@ def test_solve_radii_equals_per_radius_reference(monkeypatch):
                 assert repr(got) == expect, (pts, lines, k, tol, size)
 
 
-def test_first_radii_go_through_map(monkeypatch):
-    # solve_tlines solves every first radius in one `_solve_radii` call
-    # through best_radius's map, then one radius per call for exactly the
-    # chain radii that can_win admits.
+def test_first_radii_go_through_one_solve(monkeypatch):
+    # solve_tlines solves every first radius in one `_solve_radii` call,
+    # then one radius per call for exactly the chain radii that can_win
+    # admits.
     calls, admitted = [], []
     solve_radii = sofl.multiline._solve_radii
     loop = sofl.multiline.best_radius
@@ -420,13 +419,13 @@ def test_first_radii_go_through_map(monkeypatch):
         calls.append(list(lams))
         return solve_radii(geos, lines, lams, *args)
 
-    def spied(groups, kernel, can_win, map):
+    def spied(groups, solve, can_win):
         def judged(v, best):
             won = can_win(v, best)
             if won:
                 admitted.append(v)
             return won
-        return loop(groups, kernel, judged, map)
+        return loop(groups, solve, judged)
 
     monkeypatch.setattr(sofl.multiline, "_solve_radii", counted)
     monkeypatch.setattr(sofl.multiline, "best_radius", spied)
@@ -436,7 +435,7 @@ def test_first_radii_go_through_map(monkeypatch):
         calls.clear()
         admitted.clear()
         solve_tlines(inst.points, inst.lines, inst.k)
-        groups = radius_groups(candidate_radii_tlines(inst.points, inst.lines, DEFAULT_TOL, inst.k))
+        groups = radius_groups(candidate_radii_tlines(inst.points, inst.lines, inst.k))
         assert calls[0] == [v for v, first in groups if first], seed
         assert calls[1:] == [[v] for v in admitted], seed
         assert set(admitted) <= {v for v, first in groups if not first}, seed

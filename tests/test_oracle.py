@@ -111,7 +111,7 @@ def test_masks_match_is_covered_bit_for_bit():
     for seed, f, sx in itertools.product(range(40), (1.0, 2.0 ** 20, 2.0 ** -20), (1.0, -1.0)):
         pts = _copy(tol_edge_instance(seed).points, f, sx)
         tol = policies[seed % 3]
-        for cand in candidate_radii_line(pts, 0.0, tol, 2)[:4]:
+        for cand in candidate_radii_line(pts, 0.0, 2)[:4]:
             if cand.value > 0:
                 centers = _line_center_grid(pts, 0.0, cand.value, 2, tol)
                 assert_masks_match_is_covered(pts, centers, cand.value, tol)

@@ -5,7 +5,7 @@ weight. This pins the pruning rules of csofl and t-lines."""
 
 import pytest
 
-from sofl import discrete, multiline
+from sofl import discrete, klink, multiline, placement
 from sofl.candidates import (
     candidate_radii_discrete,
     candidate_radii_line,
@@ -14,7 +14,7 @@ from sofl.candidates import (
 )
 from sofl.discrete import solve_discrete
 from sofl.geom import DEFAULT_TOL
-from sofl.klink import line_geometry, solve_radius
+from sofl.klink import line_geometry, solve_radii
 from sofl.multiline import solve_tlines
 from sofl.oracle import brute_csofl, brute_discrete
 from sofl.placement import LineCenter, best_radius, line_placement, site_placement
@@ -34,47 +34,48 @@ def full_evaluation(radii, kernel):
 
 def full_csofl(points, k, tol=DEFAULT_TOL):
     geo = line_geometry(points, 0.0)
-    radii = [c.value for c in candidate_radii_line(points, 0.0, tol, k)]
-    lam, xs = full_evaluation(radii, lambda v: solve_radius(geo, v, k, tol))
+    radii = [c.value for c in candidate_radii_line(points, 0.0, k)]
+    lam, xs = full_evaluation(radii, lambda v: solve_radii(geo, [v], k, tol)[0])
     return line_placement(points, [0.0], lam, tuple(LineCenter(x) for x in xs), tol)
 
 
 def full_tlines(points, lines, k, tol=DEFAULT_TOL):
     geos = [line_geometry(points, ly) for ly in lines]
-    radii = [v for v, _ in radius_groups(candidate_radii_tlines(points, lines, tol, k))]
-    lam, chosen = full_evaluation(radii, lambda v: multiline._solve_radius(geos, lines, v, k, tol))
+    radii = [v for v, _ in radius_groups(candidate_radii_tlines(points, lines, k))]
+    lam, chosen = full_evaluation(radii, lambda v: multiline._solve_radii(geos, lines, [v], k, tol)[0])
     return line_placement(points, lines, lam, tuple(LineCenter(*c) for c in chosen), tol)
 
 
 def full_discrete(sites, points, k, tol=DEFAULT_TOL):
     ring = discrete.canonical_ring(sites).sites
     geo = discrete._geometry(ring, points)
-    radii = [c.value for c in candidate_radii_discrete(points, ring, tol)]
-    lam, chosen = full_evaluation(radii, lambda v: discrete._solve_radius(geo, v, k, tol))
+    radii = [c.value for c in candidate_radii_discrete(points, ring)]
+    lam, chosen = full_evaluation(radii, lambda v: discrete._solve_radii(geo, [v], k, tol)[0])
     return site_placement(points, ring, lam, chosen, tol)
 
 
 # --- best_radius ---------------------------------------------------------------
 
 
-def table_kernel(weights, solved):
-    def kernel(lam):
-        solved.append(lam)
-        return weights[lam], (lam,)
+def table_solve(weights, calls):
+    """A batch solve over a weight table; records the radii of each call."""
+    def solve(lams):
+        calls.append(list(lams))
+        return [(weights[lam], (lam,)) for lam in lams]
 
-    return kernel
+    return solve
 
 
 def test_best_radius_first_radius_of_largest_weight():
-    solved = []
-    kernel = table_kernel({0.0: 0.0, 1.0: 3.0, 2.0: 5.0, 3.0: 5.0}, solved)
+    calls = []
+    solve = table_solve({0.0: 0.0, 1.0: 3.0, 2.0: 5.0, 3.0: 5.0}, calls)
     groups = [(0.0, True), (1.0, True), (2.0, True), (3.0, True)]
-    assert best_radius(groups, kernel) == (5.0, 2.0, (2.0,))
-    assert solved == [0.0, 1.0, 2.0, 3.0]
+    assert best_radius(groups, solve) == (5.0, 2.0, (2.0,))
+    assert calls == [[0.0, 1.0, 2.0, 3.0]]
 
 
 def test_best_radius_other_radii_only_when_they_can_win():
-    solved, asked = [], []
+    calls, asked = [], []
     weights = {0.0: 0.0, 1.0: 4.0, 1.5: 4.0, 2.0: 4.0, 2.5: 9.0, 3.0: 2.0}
     groups = [(0.0, True), (1.0, False), (1.5, False), (2.0, True), (2.5, False), (3.0, True)]
 
@@ -84,23 +85,77 @@ def test_best_radius_other_radii_only_when_they_can_win():
 
     # The firsts give (4.0, 2.0). Radius 1.0 ties at a smaller radius and
     # wins, 1.5 ties at a larger one and loses, 2.5 is never solved.
-    assert best_radius(groups, table_kernel(weights, solved), can_win) == (4.0, 1.0, (1.0,))
-    assert solved == [0.0, 2.0, 3.0, 1.0, 1.5]
+    assert best_radius(groups, table_solve(weights, calls), can_win) == (4.0, 1.0, (1.0,))
+    assert calls == [[0.0, 2.0, 3.0], [1.0], [1.5]]
     assert asked == [(1.0, (4.0, 2.0)), (1.5, (4.0, 1.0)), (2.5, (4.0, 1.0))]
 
 
-def test_best_radius_maps_the_first_radii_only():
-    mapped = []
-
-    def spy_map(fn, radii):
-        mapped.append(list(radii))
-        return map(fn, radii)
-
+def test_best_radius_solves_the_first_radii_in_one_call():
+    calls = []
     weights = {0.0: 0.0, 1.0: 1.0, 2.0: 2.0}
     groups = [(0.0, True), (1.0, False), (2.0, True)]
-    best = best_radius(groups, table_kernel(weights, []), lambda lam, best: True, map=spy_map)
+    best = best_radius(groups, table_solve(weights, calls), lambda lam, best: True)
     assert best == (2.0, 2.0, (2.0,))
-    assert mapped == [[0.0, 2.0]]
+    assert calls == [[0.0, 2.0], [1.0]]
+
+
+# --- the chunk driver ------------------------------------------------------------
+
+
+def _batch_kernel(name):
+    """(module, solve, positive candidate radii) of one solver's batch
+    kernel on a small instance with a blue point on a line or at a site, so
+    that a kernel asked at radius 0 would cover it."""
+    if name == "klink":
+        pts = [*random_instance(3, 6, 2).points, B(99, 1.5, 0.0, 4.0)]
+        geo = line_geometry(pts, 0.0)
+        radii = [c.value for c in candidate_radii_line(pts, 0.0, 2)]
+        return klink, lambda lams: klink.solve_radii(geo, lams, 2), radii
+    if name == "multiline":
+        inst = random_instance(5, 5, 2, "tlines", t=2)
+        pts = [*inst.points, B(99, 1.5, inst.lines[1], 4.0)]
+        geos = [line_geometry(pts, ly) for ly in inst.lines]
+        radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, inst.lines, 2))]
+        return multiline, lambda lams: multiline._solve_radii(geos, inst.lines, lams, 2, DEFAULT_TOL), radii
+    inst = random_instance(7, 5, 3, "discrete", s=6)
+    ring = discrete.canonical_ring(inst.sites).sites
+    pts = [*inst.points, B(99, *ring[2], 4.0)]
+    geo = discrete._geometry(ring, pts)
+    radii = [c.value for c in candidate_radii_discrete(pts, ring)]
+    return discrete, lambda lams: discrete._solve_radii(geo, lams, 3, DEFAULT_TOL), radii
+
+
+@pytest.mark.parametrize("name", ["klink", "multiline", "discrete"])
+def test_nonpositive_radii_among_positive_at_any_chunk_size(monkeypatch, name):
+    # Zero and negative radii mixed among positive ones, in one call, with
+    # chunks of 1, 2 and all the positive radii: the same repr as solving
+    # radius by radius, (0.0, ()) at every radius <= 0, and the positive
+    # radii, in order, in chunks of the size the cell budget allows.
+    module, solve, radii = _batch_kernel(name)
+    pos = [v for v in radii if v > 0][:6]
+    lams = [-1.0, pos[0], 0.0, pos[1], pos[2], -0.0, pos[3], -pos[4], pos[4], 0.0, pos[5]]
+    one_by_one = [solve([v])[0] for v in lams]
+    assert all(res == (0.0, ()) for v, res in zip(lams, one_by_one) if v <= 0)
+    assert any(weight > 0 for weight, _ in one_by_one)
+    cells, chunks = [], []
+    real = module.in_chunks
+
+    def spy(lams, cells_per_radius, chunk):
+        cells.append(cells_per_radius)
+
+        def sized(part):
+            chunks.append(part.tolist())
+            return chunk(part)
+
+        return real(lams, cells_per_radius, sized)
+
+    monkeypatch.setattr(module, "in_chunks", spy)
+    solve([1.0])
+    for size in (1, 2, len(pos)):
+        monkeypatch.setattr(placement, "CELLS", size * cells[0])
+        chunks.clear()
+        assert repr(solve(lams)) == repr(one_by_one), size
+        assert chunks == [pos[a: a + size] for a in range(0, len(pos), size)], size
 
 
 # --- every solve equals a full evaluation --------------------------------------
@@ -137,7 +192,7 @@ def test_line_witness_fixed_radius():
     # Two disks at -6 and 2 touch at (-2, 0); the DP counts the two blues
     # there in both, 8 in all, against 5 for one disk at 0.
     points = [B(0, -2, 1e-6, 2.0), B(1, -2, 1e-6, 2.0), B(2, 0, 4, 1.0)]
-    weight, xs = solve_radius(line_geometry(points, 0.0), 4.0, 2, DEFAULT_TOL)
+    weight, xs = solve_radii(line_geometry(points, 0.0), [4.0], 2, DEFAULT_TOL)[0]
     assert (weight, xs) == (5.0, (0.0,))
 
 
