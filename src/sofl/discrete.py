@@ -29,6 +29,9 @@ in point order, so the results equal a scalar evaluation bit for bit. A
 radius returns the union weight of its chosen sites, taken from their mask
 columns, so the radius loop (`placement.best_radius`) compares union
 weights and builds one `Placement` per solve, for the radius it returns.
+The loop visits the radii best bound first and skips those whose bound
+cannot win; `_blue_bound` gives every radius's bound from one coverage
+table per chunk of radii.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from itertools import combinations
 import numpy as np
 
 from .candidates import candidate_radii_discrete
-from .geom import DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums
+from .geom import (DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums,
+                   sums_are_exact)
 from .placement import Placement, ValidationFailureError, best_radius, in_chunks, selection_key, site_placement
 
 __all__ = [
@@ -309,9 +313,36 @@ def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: Toleranc
     return site_placement(points, ring, max(lam, 0.0), chosen, tol)
 
 
+def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[float]:
+    """Per radius, an upper bound on the union weight of any k sites: the sum
+    of the k largest site blue weights, each blue counted at a site in the
+    float test of `_coverage`. Every blue the union counts is counted at a
+    chosen site, a blue covered by two sites twice, and reds only lower the
+    union, so this holds under any tolerance. When `sums_are_exact`, both
+    sums are exact (a rounded top-k sum stays at least any union weight of
+    at most 2^53). Otherwise the bound is widened by (k+1)(n+k+1) * sum|w| *
+    2^-52: twice the first-order rounding error of the union's n-term sum,
+    of the site sums and of their k-term sum, which also covers the
+    rounding of the addition. A radius has one cell per point and site."""
+    n, s = geo.pd2.shape
+    wb = np.where(geo.blue, geo.w, 0.0)
+    margin = 0.0
+    if not sums_are_exact(geo.w):
+        margin = (k + 1) * (n + k + 1) * float(np.abs(geo.w).sum()) * 2.0**-52
+
+    def chunk(lams):
+        r2 = lams * lams
+        cov = coverage_mask(geo.pd2[:, None] - r2[:, None], True, tol.bands(r2)[:, None])
+        sums = point_order_sums(cov.reshape(n, len(lams) * s), wb).reshape(len(lams), s)
+        return [(sum(sorted(row)[-k:]) + margin, ()) for row in sums.tolist()]
+
+    return [b for b, _ in in_chunks(lams, max(1, geo.pd2.size), chunk)]
+
+
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """`best_radius` over `candidate_radii_discrete`, every radius solved:
-    the first radius of the largest union weight, as one `Placement`."""
+    """`best_radius` over `candidate_radii_discrete`, ordered by
+    `_blue_bound`: the first radius of the largest union weight, as one
+    `Placement`."""
     ring = sites if isinstance(sites, SiteRing) else canonical_ring(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -319,5 +350,6 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
         raise ValueError("k must be smaller than the number of sites")
     geo = _geometry(ring.sites, points)
     radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites)]
-    _, lam, chosen = best_radius(radii, lambda lams: _solve_radii(geo, lams, k, tol))
+    _, lam, chosen = best_radius(radii, lambda lams: _solve_radii(geo, lams, k, tol),
+                                 bound=lambda lams: _blue_bound(geo, lams, k, tol))
     return site_placement(points, ring.sites, lam, chosen, tol)

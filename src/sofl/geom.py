@@ -41,6 +41,7 @@ __all__ = [
     "disk_weight",
     "coverage_mask",
     "point_order_sums",
+    "sums_are_exact",
     "bitsets",
     "merge_keep",
     "center_on_line_through",
@@ -172,6 +173,13 @@ def point_order_sums(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = np.where(cov, w[:, None], 0.0)
     np.cumsum(v, axis=0, out=v)
     return v[-1]
+
+
+def sums_are_exact(w: np.ndarray) -> bool:
+    """Whether every float sum of any of the weights w, added in any order,
+    is exact: all are integers and their absolute sum is at most 2^53."""
+    ws = w.tolist()
+    return all(v.is_integer() for v in ws) and sum(abs(int(v)) for v in ws) <= 2**53
 
 
 def bitsets(rows: np.ndarray) -> list[int]:

@@ -24,7 +24,7 @@ per-point arrays built once per instance (`line_geometry`):
   `geom.coverage_mask`. One search serves every row: the complex key
   row + 1j*x sorts by (row, x), exactly;
 - center weights: when every weight is an integer and their absolute sum
-  is at most 2^53 (`LineGeometry.exact`), every partial sum is exact, so a
+  is at most 2^53 (`geom.sums_are_exact`), every partial sum is exact, so a
   prefix sum of +w at lo and -w at hi gives the point-order sums;
   otherwise every (point, center) pair of the ranges is summed in point
   order;
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, sums_are_exact
 from .placement import LineCenter, Placement, in_chunks, line_placement
 
 __all__ = [
@@ -72,19 +72,18 @@ class LineGeometry(NamedTuple):
     dy2: np.ndarray  # squared height over the line
     blue: np.ndarray
     w: np.ndarray
-    exact: bool  # integer weights with absolute sum at most 2^53: sums are exact
+    exact: bool  # `sums_are_exact(w)`
 
 
 def line_geometry(points, line_y: float) -> LineGeometry:
     pts = list(points)
     w = np.array([p.weight for p in pts], dtype=float)
-    exact = bool((np.isfinite(w) & (w == np.round(w))).all())
     return LineGeometry(
         np.array([p.x for p in pts], dtype=float),
         (np.array([p.y for p in pts], dtype=float) - line_y) ** 2,
         np.array([p.is_blue for p in pts], dtype=bool),
         w,
-        exact and sum(abs(int(v)) for v in w.tolist()) <= 2**53,
+        sums_are_exact(w),
     )
 
 

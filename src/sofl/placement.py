@@ -1,10 +1,14 @@
 """Solution containers and tie-break helpers shared by solvers and oracles,
 and the radius loop of every general solver: `best_radius` over one batch
 solve, solve(radii) -> [(union weight, chosen), ...], which each solver
-drives through `in_chunks` within the one cell budget CELLS."""
+drives through `in_chunks` within the one cell budget CELLS. A solver that
+can bound the weight of a radius cheaply passes that bound, and the loop
+solves the radii best bound first and stops where no bound can win."""
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +25,14 @@ __all__ = [
     "site_placement",
     "selection_key",
     "CELLS",
+    "BOUND_STEP",
     "in_chunks",
     "best_radius",
 ]
+
+# Radii per solve call when a bound orders them: few enough that the
+# bound can stop the loop early, enough that a batch kernel stays batched.
+BOUND_STEP = 64
 
 # Cells per chunk of radii. Every array of a chunk has at most a few times
 # this many cells, so a solve's memory stays flat.
@@ -108,21 +117,42 @@ def in_chunks(lams, cells_per_radius: int, chunk) -> list:
     return out
 
 
-def best_radius(groups, solve, can_win=None):
+def best_radius(groups, solve, can_win=None, bound=None):
     """The radius loop of every solver: (weight, radius, chosen) of the
     first radius of the largest weight, as a full evaluation gives, where
-    solve(radii) gives (weight, chosen) per radius. Of the ascending
-    (radius, first) groups, every first radius is solved in one solve call,
-    then each other one, ascending, if can_win(radius, best): it could have
-    more weight, or as much at a smaller radius."""
-    firsts = [v for v, first in groups if first]
+    solve(radii) gives (weight, chosen) per radius and bound(radii) an
+    upper bound on that weight (+inf without a bound). A radius can beat
+    the best when its bound is larger, or equal at a smaller radius. Of
+    the ascending (radius, first) groups, the first radii are solved in
+    (-bound, radius) order, in calls of BOUND_STEP radii and any that
+    follow at the same bound, until one cannot beat the best, nor can any
+    after it; without a bound that is one call. Then each other radius,
+    ascending, if it can beat the best and can_win(radius, best). The
+    first radius of the largest weight can always beat the best, so it is
+    solved and wins."""
+    caps = bound([v for v, _ in groups]) if bound else [math.inf] * len(groups)
     best = None
-    for v, (weight, chosen) in zip(firsts, solve(firsts)):
-        if best is None or weight > best[0]:
-            best = (weight, v, chosen)
-    for v, first in groups:
-        if not first and can_win(v, best):
-            weight, chosen = solve([v])[0]
-            if weight > best[0] or (weight == best[0] and v < best[1]):
+
+    def beats(weight, v) -> bool:  # (-weight, v) sorts before (-best weight, best radius)
+        return best is None or weight > best[0] or (weight == best[0] and v < best[1])
+
+    def take(lams):
+        nonlocal best
+        for v, (weight, chosen) in zip(lams, solve(lams)):
+            if beats(weight, v):
                 best = (weight, v, chosen)
+
+    order = sorted((-cap, v) for (v, first), cap in zip(groups, caps) if first)
+    i = 0
+    while i < len(order):
+        stop = len(order) if best is None else bisect.bisect_left(order, (-best[0], best[1]), i)
+        if stop == i:
+            break
+        j = min(stop, i + BOUND_STEP)
+        j = min(stop, bisect.bisect_left(order, (order[j - 1][0], math.inf), j))
+        take([v for _, v in order[i:j]])
+        i = j
+    for (v, first), cap in zip(groups, caps):
+        if not first and beats(cap, v) and can_win(v, best):
+            take([v])
     return best

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from bisect import bisect_left, bisect_right, insort
@@ -55,6 +56,14 @@ def increasing_root(f, lo, hi):
 
 def empty_placement(lam=0.0):
     return Placement(lam, (), 0.0, frozenset(), frozenset())
+
+
+def rescaled(sites, points, weights, scale):
+    """A discrete instance with the given point weights, its coordinates and
+    weights then multiplied by scale."""
+    return ([(scale * x, scale * y) for x, y in sites],
+            [dataclasses.replace(p, x=scale * p.x, y=scale * p.y, weight=scale * w)
+             for p, w in zip(points, weights)])
 
 
 def interval_ends(geo, lam, tol=DEFAULT_TOL):

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from sofl.candidates import candidate_radii_discrete
 from sofl.discrete import (
     ConvexPositionError,
     _ChordSolver,
+    _blue_bound,
     _coverage,
     _geometry,
     _pair_table,
@@ -22,10 +25,11 @@ from sofl.geom import (
     centers_compatible,
     disk_weight,
     dist2,
+    is_covered,
     point_order_sums,
 )
 from sofl.oracle import brute_discrete
-from conftest import B, R, random_instance, thin_ring_instance
+from conftest import B, R, random_instance, rescaled, thin_ring_instance
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
@@ -193,6 +197,57 @@ def test_admission_rejects_only_sites_strictly_inside():
                         sides = [dist2(*p, *q) for p, q in ((pa, pc), (pc, pb), (pb, ring[d]), (ring[d], pa))]
                         assert dist2(*pc, *ring[d]) >= min(sides), (ring, a, b, c, d)
     assert len(rings) >= 40 and rejected > 1000 and admitted_inside > 0
+
+
+def _bound_cases():
+    """(sites, points, k) of the bound's soundness test: the thin rings of
+    `golden_discrete_thin` (seeds 0..119) and seeded generator rings, both
+    with s <= 8, and a blue at the tangent point of two touching sites with
+    reds on and within the band of a boundary; each also with float
+    weights, and scaled by 2^-20 and 2^20 in coordinates and weights."""
+    rng = random.Random(3)
+    insts = [inst for seed in range(120) if (inst := thin_ring_instance(seed)) is not None
+             and len(inst.sites) <= 8]
+    insts += [random_instance(700 + seed, 4 + seed % 8, min(1 + seed % 4, 4 + seed % 5),
+                              variant="discrete", s=5 + seed % 4) for seed in range(16)]
+    # At radius 2 sites 0 and 1 touch at blue 0; red 2 is on the boundary
+    # of site 1 and red 3 inside it by less than the band (4e-9).
+    tangent = [B(0, 2, 0, 5.0), B(1, 0, 10, 3.0), R(2, 6, 0, -1.0), R(3, 4, 2 - 1e-10, -2.0),
+               B(4, 4, 2 + 1e-10, 1.0), R(5, 1, 9, -1.0)]
+    cases = [(inst.sites, inst.points, inst.k) for inst in insts]
+    cases += [([(0, 0), (4, 0), (4, 10), (0, 10)], tangent, k) for k in (1, 2, 3)]
+    for sites, points, k in cases:
+        floats = [p.weight * rng.choice((0.1, 0.7, 1 / 3, 3.0)) for p in points]
+        for weights in ([p.weight for p in points], floats):
+            for scale in (1.0, 2.0**-20, 2.0**20):
+                yield (*rescaled(sites, points, weights, scale), k)
+
+
+def test_blue_bound_is_at_least_every_union_weight():
+    # At every candidate radius the bound is at least the union weight of
+    # every selection of at most k sites (compatible or not), with coverage
+    # by the scalar `is_covered` and the union summed in point order. At
+    # radius <= 0 the solve places nothing, so the bound need only be >= 0.
+    cases = 0
+    for sites, points, k in _bound_cases():
+        ring = canonical_ring(sites).sites
+        radii = [c.value for c in candidate_radii_discrete(points, ring)]
+        bounds = _blue_bound(_geometry(ring, points), radii, k, DEFAULT_TOL)
+        w = np.array([p.weight for p in points])
+        subsets = [c for r in range(1, k + 1) for c in combinations(range(len(ring)), r)]
+        inc = np.zeros((len(ring), len(subsets)), dtype=int)
+        for j, c in enumerate(subsets):
+            inc[list(c), j] = 1
+        for lam, bound in zip(radii, bounds):
+            if lam <= 0:
+                assert bound >= 0.0
+                continue
+            cov = np.array([[is_covered(p, Disk(x, y, lam)) for x, y in ring] for p in points])
+            union = cov.astype(int) @ inc > 0
+            top = np.cumsum(np.where(union, w[:, None], 0.0), axis=0)[-1].max()
+            assert bound >= top, (sites, points, k, lam)
+        cases += 1
+    assert cases > 100
 
 
 def test_k1_best_single_site():

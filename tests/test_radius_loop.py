@@ -3,9 +3,12 @@ it: each solve must equal a full evaluation, which solves every candidate
 radius with the solver's kernel and keeps the first radius of the largest
 weight. This pins the pruning rules of csofl and t-lines."""
 
+import math
+import random
+
 import pytest
 
-from sofl import discrete, klink, multiline, placement
+from sofl import discrete, klink, multiline, placement, solver
 from sofl.candidates import (
     candidate_radii_discrete,
     candidate_radii_line,
@@ -19,7 +22,7 @@ from sofl.multiline import solve_tlines
 from sofl.oracle import brute_csofl, brute_discrete
 from sofl.placement import LineCenter, best_radius, line_placement, site_placement
 from sofl.solver import solve_csofl
-from conftest import B, random_instance, tol_edge_instance
+from conftest import B, random_instance, rescaled, tol_edge_instance
 
 
 def full_evaluation(radii, kernel):
@@ -97,6 +100,114 @@ def test_best_radius_solves_the_first_radii_in_one_call():
     best = best_radius(groups, table_solve(weights, calls), lambda lam, best: True)
     assert best == (2.0, 2.0, (2.0,))
     assert calls == [[0.0, 2.0], [1.0]]
+
+
+def bounded_solve(weights, bounds, calls):
+    """A table solve that records each call and asserts, for every radius
+    of a call, that its bound could beat the best result returned before
+    the call: a larger bound, or an equal one at a smaller radius."""
+    best = []
+
+    def solve(lams):
+        for lam in lams:
+            assert not best or (-bounds[lam], lam) < best[0], (lam, best)
+        calls.append(list(lams))
+        out = [(weights[lam], (lam,)) for lam in lams]
+        best[:] = [min([*best, *((-w, lam) for w, (lam,) in out)])]
+        return out
+
+    return solve
+
+
+def full_table(weights, radii):
+    """best_radius's result over every radius: the first of the largest weight."""
+    top = max(weights[v] for v in radii)
+    v = min(v for v in radii if weights[v] == top)
+    return (top, v, (v,))
+
+
+def test_best_radius_bound_order_and_ties(monkeypatch):
+    # In (-bound, radius) order: 6; 3 and 4, one bound; then 1, 2 and 5 at
+    # bound 5, which ties the best (5 at 3): 1 and 2 are smaller radii and
+    # are solved, 5 is a larger one and stops the loop; 0 is never solved.
+    monkeypatch.setattr(placement, "BOUND_STEP", 1)
+    weights = {0.0: 0.0, 1.0: 3.0, 2.0: 5.0, 3.0: 5.0, 4.0: 4.0, 5.0: 5.0, 6.0: 2.0}
+    bounds = {0.0: 0.0, 1.0: 5.0, 2.0: 5.0, 3.0: 6.0, 4.0: 6.0, 5.0: 5.0, 6.0: 9.0}
+    calls = []
+    groups = [(v, True) for v in weights]
+    best = best_radius(groups, bounded_solve(weights, bounds, calls),
+                       bound=lambda lams: [bounds[v] for v in lams])
+    assert best == full_table(weights, weights) == (5.0, 2.0, (2.0,))
+    assert calls == [[6.0], [3.0, 4.0], [1.0, 2.0]]
+
+
+def test_best_radius_bound_at_zero_weight(monkeypatch):
+    # Every weight is 0, so radius 0 wins. Radius 2 comes first by its
+    # bound; then 0 and 1, which tie the best at smaller radii, share a
+    # call, and 3 is never solved.
+    monkeypatch.setattr(placement, "BOUND_STEP", 1)
+    weights = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0, 3.0: 0.0}
+    bounds = {0.0: 0.0, 1.0: 0.0, 2.0: 4.0, 3.0: 0.0}
+    calls = []
+    groups = [(v, True) for v in weights]
+    best = best_radius(groups, bounded_solve(weights, bounds, calls),
+                       bound=lambda lams: [bounds[v] for v in lams])
+    assert best == (0.0, 0.0, (0.0,))
+    assert calls == [[2.0], [0.0, 1.0]]
+
+
+def test_best_radius_without_bound_keeps_its_calls():
+    # No bound counts every bound as +inf: one call for the first radii,
+    # in ascending order, then one per other radius that can win, and a
+    # bound of +inf everywhere makes the same calls.
+    weights = {0.0: 0.0, 1.0: 4.0, 1.5: 4.0, 2.0: 4.0, 2.5: 9.0, 3.0: 2.0}
+    groups = [(0.0, True), (1.0, False), (1.5, False), (2.0, True), (2.5, False), (3.0, True)]
+    results = []
+    for bound in (None, lambda lams: [math.inf] * len(lams)):
+        calls = []
+        best = best_radius(groups, table_solve(weights, calls), lambda lam, best: lam != 2.5, bound)
+        results.append((best, calls))
+    assert results[0] == results[1] == ((4.0, 1.0, (1.0,)), [[0.0, 2.0, 3.0], [1.0], [1.5]])
+
+
+def test_best_radius_bound_prunes_other_radii():
+    # A radius that is not first is asked can_win only if its bound can
+    # beat the best: 1.5 ties the best at a larger radius, 2.5 is below it.
+    weights = {0.0: 0.0, 1.0: 4.0, 1.5: 4.0, 2.0: 4.0, 2.5: 3.0}
+    bounds = {0.0: 0.0, 1.0: 4.0, 1.5: 4.0, 2.0: 5.0, 2.5: 3.5}
+    groups = [(0.0, True), (1.0, False), (1.5, False), (2.0, True), (2.5, False)]
+    calls, asked = [], []
+
+    def can_win(lam, best):
+        asked.append(lam)
+        return True
+
+    best = best_radius(groups, bounded_solve(weights, bounds, calls), can_win,
+                       lambda lams: [bounds[v] for v in lams])
+    assert best == (4.0, 1.0, (1.0,))
+    assert calls == [[2.0, 0.0], [1.0]]
+    assert asked == [1.0]
+
+
+@pytest.mark.parametrize("step", [1, 3, 64])
+def test_best_radius_bound_equals_full_evaluation(monkeypatch, step):
+    # Random tables with many equal weights and bounds: the result equals a
+    # full evaluation, and no radius is solved whose bound could not beat
+    # the best when its call was made (asserted inside the solve).
+    monkeypatch.setattr(placement, "BOUND_STEP", step)
+    rng = random.Random(step)
+    skipped = 0
+    for _ in range(300):
+        radii = sorted(rng.sample(range(400), rng.randint(1, 150)))
+        weights = {float(v): float(rng.randint(0, 6)) for v in radii}
+        weights[float(radii[0])] = 0.0
+        bounds = {v: w + rng.choice((0, 0, 1, 3)) for v, w in weights.items()}
+        calls = []
+        best = best_radius([(v, True) for v in weights], bounded_solve(weights, bounds, calls),
+                           bound=lambda lams: [bounds[v] for v in lams])
+        assert best == full_table(weights, weights)
+        skipped += len(weights) - sum(map(len, calls))
+    assert skipped > 0
 
 
 # --- the chunk driver ------------------------------------------------------------
@@ -182,6 +293,99 @@ def test_solve_discrete_equals_full_evaluation():
         n, k, s = 3 + seed % 6, 1 + seed % 3, 5 + seed // 6 % 3
         inst = random_instance(500 + seed, n, k, "discrete", s=s)
         assert solve_discrete(inst.sites, inst.points, k) == full_discrete(inst.sites, inst.points, k)
+
+
+def unbounded_loop(groups, solve, can_win):
+    """The radius loop as it was before bounds: the first radii in one
+    call, then each other radius, ascending, that can_win."""
+    firsts = [v for v, first in groups if first]
+    best = None
+    for v, (weight, chosen) in zip(firsts, solve(firsts)):
+        if best is None or weight > best[0]:
+            best = (weight, v, chosen)
+    for v, first in groups:
+        if not first and can_win(v, best):
+            weight, chosen = solve([v])[0]
+            if weight > best[0] or (weight == best[0] and v < best[1]):
+                best = (weight, v, chosen)
+    return best
+
+
+@pytest.mark.parametrize("name", ["csofl", "tlines"])
+def test_unbounded_solvers_make_the_same_solve_calls(monkeypatch, name):
+    # csofl and t-lines pass no bound: best_radius must make exactly the
+    # solve calls, and return the result, of the loop before bounds.
+    module = solver if name == "csofl" else multiline
+    counts = {"solves": 0, "calls": 0, "single": 0}
+
+    def spy(groups, solve, can_win=None, bound=None):
+        assert bound is None
+        calls, want = [], []
+
+        def recorded(log):
+            def run(lams):
+                log.append(list(lams))
+                return solve(lams)
+            return run
+
+        best = best_radius(groups, recorded(calls), can_win)
+        assert best == unbounded_loop(groups, recorded(want), can_win)
+        assert calls == want
+        counts["solves"] += 1
+        counts["calls"] += len(calls)
+        counts["single"] += sum(len(c) == 1 for c in calls[1:])
+        return best
+
+    monkeypatch.setattr(module, "best_radius", spy)
+    if name == "csofl":
+        for seed in range(60):
+            n, k = 3 + seed % 8, 1 + seed // 8 % 3
+            solve_csofl(random_instance(300 + seed, n, k).points, 0.0, k)
+    else:
+        for seed in [*range(80, 92), 93, 105]:
+            n, k, t = 4 + seed % 4, 2 + seed // 4 % 2, 2 + seed // 8 % 2
+            inst = random_instance(seed, n, k, "tlines", t=t)
+            solve_tlines(inst.points, inst.lines, k)
+    assert counts["solves"] and counts["single"], counts
+
+
+def _discrete_cases():
+    """(sites, points, k): generator rings with integer weights, the same
+    with float weights, with unit weights (many equal weights across
+    radii), and each of those scaled by 2^-20 and 2^20 in coordinates and
+    weights."""
+    rng = random.Random(5)
+    for seed in range(30):
+        s = 5 + seed % 5
+        k = min(1 + seed % 4, s - 1)
+        inst = random_instance(600 + seed, 3 + seed % 10, k, "discrete", s=s)
+        sign = [1.0 if p.is_blue else -1.0 for p in inst.points]
+        floats = [c * rng.choice((0.1, 0.2, 0.7, 1 / 3, 1e16, 3.0)) for c in sign]
+        for weights in ([p.weight for p in inst.points], floats, sign):
+            for scale in (1.0, 2.0**-20, 2.0**20):
+                yield (*rescaled(inst.sites, inst.points, weights, scale), k)
+
+
+def test_solve_discrete_equals_full_evaluation_under_the_bound(monkeypatch):
+    # The bound skips radii, so the pruned solve must still return exactly
+    # what solving every radius returns, on the exact and the margin path.
+    # Calls of 4 radii let it skip radii on these small instances too.
+    monkeypatch.setattr(placement, "BOUND_STEP", 4)
+    solved, total = [0], [0]
+    real = discrete._solve_radii
+
+    def counted(geo, lams, k, tol):
+        solved[0] += len(lams)
+        return real(geo, lams, k, tol)
+
+    for sites, points, k in _discrete_cases():
+        full = full_discrete(sites, points, k)
+        monkeypatch.setattr(discrete, "_solve_radii", counted)
+        pl = solve_discrete(sites, points, k)
+        monkeypatch.setattr(discrete, "_solve_radii", real)
+        total[0] += len(candidate_radii_discrete(points, discrete.canonical_ring(sites).sites))
+        assert repr(pl) == repr(full), (sites, points, k)
+    assert solved[0] < total[0], (solved, total)
 
 
 # --- ROADMAP item 1: the DPs double-count touching disks -------------------------
