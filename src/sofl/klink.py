@@ -4,14 +4,29 @@ numpy kernel over a chunk of radii.
 
 For a fixed radius lam, every point within lam of the line contributes an
 influence interval of center positions whose disk covers it. Candidate
-centers are the interval endpoints plus copies shifted by multiples of
-2*lam on both sides, because a chain of touching disks may hang off a
-single contact, plus two far-away sentinel positions that can never cover
-anything. Choosing at most k centers with pairwise gap >= 2*lam so as to
-maximize covered weight is then a two-index DP: phi(i, j) looks at the
-first i+1 centers with j picks left and either skips center i or takes it
-on top of the best solution ending at p[i], the rightmost center at gap
->= 2*lam to its left.
+centers are the interval endpoints plus copies shifted right by multiples
+of 2*lam, because a chain of touching disks may hang off a single contact,
+plus two far-away sentinel positions that can never cover anything.
+
+Rightward copies suffice. Sweep any selection left to right and slide each
+disk left along its line while its covered point set stays the same. It
+stops at an influence-interval endpoint, where a point reaches its
+boundary, or touching a disk to its left (at 2*lam on its own line, at
+sqrt(4*lam^2 - dy^2) on another line); a disk to its right never blocks
+it. Sliding keeps the weight and the center count and lowers the
+descending center tuple, so the `selection_key` minimum among the best
+selections is fully left-shifted: every center is an endpoint or a
+rightward chain of touching hops from one. The t-lines candidates of
+`multiline` rest on the same argument. It is exact for exact coverage;
+under the tolerance band a blue's covered interval reaches past its
+endpoints, so there a slide can stop short of an endpoint (README,
+"Numerical policy").
+
+Choosing at most k centers with pairwise gap >= 2*lam so as to maximize
+covered weight is then a two-index DP: phi(i, j) looks at the first i+1
+centers with j picks left and either skips center i or takes it on top of
+the best solution ending at p[i], the rightmost center at gap >= 2*lam to
+its left.
 
 `solve_radii` solves a chunk of radii at once, one row per radius, on
 per-point arrays built once per instance (`line_geometry`):
@@ -115,17 +130,16 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy):
     each row's count.
 
     ends holds each row's intervals as l, r per point, +inf out of reach.
-    The raw list of a row is every endpoint followed by its shifts by -1,
-    +1, -2, +2, ... times 2*lam, then the two sentinels; it is sorted
-    stably, so among equal values the first in that order is kept. A row
-    with nothing in reach keeps its two sentinels, 0 and 2*k*lam, unmerged.
+    The raw list of a row is every endpoint followed by its shifts by +1,
+    ..., +(k - 1) times 2*lam (rightward only, see the module docstring),
+    then the two sentinels: at most 2kn + 2 values. It is sorted stably, so
+    among equal values the first in that order is kept. A row with nothing
+    in reach keeps its two sentinels, 0 and 2*k*lam, unmerged.
     """
     rows, n = ends.shape[:2]
-    offs = (2.0 * np.arange(1, k)) * lams[:, None, None, None]
-    raw = np.empty((rows, n, 2, 2 * k - 1))
+    raw = np.empty((rows, n, 2, k))
     raw[..., 0] = ends
-    raw[..., 1::2] = ends[..., None] - offs
-    raw[..., 2::2] = ends[..., None] + offs
+    raw[..., 1:] = ends[..., None] + (2.0 * np.arange(1, k)) * lams[:, None, None, None]
     margin = 2.0 * k * lams
     live = np.isfinite(ends[..., 0])
     some = live.any(axis=1)
@@ -134,7 +148,7 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy):
     last = np.where(some, last + margin, margin)
     raw = np.concatenate([raw.reshape(rows, -1), first[:, None], last[:, None]], axis=1)
     raw.sort(axis=1, kind="stable")
-    count = 2 + 2 * (2 * k - 1) * live.sum(axis=1)
+    count = 2 + 2 * k * live.sum(axis=1)
     flat = raw[np.arange(raw.shape[1]) < count[:, None]]
     ends_at = np.cumsum(count)
     start = np.zeros(len(flat), dtype=bool)
@@ -338,9 +352,9 @@ def solve_radii(geo: LineGeometry, lams, k: int,
     """For each radius lam, the best selection of at most k radius-lam disks
     centered on the line: its union weight and its center abscissae,
     ascending; (0.0, ()) when lam <= 0 or nothing is within lam of the
-    line. A radius has at most 2(2k - 1)n + 2 raw centers."""
+    line. A radius has at most 2kn + 2 raw centers (`_centers`)."""
     _check(k)
-    return in_chunks(lams, 2 * (2 * k - 1) * len(geo.px) + 2,
+    return in_chunks(lams, 2 * k * len(geo.px) + 2,
                      lambda chunk: _solve_chunk(geo, chunk, k, tol))
 
 

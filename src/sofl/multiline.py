@@ -1,18 +1,18 @@
 """Placement across several horizontal lines for a common radius.
 
-Candidate centers per line are the influence-interval endpoints plus chains
-of hops at center distance exactly 2*lam: along a line a hop moves 2*lam in
-x, across two lines closer than 2*lam it moves the reduced offset
-sqrt(4*lam^2 - dy^2). Selection is an exact depth-first search over the
-x-sorted candidates with an optimistic bound, because non-overlap between
-centers on different lines is a pairwise Euclidean constraint that a simple
-left-to-right link cannot capture.
+Candidate centers per line are the influence-interval endpoints plus
+rightward chains of hops at center distance exactly 2*lam: along a line a
+hop moves 2*lam in x, across two lines closer than 2*lam it moves the
+reduced offset sqrt(4*lam^2 - dy^2). Leftward hops are not needed, by the
+left-shift argument of the `klink` module docstring. Selection is an exact
+depth-first search over the x-sorted candidates with an optimistic bound,
+because non-overlap between centers on different lines is a pairwise
+Euclidean constraint that a simple left-to-right link cannot capture.
 
 `_solve_radii` solves a chunk of radii at once, one row per radius, on each
 line's geometry, built once per solve:
-- candidates: every row's endpoints (`klink._ends`), then each generation
-  of hops, then the sentinels, each go through one `_admit` call for the
-  whole chunk, keyed row * t + line;
+- candidates: every row's endpoints (`klink._ends`), hop generations and
+  sentinels, merged per (row, line) in one `geom.merge_keep` call;
 - tables: one points x candidates coverage mask gives each candidate its
   gain and its covered points as an int bitset; flat lists of the pairs
   within a row give the compatible later candidates as int bitsets;
@@ -39,6 +39,7 @@ from .geom import (
     centers_compatible,
     compatible_table,
     coverage_mask,
+    merge_keep,
     point_order_sums,
 )
 from . import placement
@@ -60,48 +61,6 @@ __all__ = [
 ]
 
 
-def _admit(kx, kl, cx, cl, tol: TolerancePolicy):
-    """Keep mask of the candidates cx on lines cl, in insertion order: a
-    value is kept iff it is not `tol.close` to a value already kept on its
-    line, among kx on lines kl or the candidates kept before it.
-
-    Kept values are pairwise farther apart than their slack, and a value
-    further along in sorted order is farther away by more than its slack
-    can grow, so a value close to some kept value is close to a sorted
-    neighbour. Runs of close sorted neighbours thus decide independently. A
-    run whose ends are close is all mutually close, and its earliest value
-    alone is kept; any other run is decided value by value.
-    """
-    keep = np.zeros(len(cx), dtype=bool)
-    x = np.concatenate([kx, cx])
-    li = np.concatenate([kl, cl])
-    o = np.lexsort((x, li))
-    x, li = x[o], li[o]
-    rank = o - len(kx)  # insertion order; the kept values come first
-    slack = tol.x_slacks(x)
-    brk = np.ones(len(x), dtype=bool)
-    brk[1:] = (x[1:] - x[:-1] > np.maximum(slack[1:], slack[:-1])) | (li[1:] != li[:-1])
-    if brk.all():
-        keep[:] = True
-        return keep
-    start = brk.nonzero()[0]
-    last = np.append(start[1:], len(x)) - 1
-    tight = x[last] - x[start] <= np.maximum(slack[last], slack[start])
-    first = np.minimum.reduceat(rank, start)
-    run = np.cumsum(brk) - 1
-    won = rank[(rank == first[run]) & tight[run]]
-    keep[won[won >= 0]] = True
-    for r in (~tight).nonzero()[0].tolist():
-        got: list[float] = []
-        for at in sorted(range(start[r], last[r] + 1), key=rank.__getitem__):
-            if rank[at] < 0:
-                got.append(x[at])
-            elif not any(tol.close(v, x[at]) for v in got):
-                got.append(x[at])
-                keep[rank[at]] = True
-    return keep
-
-
 def _stacked(geos):
     """The points against every line at once: the `klink.LineGeometry` of
     the first line with the squared heights over all lines, shape (t, n)."""
@@ -109,72 +68,66 @@ def _stacked(geos):
 
 
 def _hop_tables(lines, lams, tol: TolerancePolicy):
-    """Per radius and source line, the hop offsets and target lines in the
-    order a value's hops are admitted: -2*lam, +2*lam on its own line,
-    then -off, +off on each line closer than 2*lam, off = sqrt(4*lam^2 -
-    dy^2); target -1 marks a line out of reach. Shapes (radii, t, 2t)."""
+    """Per radius and source line, the rightward hop offsets and target
+    lines: +2*lam on its own line, then +off on each line closer than
+    2*lam, off = sqrt(4*lam^2 - dy^2); target -1 marks a line out of reach.
+    Shapes (radii, t, t)."""
     t = len(lines)
     to = [[li] + [lj for lj in range(t) if lj != li] for li in range(t)]
     dy2 = np.array([[(lines[lj] - lines[li]) ** 2 for lj in row] for li, row in enumerate(to)])
     need2 = (4.0 * lams * lams)[:, None, None]
-    dist = np.sqrt(np.maximum(0.0, need2 - dy2))
-    dist[..., 0] = (2.0 * lams)[:, None]
+    off = np.sqrt(np.maximum(0.0, need2 - dy2))
+    off[..., 0] = (2.0 * lams)[:, None]
     reach = dy2 - need2 <= tol.bands(need2)
     reach[..., 0] = True
-    off = np.stack([-dist, dist], axis=3).reshape(len(lams), t, 2 * t)
-    return off, np.repeat(np.where(reach, to, -1), 2, axis=2)
+    return off, np.where(reach, to, -1)
 
 
 def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy):
     """Candidate centers of positive radii across lines, as x, radius
-    (row) and line index arrays sorted by (row, x, line): endpoints, hop
-    chains, sentinels.
+    (row) and line index arrays sorted by (row, x, line): endpoints,
+    rightward hop chains, sentinels.
 
-    geo holds the points against every line (`_stacked`). Per row, the
-    endpoints (`klink._ends`) are admitted in (x, line) order, then k - 1
-    generations of hops (`_hop_tables`) from the values the previous
-    generation admitted, then each line's two sentinels; `_admit` drops
-    near-duplicates of every batch. All rows go through one `_admit` per
-    batch, keyed row * t + line: runs never cross rows, and each row keeps
-    its insertion order.
+    geo holds the points against every line (`_stacked`). Per row, the raw
+    values are the endpoints (`klink._ends`), k - 1 generations of hops
+    (`_hop_tables`) from every value of the generation before, and each
+    line's two sentinels: at most 2tn(1 + t + ... + t^(k-1)) + 2t values.
+    They are sorted stably by (row, line, x) and merged in one
+    `geom.merge_keep` call with the first value of each (row, line)
+    flagged, as `klink._centers` merges its rows.
     """
     t, rows = len(lines), len(lams)
     _, ends = _ends(geo, lams[:, None], tol)
     ends = ends.reshape(rows, -1)  # per row: line, point, l/r
     live = ends < np.inf
-    ex = ends[live]
     er, at = live.nonzero()
-    ekey = er * t + np.repeat(np.arange(t), ends.shape[1] // t)[at]
-    kx, kk = np.empty(0), np.empty(0, dtype=int)
-
-    def admit(cx, ck):
-        nonlocal kx, kk
-        keep = _admit(kx, kk, cx, ck, tol)
-        kx, kk = np.concatenate([kx, cx[keep]]), np.concatenate([kk, ck[keep]])
-        return cx[keep], ck[keep]
-
-    o = np.lexsort((ekey, ex, er))
-    bx, bk = ex[o], ekey[o]
+    bx, bk = ends[live], er * t + at // (ends.shape[1] // t)
+    xs, ks = [bx], [bk]
     if k > 1:
         off, to = _hop_tables(lines, lams, tol)
     for _ in range(k - 1):
-        fx, fk = admit(bx, bk)
-        fr, fl = np.divmod(fk, t)
+        fr, fl = np.divmod(bk, t)
         tf = to[fr, fl]
         ok = tf >= 0
-        bx, bk = (fx[:, None] + off[fr, fl])[ok], (fr[:, None] * t + tf)[ok]
-    # The sentinels come after the last batch in insertion order; a row
-    # with nothing in reach has only 0 and 2*k*lam on each line.
+        bx, bk = (bx[:, None] + off[fr, fl])[ok], (fr[:, None] * t + tf)[ok]
+        xs.append(bx)
+        ks.append(bk)
+    # A row with nothing in reach has only 0 and 2*k*lam on each line.
     margin = 2.0 * k * lams
     some = live.any(axis=1)
     lo = np.where(some, ends.min(axis=1, initial=np.inf) - margin, 0.0)
     hi = np.where(some, np.max(ends, axis=1, where=live, initial=-np.inf) + margin, margin)
-    sx = np.repeat(np.stack([lo, hi], axis=1), t, axis=0).ravel()
-    admit(np.concatenate([bx, sx]), np.concatenate([bk, np.repeat(np.arange(rows * t), 2)]))
-
-    row, line = np.divmod(kk, t)
-    o = np.lexsort((line, kx, row))
-    return kx[o], row[o], line[o]
+    xs.append(np.repeat(np.stack([lo, hi], axis=1), t, axis=0).ravel())
+    ks.append(np.repeat(np.arange(rows * t), 2))
+    x, key = np.concatenate(xs), np.concatenate(ks)
+    o = np.lexsort((x, key))
+    x, key = x[o], key[o]
+    start = np.ones(len(x), dtype=bool)
+    start[1:] = key[1:] != key[:-1]
+    keep = merge_keep(x, tol.x_slacks(x), start)
+    x, (row, line) = x[keep], np.divmod(key[keep], t)
+    o = np.lexsort((line, x, row))
+    return x[o], row[o], line[o]
 
 
 def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
@@ -346,16 +299,16 @@ def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _Unio
     index) pairs, ascending; (0.0, ()) when lam <= 0. Each selection is
     re-validated pairwise with the scalar `geom.centers_compatible`.
 
-    A radius has n points times its raw candidates in coverage cells: at
-    most 2tn endpoints times 1 + 2t + ... + (2t)^(k-1) for the hop
-    generations, plus 2t sentinels. weights memoizes union weights across
-    chunks; pass one per solve."""
+    A radius has n points times its raw candidates (`_candidates`) in
+    coverage cells: at most 2tn endpoints times 1 + t + ... + t^(k-1) for
+    the hop generations, plus 2t sentinels. weights memoizes union weights
+    across chunks; pass one per solve."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if weights is None:
         weights = _UnionWeights(geos[0].w)
     t, n = len(lines), len(geos[0].px)
-    raw = 2 * t * n * sum((2 * t) ** g for g in range(k)) + 2 * t
+    raw = 2 * t * n * sum(t ** g for g in range(k)) + 2 * t
     geo = _stacked(geos)
     return in_chunks(lams, max(1, n) * raw, lambda chunk: _solve_chunk(geo, lines, chunk, k, tol, weights))
 

@@ -1,9 +1,9 @@
 """Brute-force reference solvers used by the test suite and `sofl check`.
 
 These share only geometry predicates and the candidate generators with the
-optimized code: `classify`, `centers_compatible`, and for coverage one
-`coverage_mask` table per radius in `classify`'s float operations, packed
-by `bitsets`. Every optimum comes from explicit subset enumeration, under
+optimized code: `classify`, `centers_compatible` (called once per center
+pair and radius, into a pair table), and for coverage one `coverage_mask`
+table per radius in `classify`'s float operations, packed by `bitsets`. Every optimum comes from explicit subset enumeration, under
 the solvers' tie rule written out on its own. The only shortcuts taken are
 sound dominance: disks at pairwise distance >= 2*lam are disjoint, so a
 center whose own disk nets a non-positive weight can never improve a
@@ -74,6 +74,19 @@ def _masks(points, centers, lam, tol) -> list[int]:
     return bitsets(coverage_mask(s, blue, tol.band(r2)))
 
 
+def _pair_table(centers, lam, k, tol) -> list[int]:
+    """Per center, the int bitmask of the centers compatible with it (bit j
+    for centers[j]), by one scalar `centers_compatible` call per pair; all
+    zero for k = 1, where a selection never holds a pair."""
+    rows = [0] * len(centers)
+    for i, a in enumerate(centers if k > 1 else ()):
+        for j in range(i + 1, len(centers)):
+            if centers_compatible(a, centers[j], lam, tol):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def brute_fixed_radius(points, centers, lam: float, k: int,
                        tol: TolerancePolicy = DEFAULT_TOL,
                        max_centers: int = 20, max_k: int = 4) -> OracleResult:
@@ -100,10 +113,11 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
             weight_cache[mask] = got
         return got
 
+    compat = _pair_table(centers, lam, k, tol)
     best_key = (0.0, 0, ())
     best: tuple[tuple[int, ...], int] = ((), 0)
 
-    def rec(start: int, chosen: list[int], mask: int):
+    def rec(start: int, chosen: list[int], mask: int, allowed: int):
         nonlocal best_key, best
         head = (-union_weight(mask), len(chosen))
         if head <= best_key[:2]:  # can tie or win; only then build the center key
@@ -114,12 +128,12 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
         if len(chosen) == k:
             return
         for i in range(start, len(centers)):
-            if all(centers_compatible(centers[i], centers[j], lam, tol) for j in chosen):
+            if allowed >> i & 1:
                 chosen.append(i)
-                rec(i + 1, chosen, mask | masks[i])
+                rec(i + 1, chosen, mask | masks[i], allowed & compat[i])
                 chosen.pop()
 
-    rec(0, [], 0)
+    rec(0, [], 0, (1 << len(centers)) - 1)
     ids, mask = best
     nb = sum(1 for i, p in enumerate(points) if mask >> i & 1 and p.is_blue)
     counts = (nb, mask.bit_count() - nb)
@@ -300,7 +314,9 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
             blue_masks.append(bm)
             red_masks.append(rm)
 
-        def rec(start, chosen, bm, rm):
+        compat = _pair_table(grid, lam, k, tol)
+
+        def rec(start, used, bm, rm, allowed):
             nonlocal best_blue, best_red
             if variant == "maxblue-nored":
                 if rm == 0 and bm.bit_count() > best_blue:
@@ -309,16 +325,13 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
                 nred = rm.bit_count()
                 if best_red is None or nred < best_red:
                     best_red = nred
-            if len(chosen) == k:
+            if used == k:
                 return
             for i in range(start, len(grid)):
-                c = grid[i]
-                if all(centers_compatible(c, o, lam, tol) for o in chosen):
-                    chosen.append(c)
-                    rec(i + 1, chosen, bm | blue_masks[i], rm | red_masks[i])
-                    chosen.pop()
+                if allowed >> i & 1:
+                    rec(i + 1, used + 1, bm | blue_masks[i], rm | red_masks[i], allowed & compat[i])
 
-        rec(0, [], 0, 0)
+        rec(0, 0, 0, 0, (1 << len(grid)) - 1)
     if variant == "maxblue-nored":
         return best_blue
     return (best_red is not None), best_red

@@ -28,7 +28,6 @@ from sofl.geom import (
 )
 from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, _reach, line_geometry
-from sofl.multiline import _admit
 from sofl.oracle import OracleResult
 from sofl.placement import Placement, ValidationFailureError, selection_key
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
@@ -177,11 +176,12 @@ def mk_points():
 
 
 def reference_multiline_centers(points, lines, lam, k, tol=DEFAULT_TOL):
-    """`multiline.multiline_centers` written as a scalar insertion loop:
-    each value is inserted into its line's sorted row unless it is
-    `tol.close` to a row neighbour, endpoints in (x, line) order, then k - 1
-    generations of hops from the values the previous generation kept, then
-    two sentinels per line."""
+    """The two-sided t-lines candidates, hops both ways, a superset of
+    `multiline.multiline_centers` up to which near-duplicate is kept,
+    written as a scalar insertion loop: each value is inserted into its
+    line's sorted row unless it is `tol.close` to a row neighbour,
+    endpoints in (x, line) order, then k - 1 generations of hops from the
+    values the previous generation kept, then two sentinels per line."""
     per_line = [[] for _ in lines]
 
     def add(x, li):
@@ -440,6 +440,30 @@ def reference_allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL)
 # --- the dense single-radius line kernel -------------------------------------
 
 
+def _sorted_merge(xs, tol):
+    """xs sorted stably, keeping a value when it is farther than the larger
+    of the two slacks from the last value kept."""
+    kept = []
+    for x in sorted(xs):
+        if not kept or x - kept[-1] > max(tol.x_slack(x), tol.x_slack(kept[-1])):
+            kept.append(x)
+    return kept
+
+
+def reference_rightward_centers(ends, lam, k, tol=DEFAULT_TOL):
+    """`klink._centers` of one radius as a scalar loop over the interval
+    ends l, r, l, r, ...: each end followed by its shifts by +2*lam, ...,
+    +2(k - 1)*lam, then the two sentinels, merged by `_sorted_merge`; with
+    no ends, the two sentinels 0 and 2*k*lam, unmerged."""
+    margin = 2.0 * k * lam
+    ends = list(ends)
+    if not ends:
+        return [0.0, margin]
+    raw = [e + (2.0 * j) * lam if j else e for e in ends for j in range(k)]
+    raw += [min(ends[0::2]) - margin, max(ends[1::2]) + margin]
+    return _sorted_merge(raw, tol)
+
+
 def _reference_centers(ends, lam, k, tol):
     margin = 2.0 * k * lam
     if not len(ends):
@@ -489,10 +513,13 @@ def _reference_dp_taken(w, p, k):
     return layers
 
 
-def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
-    """One radius of `klink.solve_radii` as the dense kernel it replaced:
-    a points x centers coverage mask, weights summed in point order down
-    its columns, and one DP pass per budget layer over one radius."""
+def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL, rightward=False):
+    """One radius of the line kernel as the dense kernel `klink.solve_radii`
+    replaced: a points x centers coverage mask, weights summed in point
+    order down its columns, and one DP pass per budget layer over one
+    radius. Its centers are shifted both ways, a superset of the kernel's
+    up to which near-duplicate is kept, or with rightward set
+    `reference_rightward_centers`, the kernel's own."""
     if lam <= 0.0:
         return 0.0, ()
     lam2 = lam * lam
@@ -503,7 +530,10 @@ def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
     ends = np.empty(2 * len(idx))
     ends[0::2] = geo.px[idx] - h
     ends[1::2] = geo.px[idx] + h
-    xs = _reference_centers(ends, lam, k, tol)
+    if rightward:
+        xs = np.array(reference_rightward_centers(ends, lam, k, tol))
+    else:
+        xs = _reference_centers(ends, lam, k, tol)
     s = geo.px[idx][:, None] - xs[None, :]
     s *= s
     s += geo.dy2[idx][:, None]
@@ -546,9 +576,54 @@ def _reference_hop_table(lines, lam, tol):
     return np.array(off), np.array(to)
 
 
+def _admit(kx, kl, cx, cl, tol):
+    """Keep mask of the candidates cx on lines cl, in insertion order: a
+    value is kept iff it is not `tol.close` to a value already kept on its
+    line, among kx on lines kl or the candidates kept before it. This is
+    the "first admitted" merge of the two-sided t-lines kernel.
+
+    Kept values are pairwise farther apart than their slack, and a value
+    further along in sorted order is farther away by more than its slack
+    can grow, so a value close to some kept value is close to a sorted
+    neighbour. Runs of close sorted neighbours thus decide independently. A
+    run whose ends are close is all mutually close, and its earliest value
+    alone is kept; any other run is decided value by value.
+    """
+    keep = np.zeros(len(cx), dtype=bool)
+    x = np.concatenate([kx, cx])
+    li = np.concatenate([kl, cl])
+    o = np.lexsort((x, li))
+    x, li = x[o], li[o]
+    rank = o - len(kx)  # insertion order; the kept values come first
+    slack = tol.x_slacks(x)
+    brk = np.ones(len(x), dtype=bool)
+    brk[1:] = (x[1:] - x[:-1] > np.maximum(slack[1:], slack[:-1])) | (li[1:] != li[:-1])
+    if brk.all():
+        keep[:] = True
+        return keep
+    start = brk.nonzero()[0]
+    last = np.append(start[1:], len(x)) - 1
+    tight = x[last] - x[start] <= np.maximum(slack[last], slack[start])
+    first = np.minimum.reduceat(rank, start)
+    run = np.cumsum(brk) - 1
+    won = rank[(rank == first[run]) & tight[run]]
+    keep[won[won >= 0]] = True
+    for r in (~tight).nonzero()[0].tolist():
+        got = []
+        for at in sorted(range(start[r], last[r] + 1), key=rank.__getitem__):
+            if rank[at] < 0:
+                got.append(x[at])
+            elif not any(tol.close(v, x[at]) for v in got):
+                got.append(x[at])
+                keep[rank[at]] = True
+    return keep
+
+
 def reference_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
-    """`multiline._candidates` of one radius as the per-radius numpy kernel
-    it replaced: x and line index arrays sorted by (x, line)."""
+    """The two-sided t-lines candidates of one radius, a superset of
+    `multiline._candidates` up to which near-duplicate is kept, as the
+    per-radius numpy kernel that preceded it: hops both ways, each batch merged by `_admit`; x and line index
+    arrays sorted by (x, line)."""
     t = len(lines)
     margin = 2.0 * k * lam
     ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
@@ -579,6 +654,33 @@ def reference_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
         admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
     o = np.lexsort((kl, kx))
     return kx[o], kl[o]
+
+
+def reference_rightward_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
+    """`multiline._candidates` of one radius as a scalar loop: per line,
+    its endpoints, k - 1 generations of rightward hops (+2*lam on the same
+    line, then +sqrt(4*lam^2 - dy^2) on each line in reach, ascending) from
+    every value of the generation before, and the two sentinels, merged by
+    `_sorted_merge`; x and line index arrays sorted by (x, line)."""
+    per_line = [[] for _ in lines]
+    gen = [(x, li) for li, geo in enumerate(geos) for x in interval_ends(geo, lam, tol)[1].tolist()]
+    ends = [x for x, _ in gen]
+    need2 = 4.0 * lam * lam
+    for _ in range(k):
+        nxt = []
+        for x, li in gen:
+            per_line[li].append(x)
+            nxt.append((x + 2.0 * lam, li))
+            for lj, ly in enumerate(lines):
+                dy2 = (ly - lines[li]) ** 2
+                if lj != li and dy2 - need2 <= tol.band(need2):
+                    nxt.append((x + math.sqrt(max(0.0, need2 - dy2)), lj))
+        gen = nxt
+    margin = 2.0 * k * lam
+    for row in per_line:
+        row += [min(ends) - margin, max(ends) + margin] if ends else [0.0, margin]
+    got = sorted((x, li) for li, row in enumerate(per_line) for x in _sorted_merge(row, tol))
+    return np.array([x for x, _ in got]).reshape(-1), np.array([li for _, li in got], dtype=int)
 
 
 def _reference_coverage_table(geos, xs, li, lam, tol):
@@ -664,14 +766,18 @@ def _reference_search_best(geos, lines, lam, k, xs, li, tol):
     return -best_key[0], order[list(best_ids)]
 
 
-def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL):
+def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL, rightward=False):
     """One radius of `multiline._solve_radii` as the per-radius kernel it
     replaced: candidates, a dense coverage table and a full compatibility
     table of one radius, sorted-list top-gain bounds, and a DFS with a
-    union-weight memo of its own, which prunes as `_search` does."""
+    union-weight memo of its own, which prunes as `_search` does. The
+    candidates are the two-sided superset `reference_tlines_candidates`,
+    or with rightward set the kernel's own,
+    `reference_rightward_tlines_candidates`."""
     if lam <= 0.0:
         return 0.0, ()
-    xs, li = reference_tlines_candidates(geos, lines, lam, k, tol)
+    cands = reference_rightward_tlines_candidates if rightward else reference_tlines_candidates
+    xs, li = cands(geos, lines, lam, k, tol)
     weight, ids = _reference_search_best(geos, lines, lam, k, xs, li, tol)
     chosen = tuple(zip(xs[ids].tolist(), li[ids].tolist()))
     for i, (ax, al) in enumerate(chosen):

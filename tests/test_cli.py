@@ -355,6 +355,16 @@ def test_solve_json_tlines_wide_bytes(inst_file, capsys):
     assert _tlines_wide_solve_text(inst_file, capsys).encode() == GOLDEN_TLINES_WIDE.read_bytes()
 
 
+def test_solve_json_slowest_generator_tlines_bytes(inst_file, capsys):
+    # t = 3, k = 4, n = 16: two-sided hops gave 1,985 searched candidates
+    # at its largest radius and took about 54 s; rightward hops give 156.
+    path = inst_file(generate(1, 16, 4, "tlines", t=3))
+    assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{"lambda": 4.85412195974, "weight": 46.0, "centers": [{"x": 3.18391561938, "line": 1}, '
+        '{"x": 13.25, "line": 1}], "covered_blue": [0, 2, 7, 8, 11, 13, 14], "covered_red": []}\n')
+
+
 def _pinned(path, headers) -> str:
     """The blocks of a golden file whose header line is in headers."""
     blocks = re.split(r"(?m)^(?=# )", path.read_text())

@@ -126,9 +126,9 @@ def test_sequence_k1_interval():
 
 def test_sequence_k2_shifts_merge():
     _, ends = interval_ends(line_geometry([B(0, 1, 1)], 0.0), math.sqrt(2))
-    # interval is [0, 2]; with lam=1, k=2 the shifts interleave
+    # interval is [0, 2]; with lam=1, k=2 the shift of 0 merges into 2
     xs = tuple(grid(ends, 1.0, 2).tolist())
-    assert xs == pytest.approx((-4.0, -2.0, 0.0, 2.0, 4.0, 6.0))
+    assert xs == pytest.approx((-4.0, 0.0, 2.0, 4.0, 6.0))
     # the sentinels, 2*k*lam beyond the outermost endpoints, come first and last
     assert xs[0] == ends.min() - 4.0
     assert xs[-1] == ends.max() + 4.0
@@ -430,11 +430,31 @@ def test_solve_radii_equals_dense_reference(monkeypatch):
             exact.add(geo.exact)
             low = min(abs(p.y) for p in pts if p.y) / 2.0  # reaches nothing
             lams = [-1.0, 0.0, low] + [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
-            want = repr([reference_solve_radius(geo, lam, k) for lam in lams])
+            want = repr([reference_solve_radius(geo, lam, k, rightward=True) for lam in lams])
             for rows in (len(lams), 7):
-                monkeypatch.setattr(placement, "CELLS", rows * (2 * (2 * k - 1) * len(pts) + 2))
+                monkeypatch.setattr(placement, "CELLS", rows * (2 * k * len(pts) + 2))
                 assert repr(solve_radii(geo, lams, k)) == want, (k, scale, sign, rows)
     assert exact == {True, False}
+
+
+def test_rightward_centers_keep_weight_and_count():
+    # Rightward shifts alone (the left-shift argument of the `klink`
+    # docstring) must lose nothing: at every candidate radius the weight
+    # and the center count equal those over the two-sided superset of
+    # centers. Generator instances also run with both reductions; the
+    # tolerance-edge instances put points within 1e-5 of the line.
+    cases = []
+    for seed in range(40):
+        k = 1 + seed % 4
+        pts = random_instance(seed, 3 + seed % 10, k).points
+        cases += [(pts, k), (reduce_allblue_minred(pts), k), (reduce_maxblue_nored(pts), k)]
+    cases += [(tol_edge_instance(seed).points, 2) for seed in range(300)]
+    for pts, k in cases:
+        geo = line_geometry(pts, 0.0)
+        lams = [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
+        for lam, (weight, xs) in zip(lams, solve_radii(geo, lams, k)):
+            ref_weight, ref_xs = reference_solve_radius(geo, lam, k)
+            assert (weight, len(xs)) == (ref_weight, len(ref_xs)), (pts, k, lam)
 
 
 def test_exact_sums_guard():

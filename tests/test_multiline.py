@@ -24,7 +24,16 @@ from sofl.multiline import (
 from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
 from sofl.placement import LineCenter, line_placement, selection_key
 from sofl.solver import solve_csofl
-from conftest import B, R, random_instance, reference_multiline_centers, reference_tlines_solve_radius
+from conftest import (
+    B,
+    R,
+    random_instance,
+    reference_multiline_centers,
+    reference_rightward_tlines_candidates,
+    reference_tlines_candidates,
+    reference_tlines_solve_radius,
+    wide_tlines_text,
+)
 
 # 1e-4 gives a slack of 1e-3 at |x| = 10, the middle of the generator's coordinates.
 POLICIES = (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0))
@@ -40,13 +49,13 @@ def test_centers_single_line_match_klink():
 
 
 def test_cross_line_hops():
-    # endpoint at x=0 on line 0; second line at dy=1 with lam=1 gives
-    # cross candidates at +-sqrt(3)
+    # endpoint at x=0 on line 0; second line at dy=1 with lam=1 gives the
+    # rightward cross candidate at +sqrt(3), and no leftward one
     pts = [B(0, 0, 1)]
     ml = multiline_centers(pts, [0.0, 1.0], 1.0, 2)
     on_line1 = sorted(c.x for c in ml if c.line_index == 1)
     assert any(abs(x - math.sqrt(3)) < 1e-9 for x in on_line1)
-    assert any(abs(x + math.sqrt(3)) < 1e-9 for x in on_line1)
+    assert not any(abs(x + math.sqrt(3)) < 1e-9 for x in on_line1)
 
 
 def test_no_cross_line_hops_when_far():
@@ -265,6 +274,11 @@ def hexed(pairs):
     return [(x.hex(), li) for x, li in pairs]
 
 
+def rightward_centers(points, lines, lam, k, tol):
+    geos = [line_geometry(points, ly) for ly in lines]
+    return zip(*(a.tolist() for a in reference_rightward_tlines_candidates(geos, lines, lam, k, tol)))
+
+
 def test_centers_match_reference_loop():
     # Integer x and heights within 1e-6 of a line make hops land on each
     # other and near each other; the 5e-7 policy (a slack of 2e-6 at
@@ -284,8 +298,12 @@ def test_centers_match_reference_loop():
         for tol in policies:
             for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 1 + 1e-6, 2.0000005):
                 got = [(c.x, c.line_index) for c in multiline_centers(pts, lines, lam, k, tol)]
-                ref = reference_multiline_centers(pts, lines, lam, k, tol)
+                ref = rightward_centers(pts, lines, lam, k, tol)
                 assert hexed(got) == hexed(ref), (seed, tol, lam)
+                # the two forms of the two-sided superset reference agree
+                geos = [line_geometry(pts, ly) for ly in lines]
+                both = zip(*(a.tolist() for a in reference_tlines_candidates(geos, lines, lam, k, tol)))
+                assert hexed(both) == hexed(reference_multiline_centers(pts, lines, lam, k, tol))
 
 
 def test_centers_match_reference_loop_on_instances():
@@ -295,7 +313,7 @@ def test_centers_match_reference_loop_on_instances():
         for lam in [v for v in radii if v > 0][:6] + [1e-10, 3.25]:
             for tol in POLICIES:
                 got = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
-                ref = reference_multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
+                ref = rightward_centers(inst.points, inst.lines, lam, inst.k, tol)
                 assert hexed((c.x, c.line_index) for c in got) == hexed(ref), (seed, tol, lam)
 
 
@@ -317,6 +335,47 @@ def test_heavy_tail_instances_pinned(n, k, expect):
     pl = solve_tlines(inst.points, inst.lines, inst.k)
     assert emit_result(pl, "json") == expect
     assert pl.radius == {8: 9.0625, 12: 24.920072231034965}[n]
+
+
+def test_rightward_hops_keep_weight_and_count():
+    # Rightward hops alone (the left-shift argument of the `klink`
+    # docstring) must lose nothing: at every candidate radius the weight
+    # and the center count equal those over the two-sided superset of hops.
+    # The wide instances put points within 1e-6 of a line; t = k = 4 is
+    # left out for the superset's size.
+    cases = [random_instance(seed, 3 + seed % 4, 1 + seed // 3 % 3, variant="tlines", t=1 + seed % 3)
+             for seed in range(45)]
+    cases += [parse_instance(wide_tlines_text(seed)) for seed in range(32) if seed % 4 != 3]
+    for inst in cases:
+        geos = [line_geometry(inst.points, ly) for ly in inst.lines]
+        radii = [v for v, _ in radius_groups(candidate_radii_tlines(inst.points, inst.lines, inst.k))]
+        for lam, (weight, chosen) in zip(radii, _solve_radii(geos, inst.lines, radii, inst.k, DEFAULT_TOL)):
+            ref_weight, ref_chosen = reference_tlines_solve_radius(geos, inst.lines, lam, inst.k)
+            assert (weight, len(chosen)) == (ref_weight, len(ref_chosen)), (inst, lam)
+
+
+@pytest.mark.parametrize("seed", [2, 6, 10, 15, 18, 22, 27, 30])
+def test_repinned_wide_seeds_match_a_two_sided_oracle(seed):
+    # These k = 4 seeds of `golden_tlines_wide.txt` win at lam below
+    # 1.1e-6, where the band's absolute floor lets rightward and two-sided
+    # hops pick different centers at the same weight. `sofl check` stops at
+    # its k <= 3 guard here, so the oracle's exhaustive fixed-radius search
+    # runs directly, over the two-sided candidates; centers whose own disk
+    # nets nothing are dropped, as `brute_csofl` drops them.
+    inst = parse_instance(wide_tlines_text(seed))
+    lines = inst.lines
+    best = (0.0, 0.0)
+    for lam, _ in radius_groups(candidate_radii_tlines(inst.points, lines, inst.k)):
+        if lam <= 0:
+            continue
+        cents = [(x, lines[li]) for x, li in reference_multiline_centers(inst.points, lines, lam, inst.k)]
+        useful = [c for c in cents
+                  if sum(p.weight for p in inst.points if is_covered(p, Disk(*c, lam), DEFAULT_TOL)) > 0]
+        res = brute_fixed_radius(inst.points, useful, lam, inst.k, max_centers=len(useful))
+        if res.weight > best[0]:
+            best = (res.weight, lam)
+    pl = solve_tlines(inst.points, lines, inst.k)
+    assert (pl.total_weight, pl.radius) == best
 
 
 def _scaled(points, lines, f):
@@ -389,8 +448,7 @@ def test_solve_radii_equals_per_radius_reference(monkeypatch):
     # and compared by repr with the per-radius kernel of `conftest`. The
     # lists hold radii <= 0 and radii where nothing is within reach of any
     # line; the 5e-7 policy (a slack of 2e-6 at |x| = 4) chains hops into
-    # runs that are not all mutually close, which `_admit` decides value by
-    # value.
+    # runs that are not all mutually close.
     monkeypatch.setattr(placement, "CELLS", 1 << 30)
     for pts, lines, k in _kernel_cases():
         scale = max(abs(y) for y in lines) or 1.0
@@ -398,7 +456,8 @@ def test_solve_radii_equals_per_radius_reference(monkeypatch):
             radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, k))]
             radii += [0.0, -1.0, 0.5 * scale, 1e-3 * scale]
             geos = [line_geometry(pts, ly) for ly in lines]
-            expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol) for v in radii])
+            expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol, rightward=True)
+                           for v in radii])
             assert repr(_solve_radii(geos, lines, radii, k, tol)) == expect, (pts, lines, k, tol)
             for size in (1, 7):
                 got = []
