@@ -27,7 +27,7 @@ from .instance import (
     parse_instance,
 )
 from .klink import solve_fixed_radius
-from .multiline import solve_tlines, solve_tlines_fixed_radius
+from .multiline import multiline_centers, solve_tlines, solve_tlines_fixed_radius
 from .placement import LineCenter, Placement, SiteCenter
 from .solver import VariantSpec, solve_csofl, solve_special
 from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
@@ -59,6 +59,7 @@ __all__ = [
     "is_covered",
     "maxblue_nored_fast",
     "maxblue_nored_naive",
+    "multiline_centers",
     "parse_instance",
     "solve_csofl",
     "solve_discrete",

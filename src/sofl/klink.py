@@ -8,18 +8,24 @@ centers are the interval endpoints plus copies shifted right by multiples
 of 2*lam, because a chain of touching disks may hang off a single contact,
 plus two far-away sentinel positions that can never cover anything.
 
-Rightward copies suffice. Sweep any selection left to right and slide each
-disk left along its line while its covered point set stays the same. It
-stops at an influence-interval endpoint, where a point reaches its
-boundary, or touching a disk to its left (at 2*lam on its own line, at
-sqrt(4*lam^2 - dy^2) on another line); a disk to its right never blocks
-it. Sliding keeps the weight and the center count and lowers the
+Rightward copies suffice for exact coverage. Sweep any selection left to
+right and slide each disk left along its line while its covered point set
+stays the same. It stops at an influence-interval endpoint, where a point
+reaches its boundary, or touching a disk to its left (at 2*lam on its own
+line, at sqrt(4*lam^2 - dy^2) on another line); a disk to its right never
+blocks it. Sliding keeps the weight and the center count and lowers the
 descending center tuple, so the `selection_key` minimum among the best
 selections is fully left-shifted: every center is an endpoint or a
 rightward chain of touching hops from one. The t-lines candidates of
-`multiline` rest on the same argument. It is exact for exact coverage;
-under the tolerance band a blue's covered interval reaches past its
-endpoints, so there a slide can stop short of an endpoint (README,
+`multiline` rest on the same argument.
+
+Under the tolerance band a blue's covered interval reaches past its
+endpoints, by up to sqrt(band) for a tangent point, so a slide can stop
+short of every endpoint, where only a leftward chain from a point further
+right lands. So every radius whose band is wider, relative to lam^2, than
+the default eps * lam^2 (`two_sided`: a larger eps, or lam < 1, where the
+band's absolute floor applies) also gets copies shifted left, the
+candidates of the two-sided generator that preceded this one (README,
 "Numerical policy").
 
 Choosing at most k centers with pairwise gap >= 2*lam so as to maximize
@@ -52,7 +58,8 @@ Every step makes the same float operations as the scalar geometry
 predicates and sums weights in point order, so the results equal a scalar
 evaluation bit for bit. `placement.in_chunks` gives a chunk as many
 radii as fit `placement.CELLS` raw centers (at least one) and answers
-lam <= 0 itself; a fixed radius is a chunk of one.
+lam <= 0 itself; a fixed radius is a chunk of one. `by_sides` keeps the
+`two_sided` radii in chunks of their own.
 
 A radius loop compares the returned union weights and recomputes one
 union, for the `Placement` of the radius it returns.
@@ -74,7 +81,6 @@ from .placement import LineCenter, Placement, in_chunks, line_placement
 __all__ = [
     "LineGeometry",
     "line_geometry",
-    "candidate_centers",
     "solve_radii",
     "solve_fixed_radius",
 ]
@@ -125,21 +131,45 @@ def _ends(geo: LineGeometry, lams, tol: TolerancePolicy):
     return reach, ends
 
 
-def _centers(ends, lams, k: int, tol: TolerancePolicy):
+def two_sided(lams, tol: TolerancePolicy) -> np.ndarray:
+    """Whether each radius keeps the leftward chains: where its band is
+    wider, relative to lam^2, than the default one (module docstring)."""
+    r2 = lams * lams
+    return tol.bands(r2) > DEFAULT_TOL.eps * r2
+
+
+def by_sides(lams, tol: TolerancePolicy, solve) -> list:
+    """solve(radii, both) on the positive `two_sided` radii (both) and on
+    the others apart; the results come in the order of lams."""
+    lams = np.asarray(lams, dtype=float)
+    both = (lams > 0) & two_sided(lams, tol)
+    out = [(0.0, ())] * len(lams)
+    for side in (False, True):
+        at = np.flatnonzero(both == side)
+        if len(at):
+            for i, res in zip(at.tolist(), solve(lams[at], side)):
+                out[i] = res
+    return out
+
+
+def _centers(ends, lams, k: int, tol: TolerancePolicy, both: bool):
     """Merged candidate centers per row, ascending and padded with +inf, and
     each row's count.
 
     ends holds each row's intervals as l, r per point, +inf out of reach.
     The raw list of a row is every endpoint followed by its shifts by +1,
-    ..., +(k - 1) times 2*lam (rightward only, see the module docstring),
-    then the two sentinels: at most 2kn + 2 values. It is sorted stably, so
-    among equal values the first in that order is kept. A row with nothing
-    in reach keeps its two sentinels, 0 and 2*k*lam, unmerged.
+    ..., +(k - 1) times 2*lam, and with both also by -1, ..., -(k - 1)
+    times 2*lam (module docstring), then the two sentinels: at most 2kn + 2
+    values, or 2(2k - 1)n + 2 with both. It is sorted stably, so among
+    equal values the first in that order is kept. A row with nothing in
+    reach keeps its two sentinels, 0 and 2*k*lam, unmerged.
     """
     rows, n = ends.shape[:2]
-    raw = np.empty((rows, n, 2, k))
+    shifts = np.arange(1 - k if both else 1, k)
+    shifts = shifts[shifts != 0]
+    raw = np.empty((rows, n, 2, 1 + len(shifts)))
     raw[..., 0] = ends
-    raw[..., 1:] = ends[..., None] + (2.0 * np.arange(1, k)) * lams[:, None, None, None]
+    raw[..., 1:] = ends[..., None] + (2.0 * shifts) * lams[:, None, None, None]
     margin = 2.0 * k * lams
     live = np.isfinite(ends[..., 0])
     some = live.any(axis=1)
@@ -148,7 +178,7 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy):
     last = np.where(some, last + margin, margin)
     raw = np.concatenate([raw.reshape(rows, -1), first[:, None], last[:, None]], axis=1)
     raw.sort(axis=1, kind="stable")
-    count = 2 + 2 * k * live.sum(axis=1)
+    count = 2 + 2 * (1 + len(shifts)) * live.sum(axis=1)
     flat = raw[np.arange(raw.shape[1]) < count[:, None]]
     ends_at = np.cumsum(count)
     start = np.zeros(len(flat), dtype=bool)
@@ -160,18 +190,6 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy):
     xs = np.full((rows, m.max()), np.inf)
     xs[row, np.arange(len(row)) - (np.cumsum(m) - m)[row]] = flat[keep]
     return xs, m
-
-
-def candidate_centers(geo: LineGeometry, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
-    """Indices of the points within lam of the line, and the merged
-    candidate centers of radius lam and budget k, ascending."""
-    if lam <= 0:
-        raise ValueError("center sequence requires a positive radius")
-    _check(k)
-    lams = np.array([lam], dtype=float)
-    reach, ends = _ends(geo, lams, tol)
-    xs, m = _centers(ends, lams, k, tol)
-    return reach[0].nonzero()[0], xs[0, : m[0]]
 
 
 def _keys(row, x):
@@ -315,13 +333,13 @@ def _backtrack(layers, p, last):
     return np.stack(picks[::-1], axis=1)
 
 
-def _coverage_rows(geo: LineGeometry, lams, k: int, tol: TolerancePolicy):
+def _coverage_rows(geo: LineGeometry, lams, k: int, tol: TolerancePolicy, both: bool):
     """Centers, coverage ranges and center weights of positive radii: xs
     and m as `_centers` gives them, their search keys, the (row, point
     index) of every point in reach with its range [lo, hi), and the center
     weights."""
     reach, ends = _ends(geo, lams, tol)
-    xs, m = _centers(ends, lams, k, tol)
+    xs, m = _centers(ends, lams, k, tol, both)
     row, idx = reach.nonzero()
     r2 = lams * lams
     keys = _keys(np.arange(len(lams))[:, None], xs).ravel()
@@ -331,9 +349,9 @@ def _coverage_rows(geo: LineGeometry, lams, k: int, tol: TolerancePolicy):
     return xs, m, keys, row, idx, lo, hi, weights
 
 
-def _solve_chunk(geo: LineGeometry, lams, k: int, tol: TolerancePolicy):
-    """`solve_radii` of positive radii."""
-    xs, m, keys, row, idx, lo, hi, weights = _coverage_rows(geo, lams, k, tol)
+def _solve_chunk(geo: LineGeometry, lams, k: int, tol: TolerancePolicy, both: bool):
+    """`solve_radii` of positive radii, all of one `two_sided` value."""
+    xs, m, keys, row, idx, lo, hi, weights = _coverage_rows(geo, lams, k, tol, both)
     two = 2.0 * lams
     p = _predecessors(keys, xs, two - tol.x_slacks(two))
     chosen = _backtrack(_dp_layers(weights, p, k), p, m - 1)
@@ -352,10 +370,12 @@ def solve_radii(geo: LineGeometry, lams, k: int,
     """For each radius lam, the best selection of at most k radius-lam disks
     centered on the line: its union weight and its center abscissae,
     ascending; (0.0, ()) when lam <= 0 or nothing is within lam of the
-    line. A radius has at most 2kn + 2 raw centers (`_centers`)."""
+    line. A radius has at most 2kn + 2 raw centers, or 2(2k - 1)n + 2 where
+    it is `two_sided` (`_centers`)."""
     _check(k)
-    return in_chunks(lams, 2 * k * len(geo.px) + 2,
-                     lambda chunk: _solve_chunk(geo, chunk, k, tol))
+    return by_sides(lams, tol, lambda part, both: in_chunks(
+        part, 2 * (2 * k - 1 if both else k) * len(geo.px) + 2,
+        lambda chunk: _solve_chunk(geo, chunk, k, tol, both)))
 
 
 def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:

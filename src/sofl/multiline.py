@@ -3,8 +3,10 @@
 Candidate centers per line are the influence-interval endpoints plus
 rightward chains of hops at center distance exactly 2*lam: along a line a
 hop moves 2*lam in x, across two lines closer than 2*lam it moves the
-reduced offset sqrt(4*lam^2 - dy^2). Leftward hops are not needed, by the
-left-shift argument of the `klink` module docstring. Selection is an exact
+reduced offset sqrt(4*lam^2 - dy^2). Leftward hops are not needed for
+exact coverage, by the left-shift argument of the `klink` module
+docstring; a radius whose band is wider than the default one
+(`klink.two_sided`) hops both ways. Selection is an exact
 depth-first search over the x-sorted candidates with an optimistic bound,
 because non-overlap between centers on different lines is a pairwise
 Euclidean constraint that a simple left-to-right link cannot capture.
@@ -12,7 +14,8 @@ Euclidean constraint that a simple left-to-right link cannot capture.
 `_solve_radii` solves a chunk of radii at once, one row per radius, on each
 line's geometry, built once per solve:
 - candidates: every row's endpoints (`klink._ends`), hop generations and
-  sentinels, merged per (row, line) in one `geom.merge_keep` call;
+  sentinels, merged per (row, line) in one `geom.merge_keep` call; the
+  `klink.two_sided` radii go in chunks of their own (`klink.by_sides`);
 - tables: one points x candidates coverage mask gives each candidate its
   gain and its covered points as an int bitset; flat lists of the pairs
   within a row give the compatible later candidates as int bitsets;
@@ -43,7 +46,7 @@ from .geom import (
     point_order_sums,
 )
 from . import placement
-from .klink import _ends, line_geometry
+from .klink import _ends, by_sides, line_geometry, two_sided
 from .placement import (
     LineCenter,
     Placement,
@@ -67,11 +70,12 @@ def _stacked(geos):
     return geos[0]._replace(dy2=np.stack([geo.dy2 for geo in geos]))
 
 
-def _hop_tables(lines, lams, tol: TolerancePolicy):
+def _hop_tables(lines, lams, tol: TolerancePolicy, both: bool):
     """Per radius and source line, the rightward hop offsets and target
     lines: +2*lam on its own line, then +off on each line closer than
-    2*lam, off = sqrt(4*lam^2 - dy^2); target -1 marks a line out of reach.
-    Shapes (radii, t, t)."""
+    2*lam, off = sqrt(4*lam^2 - dy^2); with both, then the same hops
+    leftward. Target -1 marks a line out of reach. Shapes (radii, t, t),
+    or (radii, t, 2t) with both."""
     t = len(lines)
     to = [[li] + [lj for lj in range(t) if lj != li] for li in range(t)]
     dy2 = np.array([[(lines[lj] - lines[li]) ** 2 for lj in row] for li, row in enumerate(to)])
@@ -80,21 +84,24 @@ def _hop_tables(lines, lams, tol: TolerancePolicy):
     off[..., 0] = (2.0 * lams)[:, None]
     reach = dy2 - need2 <= tol.bands(need2)
     reach[..., 0] = True
-    return off, np.where(reach, to, -1)
+    to = np.where(reach, to, -1)
+    if both:
+        return np.concatenate([off, -off], axis=2), np.concatenate([to, to], axis=2)
+    return off, to
 
 
-def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy):
+def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy, both: bool):
     """Candidate centers of positive radii across lines, as x, radius
-    (row) and line index arrays sorted by (row, x, line): endpoints,
-    rightward hop chains, sentinels.
+    (row) and line index arrays sorted by (row, x, line): endpoints, hop
+    chains, rightward or with both also leftward, sentinels.
 
     geo holds the points against every line (`_stacked`). Per row, the raw
     values are the endpoints (`klink._ends`), k - 1 generations of hops
     (`_hop_tables`) from every value of the generation before, and each
-    line's two sentinels: at most 2tn(1 + t + ... + t^(k-1)) + 2t values.
-    They are sorted stably by (row, line, x) and merged in one
-    `geom.merge_keep` call with the first value of each (row, line)
-    flagged, as `klink._centers` merges its rows.
+    line's two sentinels: at most 2tn(1 + h + ... + h^(k-1)) + 2t values,
+    with h = t hops per value, or 2t with both. They are sorted stably by
+    (row, line, x) and merged in one `geom.merge_keep` call with the first
+    value of each (row, line) flagged, as `klink._centers` merges its rows.
     """
     t, rows = len(lines), len(lams)
     _, ends = _ends(geo, lams[:, None], tol)
@@ -104,7 +111,7 @@ def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy):
     bx, bk = ends[live], er * t + at // (ends.shape[1] // t)
     xs, ks = [bx], [bk]
     if k > 1:
-        off, to = _hop_tables(lines, lams, tol)
+        off, to = _hop_tables(lines, lams, tol, both)
     for _ in range(k - 1):
         fr, fl = np.divmod(bk, t)
         tf = to[fr, fl]
@@ -137,7 +144,8 @@ def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = 
     if lam <= 0:
         raise ValueError("candidate centers require a positive radius")
     geo = _stacked([line_geometry(points, ly) for ly in lines])
-    xs, _, li = _candidates(geo, lines, np.array([lam], dtype=float), k, tol)
+    lams = np.array([lam], dtype=float)
+    xs, _, li = _candidates(geo, lines, lams, k, tol, bool(two_sided(lams, tol)[0]))
     return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
 
 
@@ -271,9 +279,10 @@ def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
     return -best_key[0], best_ids
 
 
-def _solve_chunk(geo, lines, lams, k: int, tol: TolerancePolicy, weights: _UnionWeights):
-    """`_solve_radii` of positive radii, on the `_stacked` geometry."""
-    xs, row, li = _candidates(geo, lines, lams, k, tol)
+def _solve_chunk(geo, lines, lams, k: int, tol: TolerancePolicy, weights: _UnionWeights, both: bool):
+    """`_solve_radii` of positive radii, all of one `klink.two_sided`
+    value, on the `_stacked` geometry."""
+    xs, row, li = _candidates(geo, lines, lams, k, tol, both)
     order, gains, masks, compat = _tables(geo, lines, lams, xs, row, li, k, tol)
     ends = np.cumsum(np.bincount(row[order], minlength=len(lams))).tolist()
     cx, cl, gains = xs[order].tolist(), li[order].tolist(), gains.tolist()
@@ -300,17 +309,23 @@ def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _Unio
     re-validated pairwise with the scalar `geom.centers_compatible`.
 
     A radius has n points times its raw candidates (`_candidates`) in
-    coverage cells: at most 2tn endpoints times 1 + t + ... + t^(k-1) for
-    the hop generations, plus 2t sentinels. weights memoizes union weights
+    coverage cells: at most 2tn endpoints times 1 + h + ... + h^(k-1) for
+    the hop generations, h = t, or 2t where the radius is
+    `klink.two_sided`, plus 2t sentinels. weights memoizes union weights
     across chunks; pass one per solve."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if weights is None:
         weights = _UnionWeights(geos[0].w)
     t, n = len(lines), len(geos[0].px)
-    raw = 2 * t * n * sum(t ** g for g in range(k)) + 2 * t
     geo = _stacked(geos)
-    return in_chunks(lams, max(1, n) * raw, lambda chunk: _solve_chunk(geo, lines, chunk, k, tol, weights))
+
+    def solve(part, both: bool):
+        raw = 2 * t * n * sum((2 * t if both else t) ** g for g in range(k)) + 2 * t
+        return in_chunks(part, max(1, n) * raw,
+                         lambda chunk: _solve_chunk(geo, lines, chunk, k, tol, weights, both))
+
+    return by_sides(lams, tol, solve)
 
 
 def _placement(points, lines, lam: float, chosen, tol: TolerancePolicy) -> Placement:

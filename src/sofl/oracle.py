@@ -1,10 +1,14 @@
 """Brute-force reference solvers used by the test suite and `sofl check`.
 
-These share only geometry predicates and the candidate generators with the
-optimized code: `classify`, `centers_compatible` (called once per center
-pair and radius, into a pair table), and for coverage one `coverage_mask`
-table per radius in `classify`'s float operations, packed by `bitsets`. Every optimum comes from explicit subset enumeration, under
-the solvers' tie rule written out on its own. The only shortcuts taken are
+These share only geometry predicates, the near-duplicate merge and the
+candidate radius generators with the optimized code: `classify`,
+`centers_compatible` (called once per center pair and radius, into a pair
+table), for coverage one `coverage_mask` table per radius in `classify`'s
+float operations, packed by `bitsets`, and `merge_keep`. Candidate centers
+come from grids of their own that chain both ways from every endpoint, a
+superset of the solvers' rightward chains (`klink` module docstring). Every
+optimum comes from explicit subset enumeration, under the solvers' tie
+rule written out on its own. The only shortcuts taken are
 sound dominance: disks at pairwise distance >= 2*lam are disjoint, so a
 center whose own disk nets a non-positive weight can never improve a
 selection and is skipped; for the special counts a center that covers no
@@ -32,9 +36,8 @@ from .geom import (
     centers_compatible,
     classify,
     coverage_mask,
+    merge_keep,
 )
-from .klink import candidate_centers, line_geometry
-from .multiline import multiline_centers
 from .variants_k1 import pair_disk
 
 __all__ = [
@@ -140,9 +143,50 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
     return OracleResult(union_weight(mask), lam, tuple(centers[i] for i in ids), counts)
 
 
-def _line_center_grid(points, line_y, lam, k, tol):
-    _, xs = candidate_centers(line_geometry(points, line_y), lam, k, tol)
-    return [(x, line_y) for x in xs.tolist()]
+def _ends(points, line_y, lam, tol) -> np.ndarray:
+    """The influence-interval endpoints px -+ sqrt(lam^2 - dy^2) of the
+    points within lam of the line y = line_y (dy^2 - lam^2 <= band)."""
+    px = np.array([p.x for p in points], dtype=float)
+    dy2 = (np.array([p.y for p in points], dtype=float) - line_y) ** 2
+    lam2 = lam * lam
+    near = dy2 - lam2 <= tol.band(lam2)
+    h = np.sqrt(np.maximum(0.0, lam2 - dy2[near]))
+    return np.concatenate([px[near] - h, px[near] + h])
+
+
+def _center_grid(points, lines, lam, k, tol):
+    """Candidate centers (x, y) of radius lam on the lines: every
+    influence-interval endpoint, k - 1 generations of hops both ways from
+    every value of the generation before (2*lam along its line,
+    sqrt(4*lam^2 - dy^2) onto each line within 2*lam), so that a narrower
+    solver grid cannot narrow this one, and on each line a sentinel 2k*lam
+    beyond the outermost endpoints on each side; merged per line by
+    `merge_keep`. With nothing in reach, 0 and 2k*lam on each line."""
+    gen = [_ends(points, ly, lam, tol) for ly in lines]
+    margin = 2.0 * k * lam
+    if not any(len(x) for x in gen):
+        return [(x, ly) for ly in lines for x in (0.0, margin)]
+    every = np.concatenate(gen)
+    rows = [[x, [every.min() - margin, every.max() + margin]] for x in gen]
+    need2 = 4.0 * lam * lam
+    hops = []  # (from line, to line, offset)
+    for a, ya in enumerate(lines):
+        for b, yb in enumerate(lines):
+            dy2 = (yb - ya) ** 2
+            if a == b:
+                hops.append((a, b, 2.0 * lam))
+            elif dy2 - need2 <= tol.band(need2):
+                hops.append((a, b, float(np.sqrt(max(0.0, need2 - dy2)))))
+    for _ in range(k - 1):
+        gen = [np.concatenate([gen[a] + s * d for a, to, d in hops if to == b for s in (-1.0, 1.0)])
+               for b in range(len(lines))]
+        for row, x in zip(rows, gen):
+            row.append(x)
+    out = []
+    for row, ly in zip(rows, lines):
+        x = np.sort(np.concatenate(row), kind="stable")
+        out += [(v, ly) for v in x[merge_keep(x, tol.x_slacks(x))].tolist()]
+    return out
 
 
 def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
@@ -161,7 +205,7 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
         lam = cand.value
         if lam <= 0.0:
             continue
-        grid = _line_center_grid(points, line_y, lam, k, tol)
+        grid = _center_grid(points, [line_y], lam, k, tol)
         useful = [
             c
             for c, m in zip(grid, _masks(points, grid, lam, tol))
@@ -249,8 +293,7 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     for lam, _ in radius_groups(candidate_radii_tlines(points, lines, k)):
         if lam <= 0.0:
             continue
-        cents = multiline_centers(points, lines, lam, k, tol)
-        coords = [(c.x, lines[c.line_index]) for c in cents]
+        coords = _center_grid(points, lines, lam, k, tol)
         if len(coords) > max_centers:
             raise TooLargeError(
                 f"{len(coords)} candidate centers exceeds the guard {max_centers}"
@@ -304,7 +347,7 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
         if lam <= 0.0:
             continue
         grid, blue_masks, red_masks = [], [], []
-        line_grid = _line_center_grid(points, line_y, lam, k, tol)
+        line_grid = _center_grid(points, [line_y], lam, k, tol)
         for c, m in zip(line_grid, _masks(points, line_grid, lam, tol)):
             bm = m & all_blue_mask
             rm = m & ~all_blue_mask

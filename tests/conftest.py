@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from sofl.geom import (
     point_order_sums,
 )
 from sofl.instance import SemanticError, generate, parse_instance
-from sofl.klink import _coverage_rows, _reach, line_geometry
+from sofl.klink import _coverage_rows, _reach, line_geometry, two_sided
 from sofl.oracle import OracleResult
 from sofl.placement import Placement, ValidationFailureError, selection_key
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
@@ -81,7 +81,9 @@ def interval_ends(geo, lam, tol=DEFAULT_TOL):
 def line_centers_and_weights(points, line_y, lam, k, tol=DEFAULT_TOL):
     """The candidate centers of one line and the disk weight at each, as
     `klink.solve_radii` builds them."""
-    xs, m, *_, weights = _coverage_rows(line_geometry(points, line_y), np.array([lam]), k, tol)
+    lams = np.array([lam])
+    xs, m, *_, weights = _coverage_rows(line_geometry(points, line_y), lams, k, tol,
+                                        bool(two_sided(lams, tol)[0]))
     return xs[0, : m[0]].tolist(), weights[0, : m[0]].tolist()
 
 
@@ -173,60 +175,6 @@ def wide_tlines_text(seed):
 @pytest.fixture
 def mk_points():
     return B, R
-
-
-def reference_multiline_centers(points, lines, lam, k, tol=DEFAULT_TOL):
-    """The two-sided t-lines candidates, hops both ways, a superset of
-    `multiline.multiline_centers` up to which near-duplicate is kept,
-    written as a scalar insertion loop: each value is inserted into its
-    line's sorted row unless it is `tol.close` to a row neighbour,
-    endpoints in (x, line) order, then k - 1 generations of hops from the
-    values the previous generation kept, then two sentinels per line."""
-    per_line = [[] for _ in lines]
-
-    def add(x, li):
-        row = per_line[li]
-        i = bisect_left(row, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(row) and tol.close(row[j], x):
-                return False
-        insort(row, x)
-        return True
-
-    endpoints = []
-    for li, ly in enumerate(lines):
-        geo = line_geometry(points, ly)
-        endpoints.extend((x, li) for x in interval_ends(geo, lam, tol)[1].tolist())
-    if not endpoints:
-        for li in range(len(lines)):
-            add(0.0, li)
-            add(2.0 * k * lam, li)
-    else:
-        frontier = [(x, li) for x, li in sorted(endpoints) if add(x, li)]
-        need2 = 4.0 * lam * lam
-        band = tol.band(need2)
-        for _ in range(k - 1):
-            nxt = []
-            for x, li in frontier:
-                hops = [(x - 2.0 * lam, li), (x + 2.0 * lam, li)]
-                for lj, ly in enumerate(lines):
-                    if lj == li:
-                        continue
-                    dy2 = (ly - lines[li]) ** 2
-                    if dy2 - need2 > band:
-                        continue
-                    off = math.sqrt(max(0.0, need2 - dy2))
-                    hops.append((x - off, lj))
-                    hops.append((x + off, lj))
-                nxt += [(hx, hl) for hx, hl in hops if add(hx, hl)]
-            frontier = nxt
-        margin = 2.0 * k * lam
-        lo = min(x for x, _ in endpoints) - margin
-        hi = max(x for x, _ in endpoints) + margin
-        for li in range(len(lines)):
-            add(lo, li)
-            add(hi, li)
-    return sorted((x, li) for li, row in enumerate(per_line) for x in row)
 
 
 @dataclass(frozen=True)
@@ -450,34 +398,25 @@ def _sorted_merge(xs, tol):
     return kept
 
 
-def reference_rightward_centers(ends, lam, k, tol=DEFAULT_TOL):
+def kernel_sides(lam, tol=DEFAULT_TOL) -> bool:
+    """Whether the kernels chain both ways at radius lam (`klink.two_sided`)."""
+    return bool(lam > 0 and two_sided(np.array([lam]), tol)[0])
+
+
+def reference_line_centers(ends, lam, k, tol=DEFAULT_TOL, both=True):
     """`klink._centers` of one radius as a scalar loop over the interval
     ends l, r, l, r, ...: each end followed by its shifts by +2*lam, ...,
-    +2(k - 1)*lam, then the two sentinels, merged by `_sorted_merge`; with
-    no ends, the two sentinels 0 and 2*k*lam, unmerged."""
+    +2(k - 1)*lam, with both also by -2*lam, ..., -2(k - 1)*lam, then the
+    two sentinels, merged by `_sorted_merge`; with no ends, the two
+    sentinels 0 and 2*k*lam, unmerged."""
     margin = 2.0 * k * lam
     ends = list(ends)
     if not ends:
         return [0.0, margin]
-    raw = [e + (2.0 * j) * lam if j else e for e in ends for j in range(k)]
+    shifts = [j for j in range(1 - k if both else 1, k) if j]
+    raw = [x for e in ends for x in [e] + [e + (2.0 * j) * lam for j in shifts]]
     raw += [min(ends[0::2]) - margin, max(ends[1::2]) + margin]
     return _sorted_merge(raw, tol)
-
-
-def _reference_centers(ends, lam, k, tol):
-    margin = 2.0 * k * lam
-    if not len(ends):
-        return np.array([0.0, margin])
-    offs = np.array([2.0 * j * lam for j in range(1, k)])
-    raw = np.empty(len(ends) * (2 * k - 1) + 2)
-    grid = raw[:-2].reshape(len(ends), 2 * k - 1)
-    grid[:, 0] = ends
-    grid[:, 1::2] = ends[:, None] - offs
-    grid[:, 2::2] = ends[:, None] + offs
-    raw[-2] = ends[0::2].min() - margin
-    raw[-1] = ends[1::2].max() + margin
-    xs = raw[np.argsort(raw, kind="stable")]
-    return xs[merge_keep(xs, tol.x_slacks(xs))]
 
 
 def _reference_predecessors(xs, lam, tol):
@@ -513,13 +452,14 @@ def _reference_dp_taken(w, p, k):
     return layers
 
 
-def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL, rightward=False):
+def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL, both=True):
     """One radius of the line kernel as the dense kernel `klink.solve_radii`
     replaced: a points x centers coverage mask, weights summed in point
     order down its columns, and one DP pass per budget layer over one
-    radius. Its centers are shifted both ways, a superset of the kernel's
-    up to which near-duplicate is kept, or with rightward set
-    `reference_rightward_centers`, the kernel's own."""
+    radius, on the centers of `reference_line_centers`. Shifted both ways
+    they are a superset of the kernel's rightward ones, up to which
+    near-duplicate is kept; with both = `kernel_sides(lam, tol)` they are
+    the kernel's own."""
     if lam <= 0.0:
         return 0.0, ()
     lam2 = lam * lam
@@ -530,10 +470,7 @@ def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL, rightward=False):
     ends = np.empty(2 * len(idx))
     ends[0::2] = geo.px[idx] - h
     ends[1::2] = geo.px[idx] + h
-    if rightward:
-        xs = np.array(reference_rightward_centers(ends, lam, k, tol))
-    else:
-        xs = _reference_centers(ends, lam, k, tol)
+    xs = np.array(reference_line_centers(ends, lam, k, tol, both))
     s = geo.px[idx][:, None] - xs[None, :]
     s *= s
     s += geo.dy2[idx][:, None]
@@ -560,108 +497,15 @@ def reference_solve_radius(geo, lam, k, tol=DEFAULT_TOL, rightward=False):
 # --- the per-radius t-lines kernel -------------------------------------------
 
 
-def _reference_hop_table(lines, lam, tol):
-    need2 = 4.0 * lam * lam
-    band = tol.band(need2)
-    off, to = [], []
-    for li, ly in enumerate(lines):
-        hops = [(2.0 * lam, li)]
-        for lj, ly2 in enumerate(lines):
-            dy2 = (ly2 - ly) ** 2
-            if lj != li and dy2 - need2 <= band:
-                hops.append((math.sqrt(max(0.0, need2 - dy2)), lj))
-        hops += [(0.0, -1)] * (len(lines) - len(hops))
-        off.append([v for d, _ in hops for v in (-d, d)])
-        to.append([lj for _, lj in hops for _ in (0, 1)])
-    return np.array(off), np.array(to)
-
-
-def _admit(kx, kl, cx, cl, tol):
-    """Keep mask of the candidates cx on lines cl, in insertion order: a
-    value is kept iff it is not `tol.close` to a value already kept on its
-    line, among kx on lines kl or the candidates kept before it. This is
-    the "first admitted" merge of the two-sided t-lines kernel.
-
-    Kept values are pairwise farther apart than their slack, and a value
-    further along in sorted order is farther away by more than its slack
-    can grow, so a value close to some kept value is close to a sorted
-    neighbour. Runs of close sorted neighbours thus decide independently. A
-    run whose ends are close is all mutually close, and its earliest value
-    alone is kept; any other run is decided value by value.
-    """
-    keep = np.zeros(len(cx), dtype=bool)
-    x = np.concatenate([kx, cx])
-    li = np.concatenate([kl, cl])
-    o = np.lexsort((x, li))
-    x, li = x[o], li[o]
-    rank = o - len(kx)  # insertion order; the kept values come first
-    slack = tol.x_slacks(x)
-    brk = np.ones(len(x), dtype=bool)
-    brk[1:] = (x[1:] - x[:-1] > np.maximum(slack[1:], slack[:-1])) | (li[1:] != li[:-1])
-    if brk.all():
-        keep[:] = True
-        return keep
-    start = brk.nonzero()[0]
-    last = np.append(start[1:], len(x)) - 1
-    tight = x[last] - x[start] <= np.maximum(slack[last], slack[start])
-    first = np.minimum.reduceat(rank, start)
-    run = np.cumsum(brk) - 1
-    won = rank[(rank == first[run]) & tight[run]]
-    keep[won[won >= 0]] = True
-    for r in (~tight).nonzero()[0].tolist():
-        got = []
-        for at in sorted(range(start[r], last[r] + 1), key=rank.__getitem__):
-            if rank[at] < 0:
-                got.append(x[at])
-            elif not any(tol.close(v, x[at]) for v in got):
-                got.append(x[at])
-                keep[rank[at]] = True
-    return keep
-
-
-def reference_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
-    """The two-sided t-lines candidates of one radius, a superset of
-    `multiline._candidates` up to which near-duplicate is kept, as the
-    per-radius numpy kernel that preceded it: hops both ways, each batch merged by `_admit`; x and line index
-    arrays sorted by (x, line)."""
-    t = len(lines)
-    margin = 2.0 * k * lam
-    ends = [interval_ends(geo, lam, tol)[1] for geo in geos]
-    ex = np.concatenate(ends)
-    el = np.repeat(np.arange(t), [len(e) for e in ends])
-    kx, kl = np.empty(0), np.empty(0, dtype=int)
-
-    def admit(cx, cl):
-        nonlocal kx, kl
-        keep = _admit(kx, kl, cx, cl, tol)
-        kx, kl = np.concatenate([kx, cx[keep]]), np.concatenate([kl, cl[keep]])
-        return cx[keep], cl[keep]
-
-    pair = np.array([li for li in range(t) for _ in (0, 1)])
-    if not len(ex):
-        admit(np.array([0.0, margin] * t), pair)
-    else:
-        o = np.lexsort((el, ex))
-        bx, bl = ex[o], el[o]
-        if k > 1:
-            off, to = _reference_hop_table(lines, lam, tol)
-        for _ in range(k - 1):
-            fx, fl = admit(bx, bl)
-            tf = to[fl]
-            ok = tf >= 0
-            bx, bl = (fx[:, None] + off[fl])[ok], tf[ok]
-        sx = np.array([ex.min() - margin, ex.max() + margin] * t)
-        admit(np.concatenate([bx, sx]), np.concatenate([bl, pair]))
-    o = np.lexsort((kl, kx))
-    return kx[o], kl[o]
-
-
-def reference_rightward_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
+def reference_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL, both=True):
     """`multiline._candidates` of one radius as a scalar loop: per line,
-    its endpoints, k - 1 generations of rightward hops (+2*lam on the same
-    line, then +sqrt(4*lam^2 - dy^2) on each line in reach, ascending) from
-    every value of the generation before, and the two sentinels, merged by
-    `_sorted_merge`; x and line index arrays sorted by (x, line)."""
+    its endpoints, k - 1 generations of hops from every value of the
+    generation before (+2*lam on the same line, then +sqrt(4*lam^2 - dy^2)
+    on each line in reach, ascending; with both, then the same hops
+    leftward), and the two sentinels, merged by `_sorted_merge`; x and line
+    index arrays sorted by (x, line). Hopping both ways gives a superset of
+    the kernel's rightward candidates, up to which near-duplicate is kept;
+    with both = `kernel_sides(lam, tol)` they are the kernel's own."""
     per_line = [[] for _ in lines]
     gen = [(x, li) for li, geo in enumerate(geos) for x in interval_ends(geo, lam, tol)[1].tolist()]
     ends = [x for x, _ in gen]
@@ -670,11 +514,13 @@ def reference_rightward_tlines_candidates(geos, lines, lam, k, tol=DEFAULT_TOL):
         nxt = []
         for x, li in gen:
             per_line[li].append(x)
-            nxt.append((x + 2.0 * lam, li))
+            hops = [(2.0 * lam, li)]
             for lj, ly in enumerate(lines):
                 dy2 = (ly - lines[li]) ** 2
                 if lj != li and dy2 - need2 <= tol.band(need2):
-                    nxt.append((x + math.sqrt(max(0.0, need2 - dy2)), lj))
+                    hops.append((math.sqrt(max(0.0, need2 - dy2)), lj))
+            nxt += [(x + sign * off, lj) for sign in ((1.0, -1.0) if both else (1.0,))
+                    for off, lj in hops]
         gen = nxt
     margin = 2.0 * k * lam
     for row in per_line:
@@ -766,18 +612,15 @@ def _reference_search_best(geos, lines, lam, k, xs, li, tol):
     return -best_key[0], order[list(best_ids)]
 
 
-def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL, rightward=False):
+def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL, both=True):
     """One radius of `multiline._solve_radii` as the per-radius kernel it
-    replaced: candidates, a dense coverage table and a full compatibility
+    replaced: candidates (`reference_tlines_candidates`, hopping both ways
+    or as both says), a dense coverage table and a full compatibility
     table of one radius, sorted-list top-gain bounds, and a DFS with a
-    union-weight memo of its own, which prunes as `_search` does. The
-    candidates are the two-sided superset `reference_tlines_candidates`,
-    or with rightward set the kernel's own,
-    `reference_rightward_tlines_candidates`."""
+    union-weight memo of its own, which prunes as `_search` does."""
     if lam <= 0.0:
         return 0.0, ()
-    cands = reference_rightward_tlines_candidates if rightward else reference_tlines_candidates
-    xs, li = cands(geos, lines, lam, k, tol)
+    xs, li = reference_tlines_candidates(geos, lines, lam, k, tol, both)
     weight, ids = _reference_search_best(geos, lines, lam, k, xs, li, tol)
     chosen = tuple(zip(xs[ids].tolist(), li[ids].tolist()))
     for i, (ax, al) in enumerate(chosen):

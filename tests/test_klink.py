@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sofl.candidates import candidate_radii_line
-from sofl.geom import DEFAULT_TOL, Disk, disk_weight
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, disk_weight
 from sofl import placement
 from sofl.klink import (
     _backtrack,
@@ -15,18 +15,18 @@ from sofl.klink import (
     _dp_layers,
     _keys,
     _predecessors,
-    candidate_centers,
     line_geometry,
     solve_fixed_radius,
     solve_radii,
 )
 from sofl.placement import union_coverage
-from sofl.solver import reduce_allblue_minred, reduce_maxblue_nored
+from sofl.solver import reduce_allblue_minred, reduce_maxblue_nored, solve_csofl
 from conftest import (
     B,
     R,
     edge_weight,
     interval_ends,
+    kernel_sides,
     line_centers_and_weights,
     random_instance,
     reference_solve_radius,
@@ -63,12 +63,12 @@ def intervals(points, lam):
 
 
 def centers(points, lam, k):
-    return tuple(candidate_centers(line_geometry(points, 0.0), lam, k)[1].tolist())
+    return tuple(line_centers_and_weights(points, 0.0, lam, k)[0])
 
 
-def grid(ends, lam, k):
+def grid(ends, lam, k, both=False):
     """`_centers` of one row of interval ends given as l, r, l, r, ..."""
-    xs, m = _centers(np.reshape(ends, (1, -1, 2)), np.array([lam]), k, DEFAULT_TOL)
+    xs, m = _centers(np.reshape(ends, (1, -1, 2)), np.array([lam]), k, DEFAULT_TOL, both)
     return xs[0, : m[0]]
 
 
@@ -132,6 +132,8 @@ def test_sequence_k2_shifts_merge():
     # the sentinels, 2*k*lam beyond the outermost endpoints, come first and last
     assert xs[0] == ends.min() - 4.0
     assert xs[-1] == ends.max() + 4.0
+    # chained both ways, the shifts interleave
+    assert tuple(grid(ends, 1.0, 2, both=True).tolist()) == pytest.approx((-4.0, -2.0, 0.0, 2.0, 4.0, 6.0))
 
 
 def test_sequence_empty_intervals():
@@ -430,31 +432,46 @@ def test_solve_radii_equals_dense_reference(monkeypatch):
             exact.add(geo.exact)
             low = min(abs(p.y) for p in pts if p.y) / 2.0  # reaches nothing
             lams = [-1.0, 0.0, low] + [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
-            want = repr([reference_solve_radius(geo, lam, k, rightward=True) for lam in lams])
+            want = repr([reference_solve_radius(geo, lam, k, both=kernel_sides(lam)) for lam in lams])
             for rows in (len(lams), 7):
                 monkeypatch.setattr(placement, "CELLS", rows * (2 * k * len(pts) + 2))
                 assert repr(solve_radii(geo, lams, k)) == want, (k, scale, sign, rows)
     assert exact == {True, False}
 
 
-def test_rightward_centers_keep_weight_and_count():
-    # Rightward shifts alone (the left-shift argument of the `klink`
-    # docstring) must lose nothing: at every candidate radius the weight
-    # and the center count equal those over the two-sided superset of
-    # centers. Generator instances also run with both reductions; the
-    # tolerance-edge instances put points within 1e-5 of the line.
+def test_centers_keep_weight_and_count_of_the_two_sided_reference():
+    # The kernel's centers, shifted rightward only where the band is the
+    # default one (`two_sided`), must lose nothing: at every candidate
+    # radius the weight and the center count equal those over centers
+    # shifted both ways. Generator instances also run with both reductions,
+    # seeds 845, 863 and 1637 among them, where rightward shifts alone lose
+    # weight at 1e-4; the tolerance-edge instances put points within 1e-5
+    # of the line.
     cases = []
-    for seed in range(40):
+    for seed in [*range(40), 845, 863, 1637]:
         k = 1 + seed % 4
         pts = random_instance(seed, 3 + seed % 10, k).points
         cases += [(pts, k), (reduce_allblue_minred(pts), k), (reduce_maxblue_nored(pts), k)]
     cases += [(tol_edge_instance(seed).points, 2) for seed in range(300)]
-    for pts, k in cases:
-        geo = line_geometry(pts, 0.0)
-        lams = [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
-        for lam, (weight, xs) in zip(lams, solve_radii(geo, lams, k)):
-            ref_weight, ref_xs = reference_solve_radius(geo, lam, k)
-            assert (weight, len(xs)) == (ref_weight, len(ref_xs)), (pts, k, lam)
+    for tol in (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4)):
+        for pts, k in cases:
+            geo = line_geometry(pts, 0.0)
+            lams = [c.value for c in candidate_radii_line(pts, 0.0, k=k)]
+            for lam, (weight, xs) in zip(lams, solve_radii(geo, lams, k, tol)):
+                ref_weight, ref_xs = reference_solve_radius(geo, lam, k, tol)
+                assert (weight, len(xs)) == (ref_weight, len(ref_xs)), (pts, k, lam, tol)
+
+
+def test_seed_863_keeps_its_radius_at_a_wide_band():
+    # At eps 1e-4 the best pair of disks at lam = 8 covers a tangent blue
+    # only through the band, at a center that only a leftward shift
+    # reaches. Rightward shifts alone give weight 13 there, and the solve
+    # then moves to lam 8.0003246344.
+    pts = random_instance(863, 6, 4).points
+    tol = TolerancePolicy(1e-4)
+    assert solve_radii(line_geometry(pts, 0.0), [8.0], 4, tol)[0][0] == 16.0
+    pl = solve_csofl(pts, 0.0, 4, tol)
+    assert (pl.total_weight, pl.radius) == (16.0, 8.0)
 
 
 def test_exact_sums_guard():

@@ -9,7 +9,7 @@ from sofl.candidates import candidate_radii_tlines, radius_groups
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
 from sofl.instance import emit_result, generate, parse_instance
 from sofl import placement
-from sofl.klink import candidate_centers, line_geometry
+from sofl.klink import line_geometry
 import sofl.multiline
 from sofl.multiline import (
     _UnionWeights,
@@ -21,15 +21,15 @@ from sofl.multiline import (
     solve_tlines,
     solve_tlines_fixed_radius,
 )
-from sofl.oracle import TooLargeError, brute_fixed_radius, brute_tlines
+from sofl.oracle import TooLargeError, _center_grid, brute_fixed_radius, brute_tlines
 from sofl.placement import LineCenter, line_placement, selection_key
 from sofl.solver import solve_csofl
 from conftest import (
     B,
     R,
     random_instance,
-    reference_multiline_centers,
-    reference_rightward_tlines_candidates,
+    kernel_sides,
+    line_centers_and_weights,
     reference_tlines_candidates,
     reference_tlines_solve_radius,
     wide_tlines_text,
@@ -43,9 +43,9 @@ def test_centers_single_line_match_klink():
     pts = [B(0, 1, 1), R(1, 4, 2, -2.0)]
     lam, k = 1.5, 2
     ml = multiline_centers(pts, [0.0], lam, k)
-    _, xs = candidate_centers(line_geometry(pts, 0.0), lam, k)
+    xs, _ = line_centers_and_weights(pts, 0.0, lam, k)
     assert [c.line_index for c in ml] == [0] * len(ml)
-    assert [c.x for c in ml] == pytest.approx(xs.tolist())
+    assert [c.x for c in ml] == pytest.approx(xs)
 
 
 def test_cross_line_hops():
@@ -274,9 +274,10 @@ def hexed(pairs):
     return [(x.hex(), li) for x, li in pairs]
 
 
-def rightward_centers(points, lines, lam, k, tol):
+def kernel_centers(points, lines, lam, k, tol):
     geos = [line_geometry(points, ly) for ly in lines]
-    return zip(*(a.tolist() for a in reference_rightward_tlines_candidates(geos, lines, lam, k, tol)))
+    xs, li = reference_tlines_candidates(geos, lines, lam, k, tol, kernel_sides(lam, tol))
+    return zip(xs.tolist(), li.tolist())
 
 
 def test_centers_match_reference_loop():
@@ -298,12 +299,8 @@ def test_centers_match_reference_loop():
         for tol in policies:
             for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 1 + 1e-6, 2.0000005):
                 got = [(c.x, c.line_index) for c in multiline_centers(pts, lines, lam, k, tol)]
-                ref = rightward_centers(pts, lines, lam, k, tol)
+                ref = kernel_centers(pts, lines, lam, k, tol)
                 assert hexed(got) == hexed(ref), (seed, tol, lam)
-                # the two forms of the two-sided superset reference agree
-                geos = [line_geometry(pts, ly) for ly in lines]
-                both = zip(*(a.tolist() for a in reference_tlines_candidates(geos, lines, lam, k, tol)))
-                assert hexed(both) == hexed(reference_multiline_centers(pts, lines, lam, k, tol))
 
 
 def test_centers_match_reference_loop_on_instances():
@@ -313,7 +310,7 @@ def test_centers_match_reference_loop_on_instances():
         for lam in [v for v in radii if v > 0][:6] + [1e-10, 3.25]:
             for tol in POLICIES:
                 got = multiline_centers(inst.points, inst.lines, lam, inst.k, tol)
-                ref = rightward_centers(inst.points, inst.lines, lam, inst.k, tol)
+                ref = kernel_centers(inst.points, inst.lines, lam, inst.k, tol)
                 assert hexed((c.x, c.line_index) for c in got) == hexed(ref), (seed, tol, lam)
 
 
@@ -337,38 +334,39 @@ def test_heavy_tail_instances_pinned(n, k, expect):
     assert pl.radius == {8: 9.0625, 12: 24.920072231034965}[n]
 
 
-def test_rightward_hops_keep_weight_and_count():
-    # Rightward hops alone (the left-shift argument of the `klink`
-    # docstring) must lose nothing: at every candidate radius the weight
-    # and the center count equal those over the two-sided superset of hops.
-    # The wide instances put points within 1e-6 of a line; t = k = 4 is
-    # left out for the superset's size.
+def test_hops_keep_weight_and_count_of_the_two_sided_reference():
+    # The kernel's hops, rightward where the band is the default one
+    # (`klink.two_sided`), must lose nothing: at every candidate radius the
+    # weight and the center count equal those over hops both ways. The
+    # policies are those of the kernel tests; the wide instances put points
+    # within 1e-6 of a line; t = k = 4 is left out for the superset's size.
     cases = [random_instance(seed, 3 + seed % 4, 1 + seed // 3 % 3, variant="tlines", t=1 + seed % 3)
              for seed in range(45)]
     cases += [parse_instance(wide_tlines_text(seed)) for seed in range(32) if seed % 4 != 3]
     for inst in cases:
         geos = [line_geometry(inst.points, ly) for ly in inst.lines]
         radii = [v for v, _ in radius_groups(candidate_radii_tlines(inst.points, inst.lines, inst.k))]
-        for lam, (weight, chosen) in zip(radii, _solve_radii(geos, inst.lines, radii, inst.k, DEFAULT_TOL)):
-            ref_weight, ref_chosen = reference_tlines_solve_radius(geos, inst.lines, lam, inst.k)
-            assert (weight, len(chosen)) == (ref_weight, len(ref_chosen)), (inst, lam)
+        for tol in (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4)):
+            for lam, (weight, chosen) in zip(radii, _solve_radii(geos, inst.lines, radii, inst.k, tol)):
+                ref_weight, ref_chosen = reference_tlines_solve_radius(geos, inst.lines, lam, inst.k, tol)
+                assert (weight, len(chosen)) == (ref_weight, len(ref_chosen)), (inst, lam, tol)
 
 
 @pytest.mark.parametrize("seed", [2, 6, 10, 15, 18, 22, 27, 30])
-def test_repinned_wide_seeds_match_a_two_sided_oracle(seed):
+def test_wide_k4_seeds_match_the_oracle_search(seed):
     # These k = 4 seeds of `golden_tlines_wide.txt` win at lam below
-    # 1.1e-6, where the band's absolute floor lets rightward and two-sided
-    # hops pick different centers at the same weight. `sofl check` stops at
-    # its k <= 3 guard here, so the oracle's exhaustive fixed-radius search
-    # runs directly, over the two-sided candidates; centers whose own disk
-    # nets nothing are dropped, as `brute_csofl` drops them.
+    # 1.1e-6, where the band's absolute floor makes the kernel hop both ways
+    # (`klink.two_sided`). `sofl check` stops at its k <= 3 guard here, so
+    # the oracle's exhaustive fixed-radius search runs directly, over the
+    # oracle's own candidates; centers whose own disk nets nothing are
+    # dropped, as `brute_csofl` drops them.
     inst = parse_instance(wide_tlines_text(seed))
     lines = inst.lines
     best = (0.0, 0.0)
     for lam, _ in radius_groups(candidate_radii_tlines(inst.points, lines, inst.k)):
         if lam <= 0:
             continue
-        cents = [(x, lines[li]) for x, li in reference_multiline_centers(inst.points, lines, lam, inst.k)]
+        cents = _center_grid(inst.points, lines, lam, inst.k, DEFAULT_TOL)
         useful = [c for c in cents
                   if sum(p.weight for p in inst.points if is_covered(p, Disk(*c, lam), DEFAULT_TOL)) > 0]
         res = brute_fixed_radius(inst.points, useful, lam, inst.k, max_centers=len(useful))
@@ -456,7 +454,7 @@ def test_solve_radii_equals_per_radius_reference(monkeypatch):
             radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, k))]
             radii += [0.0, -1.0, 0.5 * scale, 1e-3 * scale]
             geos = [line_geometry(pts, ly) for ly in lines]
-            expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol, rightward=True)
+            expect = repr([reference_tlines_solve_radius(geos, lines, v, k, tol, kernel_sides(v, tol))
                            for v in radii])
             assert repr(_solve_radii(geos, lines, radii, k, tol)) == expect, (pts, lines, k, tol)
             for size in (1, 7):

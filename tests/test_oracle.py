@@ -7,11 +7,13 @@ import random
 import pytest
 
 import sofl.oracle
-from sofl.candidates import candidate_radii_line
+from sofl.candidates import candidate_radii_line, candidate_radii_tlines, radius_groups
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, is_covered
+from sofl.instance import parse_instance
+from sofl.klink import line_geometry
 from sofl.oracle import (
     TooLargeError,
-    _line_center_grid,
+    _center_grid,
     _masks,
     brute_csofl,
     brute_discrete,
@@ -19,7 +21,15 @@ from sofl.oracle import (
     brute_k1_maxblue,
     brute_tlines,
 )
-from conftest import B, R, reference_brute_fixed_radius, tol_edge_instance
+from conftest import (
+    B,
+    R,
+    random_instance,
+    reference_brute_fixed_radius,
+    reference_tlines_candidates,
+    tol_edge_instance,
+    wide_tlines_text,
+)
 
 
 def test_empty_subset_floor():
@@ -113,7 +123,7 @@ def test_masks_match_is_covered_bit_for_bit():
         tol = policies[seed % 3]
         for cand in candidate_radii_line(pts, 0.0, 2)[:4]:
             if cand.value > 0:
-                centers = _line_center_grid(pts, 0.0, cand.value, 2, tol)
+                centers = _center_grid(pts, [0.0], cand.value, 2, tol)
                 assert_masks_match_is_covered(pts, centers, cand.value, tol)
     for f, sx, tol in itertools.product((1.0, 2.0 ** 20, 2.0 ** -20), (1.0, -1.0), policies):
         lam = 5.0 * f
@@ -176,11 +186,30 @@ ORACLE_IMPORTS = {
     "candidates": {"candidate_radii_discrete", "candidate_radii_line",
                    "candidate_radii_tlines", "radius_groups"},
     "geom": {"DEFAULT_TOL", "Disk", "Region", "TolerancePolicy", "bitsets",
-             "centers_compatible", "classify", "coverage_mask"},
-    "klink": {"candidate_centers", "line_geometry"},
-    "multiline": {"multiline_centers"},
+             "centers_compatible", "classify", "coverage_mask", "merge_keep"},
     "variants_k1": {"pair_disk"},
 }
+
+
+def test_center_grid_is_the_two_sided_reference():
+    # The oracle builds its centers on its own, hopping both ways from every
+    # endpoint; value for value they are the two-sided reference of
+    # `conftest`, which the kernels' per-radius weights are held against.
+    # Heights within 1e-6 of a line and the 5e-7 and 1e-4 policies make
+    # near-duplicates that the merge must treat alike.
+    for seed in range(30):
+        inst = random_instance(seed, 2 + seed % 5, 1 + seed % 3, variant="tlines", t=1 + seed % 3)
+        cases = [(inst.points, inst.lines, inst.k), (inst.points, [0.0], inst.k)]
+        cases.append((parse_instance(wide_tlines_text(seed)).points, [0.0, 1.0], 2))
+        for (pts, lines, k), tol in itertools.product(cases, (DEFAULT_TOL, TolerancePolicy(5e-7),
+                                                              TolerancePolicy(1e-4))):
+            geos = [line_geometry(pts, ly) for ly in lines]
+            for lam, _ in radius_groups(candidate_radii_tlines(pts, lines, k))[:8]:
+                if lam > 0:
+                    xs, li = reference_tlines_candidates(geos, lines, lam, k, tol)
+                    want = sorted((x.hex(), lines[i]) for x, i in zip(xs.tolist(), li.tolist()))
+                    got = sorted((x.hex(), y) for x, y in _center_grid(pts, lines, lam, k, tol))
+                    assert got == want, (seed, lines, lam, tol)
 
 
 def test_oracle_imports_only_the_allowlist():
