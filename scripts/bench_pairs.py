@@ -4,17 +4,19 @@
     python3 scripts/bench_pairs.py sites HEAD~1 10 [--seed 1]
 
 The parent is `git archive` of the base revision, unpacked into a temporary
-directory outside the repository; the change is the working tree of this
-checkout. Pair i runs both sides at seed --seed + i with the benchmark's
-command, its run_seconds and `--trace 0`; even pairs run the parent first,
-odd pairs the change.
+directory outside the repository; the change is a copy of this checkout's
+working tree, the files `git ls-files -co --exclude-standard` lists
+(tracked and untracked, not ignored), in a second temporary directory. So
+both sides start from source files alone, without `__pycache__` or
+`perfbench/_work` from earlier runs. Pair i runs both sides at seed
+--seed + i with the benchmark's command, its run_seconds and `--trace 0`;
+even pairs run the parent first, odd pairs the change.
 
 For each end-to-end metric of BENCHMARK.json it prints the per-pair values
 (parent/change), each side's median, how many pairs the change wins (ties
 count for neither) and the parent's quartiles and their distance (IQR).
 It also lists every run that was not correct, failed an operation, or
-printed no result. Nothing in the repository is written, except the work
-files the benchmark itself writes in the checkout it runs in.
+printed no result. Nothing in the repository is written.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ def export(rev: str, path: str) -> str:
     tar = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(path, filter="data")
+    return path
+
+
+def snapshot(path: str) -> str:
+    """Copy the working tree's listed files into path; a tracked file deleted
+    from the tree is skipped."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-co", "--exclude-standard", "-z"],
+                           check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in names:
+        if os.path.isfile(os.path.join(ROOT, name)):
+            os.makedirs(os.path.join(path, os.path.dirname(name)), exist_ok=True)
+            shutil.copy2(os.path.join(ROOT, name), os.path.join(path, name))
     return path
 
 
@@ -77,7 +91,8 @@ def main(argv=None) -> int:
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        sides = {"parent": export(args.base, tmp), "change": ROOT}
+        sides = {"parent": export(args.base, os.path.join(tmp, "parent")),
+                 "change": snapshot(os.path.join(tmp, "change"))}
         values = {m["name"]: {"parent": [], "change": []} for m in metrics}
         bad = []
         for i in range(args.pairs):
@@ -102,7 +117,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    print(f"\n{args.workload}: parent {args.base}, change the working tree, "
+    print(f"\n{args.workload}: parent {args.base}, change a copy of the working tree, "
           f"--seconds {seconds:g}, seeds {args.seed}..{args.seed + args.pairs - 1}")
     for m in metrics:
         par, chg = values[m["name"]]["parent"], values[m["name"]]["change"]

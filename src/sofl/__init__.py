@@ -28,6 +28,7 @@ from .instance import (
 )
 from .klink import solve_fixed_radius
 from .multiline import multiline_centers, solve_tlines, solve_tlines_fixed_radius
+from .oracle import brute_fixed_radius
 from .placement import LineCenter, Placement, SiteCenter
 from .solver import VariantSpec, solve_csofl, solve_special
 from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
@@ -48,6 +49,7 @@ __all__ = [
     "TolerancePolicy",
     "VariantSpec",
     "allblue_minred",
+    "brute_fixed_radius",
     "candidate_radii_discrete",
     "candidate_radii_line",
     "candidate_radii_tlines",

@@ -11,8 +11,8 @@ ascending order, a value within its slack of the last kept value is
 dropped. A start mask keeps flagged values, so the rows of a chunk,
 laid end to end with each row's first value flagged, merge in one call
 without merging into each other. It merges klink's centers (a chunk of
-radii, one row each), multiline's centers (one row per radius and line),
-the oracle's center grids (per line) and the candidate center abscissae of
+radii, one row each), multiline's centers and the oracle's center grids
+(one row per radius and line) and the candidate center abscissae of
 `variants_k1.allblue_minred` (slack `tol.x_slacks`), and every candidate
 radius list (an absolute `candidates.MERGE_EPS`). `candidates._contacts`
 drops only exactly equal roots.

@@ -1,14 +1,24 @@
 """Brute-force reference solvers used by the test suite and `sofl check`.
 
 These share only geometry predicates, the near-duplicate merge and the
-candidate radius generators with the optimized code: `classify`,
-`centers_compatible` (called once per center pair and radius, into a pair
-table), for coverage one `coverage_mask` table per radius in `classify`'s
-float operations, packed by `bitsets`, and `merge_keep`. Candidate centers
-come from grids of their own that chain both ways from every endpoint, a
-superset of the solvers' rightward chains (`klink` module docstring). Every
-optimum comes from explicit subset enumeration, under the solvers' tie
-rule written out on its own. The only shortcuts taken are
+candidate radius generators with the optimized code: `classify`, for
+coverage `coverage_mask` in `classify`'s float operations, for center
+pairs `compatible_table` in those of `centers_compatible`, `bitsets`,
+`point_order_sums` and `merge_keep`. Candidate centers come from grids of
+their own that chain both ways from every endpoint, a superset of the
+solvers' rightward chains (`klink` module docstring).
+
+Each brute builds its tables for all its candidate radii at once, in
+chunks of radii (`_tables`): per chunk one center grid, one points x
+centers coverage table packed into a bitmask per center, one point-order
+sum per center, and one centers x centers pair table per radius over the
+centers that pass the dominance filter. Each table has at most TABLE
+cells, a quarter of `placement.CELLS`, since a chunk holds about four
+arrays of a table's size at once.
+
+Every optimum comes from explicit subset enumeration (`_results`, or
+`brute_special_counts`' own objective), under the solvers' tie rule
+written out on its own. The only shortcuts taken are
 sound dominance: disks at pairwise distance >= 2*lam are disjoint, so a
 center whose own disk nets a non-positive weight can never improve a
 selection and is skipped; for the special counts a center that covers no
@@ -33,11 +43,13 @@ from .geom import (
     Region,
     TolerancePolicy,
     bitsets,
-    centers_compatible,
     classify,
+    compatible_table,
     coverage_mask,
     merge_keep,
+    point_order_sums,
 )
+from .placement import CELLS
 from .variants_k1 import pair_disk
 
 __all__ = [
@@ -52,6 +64,10 @@ __all__ = [
     "brute_special_counts",
 ]
 
+# Cells of one table of a chunk of radii: a chunk holds about four arrays
+# of a table's size at once, within the one budget placement.CELLS.
+TABLE = CELLS // 4
+
 
 class TooLargeError(ValueError):
     """Instance exceeds the oracle's enumeration guards."""
@@ -65,128 +81,213 @@ class OracleResult:
     counts: tuple[int, int]  # covered (blue, red)
 
 
-def _masks(points, centers, lam, tol) -> list[int]:
-    """Per center, the int bitmask of the points its radius-lam disk covers
-    (bit i for points[i]), from one centers x points table in the float
-    operations of `classify`."""
-    p = np.array([(q.x, q.y) for q in points], dtype=float).reshape(-1, 2)
-    dx, dy = (p - np.array(centers, dtype=float).reshape(-1, 1, 2)).transpose(2, 0, 1)
-    r2 = lam * lam
-    s = dx * dx + dy * dy - r2
+def _coverage(points, x, y, r2, tol):
+    """The points x centers `coverage_mask` table of the centers (x[j], y[j])
+    with squared radii r2[j], in the float operations of `classify`, and
+    per center the weight of the points it covers summed in point order."""
+    p = np.array([(q.x, q.y, q.weight) for q in points], dtype=float).reshape(-1, 3)
+    s = p[:, :1] - x
+    s *= s
+    dy2 = p[:, 1:2] - y
+    dy2 *= dy2
+    s += dy2
+    s -= r2
     blue = np.array([q.is_blue for q in points], dtype=bool)
-    return bitsets(coverage_mask(s, blue, tol.band(r2)))
+    cov = coverage_mask(s, blue[:, None], tol.bands(r2))
+    del s, dy2  # before point_order_sums builds a table of its own
+    return cov, point_order_sums(cov, p[:, 2])
 
 
-def _pair_table(centers, lam, k, tol) -> list[int]:
-    """Per center, the int bitmask of the centers compatible with it (bit j
-    for centers[j]), by one scalar `centers_compatible` call per pair; all
-    zero for k = 1, where a selection never holds a pair."""
-    rows = [0] * len(centers)
-    for i, a in enumerate(centers if k > 1 else ()):
-        for j in range(i + 1, len(centers)):
-            if centers_compatible(a, centers[j], lam, tol):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+def _pair_rows(x, y, row, lams, tol) -> list[int]:
+    """Per center, the int bitmask of the centers of its radius compatible
+    with it (bit j for the j-th center of radius lams[row]), rows
+    ascending: per radius one centers x centers `compatible_table`, padded
+    to the most centers m of a radius, TABLE // m^2 radii at a time."""
+    count = np.bincount(row, minlength=len(lams))
+    pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+    m = count.max(initial=0)
+    step = max(1, TABLE // max(1, m * m))
+    rows = []
+    for a in range(0, len(lams), step):
+        at = (a <= row) & (row < a + step)
+        r, p = row[at] - a, pos[at]
+        cx, cy = np.zeros((2, len(lams[a: a + step]), m))
+        cx[r, p], cy[r, p] = x[at], y[at]
+        dx = cx[:, :, None] - cx[:, None, :]
+        dy2 = cy[:, :, None] - cy[:, None, :]
+        same = dy2 == 0.0
+        dy2 *= dy2
+        dy2 += dx * dx
+        ok = compatible_table(same, np.abs(dx, out=dx), dy2, lams[a: a + step, None, None], tol)
+        rows += bitsets(ok[r, p] & (np.arange(m) < count[row[at], None]))
     return rows
 
 
-def brute_fixed_radius(points, centers, lam: float, k: int,
-                       tol: TolerancePolicy = DEFAULT_TOL,
-                       max_centers: int = 20, max_k: int = 4) -> OracleResult:
-    """Exhaustive search over all feasible subsets of at most k centers.
+def _tables(points, lams, k, tol, lines=None, sites=(), keep=None, max_centers=None):
+    """Per radius of lams, in order: (lam, centers, masks, compat), its
+    centers as (x, y) ascending, per center the bitmask of the points it
+    covers (`_coverage`) and, for k > 1, of the centers compatible with it
+    (`_pair_rows`; all zero for k = 1, where a selection never holds a
+    pair), bit i for points[i] and bit j for the j-th center.
 
-    The tie key is written out here rather than taken from
-    `placement.selection_key`, so that this reference stays independent of
-    the solvers' copy of the rule.
-    """
-    if len(centers) > max_centers:
-        raise TooLargeError(f"{len(centers)} centers exceeds the guard {max_centers}")
-    if k > max_k:
-        raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    centers = sorted(centers)
+    The centers are the sites at every radius, or else `_center_grids` on
+    the lines, where a radius with more than max_centers raises
+    `TooLargeError`. The radii go in chunks whose coverage table, and
+    every array of their grid, has at most TABLE cells. keep(cov, sums)
+    selects the centers that are not dominated (module docstring) by their
+    column of the coverage table and point-order sum, before the masks are
+    packed and the pair tables built."""
     n = len(points)
-    masks = _masks(points, centers, lam, tol)
+    if lines is None:
+        sites = sorted(sites)
+        sx, sy = np.array(sites, dtype=float).reshape(-1, 2).T
+        cells = max(1, n) * max(1, len(sites))
+
+        def grid(lam):
+            each = len(lam)
+            return (np.tile(sx, each), np.tile(sy, each), np.arange(each).repeat(len(sites)),
+                    sites * each)
+    else:  # raw grid values: 2n endpoints a line, each hopping to 2t, 2 sentinels a line
+        t = len(lines)
+        cells = max(1, n) * (2 * n * t * sum((2 * t) ** g for g in range(k)) + 2 * t)
+
+        def grid(lam):
+            return _center_grids(points, lines, lam, k, tol)
+    step = max(1, TABLE // cells)
+    for a in range(0, len(lams), step):
+        part = lams[a: a + step]
+        lam = np.array(part, dtype=float)
+        x, y, row, centers = grid(lam)
+        count = np.bincount(row, minlength=len(part))
+        if max_centers is not None and (count > max_centers).any():
+            over = count[count > max_centers][0]
+            raise TooLargeError(f"{over} candidate centers exceeds the guard {max_centers}")
+        cov, sums = _coverage(points, x, y, (lam * lam)[row], tol)
+        if keep is not None:
+            on = keep(cov, sums)
+            x, y, row, cov = x[on], y[on], row[on], cov[:, on]
+            centers = [c for c, o in zip(centers, on.tolist()) if o]
+        masks = bitsets(cov.T)
+        compat = _pair_rows(x, y, row, lam, tol) if k > 1 else [0] * len(centers)
+        cut = np.searchsorted(row, np.arange(len(part) + 1)).tolist()
+        for r, v in enumerate(part):
+            i, j = cut[r], cut[r + 1]
+            yield v, centers[i:j], masks[i:j], compat[i:j]
+
+
+def _results(points, k: int, tables):
+    """Per (lam, centers, masks, compat) of tables, the `OracleResult` of
+    the best selection of at most k pairwise compatible centers: every
+    subset in depth-first order, under the tie key written out here rather
+    than taken from `placement.selection_key`, so that this reference stays
+    independent of the solvers' copy of the rule. Union weights are summed
+    in point order, memoized per covered-point bitmask."""
     point_w = [p.weight for p in points]
+    blue = sum(1 << i for i, p in enumerate(points) if p.is_blue)
     weight_cache: dict[int, float] = {0: 0.0}
 
     def union_weight(mask: int) -> float:
         got = weight_cache.get(mask)
         if got is None:
-            got = sum((point_w[i] for i in range(n) if mask >> i & 1), 0.0)
+            got = sum((w for i, w in enumerate(point_w) if mask >> i & 1), 0.0)
             weight_cache[mask] = got
         return got
 
-    compat = _pair_table(centers, lam, k, tol)
-    best_key = (0.0, 0, ())
-    best: tuple[tuple[int, ...], int] = ((), 0)
+    for lam, centers, masks, compat in tables:
+        best_key = (0.0, 0, ())
+        best: tuple[tuple[int, ...], int] = ((), 0)
 
-    def rec(start: int, chosen: list[int], mask: int, allowed: int):
-        nonlocal best_key, best
-        head = (-union_weight(mask), len(chosen))
-        if head <= best_key[:2]:  # can tie or win; only then build the center key
-            key = (*head, tuple(sorted((centers[i] for i in chosen), reverse=True)))
-            if key < best_key:
-                best_key = key
-                best = tuple(chosen), mask
-        if len(chosen) == k:
-            return
-        for i in range(start, len(centers)):
-            if allowed >> i & 1:
-                chosen.append(i)
-                rec(i + 1, chosen, mask | masks[i], allowed & compat[i])
-                chosen.pop()
+        def rec(start: int, chosen: list[int], mask: int, allowed: int):
+            nonlocal best_key, best
+            head = (-union_weight(mask), len(chosen))
+            if head <= best_key[:2]:  # can tie or win; only then build the center key
+                key = (*head, tuple(sorted((centers[i] for i in chosen), reverse=True)))
+                if key < best_key:
+                    best_key = key
+                    best = tuple(chosen), mask
+            if len(chosen) == k:
+                return
+            for i in range(start, len(centers)):
+                if allowed >> i & 1:
+                    chosen.append(i)
+                    rec(i + 1, chosen, mask | masks[i], allowed & compat[i])
+                    chosen.pop()
 
-    rec(0, [], 0, (1 << len(centers)) - 1)
-    ids, mask = best
-    nb = sum(1 for i, p in enumerate(points) if mask >> i & 1 and p.is_blue)
-    counts = (nb, mask.bit_count() - nb)
-    return OracleResult(union_weight(mask), lam, tuple(centers[i] for i in ids), counts)
-
-
-def _ends(points, line_y, lam, tol) -> np.ndarray:
-    """The influence-interval endpoints px -+ sqrt(lam^2 - dy^2) of the
-    points within lam of the line y = line_y (dy^2 - lam^2 <= band)."""
-    px = np.array([p.x for p in points], dtype=float)
-    dy2 = (np.array([p.y for p in points], dtype=float) - line_y) ** 2
-    lam2 = lam * lam
-    near = dy2 - lam2 <= tol.band(lam2)
-    h = np.sqrt(np.maximum(0.0, lam2 - dy2[near]))
-    return np.concatenate([px[near] - h, px[near] + h])
+        rec(0, [], 0, (1 << len(centers)) - 1)
+        ids, mask = best
+        nb = (mask & blue).bit_count()
+        yield OracleResult(union_weight(mask), lam, tuple(centers[i] for i in ids),
+                           (nb, mask.bit_count() - nb))
 
 
-def _center_grid(points, lines, lam, k, tol):
-    """Candidate centers (x, y) of radius lam on the lines: every
-    influence-interval endpoint, k - 1 generations of hops both ways from
-    every value of the generation before (2*lam along its line,
+def _best(results) -> OracleResult:
+    """The first result of the largest positive weight, else no selection
+    at radius 0."""
+    return max([OracleResult(0.0, 0.0, (), (0, 0)), *results], key=lambda r: r.weight)
+
+
+def brute_fixed_radius(points, centers, lam: float, k: int,
+                       tol: TolerancePolicy = DEFAULT_TOL,
+                       max_centers: int = 20, max_k: int = 4) -> OracleResult:
+    """Exhaustive search over all feasible subsets of at most k centers:
+    `_results` at one radius."""
+    if len(centers) > max_centers:
+        raise TooLargeError(f"{len(centers)} centers exceeds the guard {max_centers}")
+    if k > max_k:
+        raise TooLargeError(f"k={k} exceeds the guard {max_k}")
+    return next(_results(points, k, _tables(points, [lam], k, tol, sites=centers)))
+
+
+def _center_grids(points, lines, lam, k, tol):
+    """Candidate centers of the radii lam (an array) on the lines, as flat
+    x, y and row (index into lam) arrays sorted by (row, x, y), and as
+    (x, line) tuples. Per radius: the influence-interval endpoints
+    px -+ sqrt(lam^2 - dy^2) of the points within lam of a line
+    (dy^2 - lam^2 <= band), k - 1 generations of hops both ways from every
+    value of the generation before (2*lam along its line,
     sqrt(4*lam^2 - dy^2) onto each line within 2*lam), so that a narrower
     solver grid cannot narrow this one, and on each line a sentinel 2k*lam
-    beyond the outermost endpoints on each side; merged per line by
-    `merge_keep`. With nothing in reach, 0 and 2k*lam on each line."""
-    gen = [_ends(points, ly, lam, tol) for ly in lines]
-    margin = 2.0 * k * lam
-    if not any(len(x) for x in gen):
-        return [(x, ly) for ly in lines for x in (0.0, margin)]
-    every = np.concatenate(gen)
-    rows = [[x, [every.min() - margin, every.max() + margin]] for x in gen]
-    need2 = 4.0 * lam * lam
-    hops = []  # (from line, to line, offset)
-    for a, ya in enumerate(lines):
-        for b, yb in enumerate(lines):
-            dy2 = (yb - ya) ** 2
-            if a == b:
-                hops.append((a, b, 2.0 * lam))
-            elif dy2 - need2 <= tol.band(need2):
-                hops.append((a, b, float(np.sqrt(max(0.0, need2 - dy2)))))
+    beyond the outermost endpoints on each side; merged per (radius, line)
+    by one `merge_keep` call with the first value of each flagged. With
+    nothing in reach, 0 and 2k*lam on each line, unmerged."""
+    t, ly = len(lines), np.array(lines, dtype=float)
+    px = np.array([p.x for p in points], dtype=float)
+    dy2 = (np.array([p.y for p in points], dtype=float) - ly[:, None]) ** 2
+    lam2 = (lam * lam)[:, None, None]
+    near = dy2 - lam2 <= tol.bands(lam2)  # radius, line, point
+    h = np.sqrt(np.maximum(0.0, lam2 - dy2))
+    r, li, i = near.nonzero()
+    x, key = np.concatenate([px[i] - h[near], px[i] + h[near]]), np.tile(r * t + li, 2)
+    xs, keys = [x], [key]
+    if k > 1:  # hop offsets by radius, from line and to line; nan out of reach
+        need2 = (4.0 * lam * lam)[:, None, None]
+        ldy2 = np.array([[(yb - ya) ** 2 for yb in lines] for ya in lines], dtype=float)
+        off = np.sqrt(np.maximum(0.0, need2 - ldy2))
+        off[ldy2 - need2 > tol.bands(need2)] = np.nan
+        off[:, range(t), range(t)] = (2.0 * lam)[:, None]
+        off = np.concatenate([off, -off], axis=2)
     for _ in range(k - 1):
-        gen = [np.concatenate([gen[a] + s * d for a, to, d in hops if to == b for s in (-1.0, 1.0)])
-               for b in range(len(lines))]
-        for row, x in zip(rows, gen):
-            row.append(x)
-    out = []
-    for row, ly in zip(rows, lines):
-        x = np.sort(np.concatenate(row), kind="stable")
-        out += [(v, ly) for v in x[merge_keep(x, tol.x_slacks(x))].tolist()]
-    return out
+        x = (x[:, None] + off[key // t, key % t]).ravel()
+        key = ((key // t * t)[:, None] + np.tile(range(t), 2)).ravel()
+        x, key = x[~np.isnan(x)], key[~np.isnan(x)]
+        xs.append(x)
+        keys.append(key)
+    margin = 2.0 * k * lam
+    some = near.any(axis=(1, 2))
+    lo = np.where(some, np.min(px - h, axis=(1, 2), where=near, initial=np.inf) - margin, 0.0)
+    hi = np.where(some, np.max(px + h, axis=(1, 2), where=near, initial=-np.inf) + margin, margin)
+    xs.append(np.repeat(np.stack([lo, hi], axis=1), t, axis=0).ravel())
+    keys.append(np.repeat(np.arange(len(lam) * t), 2))
+    x, key = np.concatenate(xs), np.concatenate(keys)
+    o = np.lexsort((x, key))
+    x, key = x[o], key[o]
+    start = ~some[key // t]
+    start[1:] |= key[1:] != key[:-1]
+    keep = merge_keep(x, tol.x_slacks(x), start)
+    x, row, li = x[keep], key[keep] // t, key[keep] % t
+    o = np.lexsort((ly[li], x, row))
+    x, row, li = x[o], row[o], li[o]
+    return x, ly[li], row, list(zip(x.tolist(), [lines[j] for j in li.tolist()]))
 
 
 def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TOL,
@@ -200,23 +301,9 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
         raise TooLargeError(f"n={len(points)} exceeds the guard {max_n}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    best = OracleResult(0.0, 0.0, (), (0, 0))
-    for cand in candidate_radii_line(points, line_y, k):
-        lam = cand.value
-        if lam <= 0.0:
-            continue
-        grid = _center_grid(points, [line_y], lam, k, tol)
-        useful = [
-            c
-            for c, m in zip(grid, _masks(points, grid, lam, tol))
-            if sum(p.weight for i, p in enumerate(points) if m >> i & 1) > 0
-        ]
-        res = brute_fixed_radius(
-            points, useful, lam, k, tol, max_centers=len(useful), max_k=max_k
-        )
-        if res.weight > best.weight:
-            best = res
-    return best
+    lams = [c.value for c in candidate_radii_line(points, line_y, k) if c.value > 0.0]
+    return _best(_results(points, k, _tables(points, lams, k, tol, [line_y],
+                                             keep=lambda cov, sums: sums > 0)))
 
 
 def _k1_candidate_disks(points, include_vertical=True):
@@ -288,21 +375,9 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     """Candidate-radius loop over exhaustive multi-line subset search."""
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    best = OracleResult(0.0, 0.0, (), (0, 0))
     lines = list(lines)
-    for lam, _ in radius_groups(candidate_radii_tlines(points, lines, k)):
-        if lam <= 0.0:
-            continue
-        coords = _center_grid(points, lines, lam, k, tol)
-        if len(coords) > max_centers:
-            raise TooLargeError(
-                f"{len(coords)} candidate centers exceeds the guard {max_centers}"
-            )
-        res = brute_fixed_radius(points, coords, lam, k, tol,
-                                 max_centers=max_centers, max_k=max_k)
-        if res.weight > best.weight:
-            best = res
-    return best
+    lams = [v for v, _ in radius_groups(candidate_radii_tlines(points, lines, k)) if v > 0.0]
+    return _best(_results(points, k, _tables(points, lams, k, tol, lines, max_centers=max_centers)))
 
 
 def brute_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL,
@@ -313,16 +388,8 @@ def brute_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL,
         raise TooLargeError(f"s={len(sites)} exceeds the guard {max_sites}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    best = OracleResult(0.0, 0.0, (), (0, 0))
-    for cand in candidate_radii_discrete(points, sites):
-        lam = cand.value
-        if lam <= 0.0:
-            continue
-        res = brute_fixed_radius(points, list(sites), lam, k, tol,
-                                 max_centers=max_sites, max_k=max_k)
-        if res.weight > best.weight:
-            best = res
-    return best
+    lams = [c.value for c in candidate_radii_discrete(points, sites) if c.value > 0.0]
+    return _best(_results(points, k, _tables(points, lams, k, tol, sites=sites)))
 
 
 def brute_special_counts(points, line_y: float, k: int, variant: str,
@@ -342,22 +409,17 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
     all_blue_mask = sum(1 << i for i, p in enumerate(points) if p.is_blue)
     best_blue = 0
     best_red = None
-    for cand in candidate_radii_line(points, line_y, k):
-        lam = cand.value
-        if lam <= 0.0:
-            continue
-        grid, blue_masks, red_masks = [], [], []
-        line_grid = _center_grid(points, [line_y], lam, k, tol)
-        for c, m in zip(line_grid, _masks(points, line_grid, lam, tol)):
-            bm = m & all_blue_mask
-            rm = m & ~all_blue_mask
-            if bm == 0 or (rm and variant == "maxblue-nored"):
-                continue  # dominated, see the module docstring
-            grid.append(c)
-            blue_masks.append(bm)
-            red_masks.append(rm)
 
-        compat = _pair_table(grid, lam, k, tol)
+    blue = np.array([p.is_blue for p in points], dtype=bool)
+
+    def keep(cov, sums):  # dominated, see the module docstring
+        on = cov[blue].any(axis=0)
+        return on & ~cov[~blue].any(axis=0) if variant == "maxblue-nored" else on
+
+    lams = [c.value for c in candidate_radii_line(points, line_y, k) if c.value > 0.0]
+    for _, grid, masks, compat in _tables(points, lams, k, tol, [line_y], keep=keep):
+        blue_masks = [m & all_blue_mask for m in masks]
+        red_masks = [m & ~all_blue_mask for m in masks]
 
         def rec(start, used, bm, rm, allowed):
             nonlocal best_blue, best_red

@@ -21,7 +21,7 @@ from sofl.multiline import (
     solve_tlines,
     solve_tlines_fixed_radius,
 )
-from sofl.oracle import TooLargeError, _center_grid, brute_fixed_radius, brute_tlines
+from sofl.oracle import TooLargeError, _center_grids, brute_fixed_radius, brute_tlines
 from sofl.placement import LineCenter, line_placement, selection_key
 from sofl.solver import solve_csofl
 from conftest import (
@@ -366,7 +366,7 @@ def test_wide_k4_seeds_match_the_oracle_search(seed):
     for lam, _ in radius_groups(candidate_radii_tlines(inst.points, lines, inst.k)):
         if lam <= 0:
             continue
-        cents = _center_grid(inst.points, lines, lam, inst.k, DEFAULT_TOL)
+        cents = _center_grids(inst.points, lines, np.array([lam]), inst.k, DEFAULT_TOL)[3]
         useful = [c for c in cents
                   if sum(p.weight for p in inst.points if is_covered(p, Disk(*c, lam), DEFAULT_TOL)) > 0]
         res = brute_fixed_radius(inst.points, useful, lam, inst.k, max_centers=len(useful))

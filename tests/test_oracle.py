@@ -4,21 +4,31 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 import sofl.oracle
-from sofl.candidates import candidate_radii_line, candidate_radii_tlines, radius_groups
-from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, is_covered
-from sofl.instance import parse_instance
+from sofl.candidates import (
+    candidate_radii_discrete,
+    candidate_radii_line,
+    candidate_radii_tlines,
+    radius_groups,
+)
+from sofl.cli import EXIT_TOO_LARGE, main
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, bitsets, centers_compatible, is_covered
+from sofl.instance import generate, parse_instance
 from sofl.klink import line_geometry
 from sofl.oracle import (
+    OracleResult,
     TooLargeError,
-    _center_grid,
-    _masks,
+    _center_grids,
+    _coverage,
+    _tables,
     brute_csofl,
     brute_discrete,
     brute_fixed_radius,
     brute_k1_maxblue,
+    brute_special_counts,
     brute_tlines,
 )
 from conftest import (
@@ -27,6 +37,7 @@ from conftest import (
     random_instance,
     reference_brute_fixed_radius,
     reference_tlines_candidates,
+    thin_ring_instance,
     tol_edge_instance,
     wide_tlines_text,
 )
@@ -35,6 +46,8 @@ from conftest import (
 def test_empty_subset_floor():
     res = brute_fixed_radius([R(0, 0, 0.5, -5.0)], [(0.0, 0.0)], 1.0, 1)
     assert res.weight == 0.0 and res.placements == ()
+    res = brute_fixed_radius([R(0, 0, 0.5, -5.0)], [], 1.0, 2)
+    assert res == OracleResult(0.0, 1.0, (), (0, 0))
 
 
 def test_single_positive_center():
@@ -103,7 +116,9 @@ def _copy(points, f, sx):
 
 
 def assert_masks_match_is_covered(points, centers, lam, tol):
-    masks = _masks(points, centers, lam, tol)
+    xy = np.array(centers, dtype=float).reshape(-1, 2)
+    cov, _ = _coverage(points, xy[:, 0], xy[:, 1], np.full(len(xy), lam * lam), tol)
+    masks = bitsets(cov.T)
     assert len(masks) == len(centers)
     for (cx, cy), m in zip(centers, masks):
         disk = Disk(cx, cy, lam)
@@ -123,7 +138,7 @@ def test_masks_match_is_covered_bit_for_bit():
         tol = policies[seed % 3]
         for cand in candidate_radii_line(pts, 0.0, 2)[:4]:
             if cand.value > 0:
-                centers = _center_grid(pts, [0.0], cand.value, 2, tol)
+                centers = _center_grids(pts, [0.0], np.array([cand.value]), 2, tol)[3]
                 assert_masks_match_is_covered(pts, centers, cand.value, tol)
     for f, sx, tol in itertools.product((1.0, 2.0 ** 20, 2.0 ** -20), (1.0, -1.0), policies):
         lam = 5.0 * f
@@ -179,14 +194,17 @@ def test_lazy_tie_key_equals_eager_key():
 
 
 # The names `sofl.oracle` may import, by module. A new name here is a new
-# piece of code the oracle shares with the solvers; `placement` and the
-# solver kernels stay out, so solver-oracle agreement keeps meaning
+# piece of code the oracle shares with the solvers; from `placement` only
+# the cell budget, and the solver kernels (`klink`, `multiline`,
+# `discrete`, `solver`) stay out, so solver-oracle agreement keeps meaning
 # something.
 ORACLE_IMPORTS = {
     "candidates": {"candidate_radii_discrete", "candidate_radii_line",
                    "candidate_radii_tlines", "radius_groups"},
     "geom": {"DEFAULT_TOL", "Disk", "Region", "TolerancePolicy", "bitsets",
-             "centers_compatible", "classify", "coverage_mask", "merge_keep"},
+             "classify", "compatible_table", "coverage_mask", "merge_keep",
+             "point_order_sums"},
+    "placement": {"CELLS"},
     "variants_k1": {"pair_disk"},
 }
 
@@ -208,7 +226,8 @@ def test_center_grid_is_the_two_sided_reference():
                 if lam > 0:
                     xs, li = reference_tlines_candidates(geos, lines, lam, k, tol)
                     want = sorted((x.hex(), lines[i]) for x, i in zip(xs.tolist(), li.tolist()))
-                    got = sorted((x.hex(), y) for x, y in _center_grid(pts, lines, lam, k, tol))
+                    grid = _center_grids(pts, lines, np.array([lam]), k, tol)[3]
+                    got = sorted((x.hex(), y) for x, y in grid)
                     assert got == want, (seed, lines, lam, tol)
 
 
@@ -224,3 +243,105 @@ def test_oracle_imports_only_the_allowlist():
             absolute.update(a.name for a in node.names)
     assert relative == ORACLE_IMPORTS
     assert absolute == {"__future__", "dataclasses", "numpy"}
+
+
+def _table_cases():
+    """(points, radii, k, lines, sites) with every positive candidate radius:
+    tolerance-edge seeds on one line; wide t-lines pins at k = 2, leaving
+    out seeds 1 and 5, whose four-line grids hold up to 475 centers a
+    radius (15M pairs for the scalar predicate); thin discrete rings."""
+    for seed in range(30):
+        pts = tol_edge_instance(seed).points
+        yield pts, [c.value for c in candidate_radii_line(pts, 0.0, 2)], 2, [0.0], ()
+    for seed in (0, 2, 3, 4, 6, 7, 8, 10):
+        inst = parse_instance(wide_tlines_text(seed))
+        groups = radius_groups(candidate_radii_tlines(inst.points, inst.lines, 2))
+        yield inst.points, [v for v, _ in groups], 2, list(inst.lines), ()
+    for seed in range(16):
+        inst = thin_ring_instance(seed)
+        if inst is not None:
+            radii = [c.value for c in candidate_radii_discrete(inst.points, inst.sites)]
+            yield inst.points, radii, inst.k, None, inst.sites
+
+
+def test_tables_match_scalar_predicates_at_every_radius():
+    # The tables the subset search reads, built for all candidate radii of
+    # a call at once, in chunks: at every radius each center's packed mask
+    # is scalar `is_covered` bit for bit, and its pair row is scalar
+    # `centers_compatible` against every center of that radius, itself
+    # included. Extends `test_masks_match_is_covered_bit_for_bit`.
+    for (pts, radii, k, lines, sites), eps in itertools.product(_table_cases(), (1e-9, 5e-7, 1e-4)):
+        tol = TolerancePolicy(eps)
+        for lam, centers, masks, compat in _tables(pts, [v for v in radii if v > 0], k, tol,
+                                                   lines, sites):
+            for c, mask, row in zip(centers, masks, compat):
+                disk = Disk(*c, lam)
+                got = [mask >> i & 1 for i in range(len(pts) + 1)]
+                assert got == [int(is_covered(p, disk, tol)) for p in pts] + [0], (c, lam, eps)
+                got = [row >> j & 1 for j in range(len(centers) + 1)]
+                want = [int(centers_compatible(c, d, lam, tol)) for d in centers] + [0]
+                assert got == want, (c, lam, eps)
+
+
+def _brute_calls():
+    """Seeded calls of every radius-looping brute, at eps 1e-9 and 1e-4."""
+    for eps in (1e-9, 1e-4):
+        tol = TolerancePolicy(eps)
+        for seed in range(12):
+            inst = tol_edge_instance(seed)
+            yield brute_csofl, (inst.points, 0.0, inst.k, tol)
+            inst = random_instance(seed, 3 + seed % 6, 1 + seed % 3)
+            yield brute_csofl, (inst.points, 0.0, inst.k, tol)
+            variant = ("maxblue-nored", "allblue-minred")[seed % 2]
+            inst = random_instance(seed, 3 + seed % 6, 1 + seed // 2 % 3, variant=variant)
+            yield brute_special_counts, (inst.points, 0.0, inst.k, variant, tol)
+            inst = random_instance(seed, 3 + seed % 6, 1 + seed % 3, variant="discrete", s=5 + seed % 4)
+            yield brute_discrete, (inst.sites, inst.points, inst.k, tol)
+            inst = random_instance(seed, 1 + seed % 3, 1 + seed // 3 % 2, variant="tlines", t=1 + seed % 2)
+            yield brute_tlines, (inst.points, inst.lines, inst.k, tol)
+        for seed in (0, 2, 4, 6):
+            inst = thin_ring_instance(seed)
+            if inst is not None:
+                yield brute_discrete, (inst.sites, inst.points, min(inst.k, 3), tol)
+
+
+def _outcome(brute, args):
+    try:
+        return repr(brute(*args))
+    except TooLargeError as exc:
+        return f"TooLargeError: {exc}"
+
+
+def test_results_do_not_depend_on_the_chunking(monkeypatch):
+    # A budget of one cell puts every radius in a chunk of its own, for the
+    # coverage and the pair tables alike; the results must not change.
+    calls = list(_brute_calls())
+    default = [_outcome(*call) for call in calls]
+    assert any("TooLargeError" in got for got in default)
+    monkeypatch.setattr(sofl.oracle, "TABLE", 1)
+    assert [_outcome(*call) for call in calls] == default
+
+
+GUARD_TLINES = generate(23, 4, 1, "tlines", t=3)
+
+
+@pytest.mark.parametrize("table", [None, 1])
+def test_tlines_guard_names_the_first_radius_past_it(monkeypatch, table, tmp_path, capsys):
+    # Of this instance's 20 candidate radii, ascending, the seventh is the
+    # first whose grid has more than 16 centers: 17, where the largest grid
+    # has 29. The guard names that first count, however the radii are
+    # chunked, and `sofl check` exits 3 before any solve.
+    if table is not None:
+        monkeypatch.setattr(sofl.oracle, "TABLE", table)
+    inst = parse_instance(GUARD_TLINES)
+    lams = [v for v, _ in radius_groups(candidate_radii_tlines(inst.points, inst.lines, inst.k))]
+    counts = [len(_center_grids(inst.points, inst.lines, np.array([v]), inst.k, DEFAULT_TOL)[3])
+              for v in lams if v > 0]
+    first = next(c for c in counts if c > 16)
+    assert (len(counts), counts.index(first), first, max(counts)) == (20, 6, 17, 29)
+    with pytest.raises(TooLargeError, match="^17 candidate centers exceeds the guard 16$"):
+        brute_tlines(inst.points, inst.lines, inst.k)
+    path = tmp_path / "guard.txt"
+    path.write_text(GUARD_TLINES)
+    assert main(["check", "--input", str(path)]) == EXIT_TOO_LARGE
+    assert "solver" not in capsys.readouterr().out
