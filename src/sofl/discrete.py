@@ -12,26 +12,26 @@ chosen set stays reachable, and its closest pair is an edge, so the edge
 checks suffice. Where d lies inside by less, the angles of (a, c, b, d) at
 a and b sum to nearly 180 degrees, so the flipped diagonal (c, d) is still
 no shorter than one of the checked edges. The pairwise check of the result
-stays only as a detector that raises `ValidationFailureError`. Budgets of
-one or two disks need one pass over the site weights and the pair table
-(`_best_upto_two`).
+stays only as a detector that raises `ValidationFailureError`.
 
 `solve_discrete` builds the geometry of a solve once (`_geometry`): the
 site x site squared distances, |dx| and same-height flags, the point x site
-squared distances, the colours and weights, and every ring arc. One radius
-is then a few numpy operations (the coverage mask, the site weights as
-point-order sums, the table of compatible site pairs, converted once to
-lists) plus the chord recursion over plain lists (`_solve_radius`).
-`_solve_radii` runs it on each radius through `placement.in_chunks`, which
-answers lam <= 0. Every step makes the same float operations as the scalar
-predicates `geom.is_covered` and `geom.centers_compatible` and sums weights
-in point order, so the results equal a scalar evaluation bit for bit. A
-radius returns the union weight of its chosen sites, taken from their mask
+squared distances, the colours and weights, and every ring arc.
+`_solve_radii` hands the radii to `placement.in_chunks`, which answers
+lam <= 0, and `_solve_chunk` solves each chunk from one set of tables
+(`_tables`): the points x radii x sites coverage mask, the site weights as
+its point-order sums, and the radii x sites x sites pair table. Every entry
+makes the float operations of the scalar predicates `geom.is_covered` and
+`geom.centers_compatible`, so the results equal a scalar evaluation bit for
+bit. Budgets of one or two disks are array maxima over the single sites and
+the compatible pairs; `selection_key` is built only for the sets that tie.
+Larger budgets run the chord recursion over plain lists, per radius, only
+from the anchor roots whose weight bound can still tie the best. A radius
+returns the union weight of its chosen sites, taken from their mask
 columns, so the radius loop (`placement.best_radius`) compares union
 weights and builds one `Placement` per solve, for the radius it returns.
 The loop visits the radii best bound first and skips those whose bound
-cannot win; `_blue_bound` gives every radius's bound from one coverage
-table per chunk of radii.
+cannot win; `_blue_bound` gives every radius's bound from the same tables.
 """
 
 from __future__ import annotations
@@ -126,6 +126,11 @@ class _Geometry:
         """`_admission` of the ring; only the chord recursion (k >= 3) reads it."""
         return _admission(self.ring)
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Rows i and j of the site pairs i < j."""
+        return np.array(np.triu_indices(len(self.ring), 1))
+
 
 # Shewchuk's static error bound of the float in-circle determinant
 # (iccerrboundA in "Adaptive Precision Floating-Point Arithmetic and Fast
@@ -178,16 +183,52 @@ def _geometry(ring, points) -> _Geometry:
     )
 
 
-def _coverage(geo: _Geometry, lam: float, tol: TolerancePolicy) -> np.ndarray:
-    """`is_covered` for every point (row) and site (column) at radius lam."""
-    r2 = lam * lam
-    return coverage_mask(geo.pd2 - r2, geo.blue[:, None], tol.band(r2))
+def _tables(geo: _Geometry, lams: np.ndarray, tol: TolerancePolicy, weights: np.ndarray):
+    """A chunk of radii lams > 0 in the float operations of the scalar
+    predicates: the points x radii x sites `is_covered` mask, its column
+    sums of weights in point order (radii x sites) and the radii x sites x
+    sites `centers_compatible` table."""
+    n, s = geo.pd2.shape
+    r2 = lams * lams
+    cov = coverage_mask(geo.pd2[:, None] - r2[:, None], geo.blue[:, None, None], tol.bands(r2)[:, None])
+    sums = point_order_sums(cov.reshape(n, len(lams) * s), weights).reshape(len(lams), s)
+    return cov, sums, compatible_table(geo.same, geo.adx, geo.d2, lams[:, None, None], tol)
 
 
-def _pair_table(geo: _Geometry, lam: float, tol: TolerancePolicy) -> list[list[bool]]:
-    """ok[i][j]: `centers_compatible` of sites i and j at radius lam, in the
-    same float operations (linear in x at the same height)."""
-    return compatible_table(geo.same, geo.adx, geo.d2, lam, tol).tolist()
+def _thirds(geo: _Geometry, ok: np.ndarray):
+    """Row, i and j of each compatible pair i < j of a radii x sites x sites
+    pair table, and the mask of the sites m > j compatible with both."""
+    pi, pj = geo.pairs
+    at, p = ok[:, pi, pj].nonzero()
+    i, j = pi[p], pj[p]
+    return at, i, j, ok[at, i] & ok[at, j] & (np.arange(len(geo.ring)) > j[:, None])
+
+
+def _cells(geo: _Geometry, k: int) -> int:
+    """Cells of one radius in a chunk: n*s of coverage, s*s of pairs and,
+    for k >= 3, s(s-1)(s-2)/2 of anchor roots."""
+    s = len(geo.ring)
+    return max(1, geo.pd2.size + s * s + (s * (s - 1) * (s - 2) // 2 if k >= 3 else 0))
+
+
+def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: np.ndarray, g: np.ndarray) -> list:
+    """Per radius, [a, b, apex, base] of the pairwise compatible anchor roots
+    (apex in arcs[a][b]) whose base w[a] + w[apex] + w[b] plus g reaches top
+    and the largest base: the best weight reaches both, as the recursion
+    adds at least 0.0. A compatible triple i < j < m is the root of
+    (i, m, j), (j, i, m) and (m, j, i)."""
+    at, i, j, third = _thirds(geo, ok)
+    q, m = third.nonzero()
+    at, i, j = np.tile(at[q], 3), i[q], j[q]
+    roots = np.array([[i, j, m], [m, i, j], [j, m, i]]).reshape(3, -1)  # a, b, apex
+    base = w[at, roots[0]] + w[at, roots[2]] + w[at, roots[1]]  # in that float order
+    least = top.copy()
+    np.maximum.at(least, at, base)
+    keep = (base + g[at] >= least[at]).nonzero()[0]
+    out = [[] for _ in top]
+    for r, *root in zip(at[keep].tolist(), *roots[:, keep].tolist(), base[keep].tolist()):
+        out[r].append(root)
+    return out
 
 
 class _ChordSolver:
@@ -244,64 +285,65 @@ class _ChordSolver:
         self.collect(cand, b, a, arc[:m], budget - 1 - kp, out)
 
 
-def _best_upto_two(ring, w, ok, k: int):
-    """Site ids and `selection_key` of the best of the empty selection, the
-    single sites and, for k >= 2, the compatible pairs, a pair weighing the
-    sum of its site weights."""
-    sets = [((), 0.0)] + [((i,), wi) for i, wi in enumerate(w)]
-    if k >= 2:
-        sets += [((i, j), wi + w[j]) for i, wi in enumerate(w)
-                 for j in range(i + 1, len(w)) if ok[i][j]]
-    top = max(v for _, v in sets)
-    key, ids = min((selection_key(top, [ring[i] for i in ids]), ids) for ids, v in sets if v == top)
-    return ids, key
-
-
-def _solve_radius(geo: _Geometry, lam: float, k: int, tol: TolerancePolicy):
-    """Best selection of at most k disks of radius lam > 0 at the ring
-    sites: its union weight and its site ids, ascending."""
+def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy):
+    """Best selection of at most k disks at the ring sites at each radius
+    of lams > 0: its union weight and its site ids, ascending."""
     ring = geo.ring
     s = len(ring)
-    cov = _coverage(geo, lam, tol)
-    w = point_order_sums(cov, geo.w).tolist()
-    ok = _pair_table(geo, lam, tol)
-    best_ids, best_key = _best_upto_two(ring, w, ok, k)
+    cov, w, ok = _tables(geo, lams, tol, geo.w)
+    rows = range(len(lams))
+    # Budgets of one and two: the single sites and the compatible pairs.
+    pi, pj = geo.pairs if k >= 2 else geo.pairs[:, :0]
+    sets = [(i,) for i in range(s)] + list(zip(pi.tolist(), pj.tolist()))
+    vals = np.concatenate((w, np.where(ok[:, pi, pj], w[:, pi] + w[:, pj], -np.inf)), axis=1)
+    top = vals.max(axis=1, initial=0.0)
+    tied = [[] for _ in rows]
+    for r, c in zip(*((vals == top[:, None]) & (top > 0)[:, None]).nonzero()):
+        tied[r].append(sets[c])
+    best = [min((selection_key(v, [ring[i] for i in ids]), ids) for ids in ids_list) if ids_list
+            else (selection_key(0.0, []), ()) for v, ids_list in zip(top.tolist(), tied)]
 
     if k >= 3 and s >= 3:
-        dp = _ChordSolver(w, ok, geo.adm)
-        for a in range(s):
-            ok_a = ok[a]
-            for b in range(s):
-                if a == b or not ok_a[b]:
-                    continue
-                ok_b = ok[b]
+        # Roots are visited by descending base while base + g, g bounding
+        # what the recursion adds, can tie the best: 0 at k = 3, else the
+        # k - 3 largest positive site weights if every float sum of k site
+        # weights is exact, else inf.
+        g = np.zeros(len(lams)) if k == 3 else np.full(len(lams), np.inf)
+        if k > 3 and sums_are_exact(k * geo.w):
+            g = np.array([sum(sorted(row)[3 - k:]) for row in np.maximum(w, 0.0).tolist()])
+        for r, gr, visits in zip(rows, g.tolist(), _anchor_roots(geo, w, ok, top, g)):
+            if not visits:
+                continue
+            best_key, best_ids = best[r]
+            dp = _ChordSolver(w[r].tolist(), ok[r].tolist(), geo.adm)
+            for a, b, apex, v in sorted(visits, key=lambda root: -root[3]):
+                if v + gr < -best_key[0]:
+                    break  # no later root can tie or win
                 outer = geo.arcs[b][a]
-                for apex in geo.arcs[a][b]:
-                    if not (ok_a[apex] and ok_b[apex]):
-                        continue
-                    val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, outer, k - 3)
-                    if -val > best_key[0]:
-                        continue  # cannot tie or win
-                    ids = [a, apex, b]
-                    dp.collect(a, b, apex, outer, k - 3, ids)
-                    key = selection_key(val, [ring[i] for i in ids])
-                    if key < best_key:
-                        best_key = key
-                        best_ids = tuple(sorted(ids))
+                val = v + dp.gamma(a, b, apex, outer, k - 3)
+                if val < -best_key[0]:
+                    continue  # cannot tie or win
+                ids = [a, apex, b]
+                dp.collect(a, b, apex, outer, k - 3, ids)
+                key = selection_key(val, [ring[i] for i in ids])
+                if key < best_key:
+                    best_key, best_ids = key, tuple(sorted(ids))
+            best[r] = best_key, best_ids
 
-    chosen = tuple(sorted(best_ids))
-    for a, b in combinations(chosen, 2):
-        if not ok[a][b]:
-            raise ValidationFailureError(f"sites {a} and {b} chosen closer than 2 * {lam!r}")
-    union = cov[:, list(chosen)].any(axis=1, keepdims=True)
-    return float(point_order_sums(union, geo.w)[0]), chosen
+    chosen = [tuple(sorted(ids)) for _, ids in best]
+    pick = np.zeros((len(lams), s), dtype=bool)
+    for r, lam, ids in zip(rows, lams.tolist(), chosen):
+        for a, b in combinations(ids, 2):
+            if not ok[r, a, b]:
+                raise ValidationFailureError(f"sites {a} and {b} chosen closer than 2 * {lam!r}")
+        pick[r, list(ids)] = True
+    union = (cov & pick).any(axis=2)
+    return list(zip(point_order_sums(union, geo.w).tolist(), chosen))
 
 
 def _solve_radii(geo: _Geometry, lams, k: int, tol: TolerancePolicy):
-    """`_solve_radius` of each radius; (0.0, ()) when lam <= 0. A radius
-    has one coverage cell per point and site."""
-    return in_chunks(lams, max(1, geo.pd2.size),
-                     lambda chunk: [_solve_radius(geo, lam, k, tol) for lam in chunk.tolist()])
+    """`_solve_chunk` of each chunk of radii; (0.0, ()) when lam <= 0."""
+    return in_chunks(lams, _cells(geo, k), lambda chunk: _solve_chunk(geo, chunk, k, tol))
 
 
 def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
@@ -314,16 +356,18 @@ def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: Toleranc
 
 
 def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[float]:
-    """Per radius, an upper bound on the union weight of any k sites: the sum
-    of the k largest site blue weights, each blue counted at a site in the
-    float test of `_coverage`. Every blue the union counts is counted at a
-    chosen site, a blue covered by two sites twice, and reds only lower the
-    union, so this holds under any tolerance. When `sums_are_exact`, both
-    sums are exact (a rounded top-k sum stays at least any union weight of
-    at most 2^53). Otherwise the bound is widened by (k+1)(n+k+1) * sum|w| *
-    2^-52: twice the first-order rounding error of the union's n-term sum,
-    of the site sums and of their k-term sum, which also covers the
-    rounding of the addition. A radius has one cell per point and site."""
+    """Per radius, an upper bound on the union weight of any selection the
+    solve can return: the sum of the j largest site blue weights, in the
+    float test of `_tables`, where j is k, or 2 if no three sites are
+    pairwise compatible at that radius, or 1 if no two are (a selection is
+    pairwise compatible in the same table). Every blue the union counts is
+    counted at a chosen site, a blue covered by two sites twice, and reds
+    only lower the union, so this holds under any tolerance. When
+    `sums_are_exact`, both sums are exact (a rounded top-j sum stays at
+    least any union weight of at most 2^53). Otherwise the bound is widened
+    by (k+1)(n+k+1) * sum|w| * 2^-52: twice the first-order rounding error
+    of the union's n-term sum, of the site sums and of their k-term sum,
+    which also covers the rounding of the addition."""
     n, s = geo.pd2.shape
     wb = np.where(geo.blue, geo.w, 0.0)
     margin = 0.0
@@ -331,12 +375,14 @@ def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[floa
         margin = (k + 1) * (n + k + 1) * float(np.abs(geo.w).sum()) * 2.0**-52
 
     def chunk(lams):
-        r2 = lams * lams
-        cov = coverage_mask(geo.pd2[:, None] - r2[:, None], True, tol.bands(r2)[:, None])
-        sums = point_order_sums(cov.reshape(n, len(lams) * s), wb).reshape(len(lams), s)
-        return [(sum(sorted(row)[-k:]) + margin, ()) for row in sums.tolist()]
+        _, sums, ok = _tables(geo, lams, tol, wb)
+        at, _, _, third = _thirds(geo, ok)
+        cap = np.ones(len(lams), dtype=int)
+        cap[at] = min(k, 2)
+        cap[at[third.any(axis=1)]] = k
+        return [(sum(sorted(row)[-j:]) + margin, ()) for row, j in zip(sums.tolist(), cap.tolist())]
 
-    return [b for b, _ in in_chunks(lams, max(1, geo.pd2.size), chunk)]
+    return [b for b, _ in in_chunks(lams, _cells(geo, k), chunk)]
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:

@@ -3,10 +3,12 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from sofl.discrete import _ChordSolver
 from sofl.geom import (
     DEFAULT_TOL,
     Color,
@@ -679,3 +681,64 @@ def reference_brute_fixed_radius(points, centers, lam, k, tol=DEFAULT_TOL):
             else:
                 nr += 1
     return OracleResult(weight, lam, chosen_centers, (nb, nr))
+
+
+def discrete_pair_table(geo, lam, tol=DEFAULT_TOL):
+    """ok[i][j]: `centers_compatible` of sites i and j at radius lam, in the
+    same float operations (linear in x at the same height), as lists."""
+    return compatible_table(geo.same, geo.adx, geo.d2, lam, tol).tolist()
+
+
+def _reference_best_upto_two(ring, w, ok, k):
+    """Site ids and `selection_key` of the best of the empty selection, the
+    single sites and, for k >= 2, the compatible pairs, a pair weighing the
+    sum of its site weights."""
+    sets = [((), 0.0)] + [((i,), wi) for i, wi in enumerate(w)]
+    if k >= 2:
+        sets += [((i, j), wi + w[j]) for i, wi in enumerate(w)
+                 for j in range(i + 1, len(w)) if ok[i][j]]
+    top = max(v for _, v in sets)
+    key, ids = min((selection_key(top, [ring[i] for i in ids]), ids) for ids, v in sets if v == top)
+    return ids, key
+
+
+def reference_discrete_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
+    """One radius of `discrete._solve_radii` of a `discrete._Geometry` as
+    the per-radius kernel the chunk kernel replaced: its own coverage mask,
+    site weights and pair table, the best of at most two sites, and the
+    chord recursion from every ordered anchor root (a, b, apex), compatible
+    pairwise; (0.0, ()) at lam <= 0."""
+    if lam <= 0:
+        return 0.0, ()
+    ring = geo.ring
+    s = len(ring)
+    r2 = lam * lam
+    cov = coverage_mask(geo.pd2 - r2, geo.blue[:, None], tol.band(r2))  # `is_covered`, point x site
+    w = point_order_sums(cov, geo.w).tolist()
+    ok = discrete_pair_table(geo, lam, tol)
+    best_ids, best_key = _reference_best_upto_two(ring, w, ok, k)
+    if k >= 3 and s >= 3:
+        dp = _ChordSolver(w, ok, geo.adm)
+        for a in range(s):
+            for b in range(s):
+                if a == b or not ok[a][b]:
+                    continue
+                outer = geo.arcs[b][a]
+                for apex in geo.arcs[a][b]:
+                    if not (ok[a][apex] and ok[b][apex]):
+                        continue
+                    val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, outer, k - 3)
+                    if -val > best_key[0]:
+                        continue  # cannot tie or win
+                    ids = [a, apex, b]
+                    dp.collect(a, b, apex, outer, k - 3, ids)
+                    key = selection_key(val, [ring[i] for i in ids])
+                    if key < best_key:
+                        best_key = key
+                        best_ids = tuple(sorted(ids))
+    chosen = tuple(sorted(best_ids))
+    for a, b in combinations(chosen, 2):
+        if not ok[a][b]:
+            raise ValidationFailureError(f"sites {a} and {b} chosen closer than 2 * {lam!r}")
+    union = cov[:, list(chosen)].any(axis=1, keepdims=True)
+    return float(point_order_sums(union, geo.w)[0]), chosen

@@ -178,13 +178,13 @@ def test_check_too_large_exit_code(inst_file, capsys):
 
 
 @pytest.mark.parametrize("module, kernel, text", [
-    (discrete, "_solve_radius", "variant discrete\nk 2\nsite 0 0\nsite 4 0\nsite 0 4\nB 1 1 1\n"),
+    (discrete, "_solve_chunk", "variant discrete\nk 2\nsite 0 0\nsite 4 0\nsite 0 4\nB 1 1 1\n"),
     (multiline, "_solve_radii", "variant tlines\nk 2\nlines 0 3\nB 0 1 1\nB 4 2 1\n"),
 ], ids=["discrete", "tlines"])
 def test_solver_fault_is_not_an_input_error(inst_file, monkeypatch, module, kernel, text):
     # A kernel that chose an infeasible selection has a bug; exit 2 would
-    # blame the input. The t-lines solver reaches its one-radius kernel
-    # through `_solve_radii`.
+    # blame the input. Both solvers reach their chunk kernel through
+    # `_solve_radii`.
     def infeasible(*args):
         raise ValidationFailureError("overlapping selection")
 

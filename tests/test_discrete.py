@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -11,9 +12,8 @@ from sofl.discrete import (
     ConvexPositionError,
     _ChordSolver,
     _blue_bound,
-    _coverage,
     _geometry,
-    _pair_table,
+    _tables,
     canonical_ring,
     solve_discrete,
     solve_discrete_fixed_radius,
@@ -26,10 +26,10 @@ from sofl.geom import (
     disk_weight,
     dist2,
     is_covered,
-    point_order_sums,
+    sums_are_exact,
 )
 from sofl.oracle import brute_discrete
-from conftest import B, R, random_instance, rescaled, thin_ring_instance
+from conftest import B, R, discrete_pair_table, random_instance, rescaled, thin_ring_instance
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
@@ -37,9 +37,9 @@ SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
 
 def site_weights(sites, points, lam, tol=DEFAULT_TOL):
     """Covered weight of a radius-lam disk at every site, as the solver's
-    per-radius step computes it."""
+    chunk tables compute it."""
     geo = _geometry(sites, points)
-    return point_order_sums(_coverage(geo, lam, tol), geo.w).tolist()
+    return _tables(geo, np.array([lam]), tol, geo.w)[1][0].tolist()
 
 
 def test_canonical_ring_clockwise_from_min():
@@ -102,10 +102,12 @@ def test_pair_table_matches_centers_compatible():
         for gap in (4.0, 10.0):
             # exactly 2*lam, and 2*lam less half the slack
             lams += [gap / 2, (gap + tol.x_slack(gap) / 2) / 2]
-        for lam in lams:
-            table = _pair_table(geo, lam, tol)
+        # one row per radius in the chunk table, and the per-radius reference
+        tables = _tables(geo, np.array(lams), tol, geo.w)[2].tolist()
+        for lam, table in zip(lams, tables):
             assert table == [[centers_compatible(a, b, lam, tol) for b in ring] for a in ring]
-        assert _pair_table(geo, 2.0, tol)[ring.index((0.0, 0.0))][ring.index((4.0, 0.0))]
+            assert discrete_pair_table(geo, lam, tol) == table
+        assert discrete_pair_table(geo, 2.0, tol)[ring.index((0.0, 0.0))][ring.index((4.0, 0.0))]
 
 
 def zeta(candidate_xy, anchors_xy) -> float:
@@ -134,14 +136,14 @@ def test_chord_recursion_base_cases():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
     geo = _geometry(ring.sites, ())
     w = [1.0, 1.0, 1.0, 1.0]
-    dp = _ChordSolver(w, _pair_table(geo, 1.0, DEFAULT_TOL), geo.adm)
+    dp = _ChordSolver(w, discrete_pair_table(geo, 1.0, DEFAULT_TOL), geo.adm)
     arc = (2,)
     assert dp.gamma(0, 1, 3, arc, 0) == 0.0  # exhausted budget adds nothing
     assert dp.gamma(0, 1, 3, (), 2) == 0.0  # empty arc adds nothing
     # one budget left: the single arc site is admissible and worth its weight
     assert dp.gamma(1, 3, 0, arc, 1) == 1.0
     # inadmissible when the radius grows past half the anchor spacing
-    tight = _ChordSolver(w, _pair_table(geo, 6.0, DEFAULT_TOL), geo.adm)
+    tight = _ChordSolver(w, discrete_pair_table(geo, 6.0, DEFAULT_TOL), geo.adm)
     assert tight.gamma(1, 3, 0, arc, 1) == 0.0
     # A thin rhombus: across its short diagonal the far site is outside the
     # circle of the near triangle and enters; across its long diagonal it
@@ -149,7 +151,7 @@ def test_chord_recursion_base_cases():
     ring = canonical_ring([(-10, 0), (0, 1), (10, 0), (0, -1)]).sites
     assert ring == ((-10.0, 0.0), (0.0, 1.0), (10.0, 0.0), (0.0, -1.0))
     geo = _geometry(ring, ())
-    ok = _pair_table(geo, 0.5, DEFAULT_TOL)
+    ok = discrete_pair_table(geo, 0.5, DEFAULT_TOL)
     assert all(ok[i][j] for i, j in combinations(range(4), 2))
     thin = _ChordSolver(w, ok, geo.adm)
     assert thin.gamma(1, 3, 2, (0,), 1) == 1.0
@@ -225,29 +227,43 @@ def _bound_cases():
 
 def test_blue_bound_is_at_least_every_union_weight():
     # At every candidate radius the bound is at least the union weight of
-    # every selection of at most k sites (compatible or not), with coverage
-    # by the scalar `is_covered` and the union summed in point order. At
+    # every selection the solve can return: at most k sites, pairwise
+    # compatible by the scalar `centers_compatible`, with coverage by the
+    # scalar `is_covered` and the union summed in point order. The bound
+    # counts no more sites than fit pairwise, so radii where only one or
+    # two of the k fit must occur, on the exact and on the margin path. At
     # radius <= 0 the solve places nothing, so the bound need only be >= 0.
     cases = 0
+    capped = Counter()
     for sites, points, k in _bound_cases():
         ring = canonical_ring(sites).sites
+        s = len(ring)
         radii = [c.value for c in candidate_radii_discrete(points, ring)]
-        bounds = _blue_bound(_geometry(ring, points), radii, k, DEFAULT_TOL)
+        geo = _geometry(ring, points)
+        bounds = _blue_bound(geo, radii, k, DEFAULT_TOL)
         w = np.array([p.weight for p in points])
-        subsets = [c for r in range(1, k + 1) for c in combinations(range(len(ring)), r)]
-        inc = np.zeros((len(ring), len(subsets)), dtype=int)
+        subsets = [c for r in range(1, k + 1) for c in combinations(range(s), r)]
+        inc = np.zeros((s, len(subsets)), dtype=int)
+        pairs = np.zeros((s * s, len(subsets)), dtype=int)
         for j, c in enumerate(subsets):
             inc[list(c), j] = 1
+            pairs[[a * s + b for a, b in combinations(c, 2)], j] = 1
         for lam, bound in zip(radii, bounds):
             if lam <= 0:
                 assert bound >= 0.0
                 continue
+            apart = np.array([[a == b or centers_compatible(a, b, lam) for b in ring] for a in ring])
+            fits = (~apart).ravel().astype(int) @ pairs == 0
+            most = max(len(c) for c, f in zip(subsets, fits) if f)
+            if most < k:
+                capped[most, sums_are_exact(geo.w)] += 1
             cov = np.array([[is_covered(p, Disk(x, y, lam)) for x, y in ring] for p in points])
-            union = cov.astype(int) @ inc > 0
+            union = cov.astype(int) @ inc[:, fits] > 0
             top = np.cumsum(np.where(union, w[:, None], 0.0), axis=0)[-1].max()
             assert bound >= top, (sites, points, k, lam)
         cases += 1
     assert cases > 100
+    assert all(capped[most, exact] for most in (1, 2) for exact in (True, False)), capped
 
 
 def test_k1_best_single_site():

@@ -4,6 +4,7 @@ radius with the solver's kernel and keeps the first radius of the largest
 weight. This pins the pruning rules of csofl and t-lines."""
 
 import math
+import pathlib
 import random
 
 import pytest
@@ -16,13 +17,14 @@ from sofl.candidates import (
     radius_groups,
 )
 from sofl.discrete import solve_discrete
-from sofl.geom import DEFAULT_TOL
+from sofl.geom import DEFAULT_TOL, TolerancePolicy
 from sofl.klink import line_geometry, solve_radii
 from sofl.multiline import solve_tlines
 from sofl.oracle import brute_csofl, brute_discrete
 from sofl.placement import LineCenter, best_radius, line_placement, site_placement
 from sofl.solver import solve_csofl
-from conftest import B, random_instance, rescaled, tol_edge_instance
+from conftest import (B, random_instance, reference_discrete_solve_radius, rescaled, thin_ring_instance,
+                      tol_edge_instance)
 
 
 def full_evaluation(radii, kernel):
@@ -386,6 +388,52 @@ def test_solve_discrete_equals_full_evaluation_under_the_bound(monkeypatch):
         total[0] += len(candidate_radii_discrete(points, discrete.canonical_ring(sites).sites))
         assert repr(pl) == repr(full), (sites, points, k)
     assert solved[0] < total[0], (solved, total)
+
+
+def test_discrete_chunk_kernel_equals_per_radius_reference(monkeypatch):
+    # At every candidate radius, and at radii <= 0 among them, the chunk
+    # kernel gives the repr of the per-radius kernel of `conftest`: on
+    # `_discrete_cases` and the rings of `golden_discrete_thin.txt`, at eps
+    # 1e-9 and 1e-4, in chunks of the default cell budget, and at 1e-9 also
+    # in chunks of one radius.
+    golden = pathlib.Path(__file__).resolve().parent / "golden_discrete_thin.txt"
+    seeds = [int(line.split("=")[1]) for line in golden.read_text().splitlines() if line.startswith("# seed=")]
+    cases = [*_discrete_cases(), *((inst.sites, inst.points, inst.k) for inst in map(thin_ring_instance, seeds))]
+    default = placement.CELLS
+    radii_seen = 0
+    for sites, points, k in cases:
+        ring = discrete.canonical_ring(sites).sites
+        geo = discrete._geometry(ring, points)
+        radii = [c.value for c in candidate_radii_discrete(points, ring)]
+        radii[len(radii) // 2: len(radii) // 2] = [0.0, -1.0]
+        for tol, budgets in ((DEFAULT_TOL, (default, 1)), (TolerancePolicy(1e-4), (default,))):
+            expect = repr([reference_discrete_solve_radius(geo, v, k, tol) for v in radii])
+            for cells in budgets:
+                monkeypatch.setattr(placement, "CELLS", cells)
+                assert repr(discrete._solve_radii(geo, radii, k, tol)) == expect, (sites, points, k, tol, cells)
+        radii_seen += len(radii)
+    assert len(cases) > 300 and radii_seen > 10000
+
+
+def test_capped_bound_skips_radii_at_k3(monkeypatch):
+    # generate(14, 12, 3, "discrete", s=8) has 97 candidate radii. At the
+    # large ones fewer than three sites fit pairwise, and the bound counts
+    # only those that fit: a top-3 bound without that cap solves 90 of the
+    # 97. The pruned solve still returns what solving every radius returns.
+    inst = random_instance(14, 12, 3, "discrete", s=8)
+    total = len(candidate_radii_discrete(inst.points, discrete.canonical_ring(inst.sites).sites))
+    solved = [0]
+    real = discrete._solve_radii
+
+    def counted(geo, lams, k, tol):
+        solved[0] += len(lams)
+        return real(geo, lams, k, tol)
+
+    full = full_discrete(inst.sites, inst.points, inst.k)
+    monkeypatch.setattr(discrete, "_solve_radii", counted)
+    pl = solve_discrete(inst.sites, inst.points, inst.k)
+    assert repr(pl) == repr(full)
+    assert total == 97 and solved[0] < 90, solved
 
 
 # --- ROADMAP item 1: the DPs double-count touching disks -------------------------
