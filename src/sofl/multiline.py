@@ -6,10 +6,11 @@ hop moves 2*lam in x, across two lines closer than 2*lam it moves the
 reduced offset sqrt(4*lam^2 - dy^2). Leftward hops are not needed for
 exact coverage, by the left-shift argument of the `klink` module
 docstring; a radius whose band is wider than the default one
-(`klink.two_sided`) hops both ways. Selection is an exact
-depth-first search over the x-sorted candidates with an optimistic bound,
-because non-overlap between centers on different lines is a pairwise
-Euclidean constraint that a simple left-to-right link cannot capture.
+(`klink.two_sided`) hops both ways. Selection is exact: array maxima for
+budgets of one and two, and beyond them a depth-first search with an
+optimistic bound, because non-overlap between centers on different lines is
+a pairwise Euclidean constraint that a simple left-to-right link cannot
+capture.
 
 `_solve_radii` solves a chunk of radii at once, one row per radius, on each
 line's geometry, built once per solve:
@@ -17,11 +18,17 @@ line's geometry, built once per solve:
   sentinels, merged per (row, line) in one `geom.merge_keep` call; the
   `klink.two_sided` radii go in chunks of their own (`klink.by_sides`);
 - tables: one points x candidates coverage mask gives each candidate its
-  gain and its covered points as an int bitset; flat lists of the pairs
-  within a row give the compatible later candidates as int bitsets;
-- search: per row, in Python, where a node ANDs bitsets instead of testing
-  center pairs. Union weights are memoized per covered-point bitset for a
-  whole solve, since they do not depend on the radius.
+  weight as a point-order column sum; the compatible pairs within a row
+  come in blocks (`_pairs`), and at k = 2 each gets its union weight as
+  the point-order sum of its two mask columns;
+- budgets of one and two: per row, the best single and the best compatible
+  pair are array maxima over the chunk, resolved by the `selection_key`
+  rule (`_tables`);
+- k >= 3: per row, a Python DFS (`_search`) seeded with the best single,
+  where a node ANDs int bitsets of covered points and compatible later
+  candidates instead of testing center pairs. Union weights are memoized
+  per covered-point bitset for a whole solve, since they do not depend on
+  the radius; they are the same point-order float sums as the array ones.
 `placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
 coverage cells; a fixed radius, and each chain radius the radius loop
 (`placement.best_radius`) admits, is a chunk of one. Every selection is
@@ -160,18 +167,13 @@ def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
     return coverage_mask(s, geo.blue[:, None], tol.bands(r2))
 
 
-def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
-    """Per center (rows ascending), the later centers of its row compatible
-    with it, as a bitset over the positions in the row; the search never
-    looks back. Each pair is decided at its row's radius by
-    `geom.compatible_table`. The pairs go in blocks of about
-    `placement.CELLS` / 8, since a block holds about eight arrays with one
-    cell per pair."""
-    count = np.bincount(row, minlength=len(lams))
-    pos = np.arange(len(row)) - (np.cumsum(count) - count)[row]
-    later = count[row] - pos - 1
-    bits = np.zeros((len(row), count.max(initial=0)), dtype=bool)
-    block = max(1, placement.CELLS // 8)
+def _pairs(xs, ys, row, lams, tol: TolerancePolicy, cells: int):
+    """The compatible pairs of centers i < j of a row (rows ascending), as
+    blocks of i and j, each of about `placement.CELLS` / cells pairs. Each
+    pair is decided at its row's radius by `geom.compatible_table`."""
+    pos = np.arange(len(row)) - np.searchsorted(row, row)
+    later = np.bincount(row, minlength=len(lams))[row] - pos - 1
+    block = max(1, placement.CELLS // cells)
     cuts = np.searchsorted(np.cumsum(later), np.arange(block, later.sum(), block))
     for a in np.split(np.arange(len(row)), cuts):
         i = np.repeat(a, later[a])
@@ -179,29 +181,67 @@ def _compat(xs, ys, row, lams, tol: TolerancePolicy) -> list[int]:
         dx = xs[i] - xs[j]
         dy = ys[i] - ys[j]
         ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
-        bits[i[ok], pos[j[ok]]] = True
-    return bitsets(bits)
+        yield i[ok], j[ok]
+
+
+def _fold(best, row, w, code):
+    """Fold sets of centers into best, the per-row (weight, code) of the
+    `selection_key` minimum: the largest weight, then the least code."""
+    bw, bc = best
+    was = bw.copy()
+    np.maximum.at(bw, row, w)
+    bc[bw > was] = np.iinfo(bc.dtype).max
+    tie = w == bw[row]
+    np.minimum.at(bc, row[tie], code[tie])
 
 
 def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
-    """Search tables of the centers xs on lines li at radii lams[row], rows
-    ascending: the searched centers as indices into xs, and per searched
-    center its gain (covered positive weight), its covered points as a
-    bitset and, for k > 1, its compatible later centers (`_compat`).
+    """Tables of the centers xs on lines li at radii lams[row], rows
+    ascending: the searched centers as indices into xs; per row the
+    `selection_key` minimum over the empty selection, the single searched
+    centers and, at k = 2, their compatible pairs, as its union weight and
+    its positions in the row, ascending; and for k >= 3, per searched
+    center, its gain (covered positive weight), its covered points as a
+    bitset and its compatible later centers of the row as a bitset over
+    positions.
 
-    Weights are summed in point order like `geom.disk_weight`. A center
-    whose own disk nets nothing can never improve a union of
-    non-overlapping disks, and the fewest-centers tie rule drops it, so
-    only the others are searched.
+    Weights are summed in point order like `geom.disk_weight`, a pair's
+    over the union of its two mask columns. A center whose own disk nets
+    nothing can never improve a union of non-overlapping disks, and the
+    fewest-centers tie rule drops it, so only the others are searched. As
+    positions follow the (x, line) keys, a set's code (`_fold`) is its
+    size, then its largest position, then its other one. A pair block
+    holds about eight arrays with one cell per pair, and at k = 2 also the
+    n x pairs union table. At k >= 3 the pairs' union weights would cost
+    more than the search they spare, so the search starts from the best
+    single.
     """
     cov = _coverage(geo, lams, xs, row, li, tol)
-    order = np.flatnonzero(point_order_sums(cov, geo.w) > 0)
-    cov = cov[:, order]
-    gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
-    compat = []
-    if k > 1:
-        compat = _compat(xs[order], np.array(lines)[li[order]], row[order], lams, tol)
-    return order, gains, bitsets(cov.T), compat
+    sums = point_order_sums(cov, geo.w)
+    order = np.flatnonzero(sums > 0)
+    cov, row = cov[:, order], row[order]
+    pos = np.arange(len(row)) - np.searchsorted(row, row)
+    size = len(row) + 1
+    best = np.zeros(len(lams)), np.zeros(len(lams), dtype=np.int64)  # the empty selection
+    _fold(best, row, sums[order], size * size + pos * size)
+    ys = np.array(lines)[li[order]]
+    search = None
+    if k == 2:
+        for i, j in _pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))):
+            union = point_order_sums(cov[:, i] | cov[:, j], geo.w)
+            _fold(best, row[i], union, 2 * size * size + pos[j] * size + pos[i])
+    elif k > 2:
+        bits = np.zeros((len(row), np.bincount(row).max(initial=0)), dtype=bool)
+        for i, j in _pairs(xs[order], ys, row, lams, tol, 8):
+            bits[i, pos[j]] = True
+        gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
+        search = gains.tolist(), bitsets(cov.T), bitsets(bits)
+    picks = []
+    for weight, code in zip(*(b.tolist() for b in best)):
+        count, rest = divmod(code, size * size)
+        hi, lo = divmod(rest, size)
+        picks.append((weight, ((), (hi,), (lo, hi))[count]))
+    return order, picks, search
 
 
 class _UnionWeights(dict):
@@ -225,10 +265,12 @@ class _UnionWeights(dict):
         return total
 
 
-def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
+def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights, incumbent):
     """Exact DFS over one row's searched centers in (x, line) order; returns
     the best union weight and the positions of the canonical best
-    selection, ascending.
+    selection, ascending. It starts from incumbent, a compatible selection
+    no worse than the empty one, given as its union weight and positions,
+    ascending.
 
     A node carries the bitset of later positions compatible with every
     chosen center (the AND of their compatibility rows) and walks its set
@@ -244,14 +286,13 @@ def _search(keys, gains, masks, compat, k: int, weights: _UnionWeights):
     # fresh[pos]: the positive points covered by a center at pos or later.
     top = [[0.0] * k] * (m + 1)
     fresh = [0] * (m + 1)
-    if k > 1:
-        largest: list[float] = []
-        for pos in range(m - 1, -1, -1):
-            largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
-            top[pos] = [sum(largest[:b]) for b in range(k)]
-            fresh[pos] = fresh[pos + 1] | masks[pos] & weights.positive
-    best_key = selection_key(0.0, [])  # the empty selection
-    best_ids: tuple[int, ...] = ()
+    largest: list[float] = []
+    for pos in range(m - 1, -1, -1):
+        largest = sorted(largest + [gains[pos]], reverse=True)[: k - 1]
+        top[pos] = [sum(largest[:b]) for b in range(k)]
+        fresh[pos] = fresh[pos + 1] | masks[pos] & weights.positive
+    best_ids: tuple[int, ...] = incumbent[1]
+    best_key = selection_key(incumbent[0], [keys[i] for i in best_ids])
 
     def rec(chosen: list[int], mask: int, allowed: int):
         nonlocal best_key, best_ids
@@ -283,14 +324,17 @@ def _solve_chunk(geo, lines, lams, k: int, tol: TolerancePolicy, weights: _Union
     """`_solve_radii` of positive radii, all of one `klink.two_sided`
     value, on the `_stacked` geometry."""
     xs, row, li = _candidates(geo, lines, lams, k, tol, both)
-    order, gains, masks, compat = _tables(geo, lines, lams, xs, row, li, k, tol)
+    order, picks, search = _tables(geo, lines, lams, xs, row, li, k, tol)
     ends = np.cumsum(np.bincount(row[order], minlength=len(lams))).tolist()
-    cx, cl, gains = xs[order].tolist(), li[order].tolist(), gains.tolist()
+    cx, cl = xs[order].tolist(), li[order].tolist()
     out = []
     a = 0
     for r, b in enumerate(ends):
         keys = list(zip(cx[a:b], cl[a:b]))
-        weight, ids = _search(keys, gains[a:b], masks[a:b], compat[a:b], k, weights)
+        weight, ids = picks[r]
+        if search:
+            gains, masks, compat = search
+            weight, ids = _search(keys, gains[a:b], masks[a:b], compat[a:b], k, weights, (weight, ids))
         chosen = tuple(keys[i] for i in ids)
         lam = float(lams[r])
         for i, (ax, al) in enumerate(chosen):

@@ -1,18 +1,23 @@
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sofl.candidates import candidate_radii_tlines, radius_groups
-from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered, point_order_sums
 from sofl.instance import emit_result, generate, parse_instance
 from sofl import placement
 from sofl.klink import line_geometry
 import sofl.multiline
 from sofl.multiline import (
     _UnionWeights,
+    _coverage,
+    _pairs,
     _search,
     _solve_radii,
     _stacked,
@@ -22,7 +27,7 @@ from sofl.multiline import (
     solve_tlines_fixed_radius,
 )
 from sofl.oracle import TooLargeError, _center_grids, brute_fixed_radius, brute_tlines
-from sofl.placement import LineCenter, line_placement, selection_key
+from sofl.placement import LineCenter, line_placement, selection_key, union_coverage
 from sofl.solver import solve_csofl
 from conftest import (
     B,
@@ -163,25 +168,40 @@ def test_all_red_zero():
 
 
 def assert_tables_match_scalar(points, lines, lams, centers, tol):
-    """The search tables of the centers at every radius of lams, one row
-    each, against `is_covered`, `disk_weight` and `centers_compatible`,
-    pair by pair; returns the searched indices and the compatibility rows
-    of the first radius."""
-    geos = [line_geometry(points, ly) for ly in lines]
+    """The tables of the centers at every radius of lams, one row each,
+    against `is_covered`, `disk_weight`, `centers_compatible` and
+    `union_coverage`, center by center and pair by pair: the searched
+    centers, the k = 3 search tables, each compatible pair (`_pairs`) and
+    its union weight, and each row's best single (k = 1 and 3) and best
+    single or pair (k = 2), the `selection_key` minimum over position keys.
+    Returns the searched indices and the compatibility rows of the first
+    radius."""
+    geo = _stacked([line_geometry(points, ly) for ly in lines])
     m = len(centers)
     xs = np.tile([c.x for c in centers], len(lams))
     li = np.tile([c.line_index for c in centers], len(lams))
     row = np.repeat(np.arange(len(lams)), m)
-    order, gains, masks, compat = _tables(_stacked(geos), lines, np.array(lams), xs, row, li, 2, tol)
+    lams = np.array(lams)
+    order, ones, (gains, masks, compat) = _tables(geo, lines, lams, xs, row, li, 3, tol)
     assert len(order) == len(gains) == len(masks) == len(compat)
+    one, two = (_tables(geo, lines, lams, xs, row, li, k, tol) for k in (1, 2))
+    assert (one[0].tolist(), one[1], one[2]) == (order.tolist(), ones, None)
+    assert (two[0].tolist(), two[2]) == (order.tolist(), None)
+    # Each compatible pair's union weight as the k = 2 tables sum it.
+    table = _coverage(geo, lams, xs, row, li, tol)[:, order]
+    unions = {}
+    for i, j in _pairs(xs[order], np.array(lines)[li[order]], row[order], lams, tol, 8):
+        union = point_order_sums(table[:, i] | table[:, j], geo.w)
+        unions.update(zip(zip(order[i].tolist(), order[j].tolist()), union.tolist()))
     xy = [(c.x, lines[c.line_index]) for c in centers]
     first = None
-    for r, lam in enumerate(lams):
+    for r, lam in enumerate(lams.tolist()):
         disks = [Disk(x, y, lam) for x, y in xy]
         net = [sum(p.weight for p in points if is_covered(p, d, tol)) for d in disks]
         on = [g - r * m for g in order.tolist() if g // m == r]
         assert on == [i for i in range(m) if net[i] > 0], (r, tol)
         at = [g for g in range(len(order)) if order[g] // m == r]
+        best = best_one = selection_key(0.0, []), ()
         for a, g in enumerate(at):
             cov = [is_covered(p, disks[on[a]], tol) for p in points]
             assert masks[g] == sum(1 << i for i, hit in enumerate(cov) if hit)
@@ -189,8 +209,20 @@ def assert_tables_match_scalar(points, lines, lams, centers, tol):
             got = [bool(compat[g] >> b & 1) for b in range(len(on))]
             expect = [b > a and centers_compatible(xy[on[a]], xy[on[b]], lam, tol) for b in range(len(on))]
             assert got == expect, (a, tol, lam)
+            best_one = min(best_one, (selection_key(net[on[a]], [a]), (a,)))
+            best = min(best, best_one)
+            for b in range(a + 1, len(on)):
+                pair = (r * m + on[a], r * m + on[b])
+                assert (pair in unions) == expect[b], (pair, tol, lam)
+                if expect[b]:
+                    weight = union_coverage([disks[on[a]], disks[on[b]]], points, tol)[0]
+                    assert unions.pop(pair).hex() == weight.hex(), (pair, tol, lam)
+                    best = min(best, (selection_key(weight, [a, b]), (a, b)))
+        assert ones[r] == (-best_one[0][0], best_one[1]), (r, tol, lam)
+        assert two[1][r] == (-best[0][0], best[1]), (r, tol, lam)
         if first is None:
             first = on, [compat[g] for g in at]
+    assert not unions
     return first
 
 
@@ -426,6 +458,7 @@ def test_search_equals_exhaustive_enumeration():
         compat = [sum(1 << j for j in range(i + 1, m) if rng.random() < 0.6) for i in range(m)]
         keys = sorted((float(rng.randint(-3, 3)), rng.randint(0, 1)) for _ in range(m))
         best, best_ids, seen = selection_key(0.0, []), (), set()
+        valid = [(0.0, ())]
         for size in range(1, k + 1):
             for ids in combinations(range(m), size):
                 if all(compat[i] >> j & 1 for i, j in combinations(ids, 2)):
@@ -435,9 +468,15 @@ def test_search_equals_exhaustive_enumeration():
                     key = selection_key(weights[union], [keys[i] for i in ids])
                     ties += key[:2] in seen
                     seen.add(key[:2])
+                    if key < selection_key(0.0, []):
+                        valid.append((weights[union], ids))
                     if key < best:
                         best, best_ids = key, ids
-        assert _search(keys, gains, masks, compat, k, weights) == (-best[0], best_ids), seed
+        assert _search(keys, gains, masks, compat, k, weights, (0.0, ())) == (-best[0], best_ids), seed
+        # From any compatible selection that beats the empty one: the same
+        # weight and center keys (these keys repeat; a kernel row's never do).
+        weight, ids = _search(keys, gains, masks, compat, k, weights, rng.choice(valid))
+        assert (weight, [keys[i] for i in ids]) == (-best[0], [keys[i] for i in best_ids]), seed
     assert ties > 1000
 
 
@@ -500,3 +539,82 @@ def test_first_radii_go_through_one_solve(monkeypatch):
         won += len(admitted)
     assert 0 < won < chains
 
+
+def _tie_cases():
+    """(points, lines) whose selections tie: blues mirrored about x = 0 at
+    heights on and between the lines, so that a pair ties its mirror image
+    and a single covering two blues ties a pair, with a red at x = 0 in
+    half the cases; integer weights, then weights 0.1, 0.2 and 0.3, whose
+    sums depend on their order."""
+    for seed in range(16):
+        rng = random.Random(seed)
+        lines = [0.0, 2.0][: 1 + seed % 2]
+        pts = []
+        for i in range(rng.randint(1, 3)):
+            x, y = rng.randint(1, 4), rng.choice(lines) + rng.choice([0.0, 0.5, 1.0])
+            w = rng.choice([1.0, 2.0]) if seed < 8 else rng.choice([0.1, 0.2, 0.3])
+            pts += [B(2 * i, -x, y, w), B(2 * i + 1, x, y, w)]
+        if seed % 4 > 1:
+            pts.append(R(len(pts), 0, lines[-1], -1.0))
+        yield pts, lines
+
+
+def _ties_at(points, lines, lam, tol=DEFAULT_TOL):
+    """Whether, among the kernel's candidates at lam, the best single ties
+    the best compatible pair, and whether two pairs tie at the best pair
+    weight; by scalar `union_coverage`."""
+    cents = [(c.x, lines[c.line_index]) for c in multiline_centers(points, lines, lam, 2, tol)]
+    disks = [Disk(x, y, lam) for x, y in cents]
+    ones = [union_coverage([d], points, tol)[0] for d in disks]
+    twos = [union_coverage([disks[a], disks[b]], points, tol)[0] for a, b in combinations(range(len(cents)), 2)
+            if ones[a] > 0 < ones[b] and centers_compatible(cents[a], cents[b], lam, tol)]
+    top = max(twos, default=-math.inf)
+    return max(ones, default=0.0) == top > 0, twos.count(top) > 1 and top > 0
+
+
+def test_array_picks_equal_the_reference_search_on_ties():
+    # Budgets of one and two are array maxima per chunk (`_tables`), and
+    # k = 3 seeds the DFS with the best single; every radius must equal the
+    # per-radius reference kernel by repr, weight bits and chosen centers,
+    # also where the band makes radii chain both ways (`klink.two_sided`).
+    policies = (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4))
+    ties = np.zeros(2, dtype=int)
+    for pts, lines in _tie_cases():
+        geos = [line_geometry(pts, ly) for ly in lines]
+        for k in (1, 2, 3):
+            radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, k))] + [1.5, 2.5]
+            for tol in policies:
+                got = _solve_radii(geos, lines, radii, k, tol)
+                expect = [reference_tlines_solve_radius(geos, lines, v, k, tol, kernel_sides(v, tol))
+                          for v in radii]
+                assert repr(got) == repr(expect), (pts, lines, k, tol)
+            if k == 2:
+                ties += np.sum([_ties_at(pts, lines, v) for v in radii if v > 0], axis=0, dtype=int)
+    # radii where a single ties the best pair, and where pairs tie
+    assert ties.min() > 20, ties
+
+
+def _pool_instances(*names):
+    """The t-lines instances of the benchmark pools of the given workloads."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # its dataclasses look their module up
+    spec.loader.exec_module(wl)
+    return [parse_instance(wl.instance_text(generate, st, i))
+            for name in names for st, i in wl.pool_keys(name) if st.variant == "tlines"]
+
+
+def test_budgets_up_to_two_never_search(monkeypatch):
+    # At k <= 2 the DFS does not run: every such t-lines instance of the
+    # `tlines` and `small-check` pools solves with `_search` refusing, to
+    # the placement it has with `_search` in place.
+    cases = [inst for inst in _pool_instances("tlines", "small-check") if inst.k <= 2]
+    expect = [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases]
+
+    def refuse(*args):
+        raise AssertionError("the DFS ran at k <= 2")
+
+    monkeypatch.setattr(sofl.multiline, "_search", refuse)
+    assert [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases] == expect
+    assert len(cases) == 56
