@@ -8,7 +8,7 @@ from .candidates import (
     candidate_radii_line,
     candidate_radii_tlines,
 )
-from .discrete import SiteRing, solve_discrete, solve_discrete_fixed_radius
+from .discrete import SiteRing, solve_discrete
 from .geom import (
     Color,
     ColoredPoint,
@@ -26,11 +26,10 @@ from .instance import (
     generate,
     parse_instance,
 )
-from .klink import solve_fixed_radius
-from .multiline import multiline_centers, solve_tlines, solve_tlines_fixed_radius
+from .multiline import solve_tlines
 from .oracle import brute_fixed_radius
 from .placement import LineCenter, Placement, SiteCenter
-from .solver import VariantSpec, solve_csofl, solve_special
+from .solver import solve_csofl, solve_special
 from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "SiteCenter",
     "SiteRing",
     "TolerancePolicy",
-    "VariantSpec",
     "allblue_minred",
     "brute_fixed_radius",
     "candidate_radii_discrete",
@@ -61,13 +59,9 @@ __all__ = [
     "is_covered",
     "maxblue_nored_fast",
     "maxblue_nored_naive",
-    "multiline_centers",
     "parse_instance",
     "solve_csofl",
     "solve_discrete",
-    "solve_discrete_fixed_radius",
-    "solve_fixed_radius",
     "solve_special",
     "solve_tlines",
-    "solve_tlines_fixed_radius",
 ]

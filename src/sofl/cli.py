@@ -22,7 +22,7 @@ from .instance import (
 )
 from .multiline import solve_tlines
 from .placement import LineCenter, Placement, line_placement
-from .solver import VariantSpec, solve_csofl, solve_special
+from .solver import solve_csofl, solve_special
 from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
 
 EXIT_OK = 0
@@ -31,10 +31,9 @@ EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
 
 
-def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy,
-           jobs: int) -> Placement | None:
+def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy) -> Placement | None:
     if inst.variant == "csofl":
-        return solve_csofl(inst.points, 0.0, inst.k, tol, jobs=jobs)
+        return solve_csofl(inst.points, 0.0, inst.k, tol)
     if inst.variant == "tlines":
         return solve_tlines(inst.points, inst.lines, inst.k, tol)
     if inst.variant == "discrete":
@@ -44,7 +43,7 @@ def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy,
     elif inst.variant == "allblue-minred" and inst.k == 1 and algorithm == "fvd":
         fn = allblue_minred
     else:
-        return solve_special(inst.points, 0.0, inst.k, VariantSpec(inst.variant), tol).placement
+        return solve_special(inst.points, 0.0, inst.k, inst.variant, tol).placement
     result = fn(inst.points, tol)  # (center x, radius, count) or None
     return None if result is None else line_placement(
         inst.points, [0.0], result[1], (LineCenter(result[0]),), tol)
@@ -66,7 +65,7 @@ def _check(inst: ProblemInstance, tol: TolerancePolicy, out) -> int:
     solve."""
     if inst.variant in _REFERENCE:
         ref = _REFERENCE[inst.variant](inst, tol)
-        fast = _solve(inst, "dp", tol, jobs=1)
+        fast = _solve(inst, "dp", tol)
         print(f"solver  weight={fast.total_weight:.12g} lambda={fast.radius:.12g}", file=out)
         print(f"oracle  weight={ref.weight:.12g} lambda={ref.radius:.12g}", file=out)
         ok = fast.total_weight == ref.weight and fast.radius == ref.radius
@@ -86,7 +85,7 @@ def _check(inst: ProblemInstance, tol: TolerancePolicy, out) -> int:
         ok = fast[2] == ref[2]  # red counts; centers may legitimately differ
     else:
         ref = oracle.brute_special_counts(inst.points, 0.0, inst.k, inst.variant, tol)
-        res = solve_special(inst.points, 0.0, inst.k, VariantSpec(inst.variant), tol)
+        res = solve_special(inst.points, 0.0, inst.k, inst.variant, tol)
         if inst.variant == "maxblue-nored":
             print(f"solver  blue={res.blue_covered} red={res.red_covered}", file=out)
             print(f"oracle  blue={ref} red=0", file=out)
@@ -112,7 +111,6 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=("dp", "naive", "fast", "fvd"), default="dp")
     p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
-    p_solve.add_argument("--jobs", type=int, default=1)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -165,15 +163,13 @@ def main(argv=None) -> int:
                 raise SemanticError("k must be at least 1")
             if inst.variant == "discrete" and inst.k >= len(inst.sites):
                 raise SemanticError("k must be smaller than the number of sites")
-        if args.command == "solve" and args.jobs < 1:
-            raise SemanticError("jobs must be at least 1")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     if args.command == "solve":
         try:
-            placement = _solve(inst, args.algorithm, tol, args.jobs)
+            placement = _solve(inst, args.algorithm, tol)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

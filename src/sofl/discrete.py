@@ -52,7 +52,6 @@ __all__ = [
     "ConvexPositionError",
     "SiteRing",
     "canonical_ring",
-    "solve_discrete_fixed_radius",
     "solve_discrete",
 ]
 
@@ -344,15 +343,6 @@ def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy)
 def _solve_radii(geo: _Geometry, lams, k: int, tol: TolerancePolicy):
     """`_solve_chunk` of each chunk of radii; (0.0, ()) when lam <= 0."""
     return in_chunks(lams, _cells(geo, k), lambda chunk: _solve_chunk(geo, chunk, k, tol))
-
-
-def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Best placement of at most k radius-lam disks at the given ring sites."""
-    ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    _, chosen = _solve_radii(_geometry(ring, points), [lam], k, tol)[0]
-    return site_placement(points, ring, max(lam, 0.0), chosen, tol)
 
 
 def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[float]:

@@ -101,13 +101,10 @@ class TolerancePolicy:
     def x_slack(self, scale: float) -> float:
         return self.eps * max(1.0, abs(scale))
 
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.x_slack(max(abs(a), abs(b)))
-
     def x_slacks(self, xs: np.ndarray) -> np.ndarray:
-        """`x_slack` of every value. For a >= b, `close(a, b)` is exactly
-        a - b <= max(slack of a, slack of b), since eps * max(1, .) is
-        monotone."""
+        """`x_slack` of every value. For a >= b, a - b <= max(slack of a,
+        slack of b) is exactly a - b <= x_slack(max(|a|, |b|)), since
+        eps * max(1, .) is monotone."""
         return self.eps * np.maximum(1.0, np.abs(xs))
 
     def bands(self, r2s: np.ndarray) -> np.ndarray:

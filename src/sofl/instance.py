@@ -12,7 +12,7 @@ skipped:
 
 For the two special variants the weight column is omitted and weights are
 assigned by the reduction (`solver.reduce_allblue_minred` or
-`solver.reduce_maxblue_nored` at its default delta). Parsing then printing
+`solver.reduce_maxblue_nored`). Parsing then printing
 then parsing is the identity; sites are canonicalized to a clockwise convex
 ring starting at the lexicographically smallest site, and site ids in
 results refer to that order.

@@ -58,8 +58,8 @@ Every step makes the same float operations as the scalar geometry
 predicates and sums weights in point order, so the results equal a scalar
 evaluation bit for bit. `placement.in_chunks` gives a chunk as many
 radii as fit `placement.CELLS` raw centers (at least one) and answers
-lam <= 0 itself; a fixed radius is a chunk of one. `by_sides` keeps the
-`two_sided` radii in chunks of their own.
+lam <= 0 itself. `by_sides` keeps the `two_sided` radii in chunks of
+their own.
 
 A radius loop compares the returned union weights and recomputes one
 union, for the `Placement` of the radius it returns.
@@ -76,13 +76,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, sums_are_exact
-from .placement import LineCenter, Placement, in_chunks, line_placement
+from .placement import in_chunks
 
 __all__ = [
     "LineGeometry",
     "line_geometry",
     "solve_radii",
-    "solve_fixed_radius",
 ]
 
 
@@ -376,9 +375,3 @@ def solve_radii(geo: LineGeometry, lams, k: int,
     return by_sides(lams, tol, lambda part, both: in_chunks(
         part, 2 * (2 * k - 1 if both else k) * len(geo.px) + 2,
         lambda chunk: _solve_chunk(geo, chunk, k, tol, both)))
-
-
-def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Best placement of at most k radius-lam disks centered on one line."""
-    _, xs = solve_radii(line_geometry(points, line_y), [lam], k, tol)[0]
-    return line_placement(points, [line_y], max(lam, 0.0), tuple(LineCenter(x) for x in xs), tol)

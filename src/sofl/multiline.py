@@ -30,11 +30,10 @@ line's geometry, built once per solve:
   per covered-point bitset for a whole solve, since they do not depend on
   the radius; they are the same point-order float sums as the array ones.
 `placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
-coverage cells; a fixed radius, and each chain radius the radius loop
-(`placement.best_radius`) admits, is a chunk of one. Every selection is
-re-validated pairwise with the scalar `geom.centers_compatible`. The kernel
-returns its union weight, so the radius loop builds one `Placement`, for
-the radius it returns.
+coverage cells; each chain radius the radius loop (`placement.best_radius`)
+admits is a chunk of one. Every selection is re-validated pairwise with
+the scalar `geom.centers_compatible`. The kernel returns its union weight,
+so the radius loop builds one `Placement`, for the radius it returns.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .geom import (
     point_order_sums,
 )
 from . import placement
-from .klink import _ends, by_sides, line_geometry, two_sided
+from .klink import _ends, by_sides, line_geometry
 from .placement import (
     LineCenter,
     Placement,
@@ -65,8 +64,6 @@ from .placement import (
 )
 
 __all__ = [
-    "multiline_centers",
-    "solve_tlines_fixed_radius",
     "solve_tlines",
 ]
 
@@ -142,18 +139,6 @@ def _candidates(geo, lines, lams, k: int, tol: TolerancePolicy, both: bool):
     x, (row, line) = x[keep], np.divmod(key[keep], t)
     o = np.lexsort((line, x, row))
     return x[o], row[o], line[o]
-
-
-def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
-    """Candidate centers across lines (`_candidates` of one radius) as
-    `LineCenter`s."""
-    lines = check_lines(lines)
-    if lam <= 0:
-        raise ValueError("candidate centers require a positive radius")
-    geo = _stacked([line_geometry(points, ly) for ly in lines])
-    lams = np.array([lam], dtype=float)
-    xs, _, li = _candidates(geo, lines, lams, k, tol, bool(two_sided(lams, tol)[0]))
-    return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
 
 
 def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
@@ -372,18 +357,6 @@ def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _Unio
     return by_sides(lams, tol, solve)
 
 
-def _placement(points, lines, lam: float, chosen, tol: TolerancePolicy) -> Placement:
-    return line_placement(points, lines, max(lam, 0.0), tuple(LineCenter(*c) for c in chosen), tol)
-
-
-def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
-                              tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """Best placement of at most k radius-lam disks centered on the lines."""
-    lines = check_lines(lines)
-    _, chosen = _solve_radii([line_geometry(points, ly) for ly in lines], lines, [lam], k, tol)[0]
-    return _placement(points, lines, lam, chosen, tol)
-
-
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks centered on the lines:
     `best_radius` over the radius groups of `candidate_radii_tlines`,
@@ -403,4 +376,4 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
     weights = _UnionWeights(geos[0].w)
     _, lam, chosen = best_radius(groups, lambda lams: _solve_radii(geos, lines, lams, k, tol, weights),
                                  can_win)
-    return _placement(points, lines, lam, chosen, tol)
+    return line_placement(points, lines, lam, tuple(LineCenter(*c) for c in chosen), tol)

@@ -20,31 +20,18 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts, with_gains
+from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts
 from .geom import DEFAULT_TOL, TolerancePolicy
 from .klink import line_geometry, solve_radii
 from .placement import LineCenter, Placement, best_radius, line_placement
 
 __all__ = [
-    "InvalidDeltaError",
-    "VariantSpec",
     "SpecialResult",
     "solve_csofl",
     "reduce_allblue_minred",
     "reduce_maxblue_nored",
     "solve_special",
 ]
-
-
-class InvalidDeltaError(ValueError):
-    """A reduction delta with the wrong sign."""
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """Which special objective to solve."""
-
-    name: str  # "allblue-minred" or "maxblue-nored"
 
 
 @dataclass(frozen=True)
@@ -56,7 +43,7 @@ class SpecialResult:
 
 
 def solve_csofl(points, line_y: float = 0.0, k: int = 1,
-                tol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> Placement:
+                tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks of a common minimum radius.
 
     `best_radius` over `candidate_radii_line(..., k=k)`, solved by
@@ -66,16 +53,13 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
     c_{i+1}, so g can win only if g < best radius <= c_{i+1}. The first
     radii are the standard ones, each gain with such a loss and the last
     radius, which nothing after it stands in for; they are solved in one
-    call, in chunks. jobs is accepted for compatibility and has no effect.
+    call, in chunks.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    standard = candidate_radii_line(points, line_y)
-    gains, losses = line_contacts(points, line_y, k)
-    std = [c.value for c in standard]
-    radii = with_gains(standard, gains)
+    radii = candidate_radii_line(points, line_y, k)
+    _, losses = line_contacts(points, line_y, k)
+    std = [c.value for c in radii if c.kind != KIND_CHAIN]
 
     def upper(g: float) -> float:  # c_{i+1}, or inf past the last standard radius
         i = bisect.bisect_right(std, g)
@@ -93,31 +77,21 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
     return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)
 
 
-def reduce_allblue_minred(points, delta: float = -1.0):
-    """Reweight so every blue outweighs all reds together: red -> delta,
-    blue -> -(#red)*delta + 1."""
-    if delta >= 0:
-        raise InvalidDeltaError("allblue-minred reduction needs delta < 0")
-    n_red = sum(1 for p in points if not p.is_blue)
-    blue_w = -n_red * delta + 1.0
-    return [
-        dataclasses.replace(p, weight=blue_w if p.is_blue else delta) for p in points
-    ]
+def reduce_allblue_minred(points):
+    """Reweight so every blue outweighs all reds together: red -> -1,
+    blue -> #red + 1."""
+    blue_w = sum(1 for p in points if not p.is_blue) + 1.0
+    return [dataclasses.replace(p, weight=blue_w if p.is_blue else -1.0) for p in points]
 
 
-def reduce_maxblue_nored(points, delta: float = 1.0):
-    """Reweight so any red loss dwarfs all blues: blue -> delta,
-    red -> -(#blue)*delta - 1."""
-    if delta <= 0:
-        raise InvalidDeltaError("maxblue-nored reduction needs delta > 0")
-    n_blue = sum(1 for p in points if p.is_blue)
-    red_w = -n_blue * delta - 1.0
-    return [
-        dataclasses.replace(p, weight=delta if p.is_blue else red_w) for p in points
-    ]
+def reduce_maxblue_nored(points):
+    """Reweight so any red loss dwarfs all blues: blue -> 1,
+    red -> -#blue - 1."""
+    red_w = -sum(1 for p in points if p.is_blue) - 1.0
+    return [dataclasses.replace(p, weight=1.0 if p.is_blue else red_w) for p in points]
 
 
-def solve_special(points, line_y: float, k: int, variant: VariantSpec,
+def solve_special(points, line_y: float, k: int, variant: str,
                   tol: TolerancePolicy = DEFAULT_TOL) -> SpecialResult:
     """Solve a special objective via its reduction and report plain counts.
 
@@ -125,12 +99,12 @@ def solve_special(points, line_y: float, k: int, variant: VariantSpec,
     ended up covered; it can be False only when no k disks of any candidate
     radius can cover all blues at once.
     """
-    if variant.name == "allblue-minred":
+    if variant == "allblue-minred":
         reduced = reduce_allblue_minred(points)
-    elif variant.name == "maxblue-nored":
+    elif variant == "maxblue-nored":
         reduced = reduce_maxblue_nored(points)
     else:
-        raise ValueError(f"not a special variant: {variant.name!r}")
+        raise ValueError(f"not a special variant: {variant!r}")
     placement = solve_csofl(reduced, line_y, k, tol)
     blue_ids = {p.id for p in points if p.is_blue}
     return SpecialResult(

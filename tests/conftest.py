@@ -8,7 +8,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sofl.discrete import _ChordSolver
+from sofl import discrete, multiline
+from sofl.candidates import check_lines
+from sofl.discrete import SiteRing, _ChordSolver
 from sofl.geom import (
     DEFAULT_TOL,
     Color,
@@ -29,9 +31,9 @@ from sofl.geom import (
     point_order_sums,
 )
 from sofl.instance import SemanticError, generate, parse_instance
-from sofl.klink import _coverage_rows, _reach, line_geometry, two_sided
+from sofl.klink import _coverage_rows, _reach, line_geometry, solve_radii, two_sided
 from sofl.oracle import OracleResult
-from sofl.placement import Placement, ValidationFailureError, selection_key
+from sofl.placement import LineCenter, Placement, ValidationFailureError, line_placement, selection_key, site_placement
 from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
 
 
@@ -742,3 +744,43 @@ def reference_discrete_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
             raise ValidationFailureError(f"sites {a} and {b} chosen closer than 2 * {lam!r}")
     union = cov[:, list(chosen)].any(axis=1, keepdims=True)
     return float(point_order_sums(union, geo.w)[0]), chosen
+
+
+# --- per-radius entries ------------------------------------------------------
+# Each solver's radius kernel at one given radius, as a `Placement`; the
+# solvers themselves only call their kernels from their radius loops.
+
+
+def solve_fixed_radius(points, line_y: float, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
+    """Best placement of at most k radius-lam disks centered on one line."""
+    _, xs = solve_radii(line_geometry(points, line_y), [lam], k, tol)[0]
+    return line_placement(points, [line_y], max(lam, 0.0), tuple(LineCenter(x) for x in xs), tol)
+
+
+def multiline_centers(points, lines, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL):
+    """Candidate centers across lines (`multiline._candidates` of one
+    radius) as `LineCenter`s."""
+    lines = check_lines(lines)
+    if lam <= 0:
+        raise ValueError("candidate centers require a positive radius")
+    geo = multiline._stacked([line_geometry(points, ly) for ly in lines])
+    lams = np.array([lam], dtype=float)
+    xs, _, li = multiline._candidates(geo, lines, lams, k, tol, bool(two_sided(lams, tol)[0]))
+    return [LineCenter(x, i) for x, i in zip(xs.tolist(), li.tolist())]
+
+
+def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
+                              tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
+    """Best placement of at most k radius-lam disks centered on the lines."""
+    lines = check_lines(lines)
+    _, chosen = multiline._solve_radii([line_geometry(points, ly) for ly in lines], lines, [lam], k, tol)[0]
+    return line_placement(points, lines, max(lam, 0.0), tuple(LineCenter(*c) for c in chosen), tol)
+
+
+def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
+    """Best placement of at most k radius-lam disks at the given ring sites."""
+    ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    _, chosen = discrete._solve_radii(discrete._geometry(ring, points), [lam], k, tol)[0]
+    return site_placement(points, ring, max(lam, 0.0), chosen, tol)

@@ -23,7 +23,7 @@ from sofl.geom import (
     dist2,
 )
 from sofl.instance import format_instance, generate, parse_instance
-from sofl.multiline import multiline_centers, solve_tlines, solve_tlines_fixed_radius
+from sofl.multiline import solve_tlines
 from sofl.oracle import (
     brute_csofl,
     brute_discrete,
@@ -32,14 +32,20 @@ from sofl.oracle import (
     brute_k1_maxblue,
     brute_special_counts,
 )
-from sofl.solver import VariantSpec, solve_csofl, solve_special
+from sofl.solver import solve_csofl, solve_special
 from sofl.variants_k1 import (
     allblue_minred_details,
     maxblue_nored_fast,
     maxblue_nored_naive,
 )
 from sofl.discrete import solve_discrete
-from conftest import edge_weight, line_centers_and_weights, random_instance
+from conftest import (
+    edge_weight,
+    line_centers_and_weights,
+    multiline_centers,
+    random_instance,
+    solve_tlines_fixed_radius,
+)
 
 GOLDEN_DIR = "golden"
 
@@ -254,7 +260,7 @@ def test_c6_reductions():
         k = 1 + seed % 2
         inst = random_instance(seed, n, k, variant="allblue-minred")
         feasible, ref_red = brute_special_counts(inst.points, 0.0, k, "allblue-minred")
-        res = solve_special(inst.points, 0.0, k, VariantSpec("allblue-minred"))
+        res = solve_special(inst.points, 0.0, k, "allblue-minred")
         if not feasible:
             assert not res.all_blue_covered, f"seed {seed}"
             continue
@@ -267,7 +273,7 @@ def test_c6_reductions():
         n = 2 + seed % 7
         k = 1 + seed % 2
         inst = random_instance(seed, n, k, variant="maxblue-nored")
-        res = solve_special(inst.points, 0.0, k, VariantSpec("maxblue-nored"))
+        res = solve_special(inst.points, 0.0, k, "maxblue-nored")
         ref_blue = brute_special_counts(inst.points, 0.0, k, "maxblue-nored")
         assert res.red_covered == 0, f"seed {seed}: red covered"
         assert res.blue_covered == ref_blue, f"seed {seed}: {res.blue_covered} != {ref_blue}"

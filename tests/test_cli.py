@@ -163,12 +163,14 @@ def test_gen_dense_sites_bytes():
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_SITES_SHA256
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_exit_code(inst_file, capsys, jobs):
+def test_jobs_flag_is_rejected(inst_file, capsys):
+    # `--jobs` had no effect and is gone; argparse rejects it as unknown.
     path = inst_file("variant csofl\nk 1\nB 0 1 1\n")
-    assert main(["solve", "--input", path, "--jobs", jobs]) == EXIT_INPUT
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", path, "--jobs", "1"])
+    assert exc.value.code == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: jobs must be at least 1\n"
+    assert out.out == "" and "unrecognized arguments: --jobs 1" in out.err
 
 
 def test_check_too_large_exit_code(inst_file, capsys):

@@ -16,7 +16,6 @@ from sofl.discrete import (
     _tables,
     canonical_ring,
     solve_discrete,
-    solve_discrete_fixed_radius,
 )
 from sofl.geom import (
     DEFAULT_TOL,
@@ -29,7 +28,15 @@ from sofl.geom import (
     sums_are_exact,
 )
 from sofl.oracle import brute_discrete
-from conftest import B, R, discrete_pair_table, random_instance, rescaled, thin_ring_instance
+from conftest import (
+    B,
+    R,
+    discrete_pair_table,
+    random_instance,
+    rescaled,
+    solve_discrete_fixed_radius,
+    thin_ring_instance,
+)
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]

@@ -145,10 +145,14 @@ def near_runs(rng, slack) -> list[float]:
 def test_merge_keep_equals_scalar_loop_tolerance(eps):
     tol = TolerancePolicy(eps)
     rng = random.Random(eps)
+
+    def close(v, last):  # the scalar tolerance test of two values
+        return abs(v - last) <= tol.x_slack(max(abs(v), abs(last)))
+
     for _ in range(300):
         xs = near_runs(rng, lambda x: tol.x_slack(x) or 1e-9)
         got = merge_keep(np.array(xs), tol.x_slacks(np.array(xs)))
-        assert got.tolist() == scalar_keep(xs, tol.close), xs
+        assert got.tolist() == scalar_keep(xs, close), xs
 
 
 def test_merge_keep_equals_scalar_loop_radii():

@@ -16,7 +16,6 @@ from sofl.klink import (
     _keys,
     _predecessors,
     line_geometry,
-    solve_fixed_radius,
     solve_radii,
 )
 from sofl.placement import union_coverage
@@ -30,6 +29,7 @@ from conftest import (
     line_centers_and_weights,
     random_instance,
     reference_solve_radius,
+    solve_fixed_radius,
     tol_edge_instance,
 )
 

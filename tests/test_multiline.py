@@ -22,9 +22,7 @@ from sofl.multiline import (
     _solve_radii,
     _stacked,
     _tables,
-    multiline_centers,
     solve_tlines,
-    solve_tlines_fixed_radius,
 )
 from sofl.oracle import TooLargeError, _center_grids, brute_fixed_radius, brute_tlines
 from sofl.placement import LineCenter, line_placement, selection_key, union_coverage
@@ -35,8 +33,10 @@ from conftest import (
     random_instance,
     kernel_sides,
     line_centers_and_weights,
+    multiline_centers,
     reference_tlines_candidates,
     reference_tlines_solve_radius,
+    solve_tlines_fixed_radius,
     wide_tlines_text,
 )
 

@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import random
 
 import pytest
 
 from sofl.oracle import brute_csofl, brute_special_counts
 from sofl.solver import (
-    InvalidDeltaError,
     SpecialResult,
-    VariantSpec,
     reduce_allblue_minred,
     reduce_maxblue_nored,
     solve_csofl,
@@ -62,27 +59,6 @@ def test_scale_invariance_of_argmax():
         assert scaled.total_weight == pytest.approx(3.0 * base.total_weight)
 
 
-def test_jobs_parameter_is_inert():
-    for seed, n in ((3, 6), (1480, 6)):
-        inst = random_instance(seed, n, 2)
-        a = solve_csofl(inst.points, 0.0, 2, jobs=1)
-        b = solve_csofl(inst.points, 0.0, 2, jobs=2)
-        assert a == b
-
-
-def test_jobs_parameter_is_inert_k3():
-    rng = random.Random(29)
-    for _ in range(3):
-        inst = random_instance(rng.randrange(10_000), rng.randint(5, 8), 3)
-        assert solve_csofl(inst.points, 0.0, 3, jobs=2) == solve_csofl(inst.points, 0.0, 3, jobs=1)
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        solve_csofl([B(0, 0, 1)], 0.0, 1, jobs=jobs)
-
-
 def _h(lam, y):
     return math.sqrt(lam * lam - y * y)
 
@@ -127,34 +103,24 @@ def test_chain_gain_lost_before_next_standard_radius():
 
 def test_reduce_allblue():
     pts = [R(0, 0, 1), R(1, 1, 1), R(2, 2, 1), B(3, 3, 1), B(4, 4, 1)]
-    out = reduce_allblue_minred(pts, -1.0)
+    out = reduce_allblue_minred(pts)
     assert [p.weight for p in out] == [-1.0, -1.0, -1.0, 4.0, 4.0]
 
 
 def test_reduce_allblue_no_red():
-    out = reduce_allblue_minred([B(0, 0, 1)], -1.0)
+    out = reduce_allblue_minred([B(0, 0, 1)])
     assert out[0].weight == 1.0
-
-
-def test_reduce_allblue_bad_delta():
-    with pytest.raises(InvalidDeltaError):
-        reduce_allblue_minred([B(0, 0, 1)], 1.0)
 
 
 def test_reduce_maxblue():
     pts = [B(0, 0, 1), B(1, 1, 1), R(2, 2, 1)]
-    out = reduce_maxblue_nored(pts, 1.0)
+    out = reduce_maxblue_nored(pts)
     assert [p.weight for p in out] == [1.0, 1.0, -3.0]
 
 
 def test_reduce_maxblue_no_red():
-    out = reduce_maxblue_nored([B(0, 0, 1)], 1.0)
+    out = reduce_maxblue_nored([B(0, 0, 1)])
     assert out[0].weight == 1.0
-
-
-def test_reduce_maxblue_bad_delta():
-    with pytest.raises(InvalidDeltaError):
-        reduce_maxblue_nored([B(0, 0, 1)], 0.0)
 
 
 # --- special solves ----------------------------------------------------------
@@ -162,18 +128,18 @@ def test_reduce_maxblue_bad_delta():
 
 def test_special_maxblue_red_below_blue():
     # any disk reaching the blue strictly contains the red below it
-    res = solve_special([B(0, 0, 2), R(1, 0, 1)], 0.0, 1, VariantSpec("maxblue-nored"))
+    res = solve_special([B(0, 0, 2), R(1, 0, 1)], 0.0, 1, "maxblue-nored")
     assert res.blue_covered == 0 and res.red_covered == 0
 
 
 def test_special_maxblue_pair():
-    res = solve_special([B(0, -1, 1), B(1, 1, 1)], 0.0, 1, VariantSpec("maxblue-nored"))
+    res = solve_special([B(0, -1, 1), B(1, 1, 1)], 0.0, 1, "maxblue-nored")
     assert res.blue_covered == 2 and res.red_covered == 0
 
 
 def test_special_allblue_example():
     res = solve_special(
-        [B(0, -1, 1), B(1, 1, 1), R(2, 0, 2)], 0.0, 1, VariantSpec("allblue-minred")
+        [B(0, -1, 1), B(1, 1, 1), R(2, 0, 2)], 0.0, 1, "allblue-minred"
     )
     assert res.all_blue_covered and res.red_covered == 0
     assert res.placement.radius == pytest.approx(2.0**0.5)
@@ -182,7 +148,7 @@ def test_special_allblue_example():
 def test_special_never_covers_red_maxblue():
     for seed in range(25):
         inst = random_instance(seed, 8, 1 + seed % 2, variant="maxblue-nored")
-        res = solve_special(inst.points, 0.0, inst.k, VariantSpec("maxblue-nored"))
+        res = solve_special(inst.points, 0.0, inst.k, "maxblue-nored")
         assert res.red_covered == 0
         ref_blue = brute_special_counts(inst.points, 0.0, inst.k, "maxblue-nored")
         assert res.blue_covered == ref_blue
@@ -193,7 +159,7 @@ def test_special_allblue_matches_oracle_when_feasible():
     for seed in range(60):
         inst = random_instance(seed, 7, 1 + seed % 2, variant="allblue-minred")
         feasible, ref_red = brute_special_counts(inst.points, 0.0, inst.k, "allblue-minred")
-        res = solve_special(inst.points, 0.0, inst.k, VariantSpec("allblue-minred"))
+        res = solve_special(inst.points, 0.0, inst.k, "allblue-minred")
         if feasible:
             assert res.all_blue_covered
             assert res.red_covered == ref_red
@@ -204,6 +170,6 @@ def test_special_allblue_matches_oracle_when_feasible():
 
 
 def test_special_result_shape():
-    res = solve_special([B(0, 0, 1)], 0.0, 1, VariantSpec("allblue-minred"))
+    res = solve_special([B(0, 0, 1)], 0.0, 1, "allblue-minred")
     assert isinstance(res, SpecialResult)
     assert res.all_blue_covered and res.blue_covered == 1
