@@ -30,7 +30,7 @@ from .multiline import solve_tlines
 from .oracle import brute_fixed_radius
 from .placement import LineCenter, Placement, SiteCenter
 from .solver import solve_csofl, solve_special
-from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
+from .variants_k1 import allblue_minred, maxblue_nored_fast
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "generate",
     "is_covered",
     "maxblue_nored_fast",
-    "maxblue_nored_naive",
     "parse_instance",
     "solve_csofl",
     "solve_discrete",

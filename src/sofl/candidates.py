@@ -39,7 +39,6 @@ __all__ = [
     "candidate_radii_tlines",
     "candidate_radii_discrete",
     "line_contacts",
-    "with_gains",
     "radius_groups",
     "check_lines",
     "KIND_ZERO",

@@ -23,7 +23,7 @@ from .instance import (
 from .multiline import solve_tlines
 from .placement import LineCenter, Placement, line_placement
 from .solver import solve_csofl, solve_special
-from .variants_k1 import allblue_minred, maxblue_nored_fast, maxblue_nored_naive
+from .variants_k1 import allblue_minred, maxblue_nored_fast
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -38,8 +38,8 @@ def _solve(inst: ProblemInstance, algorithm: str, tol: TolerancePolicy) -> Place
         return solve_tlines(inst.points, inst.lines, inst.k, tol)
     if inst.variant == "discrete":
         return solve_discrete(inst.sites, inst.points, inst.k, tol)
-    if inst.variant == "maxblue-nored" and inst.k == 1 and algorithm in ("naive", "fast"):
-        fn = maxblue_nored_naive if algorithm == "naive" else maxblue_nored_fast
+    if inst.variant == "maxblue-nored" and inst.k == 1 and algorithm == "fast":
+        fn = maxblue_nored_fast
     elif inst.variant == "allblue-minred" and inst.k == 1 and algorithm == "fvd":
         fn = allblue_minred
     else:
@@ -71,12 +71,10 @@ def _check(inst: ProblemInstance, tol: TolerancePolicy, out) -> int:
         ok = fast.total_weight == ref.weight and fast.radius == ref.radius
     elif inst.variant == "maxblue-nored" and inst.k == 1:
         ref = oracle.brute_k1_maxblue(inst.points, tol)
-        naive = maxblue_nored_naive(inst.points, tol)
         fast = maxblue_nored_fast(inst.points, tol)
-        print(f"naive   {naive}", file=out)
         print(f"fast    {fast}", file=out)
         print(f"oracle  {ref}", file=out)
-        ok = naive == fast == ref
+        ok = fast == ref
     elif inst.variant == "allblue-minred" and inst.k == 1:
         ref = oracle.brute_k1_allblue(inst.points, tol)
         fast = allblue_minred(inst.points, tol)
@@ -108,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--k", type=int, default=None, help="override the instance k")
-    p_solve.add_argument("--algorithm", choices=("dp", "naive", "fast", "fvd"), default="dp")
+    p_solve.add_argument("--algorithm", choices=("dp", "fast", "fvd"), default="dp")
     p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -231,21 +231,24 @@ def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: np.ndarray
 
 
 class _ChordSolver:
-    """Chord recursion over the site weights w, pair table ok and `_admission` table adm."""
+    """Chord recursion over the site weights w, pair table ok and the
+    `_admission` table and arcs of geo."""
 
-    def __init__(self, w, ok, adm):
+    def __init__(self, w, ok, geo: _Geometry):
         self.w = w
         self.ok = ok
-        self.adm = adm
+        self.adm = geo.adm
+        self.arcs = geo.arcs
         self.memo: dict[tuple, float] = {}
         self.choice: dict[tuple, tuple[int, int] | None] = {}
 
-    def gamma(self, a: int, b: int, apex: int, arc: tuple[int, ...], budget: int) -> float:
-        """Best weight added inside arc, across the chord (a, b) from apex,
-        with at most budget more sites."""
+    def gamma(self, a: int, b: int, apex: int, budget: int) -> float:
+        """Best weight added inside arcs[b][a], across the chord (a, b) from
+        apex, with at most budget more sites."""
+        arc = self.arcs[b][a]
         if budget == 0 or not arc:
             return 0.0
-        key = (a, b, apex, arc, budget)
+        key = (a, b, apex, budget)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -253,16 +256,14 @@ class _ChordSolver:
         pick = None
         ok_a, ok_b, ok_apex = self.ok[a], self.ok[b], self.ok[apex]
         adm = self.adm[a][b][apex]
-        for m, cand in enumerate(arc):
+        for cand in arc:
             if not (adm >> cand & 1 and ok_a[cand] and ok_b[cand] and ok_apex[cand]):
                 continue
-            left = arc[:m]  # between b and cand
-            right = arc[m + 1 :]  # between cand and a
             for kp in range(budget):
                 val = (
                     self.w[cand]
-                    + self.gamma(a, cand, b, right, kp)
-                    + self.gamma(cand, b, a, left, budget - 1 - kp)
+                    + self.gamma(a, cand, b, kp)  # the arc between cand and a
+                    + self.gamma(cand, b, a, budget - 1 - kp)  # between b and cand
                 )
                 if val > best:
                     best = val
@@ -271,17 +272,14 @@ class _ChordSolver:
         self.choice[key] = pick
         return best
 
-    def collect(self, a: int, b: int, apex: int, arc: tuple[int, ...], budget: int, out: list[int]):
-        if budget == 0 or not arc:
-            return
-        pick = self.choice.get((a, b, apex, arc, budget))
+    def collect(self, a: int, b: int, apex: int, budget: int, out: list[int]):
+        pick = self.choice.get((a, b, apex, budget))
         if pick is None:
             return
         cand, kp = pick
-        m = arc.index(cand)
         out.append(cand)
-        self.collect(a, cand, b, arc[m + 1 :], kp, out)
-        self.collect(cand, b, a, arc[:m], budget - 1 - kp, out)
+        self.collect(a, cand, b, kp, out)
+        self.collect(cand, b, a, budget - 1 - kp, out)
 
 
 def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy):
@@ -314,16 +312,15 @@ def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy)
             if not visits:
                 continue
             best_key, best_ids = best[r]
-            dp = _ChordSolver(w[r].tolist(), ok[r].tolist(), geo.adm)
+            dp = _ChordSolver(w[r].tolist(), ok[r].tolist(), geo)
             for a, b, apex, v in sorted(visits, key=lambda root: -root[3]):
                 if v + gr < -best_key[0]:
                     break  # no later root can tie or win
-                outer = geo.arcs[b][a]
-                val = v + dp.gamma(a, b, apex, outer, k - 3)
+                val = v + dp.gamma(a, b, apex, k - 3)
                 if val < -best_key[0]:
                     continue  # cannot tie or win
                 ids = [a, apex, b]
-                dp.collect(a, b, apex, outer, k - 3, ids)
+                dp.collect(a, b, apex, k - 3, ids)
                 key = selection_key(val, [ring[i] for i in ids])
                 if key < best_key:
                     best_key, best_ids = key, tuple(sorted(ids))

@@ -260,10 +260,10 @@ def _predecessors(keys, xs, need):
     """p[r, i] = rightmost j < i with xs[r, i] - xs[r, j] >= need[r], else
     -1; padding gets p = i - 1.
 
-    searchsorted gives a guess. The predicate, evaluated in floats, is
-    monotone in j, so stepping up while the next index satisfies it and down
-    while the current one fails gives the exact answer. p[i] < i holds even
-    when the bound is not positive (tiny lam).
+    searchsorted gives a guess. The predicate "closer than need", evaluated
+    in floats, is monotone in j, so `_first` steps from the guess to the
+    first j < i where it holds, and p is the index before. p[i] < i holds
+    even when the bound is not positive (tiny lam).
     """
     rows, cols = xs.shape
     fx = xs.ravel()
@@ -271,14 +271,8 @@ def _predecessors(keys, xs, need):
     need = need[:, None]
     i = np.arange(cols)
     guess = np.searchsorted(keys, _keys(np.arange(rows)[:, None], xs - need), "right")
-    p = np.minimum(guess - base - 1, i - 1)
     with np.errstate(invalid="ignore"):  # inf - inf between two pads
-        while True:
-            up = (p + 1 < i) & (xs - fx[base + p + 1] >= need)
-            down = (p >= 0) & (xs - fx[base + np.maximum(p, 0)] < need)
-            if not (up | down).any():
-                return p
-            p = p + up - down
+        return _first(np.minimum(guess - base, i), i, lambda j: xs - fx[base + j] < need) - 1
 
 
 def _dp_layers(w, p, k: int):

@@ -1,12 +1,13 @@
 """Brute-force reference solvers used by the test suite and `sofl check`.
 
-These share only geometry predicates, the near-duplicate merge and the
-candidate radius generators with the optimized code: `classify`, for
-coverage `coverage_mask` in `classify`'s float operations, for center
-pairs `compatible_table` in those of `centers_compatible`, `bitsets`,
-`point_order_sums` and `merge_keep`. Candidate centers come from grids of
-their own that chain both ways from every endpoint, a superset of the
-solvers' rightward chains (`klink` module docstring).
+These share only geometry predicates, the near-duplicate merge, the
+candidate radius generators and the single-disk candidate circle with the
+optimized code: `classify`, for coverage `coverage_mask` in `classify`'s
+float operations, for center pairs `compatible_table` in those of
+`centers_compatible`, `bitsets`, `point_order_sums`, `merge_keep`, and
+`variants_k1.pair_disk` for the k = 1 references. Candidate centers come
+from grids of their own that chain both ways from every endpoint, a
+superset of the solvers' rightward chains (`klink` module docstring).
 
 Each brute builds its tables for all its candidate radii at once, in
 chunks of radii (`_tables`): per chunk one center grid, one points x
@@ -306,8 +307,7 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
                                              keep=lambda cov, sums: sums > 0)))
 
 
-def _k1_candidate_disks(points, include_vertical=True):
-    blues = [p for p in points if p.is_blue]
+def _k1_candidate_disks(points):
     disks = []
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
@@ -319,8 +319,7 @@ def _k1_candidate_disks(points, include_vertical=True):
                 continue
             if pc is not None:
                 disks.append((pc.center_x, pc.radius))
-    if include_vertical:
-        disks.extend((b.x, b.y) for b in blues)
+    disks.extend((p.x, p.y) for p in points if p.is_blue)
     return disks
 
 

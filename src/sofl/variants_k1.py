@@ -1,14 +1,13 @@
 """Specialized single-disk algorithms for the unweighted objectives.
 
-maxblue_nored_*: smallest line-centered disk covering as many blue points as
-possible with no red point strictly inside (boundary reds are harmless).
-The naive version scans every bisector candidate directly. The fast version
-exploits the fact that a circle through a fixed point p and centered on the
-line is ordered by its center abscissa: whether another point sits strictly
-inside depends only on how the center compares with the crossing of the p-r
-bisector. It makes one numpy pass per blue anchor p: the candidate circles
-through p in one batch, and the reds inside each counted by `searchsorted`
-over p's sorted red crossings instead of a full scan.
+maxblue_nored_fast: smallest line-centered disk covering as many blue
+points as possible with no red point strictly inside (boundary reds are
+harmless). A circle through a fixed point p and centered on the line is
+ordered by its center abscissa: whether another point sits strictly inside
+depends only on how the center compares with the crossing of the p-r
+bisector. So the scan makes one numpy pass per blue anchor p: the
+candidate circles through p in one batch, and the reds inside each counted
+by `searchsorted` over p's sorted red crossings instead of a full scan.
 
 allblue_minred: smallest disk covering every blue while minimizing the
 number of reds strictly inside. The covering radius at center x is the
@@ -19,9 +18,9 @@ of probe points, so no probes x blues matrix is held whole. Candidate
 centers are the owner breakpoints, the in-cell radius minimizers (the
 owner's projection, clamped), and the owner-red bisector crossings inside
 each cell, which is exactly where a red enters or leaves the covering
-disk; all of them are evaluated in one blocked pass. When the breakpoints
-alone would have given a worse red count, that instance is logged as a
-finding.
+disk; all of them are evaluated in one blocked pass. The breakpoints alone
+are not enough: `scripts/allblue_findings.py` lists instances where they
+give more reds.
 
 The kernels repeat the float operations of `center_on_line_through`,
 `pair_disk` and `classify` elementwise and keep the first of tied
@@ -31,7 +30,6 @@ ones bit for bit, as Python floats and ints.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -39,12 +37,8 @@ import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
-    DegenerateInputError,
-    Disk,
-    Region,
     TolerancePolicy,
     center_on_line_through,
-    classify,
     dist2,
     merge_keep,
 )
@@ -52,16 +46,11 @@ from .geom import (
 __all__ = [
     "PairCircle",
     "FarthestCellBreaks",
-    "AllBlueOutcome",
     "pair_disk",
-    "maxblue_nored_naive",
     "maxblue_nored_fast",
     "farthest_breaks",
     "allblue_minred",
-    "allblue_minred_details",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -81,13 +70,6 @@ class FarthestCellBreaks:
     breaks: tuple[tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
-class AllBlueOutcome:
-    best: tuple[float, float, int]
-    fvd_only: tuple[float, float, int] | None
-    fvd_only_suboptimal: bool
-
-
 def pair_disk(u, v, line_y: float = 0.0) -> PairCircle | None:
     """Canonical disk through two points centered on the line.
 
@@ -101,45 +83,6 @@ def pair_disk(u, v, line_y: float = 0.0) -> PairCircle | None:
     a = u if u.id <= v.id else v
     rad = math.sqrt(dist2(cx, line_y, a.x, a.y))
     return PairCircle(min(u.id, v.id), max(u.id, v.id), cx, rad)
-
-
-def _feasible_blue_count(disk: Disk, blues, reds, tol) -> int | None:
-    """Blue count of a disk, or None when a red sits strictly inside."""
-    for r in reds:
-        if classify(r, disk, tol) is Region.INSIDE:
-            return None
-    return sum(1 for b in blues if classify(b, disk, tol) is not Region.OUTSIDE)
-
-
-def maxblue_nored_naive(points, tol: TolerancePolicy = DEFAULT_TOL):
-    """Scan all bisector and vertical candidates; keep the disk covering the
-    most blues with no red strictly inside, smallest radius first, then
-    smallest center. Returns (center_x, radius, blue_count) or None; a
-    center of -0.0 is returned as 0.0, since the candidate order decides
-    which of two equal keys is kept."""
-    blues = [p for p in points if p.is_blue]
-    reds = [p for p in points if not p.is_blue]
-    disks = []
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            try:
-                pc = pair_disk(p, q)
-            except DegenerateInputError:
-                continue
-            if pc is not None:
-                disks.append((pc.center_x, pc.radius))
-    disks.extend((b.x, b.y) for b in blues)
-    best = None
-    best_key = None
-    for cx, rad in disks:
-        count = _feasible_blue_count(Disk(cx, 0.0, rad), blues, reds, tol)
-        if not count:
-            continue
-        key = (-count, rad, cx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (cx, rad, count)
-    return None if best is None else (best[0] + 0.0, best[1], best[2])
 
 
 def _cross_x(px, py, qx, qy):
@@ -171,7 +114,11 @@ def _s(px, py, cx, r2):
 
 
 def maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
-    """Same contract and output as maxblue_nored_naive.
+    """The disk covering the most blues with no red strictly inside, among
+    all bisector and vertical candidates; smallest radius first, then
+    smallest center. Returns (center_x, radius, blue_count) or None; a
+    center of -0.0 is returned as 0.0, since the candidate order decides
+    which of two equal keys is kept.
 
     One numpy pass per blue anchor p. The candidate circles through p are
     p's own (center p.x, radius p.y) and `pair_disk(p, q)` for every point
@@ -286,7 +233,9 @@ def _covering_eval(xs: np.ndarray, bx, by, rx, ry, tol):
     return (float(xs[i]), float(rad[i]), int(count[i]))
 
 
-def allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL) -> AllBlueOutcome:
+def allblue_minred(points, tol: TolerancePolicy = DEFAULT_TOL):
+    """Smallest disk covering every blue with the fewest reds strictly
+    inside; returns (center_x, radius, red_count)."""
     blues = [p for p in points if p.is_blue]
     reds = [p for p in points if not p.is_blue]
     if not blues:
@@ -312,19 +261,4 @@ def allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL) -> AllBlu
     cells = np.concatenate((np.arange(len(ox)), cell[near]))
     xs = np.concatenate((clamp, cross[near]))[np.argsort(cells, kind="stable")]
 
-    best = _covering_eval(_merged(np.concatenate((brk, xs)), tol), bx, by, rx, ry, tol)
-    fvd_only = _covering_eval(brk, bx, by, rx, ry, tol) if fb.breaks else None
-    suboptimal = fvd_only is not None and fvd_only[2] > best[2]
-    if suboptimal:
-        log.warning(
-            "farthest-map breakpoints alone are suboptimal here: %d reds vs %d",
-            fvd_only[2],
-            best[2],
-        )
-    return AllBlueOutcome(best, fvd_only, suboptimal)
-
-
-def allblue_minred(points, tol: TolerancePolicy = DEFAULT_TOL):
-    """Smallest disk covering every blue with the fewest reds strictly
-    inside; returns (center_x, radius, red_count)."""
-    return allblue_minred_details(points, tol).best
+    return _covering_eval(_merged(np.concatenate((brk, xs)), tol), bx, by, rx, ry, tol)

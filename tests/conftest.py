@@ -34,7 +34,7 @@ from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, _reach, line_geometry, solve_radii, two_sided
 from sofl.oracle import OracleResult
 from sofl.placement import LineCenter, Placement, ValidationFailureError, line_placement, selection_key, site_placement
-from sofl.variants_k1 import AllBlueOutcome, FarthestCellBreaks, pair_disk
+from sofl.variants_k1 import FarthestCellBreaks, pair_disk
 
 
 def B(i, x, y, w=1.0):
@@ -246,6 +246,45 @@ def pair_red_counts(points, tol: TolerancePolicy = DEFAULT_TOL):
 # --- scalar references of the k = 1 kernels ----------------------------------
 
 
+def _feasible_blue_count(disk: Disk, blues, reds, tol) -> int | None:
+    """Blue count of a disk, or None when a red sits strictly inside."""
+    for r in reds:
+        if classify(r, disk, tol) is Region.INSIDE:
+            return None
+    return sum(1 for b in blues if classify(b, disk, tol) is not Region.OUTSIDE)
+
+
+def maxblue_nored_naive(points, tol: TolerancePolicy = DEFAULT_TOL):
+    """Scan all bisector and vertical candidates; keep the disk covering the
+    most blues with no red strictly inside, smallest radius first, then
+    smallest center. Returns (center_x, radius, blue_count) or None; a
+    center of -0.0 is returned as 0.0, since the candidate order decides
+    which of two equal keys is kept."""
+    blues = [p for p in points if p.is_blue]
+    reds = [p for p in points if not p.is_blue]
+    disks = []
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            try:
+                pc = pair_disk(p, q)
+            except DegenerateInputError:
+                continue
+            if pc is not None:
+                disks.append((pc.center_x, pc.radius))
+    disks.extend((b.x, b.y) for b in blues)
+    best = None
+    best_key = None
+    for cx, rad in disks:
+        count = _feasible_blue_count(Disk(cx, 0.0, rad), blues, reds, tol)
+        if not count:
+            continue
+        key = (-count, rad, cx)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (cx, rad, count)
+    return None if best is None else (best[0] + 0.0, best[1], best[2])
+
+
 def reference_maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
     """`variants_k1.maxblue_nored_fast` as a scalar loop: per blue anchor p,
     the p-red bisector crossings sorted per side of p, then every candidate
@@ -357,9 +396,20 @@ def _covering_eval(x: float, blues, reds, tol):
     return (count, rad, x)
 
 
+@dataclass(frozen=True)
+class AllBlueOutcome:
+    """The k = 1 all-blue answer, the answer of the farthest-map breakpoints
+    alone (None when there are none), and whether that one has more reds."""
+
+    best: tuple[float, float, int]
+    fvd_only: tuple[float, float, int] | None
+    fvd_only_suboptimal: bool
+
+
 def reference_allblue_minred_details(points, tol: TolerancePolicy = DEFAULT_TOL):
-    """`variants_k1.allblue_minred_details` as a scalar loop over the owner
-    cells of `reference_farthest_breaks` and their candidate centers."""
+    """`variants_k1.allblue_minred` as a scalar loop over the owner cells of
+    `reference_farthest_breaks` and their candidate centers, with the
+    breakpoint-only answer beside it."""
     blues = [p for p in points if p.is_blue]
     reds = [p for p in points if not p.is_blue]
     fb = reference_farthest_breaks(blues, tol)
@@ -720,20 +770,19 @@ def reference_discrete_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
     ok = discrete_pair_table(geo, lam, tol)
     best_ids, best_key = _reference_best_upto_two(ring, w, ok, k)
     if k >= 3 and s >= 3:
-        dp = _ChordSolver(w, ok, geo.adm)
+        dp = _ChordSolver(w, ok, geo)
         for a in range(s):
             for b in range(s):
                 if a == b or not ok[a][b]:
                     continue
-                outer = geo.arcs[b][a]
                 for apex in geo.arcs[a][b]:
                     if not (ok[a][apex] and ok[b][apex]):
                         continue
-                    val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, outer, k - 3)
+                    val = w[a] + w[apex] + w[b] + dp.gamma(a, b, apex, k - 3)
                     if -val > best_key[0]:
                         continue  # cannot tie or win
                     ids = [a, apex, b]
-                    dp.collect(a, b, apex, outer, k - 3, ids)
+                    dp.collect(a, b, apex, k - 3, ids)
                     key = selection_key(val, [ring[i] for i in ids])
                     if key < best_key:
                         best_key = key

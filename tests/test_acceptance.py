@@ -33,17 +33,15 @@ from sofl.oracle import (
     brute_special_counts,
 )
 from sofl.solver import solve_csofl, solve_special
-from sofl.variants_k1 import (
-    allblue_minred_details,
-    maxblue_nored_fast,
-    maxblue_nored_naive,
-)
+from sofl.variants_k1 import allblue_minred, maxblue_nored_fast
 from sofl.discrete import solve_discrete
 from conftest import (
     edge_weight,
     line_centers_and_weights,
+    maxblue_nored_naive,
     multiline_centers,
     random_instance,
+    reference_allblue_minred_details,
     solve_tlines_fixed_radius,
 )
 
@@ -232,13 +230,12 @@ def test_c5_allblue_minred():
         blues = [p for p in inst.points if p.is_blue]
         if not blues:
             continue
-        details = allblue_minred_details(inst.points)
-        cx, rad, count = details.best
+        cx, rad, count = allblue_minred(inst.points)
         d = Disk(cx, 0.0, rad)
         assert all(classify(b, d) is not Region.OUTSIDE for b in blues), f"seed {seed}"
         ref = brute_k1_allblue(inst.points)
         assert count == ref[2], f"seed {seed}: {count} != {ref[2]}"
-        if details.fvd_only_suboptimal:
+        if reference_allblue_minred_details(inst.points).fvd_only_suboptimal:
             findings += 1
     report(
         "criterion 5: allblue_minred covers all blues and matches the oracle",

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -51,23 +54,21 @@ def test_solve_k_override(inst_file, capsys):
 def test_solve_algorithms_agree(inst_file, capsys):
     path = inst_file("variant maxblue-nored\nk 1\nB -1 1\nB 1 1\nR 5 1\n")
     outs = []
-    for algo in ("dp", "naive", "fast"):
+    for algo in ("dp", "fast"):
         assert main(["solve", "--input", path, "--algorithm", algo, "--format", "json"]) == EXIT_OK
         outs.append(json.loads(capsys.readouterr().out))
-    assert outs[1] == outs[2]
     assert outs[0]["covered_blue"] == outs[1]["covered_blue"]
 
 
 def test_solve_k1_scans_print_the_same_zero_center(inst_file, capsys):
     # The circle about x = 0 through (-0, 5) and (3, 4) is both the anchor's
-    # own candidate at x = -0.0 and the pair's at 0.0; the two scans meet
-    # them in opposite orders.
+    # own candidate at x = -0.0 and the pair's at 0.0; the scan prints 0.0
+    # whichever of the two it keeps.
     path = inst_file("variant maxblue-nored\nk 1\nB -0 5\nB 3 4\n")
     want = ('{"lambda": 5.0, "weight": 2.0, "centers": [{"x": 0.0, "line": 0}], '
             '"covered_blue": [0, 1], "covered_red": []}\n')
-    for algo in ("naive", "fast"):
-        assert main(["solve", "--input", path, "--algorithm", algo, "--format", "json"]) == EXIT_OK
-        assert capsys.readouterr().out == want, algo
+    assert main(["solve", "--input", path, "--algorithm", "fast", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == want
 
 
 def test_solve_fvd(inst_file, capsys):
@@ -77,9 +78,23 @@ def test_solve_fvd(inst_file, capsys):
     assert doc["covered_blue"] == [0, 1] and doc["covered_red"] == []
 
 
+def test_solve_fvd_writes_only_the_answer(inst_file):
+    # The farthest-map breakpoints alone give 3 reds here and the solve 2;
+    # the solve reports only its answer. It runs in its own process, so no
+    # logging set-up of the test runner stands between it and stderr.
+    path = inst_file(generate(5, 9, 1, "allblue-minred"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "sofl.cli", "solve", "--input", path,
+                          "--algorithm", "fvd", "--format", "json"],
+                         capture_output=True, text=True, env=env, check=False)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    assert run.stdout == ('{"lambda": 6.7082039325, "weight": 19.0, "centers": [{"x": 12.0, "line": 0}], '
+                          '"covered_blue": [0, 2, 7], "covered_red": [5, 8]}\n')
+
+
 def test_solve_infeasible_maxblue(inst_file, capsys):
     path = inst_file("variant maxblue-nored\nk 1\nB 0 2\nR 0 1\n")
-    assert main(["solve", "--input", path, "--algorithm", "naive"]) == EXIT_OK
+    assert main(["solve", "--input", path, "--algorithm", "fast"]) == EXIT_OK
     assert "no feasible" in capsys.readouterr().out
 
 
@@ -173,6 +188,16 @@ def test_jobs_flag_is_rejected(inst_file, capsys):
     assert out.out == "" and "unrecognized arguments: --jobs 1" in out.err
 
 
+def test_naive_algorithm_is_rejected(inst_file, capsys):
+    # The naive k = 1 scan is a test reference; `fast` is the one solver.
+    path = inst_file("variant maxblue-nored\nk 1\nB 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", path, "--algorithm", "naive"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'naive'" in out.err
+
+
 def test_check_too_large_exit_code(inst_file, capsys):
     pts = "\n".join(f"B {i} 1 1" for i in range(9))  # beyond the n<=8 guard
     path = inst_file(f"variant csofl\nk 1\n{pts}\n")
@@ -220,7 +245,6 @@ def test_check_guard_before_solve(inst_file, monkeypatch):
     def boom(*args):
         raise AssertionError("solver ran before the oracle's size guard")
 
-    monkeypatch.setattr(cli, "maxblue_nored_naive", boom)
     monkeypatch.setattr(cli, "maxblue_nored_fast", boom)
     path = inst_file(generate(3, 400, 1, "maxblue-nored"))
     assert main(["check", "--input", path]) == EXIT_TOO_LARGE

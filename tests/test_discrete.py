@@ -143,15 +143,16 @@ def test_chord_recursion_base_cases():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
     geo = _geometry(ring.sites, ())
     w = [1.0, 1.0, 1.0, 1.0]
-    dp = _ChordSolver(w, discrete_pair_table(geo, 1.0, DEFAULT_TOL), geo.adm)
-    arc = (2,)
-    assert dp.gamma(0, 1, 3, arc, 0) == 0.0  # exhausted budget adds nothing
-    assert dp.gamma(0, 1, 3, (), 2) == 0.0  # empty arc adds nothing
+    dp = _ChordSolver(w, discrete_pair_table(geo, 1.0, DEFAULT_TOL), geo)
+    # gamma(a, b, apex, budget) fills the arc arcs[b][a]
+    assert geo.arcs[1][3] == (2,) and geo.arcs[0][1] == ()
+    assert dp.gamma(3, 1, 0, 0) == 0.0  # exhausted budget adds nothing
+    assert dp.gamma(1, 0, 2, 2) == 0.0  # empty arc adds nothing
     # one budget left: the single arc site is admissible and worth its weight
-    assert dp.gamma(1, 3, 0, arc, 1) == 1.0
+    assert dp.gamma(3, 1, 0, 1) == 1.0
     # inadmissible when the radius grows past half the anchor spacing
-    tight = _ChordSolver(w, discrete_pair_table(geo, 6.0, DEFAULT_TOL), geo.adm)
-    assert tight.gamma(1, 3, 0, arc, 1) == 0.0
+    tight = _ChordSolver(w, discrete_pair_table(geo, 6.0, DEFAULT_TOL), geo)
+    assert tight.gamma(3, 1, 0, 1) == 0.0
     # A thin rhombus: across its short diagonal the far site is outside the
     # circle of the near triangle and enters; across its long diagonal it
     # is inside and is rejected, at a radius where every pair is compatible.
@@ -160,9 +161,10 @@ def test_chord_recursion_base_cases():
     geo = _geometry(ring, ())
     ok = discrete_pair_table(geo, 0.5, DEFAULT_TOL)
     assert all(ok[i][j] for i, j in combinations(range(4), 2))
-    thin = _ChordSolver(w, ok, geo.adm)
-    assert thin.gamma(1, 3, 2, (0,), 1) == 1.0
-    assert thin.gamma(0, 2, 1, (3,), 1) == 0.0
+    thin = _ChordSolver(w, ok, geo)
+    assert geo.arcs[3][1] == (0,) and geo.arcs[2][0] == (3,)
+    assert thin.gamma(1, 3, 2, 1) == 1.0
+    assert thin.gamma(0, 2, 1, 1) == 0.0
 
 
 def exact_incircle(a, b, c, d) -> Fraction:

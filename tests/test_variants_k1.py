@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import random
 
 import pytest
@@ -8,15 +10,14 @@ from sofl.instance import generate, parse_instance
 from sofl.oracle import brute_k1_allblue, brute_k1_maxblue
 from sofl.variants_k1 import (
     allblue_minred,
-    allblue_minred_details,
     farthest_breaks,
     maxblue_nored_fast,
-    maxblue_nored_naive,
     pair_disk,
 )
 from conftest import (
     B,
     R,
+    maxblue_nored_naive,
     pair_red_counts,
     random_instance,
     red_onin_test,
@@ -244,8 +245,22 @@ def test_allblue_details_reports_fvd_gap():
         R(2, -0.1, 0.6245),  # inside left of x=3, crossing near 3
         R(3, 3, 5.2915),     # inside right of x=6, crossing near 6
     ]
-    details = allblue_minred_details(pts)
+    details = reference_allblue_minred_details(pts)
+    assert details.best == allblue_minred(pts)
     assert details.best[2] <= (details.fvd_only[2] if details.fvd_only else 99)
+
+
+def test_allblue_findings_script(capsys):
+    # The script computes the breakpoint-only answer on its own; on the
+    # first 40 seeds it finds six instances, and the solver repairs each.
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "allblue_findings.py"
+    spec = importlib.util.spec_from_file_location("allblue_findings", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(40) == 6
+    found = [line for line in capsys.readouterr().out.splitlines() if line.startswith("seed ")]
+    assert [int(line.split()[1].rstrip(":")) for line in found] == [3, 17, 19, 22, 30, 32]
+    assert all(line.endswith("; repaired)") for line in found)
 
 
 def test_pair_disk_canonical_anchor():
@@ -315,5 +330,5 @@ def test_kernels_equal_scalar_references():
                 continue
             got, ref = farthest_breaks(blues, tol), reference_farthest_breaks(blues, tol)
             assert _same(got, ref), (seed, c)
-            got = allblue_minred_details(pts, tol)
-            assert _same(got, reference_allblue_minred_details(pts, tol)), (seed, c)
+            got = allblue_minred(pts, tol)
+            assert _same(got, reference_allblue_minred_details(pts, tol).best), (seed, c)
