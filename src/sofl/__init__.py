@@ -8,7 +8,7 @@ from .candidates import (
     candidate_radii_line,
     candidate_radii_tlines,
 )
-from .discrete import SiteRing, solve_discrete
+from .discrete import solve_discrete
 from .geom import (
     Color,
     ColoredPoint,
@@ -44,7 +44,6 @@ __all__ = [
     "ProblemInstance",
     "Region",
     "SiteCenter",
-    "SiteRing",
     "TolerancePolicy",
     "allblue_minred",
     "brute_fixed_radius",

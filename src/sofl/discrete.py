@@ -23,13 +23,13 @@ lam <= 0, and `_solve_chunk` solves each chunk from one set of tables
 its point-order sums, and the radii x sites x sites pair table. Every entry
 makes the float operations of the scalar predicates `geom.is_covered` and
 `geom.centers_compatible`, so the results equal a scalar evaluation bit for
-bit. Budgets of one or two disks are array maxima over the single sites and
-the compatible pairs; `selection_key` is built only for the sets that tie.
-Larger budgets run the chord recursion over plain lists, per radius, only
-from the anchor roots whose weight bound can still tie the best. A radius
-returns the union weight of its chosen sites, taken from their mask
-columns, so the radius loop (`placement.best_radius`) compares union
-weights and builds one `Placement` per solve, for the radius it returns.
+bit. Budgets of one or two disks go to the selection core t-lines shares,
+`placement.best_upto_two`. Larger budgets start from its pick and run the
+chord recursion over plain lists, per radius, only from the anchor roots
+whose weight bound can still tie it. A radius returns the union weight of
+its chosen sites, taken from their mask columns, so the radius loop
+(`placement.best_radius`) compares union weights and builds one
+`Placement` per solve, for the radius it returns.
 The loop visits the radii best bound first and skips those whose bound
 cannot win; `_blue_bound` gives every radius's bound from the same tables.
 """
@@ -46,11 +46,11 @@ import numpy as np
 from .candidates import candidate_radii_discrete
 from .geom import (DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums,
                    sums_are_exact)
-from .placement import Placement, ValidationFailureError, best_radius, in_chunks, selection_key, site_placement
+from .placement import (Placement, ValidationFailureError, best_radius, best_upto_two, in_chunks,
+                        selection_key, site_placement)
 
 __all__ = [
     "ConvexPositionError",
-    "SiteRing",
     "canonical_ring",
     "solve_discrete",
 ]
@@ -60,21 +60,11 @@ class ConvexPositionError(ValueError):
     """Candidate sites are not in strictly convex position."""
 
 
-@dataclass(frozen=True)
-class SiteRing:
-    """Candidate sites in strictly convex position, ordered clockwise."""
-
-    sites: tuple[tuple[float, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-
 def _cross(o, p, q) -> float:
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
-def canonical_ring(sites) -> SiteRing:
+def canonical_ring(sites) -> tuple[tuple[float, float], ...]:
     """Clockwise strictly convex ring starting at the lexicographic minimum.
 
     Raises ConvexPositionError for duplicates, collinear triples, or any
@@ -84,7 +74,7 @@ def canonical_ring(sites) -> SiteRing:
     if len(set(pts)) != len(pts):
         raise ConvexPositionError("duplicate candidate sites")
     if len(pts) <= 2:
-        return SiteRing(tuple(sorted(pts)))
+        return tuple(sorted(pts))
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
     pts.sort(key=lambda p: (-math.atan2(p[1] - cy, p[0] - cx), p))
@@ -94,7 +84,7 @@ def canonical_ring(sites) -> SiteRing:
     for i in range(s):
         if _cross(ring[i], ring[(i + 1) % s], ring[(i + 2) % s]) >= 0:
             raise ConvexPositionError("sites must be in strictly convex position")
-    return SiteRing(tuple(ring))
+    return tuple(ring)
 
 
 def _arc_between(s: int, after: int, before: int) -> tuple[int, ...]:
@@ -127,7 +117,7 @@ class _Geometry:
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """Rows i and j of the site pairs i < j."""
+        """Rows i and j of the index pairs i < j of the sites."""
         return np.array(np.triu_indices(len(self.ring), 1))
 
 
@@ -152,12 +142,14 @@ def _admission(ring) -> list:
     q = p.transpose(1, 0, 2)
     cross = p - q  # cross[c, a, d] == -cross[a, c, d], exactly
     perm = np.abs(p) + np.abs(q)  # symmetric in its first two indices
-    la = lift[:, None, None, :]  # lift[a, d], as [a, b, c, d]
-    lb = lift[:, None, :]  # lift[b, d]
-    det = la * cross - lb * cross[:, None] + lift * cross[:, :, None]
-    bound = la * perm + lb * perm[:, None] + lift * perm[:, :, None]
-    bits = bitsets(~(det > _ICC_ERRBOUND * bound).reshape(s**3, s))
-    return [[bits[i : i + s] for i in range(a * s * s, (a + 1) * s * s, s)] for a in range(s)]
+    lb = lift[:, None, :]  # lift[b, d], as [b, c, d]
+    adm = []
+    for a in range(s):  # one a at a time, so that no s^4 array is built
+        det = lift[a] * cross - lb * cross[a] + lift * cross[a][:, None]
+        bound = lift[a] * perm + lb * perm[a] + lift * perm[a][:, None]
+        bits = bitsets(~(det > _ICC_ERRBOUND * bound).reshape(s * s, s))
+        adm.append([bits[i : i + s] for i in range(0, s * s, s)])
+    return adm
 
 
 def _geometry(ring, points) -> _Geometry:
@@ -210,7 +202,7 @@ def _cells(geo: _Geometry, k: int) -> int:
     return max(1, geo.pd2.size + s * s + (s * (s - 1) * (s - 2) // 2 if k >= 3 else 0))
 
 
-def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: np.ndarray, g: np.ndarray) -> list:
+def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: list, g: np.ndarray) -> list:
     """Per radius, [a, b, apex, base] of the pairwise compatible anchor roots
     (apex in arcs[a][b]) whose base w[a] + w[apex] + w[b] plus g reaches top
     and the largest base: the best weight reaches both, as the recursion
@@ -221,7 +213,7 @@ def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: np.ndarray
     at, i, j = np.tile(at[q], 3), i[q], j[q]
     roots = np.array([[i, j, m], [m, i, j], [j, m, i]]).reshape(3, -1)  # a, b, apex
     base = w[at, roots[0]] + w[at, roots[2]] + w[at, roots[1]]  # in that float order
-    least = top.copy()
+    least = np.array(top)
     np.maximum.at(least, at, base)
     keep = (base + g[at] >= least[at]).nonzero()[0]
     out = [[] for _ in top]
@@ -289,16 +281,16 @@ def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy)
     s = len(ring)
     cov, w, ok = _tables(geo, lams, tol, geo.w)
     rows = range(len(lams))
-    # Budgets of one and two: the single sites and the compatible pairs.
-    pi, pj = geo.pairs if k >= 2 else geo.pairs[:, :0]
-    sets = [(i,) for i in range(s)] + list(zip(pi.tolist(), pj.tolist()))
-    vals = np.concatenate((w, np.where(ok[:, pi, pj], w[:, pi] + w[:, pj], -np.inf)), axis=1)
-    top = vals.max(axis=1, initial=0.0)
-    tied = [[] for _ in rows]
-    for r, c in zip(*((vals == top[:, None]) & (top > 0)[:, None]).nonzero()):
-        tied[r].append(sets[c])
-    best = [min((selection_key(v, [ring[i] for i in ids]), ids) for ids in ids_list) if ids_list
-            else (selection_key(0.0, []), ()) for v, ids_list in zip(top.tolist(), tied)]
+    # Budgets of one and two, sites numbered by their (x, y) rank. A pair
+    # weighs the sum of its site weights, not their union (ROADMAP item 1).
+    xy = np.array(sorted(range(s), key=ring.__getitem__))
+    wr = w[:, xy].ravel()
+    ri, rj = geo.pairs if k >= 2 else geo.pairs[:, :0]
+    at, p = ok[:, xy[ri], xy[rj]].nonzero()
+    i, j = at * s + ri[p], at * s + rj[p]
+    picks = best_upto_two(len(lams), np.arange(len(lams)).repeat(s), wr, [(i, j, wr[i] + wr[j])])
+    top = [weight for weight, _ in picks]
+    chosen = [tuple(sorted(map(xy.item, ids))) for _, ids in picks]
 
     if k >= 3 and s >= 3:
         # Roots are visited by descending base while base + g, g bounding
@@ -311,7 +303,8 @@ def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy)
         for r, gr, visits in zip(rows, g.tolist(), _anchor_roots(geo, w, ok, top, g)):
             if not visits:
                 continue
-            best_key, best_ids = best[r]
+            best_ids = chosen[r]
+            best_key = selection_key(top[r], [ring[i] for i in best_ids])
             dp = _ChordSolver(w[r].tolist(), ok[r].tolist(), geo)
             for a, b, apex, v in sorted(visits, key=lambda root: -root[3]):
                 if v + gr < -best_key[0]:
@@ -324,9 +317,8 @@ def _solve_chunk(geo: _Geometry, lams: np.ndarray, k: int, tol: TolerancePolicy)
                 key = selection_key(val, [ring[i] for i in ids])
                 if key < best_key:
                     best_key, best_ids = key, tuple(sorted(ids))
-            best[r] = best_key, best_ids
+            chosen[r] = best_ids
 
-    chosen = [tuple(sorted(ids)) for _, ids in best]
     pick = np.zeros((len(lams), s), dtype=bool)
     for r, lam, ids in zip(rows, lams.tolist(), chosen):
         for a, b in combinations(ids, 2):
@@ -373,16 +365,16 @@ def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[floa
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """`best_radius` over `candidate_radii_discrete`, ordered by
-    `_blue_bound`: the first radius of the largest union weight, as one
-    `Placement`."""
-    ring = sites if isinstance(sites, SiteRing) else canonical_ring(sites)
+    """`best_radius` over `candidate_radii_discrete` of the
+    `canonical_ring` of sites, ordered by `_blue_bound`: the first radius
+    of the largest union weight, as one `Placement`."""
+    ring = canonical_ring(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
-    geo = _geometry(ring.sites, points)
-    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring.sites)]
+    geo = _geometry(ring, points)
+    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring)]
     _, lam, chosen = best_radius(radii, lambda lams: _solve_radii(geo, lams, k, tol),
                                  bound=lambda lams: _blue_bound(geo, lams, k, tol))
-    return site_placement(points, ring.sites, lam, chosen, tol)
+    return site_placement(points, ring, lam, chosen, tol)

@@ -80,6 +80,13 @@ def _fmt(v: float) -> str:
     return repr(v) if v != int(v) else str(int(v))
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
+
+
 def parse_instance(text: str) -> ProblemInstance:
     variant = None
     k = None
@@ -111,16 +118,16 @@ def parse_instance(text: str) -> ProblemInstance:
                     raise ParseError(lineno, "lines specified twice")
                 if len(tokens) < 2:
                     raise ParseError(lineno, "lines needs at least one height")
-                lines = tuple(float(t) for t in tokens[1:])
+                lines = tuple(_finite(t) for t in tokens[1:])
             elif head == "site":
                 if len(tokens) != 3:
                     raise ParseError(lineno, "site takes x and y")
-                sites.append((float(tokens[1]), float(tokens[2])))
+                sites.append((_finite(tokens[1]), _finite(tokens[2])))
             elif head in ("B", "R"):
                 if len(tokens) not in (3, 4):
                     raise ParseError(lineno, f"{head} takes x y [w]")
-                w = float(tokens[3]) if len(tokens) == 4 else None
-                raw_points.append((head, float(tokens[1]), float(tokens[2]), w))
+                w = _finite(tokens[3]) if len(tokens) == 4 else None
+                raw_points.append((head, _finite(tokens[1]), _finite(tokens[2]), w))
             else:
                 raise ParseError(lineno, f"unknown directive {head!r}")
         except ValueError as exc:
@@ -150,7 +157,7 @@ def parse_instance(text: str) -> ProblemInstance:
         if not sites:
             raise SemanticError("discrete variant needs site records")
         try:
-            ring = canonical_ring(sites).sites
+            ring = canonical_ring(sites)
         except ConvexPositionError as exc:
             raise SemanticError(str(exc)) from exc
         if k >= len(ring):
@@ -273,7 +280,7 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
                 raise ValueError(f"no room for {s} sites 0.05 rad apart after "
                                  f"{rejected} rejected draws")
         sites = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
-        for sx, sy in canonical_ring(sites).sites:
+        for sx, sy in canonical_ring(sites):
             out.append(f"site {_fmt(sx)} {_fmt(sy)}")
 
     special = variant in SPECIAL_VARIANTS

@@ -21,9 +21,9 @@ line's geometry, built once per solve:
   weight as a point-order column sum; the compatible pairs within a row
   come in blocks (`_pairs`), and at k = 2 each gets its union weight as
   the point-order sum of its two mask columns;
-- budgets of one and two: per row, the best single and the best compatible
-  pair are array maxima over the chunk, resolved by the `selection_key`
-  rule (`_tables`);
+- budgets of one and two: per row, the `selection_key` minimum over the
+  singles and the compatible pairs, weighed by their union
+  (`placement.best_upto_two`, which discrete shares);
 - k >= 3: per row, a Python DFS (`_search`) seeded with the best single,
   where a node ANDs int bitsets of covered points and compatible later
   candidates instead of testing center pairs. Union weights are memoized
@@ -58,6 +58,7 @@ from .placement import (
     Placement,
     ValidationFailureError,
     best_radius,
+    best_upto_two,
     in_chunks,
     line_placement,
     selection_key,
@@ -169,64 +170,41 @@ def _pairs(xs, ys, row, lams, tol: TolerancePolicy, cells: int):
         yield i[ok], j[ok]
 
 
-def _fold(best, row, w, code):
-    """Fold sets of centers into best, the per-row (weight, code) of the
-    `selection_key` minimum: the largest weight, then the least code."""
-    bw, bc = best
-    was = bw.copy()
-    np.maximum.at(bw, row, w)
-    bc[bw > was] = np.iinfo(bc.dtype).max
-    tie = w == bw[row]
-    np.minimum.at(bc, row[tie], code[tie])
-
-
 def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
     """Tables of the centers xs on lines li at radii lams[row], rows
     ascending: the searched centers as indices into xs; per row the
-    `selection_key` minimum over the empty selection, the single searched
-    centers and, at k = 2, their compatible pairs, as its union weight and
-    its positions in the row, ascending; and for k >= 3, per searched
-    center, its gain (covered positive weight), its covered points as a
-    bitset and its compatible later centers of the row as a bitset over
-    positions.
+    `placement.best_upto_two` pick over the single searched centers and,
+    at k = 2, their compatible pairs, as its union weight and its
+    positions in the row, ascending; and for k >= 3, per searched center,
+    its gain (covered positive weight), its covered points as a bitset and
+    its compatible later centers of the row as a bitset over positions.
 
     Weights are summed in point order like `geom.disk_weight`, a pair's
     over the union of its two mask columns. A center whose own disk nets
     nothing can never improve a union of non-overlapping disks, and the
-    fewest-centers tie rule drops it, so only the others are searched. As
-    positions follow the (x, line) keys, a set's code (`_fold`) is its
-    size, then its largest position, then its other one. A pair block
-    holds about eight arrays with one cell per pair, and at k = 2 also the
-    n x pairs union table. At k >= 3 the pairs' union weights would cost
-    more than the search they spare, so the search starts from the best
-    single.
+    fewest-centers tie rule drops it, so only the others are searched.
+    Positions follow the (x, line) keys. A pair block holds about eight
+    arrays with one cell per pair, and at k = 2 also the n x pairs union
+    table. At k >= 3 the pairs' union weights would cost more than the
+    search they spare, so the search starts from the best single.
     """
     cov = _coverage(geo, lams, xs, row, li, tol)
     sums = point_order_sums(cov, geo.w)
     order = np.flatnonzero(sums > 0)
     cov, row = cov[:, order], row[order]
-    pos = np.arange(len(row)) - np.searchsorted(row, row)
-    size = len(row) + 1
-    best = np.zeros(len(lams)), np.zeros(len(lams), dtype=np.int64)  # the empty selection
-    _fold(best, row, sums[order], size * size + pos * size)
     ys = np.array(lines)[li[order]]
-    search = None
+    pairs, search = (), None
     if k == 2:
-        for i, j in _pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))):
-            union = point_order_sums(cov[:, i] | cov[:, j], geo.w)
-            _fold(best, row[i], union, 2 * size * size + pos[j] * size + pos[i])
+        pairs = ((i, j, point_order_sums(cov[:, i] | cov[:, j], geo.w))
+                 for i, j in _pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))))
     elif k > 2:
+        pos = np.arange(len(row)) - np.searchsorted(row, row)
         bits = np.zeros((len(row), np.bincount(row).max(initial=0)), dtype=bool)
         for i, j in _pairs(xs[order], ys, row, lams, tol, 8):
             bits[i, pos[j]] = True
         gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
         search = gains.tolist(), bitsets(cov.T), bitsets(bits)
-    picks = []
-    for weight, code in zip(*(b.tolist() for b in best)):
-        count, rest = divmod(code, size * size)
-        hi, lo = divmod(rest, size)
-        picks.append((weight, ((), (hi,), (lo, hi))[count]))
-    return order, picks, search
+    return order, best_upto_two(len(lams), row, sums[order], pairs), search
 
 
 class _UnionWeights(dict):

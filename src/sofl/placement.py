@@ -24,6 +24,7 @@ __all__ = [
     "line_placement",
     "site_placement",
     "selection_key",
+    "best_upto_two",
     "CELLS",
     "BOUND_STEP",
     "in_chunks",
@@ -100,6 +101,32 @@ def selection_key(weight: float, center_keys) -> tuple:
     that chosen centers agree, not just optimal values.
     """
     return (-weight, len(center_keys), tuple(sorted(center_keys, reverse=True)))
+
+
+def best_upto_two(rows: int, row, w, pairs) -> list:
+    """Per row, the `selection_key` minimum over the empty selection, each
+    single center and each pair given, as its weight and its centers'
+    positions in the row, ascending. row gives each center's row, ascending,
+    and w its weight; a row's centers follow their keys' order. pairs yields
+    blocks (i, j, weight) of centers i < j of a row, folded as they come.
+    The least code wins a tie: size, then largest position, then the other."""
+    pos = np.arange(len(row)) - np.searchsorted(row, row)
+    size = len(row) + 1
+    bw, bc = np.zeros(rows), np.zeros(rows, dtype=np.int64)  # the empty selection
+
+    def fold(at, weight, code):
+        was = bw.copy()
+        np.maximum.at(bw, at, weight)
+        bc[bw > was] = 3 * size * size  # above every set's code
+        tie = weight == bw[at]
+        np.minimum.at(bc, at[tie], code[tie])
+
+    fold(row, w, size * size + pos * size)
+    for i, j, weight in pairs:
+        fold(row[i], weight, 2 * size * size + pos[j] * size + pos[i])
+    count, rest = np.divmod(bc, size * size)
+    return [(weight, ((), (hi,), (lo, hi))[c]) for weight, c, hi, lo in
+            zip(bw.tolist(), count.tolist(), (rest // size).tolist(), (rest % size).tolist())]
 
 
 def in_chunks(lams, cells_per_radius: int, chunk) -> list:

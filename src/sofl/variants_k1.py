@@ -23,8 +23,8 @@ are not enough: `scripts/allblue_findings.py` lists instances where they
 give more reds.
 
 The kernels repeat the float operations of `center_on_line_through`,
-`pair_disk` and `classify` elementwise and keep the first of tied
-candidates in the scalar scan order, so their results are the scalar
+`pair_disk` and `classify` elementwise and keep the first of equally
+good candidates in the scalar scan order, so their results are the scalar
 ones bit for bit, as Python floats and ints.
 """
 

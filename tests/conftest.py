@@ -10,7 +10,7 @@ import pytest
 
 from sofl import discrete, multiline
 from sofl.candidates import check_lines
-from sofl.discrete import SiteRing, _ChordSolver
+from sofl.discrete import _ChordSolver, canonical_ring
 from sofl.geom import (
     DEFAULT_TOL,
     Color,
@@ -828,7 +828,7 @@ def solve_tlines_fixed_radius(points, lines, lam: float, k: int,
 
 def solve_discrete_fixed_radius(sites, points, lam: float, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Best placement of at most k radius-lam disks at the given ring sites."""
-    ring = sites.sites if isinstance(sites, SiteRing) else tuple(sites)
+    ring = canonical_ring(sites)
     if k < 1:
         raise ValueError("k must be at least 1")
     _, chosen = discrete._solve_radii(discrete._geometry(ring, points), [lam], k, tol)[0]

@@ -120,6 +120,16 @@ def test_bad_tolerance_exit_code(inst_file, capsys, command, eps):
     assert out.out == "" and out.err.startswith("error: eps must be finite and nonnegative")
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("text", ["variant csofl\nk 1\nB nan 1 1\n", "variant csofl\nk 1\nB 1 1 inf\n",
+                                  "variant csofl\nk 2\nB inf 1 1\nB 3 1 1\n"])
+def test_non_finite_number_exit_code(inst_file, capsys, command, text):
+    path = inst_file(text)
+    assert main([command, "--input", path]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: line 3: ") and "not a finite number" in out.err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["solve", "--input", "/nonexistent/file.txt"]) == EXIT_INPUT
 

@@ -51,7 +51,7 @@ def site_weights(sites, points, lam, tol=DEFAULT_TOL):
 
 def test_canonical_ring_clockwise_from_min():
     ring = canonical_ring(SQUARE)
-    assert ring.sites == ((0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (4.0, 0.0))
+    assert ring == ((0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (4.0, 0.0))
 
 
 def test_canonical_ring_rejects_collinear():
@@ -69,6 +69,26 @@ def test_canonical_ring_rejects_duplicates():
         canonical_ring([(0, 0), (4, 0), (0, 0)])
 
 
+def test_solve_discrete_rejects_a_collinear_ring():
+    # The solver canonicalizes every ring it is given, as the parser does.
+    sites = ((0, 0), (1, 1), (2, 2), (3, 3))
+    with pytest.raises(ConvexPositionError):
+        solve_discrete(sites, [B(0, 1, 1, 1.0), B(1, 3, 3, 1.0)], 2)
+
+
+def test_canonical_ring_is_idempotent():
+    # A parsed ring is canonical already, so the solver's second pass keeps
+    # its order and the site ids the parser gave; so do its rotations and
+    # its reversal.
+    rings = [inst.sites for seed in range(200) if (inst := thin_ring_instance(seed)) is not None]
+    rings += [random_instance(seed, 1, 1, variant="discrete", s=3 + seed % 14).sites for seed in range(100)]
+    assert len(rings) > 150
+    for ring in rings:
+        assert canonical_ring(ring) == ring, ring
+        for i in range(len(ring)):
+            assert canonical_ring((ring[i:] + ring[:i])[::-1]) == ring, (ring, i)
+
+
 def test_site_weights():
     w = site_weights([(0.0, 0.0)], [B(0, 0, 0.5, 2.0)], 1.0)
     assert w == [2.0]
@@ -80,7 +100,7 @@ def test_site_weights():
 
 def test_site_weights_float_weights_match_scalar():
     # Non-integer weights: the sums must be taken in point order to match.
-    ring = canonical_ring([(0, 0), (10, 0), (12, 8), (5, 13), (-2, 8)]).sites
+    ring = canonical_ring([(0, 0), (10, 0), (12, 8), (5, 13), (-2, 8)])
     on_circle = R(0, 3.0, 4.0, -2.5)  # exactly 5 from (0, 0): excluded
     in_band = B(1, 10.0, 5.0 + 1e-9, 1.25)  # just past 5 from (10, 0): included
     w = dict(zip(ring, site_weights(ring, [on_circle, in_band], 5.0)))
@@ -102,7 +122,7 @@ def test_site_weights_float_weights_match_scalar():
 def test_pair_table_matches_centers_compatible():
     # (0, 0)-(4, 0) and (-3, 4)-(7, 4) share a height; (0, 0)-(-3, 4) and
     # (4, 0)-(7, 4) are 5 apart.
-    ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)]).sites
+    ring = canonical_ring([(0, 0), (4, 0), (7, 4), (2, 9), (-3, 4)])
     geo = _geometry(ring, ())
     for tol in (DEFAULT_TOL, TolerancePolicy(1e-4), TolerancePolicy(0.0)):
         lams = [0.5, 2.5, 3.0, 5.0]
@@ -133,7 +153,7 @@ def test_zeta():
 
 def test_square_uniform_k4():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
-    pts = [B(i, x, y, 1.0) for i, (x, y) in enumerate(ring.sites)]
+    pts = [B(i, x, y, 1.0) for i, (x, y) in enumerate(ring)]
     pl = solve_discrete_fixed_radius(ring, pts, 1.0, 4)
     assert pl.total_weight == 4.0
     assert len(pl.centers) == 4
@@ -141,7 +161,7 @@ def test_square_uniform_k4():
 
 def test_chord_recursion_base_cases():
     ring = canonical_ring([(0, 0), (10, 0), (10, 10), (0, 10)])
-    geo = _geometry(ring.sites, ())
+    geo = _geometry(ring, ())
     w = [1.0, 1.0, 1.0, 1.0]
     dp = _ChordSolver(w, discrete_pair_table(geo, 1.0, DEFAULT_TOL), geo)
     # gamma(a, b, apex, budget) fills the arc arcs[b][a]
@@ -156,7 +176,7 @@ def test_chord_recursion_base_cases():
     # A thin rhombus: across its short diagonal the far site is outside the
     # circle of the near triangle and enters; across its long diagonal it
     # is inside and is rejected, at a radius where every pair is compatible.
-    ring = canonical_ring([(-10, 0), (0, 1), (10, 0), (0, -1)]).sites
+    ring = canonical_ring([(-10, 0), (0, 1), (10, 0), (0, -1)])
     assert ring == ((-10.0, 0.0), (0.0, 1.0), (10.0, 0.0), (0.0, -1.0))
     geo = _geometry(ring, ())
     ok = discrete_pair_table(geo, 0.5, DEFAULT_TOL)
@@ -245,7 +265,7 @@ def test_blue_bound_is_at_least_every_union_weight():
     cases = 0
     capped = Counter()
     for sites, points, k in _bound_cases():
-        ring = canonical_ring(sites).sites
+        ring = canonical_ring(sites)
         s = len(ring)
         radii = [c.value for c in candidate_radii_discrete(points, ring)]
         geo = _geometry(ring, points)

@@ -50,6 +50,22 @@ def test_parse_unknown_directive():
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+@pytest.mark.parametrize("text", [
+    "variant csofl\nk 1\nB {} 1 1\n",  # x
+    "variant csofl\nk 1\nB 0 {} 1\n",  # y
+    "variant csofl\nk 1\nB 0 1 {}\n",  # w
+    "variant csofl\nk 1\nR 0 1 {}\n",  # red w
+    "variant tlines\nk 1\nlines 0 {}\nB 0 1 1\n",  # a line height
+    "variant discrete\nk 1\nsite {} 0\nsite 1 0\nsite 0 1\nB 0 1 1\n",  # site x
+    "variant discrete\nk 1\nsite 0 {}\nsite 1 0\nsite 0 1\nB 0 1 1\n",  # site y
+])
+def test_parse_rejects_non_finite_numbers(text, value):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text.format(value))
+    assert err.value.lineno == 3 and "not a finite number" in err.value.reason
+
+
 def test_parse_missing_variant():
     with pytest.raises(SemanticError):
         parse_instance("k 1\nB 0 1 1\n")

@@ -618,3 +618,29 @@ def test_budgets_up_to_two_never_search(monkeypatch):
     monkeypatch.setattr(sofl.multiline, "_search", refuse)
     assert [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases] == expect
     assert len(cases) == 56
+
+
+# --- ROADMAP item 3: chained contacts across lines -------------------------------
+
+# On generate(62, 6, 2, "tlines", t=2), `solve_tlines` and
+# `brute_tlines(max_centers=200)` both find weight 16 first at
+# 7.236097782030803. These two centers reach it at 6.26, where they touch
+# across the two lines (2 * 6.26 apart). That radius comes from a chain of
+# contacts across lines, which no candidate generator yields. The witness is
+# checked with the scalar predicates alone, so the xfail below can flip only
+# once the solver finds a radius this small.
+ITEM3_CENTERS = (LineCenter(14.214614887482256, 0), LineCenter(22.91808545961611, 1))
+
+
+def test_item3_witness_centers_reach_the_weight_below_the_solvers_radius():
+    inst = parse_instance(generate(62, 6, 2, "tlines", t=2))
+    (ax, al), (bx, bl) = ((c.x, inst.lines[c.line_index]) for c in ITEM3_CENTERS)
+    assert centers_compatible((ax, al), (bx, bl), 6.26)
+    assert line_placement(inst.points, inst.lines, 6.26, ITEM3_CENTERS).total_weight == 16.0
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 3: no candidate radius for a contact across lines")
+def test_item3_witness_solve_tlines_finds_the_smaller_radius():
+    inst = parse_instance(generate(62, 6, 2, "tlines", t=2))
+    pl = solve_tlines(inst.points, inst.lines, inst.k)
+    assert pl.total_weight == 16.0 and pl.radius <= 6.26

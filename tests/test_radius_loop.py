@@ -52,7 +52,7 @@ def full_tlines(points, lines, k, tol=DEFAULT_TOL):
 
 
 def full_discrete(sites, points, k, tol=DEFAULT_TOL):
-    ring = discrete.canonical_ring(sites).sites
+    ring = discrete.canonical_ring(sites)
     geo = discrete._geometry(ring, points)
     radii = [c.value for c in candidate_radii_discrete(points, ring)]
     lam, chosen = full_evaluation(radii, lambda v: discrete._solve_radii(geo, [v], k, tol)[0])
@@ -231,7 +231,7 @@ def _batch_kernel(name):
         radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, inst.lines, 2))]
         return multiline, lambda lams: multiline._solve_radii(geos, inst.lines, lams, 2, DEFAULT_TOL), radii
     inst = random_instance(7, 5, 3, "discrete", s=6)
-    ring = discrete.canonical_ring(inst.sites).sites
+    ring = discrete.canonical_ring(inst.sites)
     pts = [*inst.points, B(99, *ring[2], 4.0)]
     geo = discrete._geometry(ring, pts)
     radii = [c.value for c in candidate_radii_discrete(pts, ring)]
@@ -385,7 +385,7 @@ def test_solve_discrete_equals_full_evaluation_under_the_bound(monkeypatch):
         monkeypatch.setattr(discrete, "_solve_radii", counted)
         pl = solve_discrete(sites, points, k)
         monkeypatch.setattr(discrete, "_solve_radii", real)
-        total[0] += len(candidate_radii_discrete(points, discrete.canonical_ring(sites).sites))
+        total[0] += len(candidate_radii_discrete(points, discrete.canonical_ring(sites)))
         assert repr(pl) == repr(full), (sites, points, k)
     assert solved[0] < total[0], (solved, total)
 
@@ -402,7 +402,7 @@ def test_discrete_chunk_kernel_equals_per_radius_reference(monkeypatch):
     default = placement.CELLS
     radii_seen = 0
     for sites, points, k in cases:
-        ring = discrete.canonical_ring(sites).sites
+        ring = discrete.canonical_ring(sites)
         geo = discrete._geometry(ring, points)
         radii = [c.value for c in candidate_radii_discrete(points, ring)]
         radii[len(radii) // 2: len(radii) // 2] = [0.0, -1.0]
@@ -421,7 +421,7 @@ def test_capped_bound_skips_radii_at_k3(monkeypatch):
     # only those that fit: a top-3 bound without that cap solves 90 of the
     # 97. The pruned solve still returns what solving every radius returns.
     inst = random_instance(14, 12, 3, "discrete", s=8)
-    total = len(candidate_radii_discrete(inst.points, discrete.canonical_ring(inst.sites).sites))
+    total = len(candidate_radii_discrete(inst.points, discrete.canonical_ring(inst.sites)))
     solved = [0]
     real = discrete._solve_radii
 
@@ -448,11 +448,13 @@ def test_line_witness_fixed_radius():
     assert (weight, xs) == (5.0, (0.0,))
 
 
-@pytest.mark.xfail(reason="ROADMAP item 1: the chord DP double-counts a tangent point")
+@pytest.mark.xfail(reason="ROADMAP item 1: a discrete pair weighs the sum of its site weights, "
+                          "so a tangent point counts twice")
 def test_discrete_witness():
-    # At radius 2 the sites (0,0) and (4,0) touch at blue 0; the DP counts
-    # it twice, prefers that pair and reports its union weight 5, so the
-    # solver finds weight 8 only at radius 4.
+    # At radius 2 the sites (0,0) and (4,0) touch at blue 0. The pair weight
+    # discrete gives `placement.best_upto_two` is the sum of its site
+    # weights, which counts that blue twice; so the pair wins and reports
+    # its union weight 5, and the solver finds weight 8 only at radius 4.
     sites = [(0, 0), (4, 0), (4, 10), (0, 10)]
     points = [B(0, 2, 0, 5.0), B(1, 0, 10, 3.0)]
     pl = solve_discrete(sites, points, 2)
