@@ -10,10 +10,10 @@ pool entry of the four benchmark workloads, written by this tree's
 generator through `perfbench/workloads.py`, which is loaded by path. On
 each instance both sides run `sofl solve --format text` and `--format
 json` once per algorithm that applies (dp, and fast or fvd for the k = 1
-special variants), comparing exit codes and output bytes, and `sofl
-check`, comparing exit codes. Each side runs in one process of its own
-that calls `sofl.cli.main` in-process. Prints every difference and a
-count; exits 1 on any difference.
+special variants) and `sofl check` once, comparing exit codes and output
+bytes (for check, the solver and oracle lines and the verdict). Each side
+runs in one process of its own that calls `sofl.cli.main` in-process.
+Prints every difference and a count; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ def operations(text: str, path: str) -> list[list[str]]:
 
 def worker() -> None:
     """Run the operations read from stdin with this process's `sofl`; print
-    its location, then per operation [exit code, stdout] (check: stdout
-    left out), as JSON."""
+    its location, then per operation [exit code, stdout], as JSON."""
     from sofl import cli
 
     results = []
@@ -81,7 +80,7 @@ def worker() -> None:
                 code = exc.code
             except Exception as exc:  # a fault is an outcome to compare, not fatal
                 code = f"raised {type(exc).__name__}: {exc}"
-        results.append([code, "" if argv[0] == "check" else out.getvalue()])
+        results.append([code, out.getvalue()])
     json.dump({"sofl": os.path.dirname(cli.__file__), "results": results}, sys.stdout)
 
 

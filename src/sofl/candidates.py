@@ -222,41 +222,59 @@ def line_contacts(points, line_y: float = 0.0, k: int = 1):
     unit scale, solved in one batched eigenvalue pass, polished by Newton
     steps on the unsquared slack, and kept only if that slack vanishes.
 
-    Results are cached per geometry (ids, coordinates and colours, the line
-    and k), not per weight: `sofl check` asks for the same contacts in the
-    solver and the oracle, and the reweighted special variants share them.
+    Results are cached per geometry (ids, coordinates and colours, the
+    lines and k), not per weight: `sofl check` asks for the same contacts in
+    the solver and the oracle, and the reweighted special variants share
+    them. This is the one-line case of `_contacts`, which solves the
+    contacts of every line of a t-lines instance in one pass.
     """
-    gains, losses = _contacts(tuple((p.id, p.x, p.y, p.color) for p in points), line_y, k)
+    ((gains, losses),) = _contacts(_points_key(points), (float(line_y),), k)
     return list(gains), list(losses)
 
 
+def _points_key(points):
+    """The cache key of the points in `_contacts`: (id, x, y, colour) each."""
+    return tuple((p.id, p.x, p.y, p.color) for p in points)
+
+
 @functools.lru_cache(maxsize=16)
-def _contacts(pts, line_y, k):
-    """`line_contacts` on (id, x, y, colour) tuples, as tuples."""
-    n = len(pts)
+def _contacts(pts, lines, k):
+    """`line_contacts` of the points on each of the lines, in one pass, as
+    (gains, losses) tuples per line. Every line has the same pair rows,
+    line after line; each row is solved and polished on its own, so a
+    line's contacts are those of a pass on that line alone."""
+    n, t = len(pts), len(lines)
     if k < 2 or n < 2:
-        return (), ()
+        return (((), ()),) * t
     ids = np.array([p[0] for p in pts])
     x = np.array([p[1] for p in pts], dtype=float)
-    y = np.abs(np.array([p[2] for p in pts], dtype=float) - line_y)
+    y = np.abs(np.array([[float(p[2]) - ly for p in pts] for ly in lines])).ravel()
     blue = np.array([p[3] is Color.BLUE for p in pts])
     sign = np.where(blue, 1.0, -1.0)
     pa, pb = np.nonzero(~np.eye(n, dtype=bool))
     red_red = ~blue[pa] & ~blue[pb]
-    ia = np.concatenate([pa[red_red]] + [pa] * (k - 1))
-    ib = np.concatenate([pb[red_red]] + [pb] * (k - 1))
+    ia = np.concatenate(([pa[red_red]] + [pa] * (k - 1)) * t)
+    ib = np.concatenate(([pb[red_red]] + [pb] * (k - 1)) * t)
     m = np.concatenate(
-        [np.zeros(int(red_red.sum()), dtype=int)]
-        + [np.full(len(pa), j) for j in range(1, k)]
+        ([np.zeros(int(red_red.sum()), dtype=int)]
+         + [np.full(len(pa), j) for j in range(1, k)]) * t
     )
+    # A row's heights are y[fa] and y[fb]: y holds the lines one after another.
+    fa, fb, line = ia, ib, None
+    if t > 1:
+        line = np.repeat(np.arange(t), len(ia) // t)
+        fa, fb = ia + n * line, ib + n * line
 
     # Row-normalized data: the slack is homogeneous of degree one in
     # (lam, d, y), so each row is solved at unit scale and scaled back.
     d = x[ib] - x[ia]
-    scale = np.maximum(np.maximum(np.abs(d), y[ia]), y[ib])
+    ya, yb = y[fa], y[fb]
+    scale = np.maximum(np.maximum(np.abs(d), ya), yb)
     ok = scale > 0
     ia, ib, m, d, scale = ia[ok], ib[ok], m[ok], d[ok] / scale[ok], scale[ok]
-    ya, yb = y[ia] / scale, y[ib] / scale
+    ya, yb = ya[ok] / scale, yb[ok] / scale
+    if line is not None:
+        line = line[ok]
     ya2, yb2 = ya * ya, yb * yb
     two_m = 2.0 * m
 
@@ -313,17 +331,22 @@ def _contacts(pts, line_y, k):
     loss = (above < below) | touch
     lam = lam * scale[row]
 
-    g = gain & (m[row] >= 1)
-    gains = sorted(
-        (
-            CandidateRadius(v, KIND_CHAIN, (a, b, j))
-            for v, a, b, j in zip(
-                lam[g].tolist(), ids[ia[row[g]]].tolist(), ids[ib[row[g]]].tolist(),
-                m[row[g]].tolist())
-        ),
-        key=_entry_key,
-    )
-    return tuple(gains), tuple(np.unique(lam[loss]).tolist())
+    chain = gain & (m[row] >= 1)
+    at = None if line is None else line[row]
+    out = []
+    for li in range(t):
+        g, lost = (chain, loss) if at is None else (chain & (at == li), loss & (at == li))
+        gains = sorted(
+            (
+                CandidateRadius(v, KIND_CHAIN, (a, b, j))
+                for v, a, b, j in zip(
+                    lam[g].tolist(), ids[ia[row[g]]].tolist(), ids[ib[row[g]]].tolist(),
+                    m[row[g]].tolist())
+            ),
+            key=_entry_key,
+        )
+        out.append((tuple(gains), tuple(np.unique(lam[lost]).tolist())))
+    return tuple(out)
 
 
 def candidate_radii_tlines(points, lines, k: int = 1):
@@ -335,10 +358,11 @@ def candidate_radii_tlines(points, lines, k: int = 1):
     differ in provenance); the solver deduplicates by value before solving.
     """
     lines = check_lines(lines)
+    contacts = _contacts(_points_key(points), tuple(lines), k)
     out = [CandidateRadius(0.0, KIND_ZERO)]
-    for li, ly in enumerate(lines):
+    for li, (ly, (gains, _)) in enumerate(zip(lines, contacts)):
         es = _sorted_unique(_line_entries(points, ly, li))
-        gains = [dataclasses.replace(g, line_index=li) for g in line_contacts(points, ly, k)[0]]
+        gains = [dataclasses.replace(g, line_index=li) for g in gains]
         # a point sitting exactly on its line folds into the global zero
         out.extend(e for e in with_gains(es, gains) if e.value > MERGE_EPS)
     out.sort(key=_entry_key)

@@ -243,6 +243,8 @@ def generate(seed: int, n: int, k: int, variant: str, red_fraction: float = 0.5,
         raise ValueError("k must be at least 1")
     if n < 0 or (n == 0 and variant == "allblue-minred"):
         raise ValueError("n must be nonnegative, and positive for allblue-minred")
+    if not 0.0 <= red_fraction <= 1.0:  # also rejects nan
+        raise ValueError("red fraction must be in [0, 1]")
     if coord_range < 0:
         raise ValueError("coord range must be nonnegative")
     if weight_range < 1 and variant not in SPECIAL_VARIANTS:

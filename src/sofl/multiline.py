@@ -30,10 +30,11 @@ line's geometry, built once per solve:
   per covered-point bitset for a whole solve, since they do not depend on
   the radius; they are the same point-order float sums as the array ones.
 `placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
-coverage cells; each chain radius the radius loop (`placement.best_radius`)
-admits is a chunk of one. Every selection is re-validated pairwise with
-the scalar `geom.centers_compatible`. The kernel returns its union weight,
-so the radius loop builds one `Placement`, for the radius it returns.
+coverage cells; the radius loop (`placement.best_radius`) solves the
+first radii in one call and the chain radii it admits in one more. Every
+selection is re-validated pairwise with the scalar
+`geom.centers_compatible`. The kernel returns its union weight, so the
+radius loop builds one `Placement`, for the radius it returns.
 """
 
 from __future__ import annotations
@@ -340,7 +341,10 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
     `best_radius` over the radius groups of `candidate_radii_tlines`,
     solved by `_solve_radii` with one union-weight memo. A chain-gain
     radius can win only if the blue weight within reach of some line beats
-    the best so far: more weight, or as much at a smaller radius."""
+    the best so far: more weight, or as much at a smaller radius. The
+    test grows stricter as the best improves, so judging every chain radius
+    against the best of the first radii admits a superset of what a
+    one-by-one loop would."""
     lines = check_lines(lines)
     groups = radius_groups(candidate_radii_tlines(points, lines, k))
     geos = [line_geometry(points, ly) for ly in lines]

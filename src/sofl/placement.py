@@ -153,10 +153,12 @@ def best_radius(groups, solve, can_win=None, bound=None):
     the ascending (radius, first) groups, the first radii are solved in
     (-bound, radius) order, in calls of BOUND_STEP radii and any that
     follow at the same bound, until one cannot beat the best, nor can any
-    after it; without a bound that is one call. Then each other radius,
-    ascending, if it can beat the best and can_win(radius, best). The
-    first radius of the largest weight can always beat the best, so it is
-    solved and wins."""
+    after it; without a bound that is one call. Then, in one more call,
+    ascending, every other radius that can beat the best of the first
+    radii and can_win(radius, that best); the callers' can_win holds
+    there for the first radius of the largest weight. That radius can
+    always beat the best, so it is solved and wins: each solve is exact,
+    so solving more radii than a one-by-one loop cannot change which."""
     caps = bound([v for v, _ in groups]) if bound else [math.inf] * len(groups)
     best = None
 
@@ -179,7 +181,8 @@ def best_radius(groups, solve, can_win=None, bound=None):
         j = min(stop, bisect.bisect_left(order, (order[j - 1][0], math.inf), j))
         take([v for _, v in order[i:j]])
         i = j
-    for (v, first), cap in zip(groups, caps):
-        if not first and beats(cap, v) and can_win(v, best):
-            take([v])
+    admitted = [v for (v, first), cap in zip(groups, caps)
+                if not first and beats(cap, v) and can_win(v, best)]
+    if admitted:
+        take(admitted)
     return best

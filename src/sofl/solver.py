@@ -5,7 +5,7 @@ set gives: the placement with the largest weight, at the smallest candidate
 radius among ties. It solves every standard radius but only those chain
 gains whose placement could be lost before the next standard radius is
 solved (`placement.best_radius`): the first radii in one `klink.solve_radii`
-call, each admitted gain in a call of its own. The special cases are
+call, the admitted gains in one more. The special cases are
 handled by reweighting:
 to cover all blues while touching as few reds as possible, give each red a
 small negative weight and each blue more than all reds combined; to cover as
@@ -53,7 +53,11 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
     c_{i+1}, so g can win only if g < best radius <= c_{i+1}. The first
     radii are the standard ones, each gain with such a loss and the last
     radius, which nothing after it stands in for; they are solved in one
-    call, in chunks.
+    call, in chunks. The gains that can win against the best of them go
+    in a second call, and a winning gain g* is among them: the best of the
+    first radii weighs no more than g* (g* wins) and no less (its
+    placement stays feasible up to c_{i+1}), so its radius is in
+    (g*, c_{i+1}].
     """
     if k < 1:
         raise ValueError("k must be at least 1")

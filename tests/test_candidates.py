@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import pytest
 
+from sofl import candidates
 from sofl.candidates import (
     KIND_BLUE,
     KIND_BLUE_RED,
     KIND_CHAIN,
     KIND_POINT_SITE,
     KIND_ZERO,
+    MERGE_EPS,
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
@@ -178,3 +181,39 @@ def test_chain_gains_are_contacts():
             assert slack(a, b, m, g.value * (1 + 1e-6)) > slack(a, b, m, g.value * (1 - 1e-6))
             checked += 1
     assert checked >= 20
+
+
+def _shared_pass_cases():
+    """(points, lines, k) of seeded t-lines instances, t 1-3 and k 1-3,
+    each also with a blue on its first line and with a red stacked
+    vertically over its first point."""
+    for seed in range(36):
+        t, k = 1 + seed % 3, 1 + seed // 3 % 3
+        inst = random_instance(700 + seed, 4 + seed % 4, k, "tlines", t=t)
+        p = inst.points[0]
+        yield inst.points, inst.lines, k
+        yield [*inst.points, B(90, p.x + 1.5, inst.lines[0], 2.0)], inst.lines, k
+        yield [*inst.points, R(91, p.x, p.y + 2.5)], inst.lines, k
+
+
+def test_one_contacts_pass_equals_a_pass_per_line():
+    # One `_contacts` pass over all lines gives each line the repr of a
+    # `line_contacts` call for that line alone, and `candidate_radii_tlines`
+    # the radii it gave when each line made its own call.
+    cases = gains = 0
+    for points, lines, k in _shared_pass_cases():
+        candidates._contacts.cache_clear()
+        shared = candidates._contacts(candidates._points_key(points), tuple(lines), k)
+        radii = candidate_radii_tlines(points, lines, k)
+        candidates._contacts.cache_clear()
+        ref = [candidates.CandidateRadius(0.0, KIND_ZERO)]
+        for li, ly in enumerate(lines):
+            own = line_contacts(points, ly, k)
+            assert repr(tuple(map(list, shared[li]))) == repr(own), (points, lines, k, li)
+            tagged = [dataclasses.replace(g, line_index=li) for g in own[0]]
+            std = candidates._sorted_unique(candidates._line_entries(points, ly, li))
+            ref += [e for e in candidates.with_gains(std, tagged) if e.value > MERGE_EPS]
+            gains += len(own[0])
+        assert repr(radii) == repr(sorted(ref, key=candidates._entry_key)), (points, lines, k)
+        cases += 1
+    assert cases == 108 and gains > 100, gains

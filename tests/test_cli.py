@@ -166,6 +166,22 @@ def test_gen_rejects_bad_sizes(capsys, args, message):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-0.5", "7"])
+def test_gen_rejects_a_red_fraction_outside_0_1(capsys, fraction):
+    argv = ["gen", "--seed", "1", "--n", "3", "--k", "1", "--variant", "csofl", "--red-fraction", fraction]
+    assert main(argv) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: red fraction must be in [0, 1]\n"
+
+
+def test_gen_accepts_the_red_fraction_bounds(capsys):
+    for fraction, color in (("0", "B"), ("0.0", "B"), ("1", "R"), ("1.0", "R")):
+        argv = ["gen", "--seed", "1", "--n", "3", "--k", "1", "--variant", "csofl", "--red-fraction", fraction]
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == [color] * 3, fraction
+
+
 def test_gen_accepts_unused_sizes(capsys):
     # --t and --s only matter for their own variant, and the special
     # variants draw no weights.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -130,6 +131,18 @@ def test_generate_red_fraction_extremes():
     assert all(p.is_blue for p in all_blue.points)
     all_red = parse_instance(generate(2, 6, 1, "csofl", red_fraction=1.0))
     assert not any(p.is_blue for p in all_red.points)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf, -0.1, 1.0 + 1e-12, 7.0])
+def test_generate_rejects_a_red_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=r"red fraction must be in \[0, 1\]"):
+        generate(2, 6, 1, "csofl", red_fraction=fraction)
+
+
+def test_generate_accepts_the_red_fraction_bounds():
+    for fraction, blue in ((0.0, True), (-0.0, True), (1.0, False)):
+        inst = parse_instance(generate(2, 6, 1, "csofl", red_fraction=fraction))
+        assert [p.is_blue for p in inst.points] == [blue] * 6, fraction
 
 
 def test_lcg_reference_values():
