@@ -11,9 +11,14 @@ generator through `perfbench/workloads.py`, which is loaded by path. On
 each instance both sides run `sofl solve --format text` and `--format
 json` once per algorithm that applies (dp, and fast or fvd for the k = 1
 special variants) and `sofl check` once, comparing exit codes and output
-bytes (for check, the solver and oracle lines and the verdict). Each side
-runs in one process of its own that calls `sofl.cli.main` in-process.
-Prints every difference and a count; exits 1 on any difference.
+bytes (for check, the solver and oracle lines and the verdict). A last
+operation per instance compares the `repr` of its candidate radii, which a
+solve's output can hide: `candidate_radii_line` and `line_contacts` on the
+line y = 0 for the one-line variants, `candidate_radii_tlines` and
+`line_contacts` per line for t-lines, and `candidate_radii_discrete` for
+discrete. Each side runs in one process of its own that calls
+`sofl.cli.main` and the candidate functions in-process. Prints every
+difference and a count; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import tempfile
 from bench_pairs import export
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CANDIDATES = "candidates"  # the operation that prints an instance's candidate radii
 
 
 def instances() -> list[tuple[str, str]]:
@@ -62,7 +68,24 @@ def operations(text: str, path: str) -> list[list[str]]:
     if inst.k == 1:
         algorithms += {"maxblue-nored": ["fast"], "allblue-minred": ["fvd"]}.get(inst.variant, [])
     ops = [["solve", "--input", path, "--algorithm", a, "--format", f] for a in algorithms for f in ("text", "json")]
-    return ops + [["check", "--input", path]]
+    return ops + [["check", "--input", path], [CANDIDATES, "--input", path]]
+
+
+def candidate_radii(path: str) -> str:
+    """The repr of the candidate radii and contacts of one instance file."""
+    from sofl import candidates, parse_instance
+
+    with open(path) as fh:
+        inst = parse_instance(fh.read())
+    if inst.variant == "discrete":
+        out = [candidates.candidate_radii_discrete(inst.points, inst.sites)]
+    elif inst.variant == "tlines":
+        out = [candidates.candidate_radii_tlines(inst.points, inst.lines, inst.k)]
+        out += [candidates.line_contacts(inst.points, ly, inst.k) for ly in inst.lines]
+    else:
+        out = [candidates.candidate_radii_line(inst.points, 0.0, inst.k),
+               candidates.line_contacts(inst.points, 0.0, inst.k)]
+    return repr(out)
 
 
 def worker() -> None:
@@ -75,7 +98,11 @@ def worker() -> None:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = cli.main(argv)
+                if argv[0] == CANDIDATES:
+                    print(candidate_radii(argv[2]))
+                    code = 0
+                else:
+                    code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # a fault is an outcome to compare, not fatal

@@ -7,6 +7,7 @@ from .candidates import (
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
+    line_contacts,
 )
 from .discrete import solve_discrete
 from .geom import (
@@ -56,6 +57,7 @@ __all__ = [
     "format_instance",
     "generate",
     "is_covered",
+    "line_contacts",
     "maxblue_nored_fast",
     "parse_instance",
     "solve_csofl",

@@ -11,35 +11,40 @@ demand point on the boundary of a disk at a candidate site. Red-red contacts
 of a single disk never pin the radius because such a disk can shrink until a
 blue point takes over, and site-site half distances cannot pin it either.
 
-Radius lists are sorted and merged by `geom.merge_keep` at the absolute
-MERGE_EPS, whatever the tolerance policy, so the generators take none: a
-radius within MERGE_EPS of the last kept one is dropped.
+Each family is built in a few numpy calls as parallel arrays (`_Table`: a
+value, a kind code, ids and a line per radius), every line of a t-lines
+instance at once, in the float operations of `geom.center_on_line_through`
+and `geom.dist2`. Radius lists are sorted by (value, line, kind, ids), no
+line (-1) first, and merged by `geom.merge_keep` at the absolute MERGE_EPS,
+whatever the tolerance policy, so the generators take none: a radius within
+MERGE_EPS of the last kept one is dropped. The solvers and the oracle take a
+family as radius groups, ascending (value, standard) arrays (`line_radii`,
+`tlines_radii`, `discrete_radii`), so no per-radius object is built; the
+`candidate_radii_*` lists of `CandidateRadius` are made from the same
+arrays, with each radius's provenance.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (
-    Color,
-    DegenerateInputError,
-    center_on_line_through,
-    dist2,
-    merge_keep,
-)
+from . import placement
+from .geom import Color, merge_keep, row_keys
 
 __all__ = [
     "CandidateRadius",
     "candidate_radii_line",
     "candidate_radii_tlines",
     "candidate_radii_discrete",
+    "line_radii",
+    "tlines_radii",
+    "discrete_radii",
     "line_contacts",
-    "radius_groups",
+    "line_losses",
     "check_lines",
     "KIND_ZERO",
     "KIND_BLUE",
@@ -59,6 +64,12 @@ KIND_BLUE_RED = "blue-red"
 KIND_POINT_SITE = "point-site"
 KIND_CHAIN = "chain"
 
+# Kind codes in the order of the names, so that codes sort as the names do;
+# _WIDTH is the number of ids a kind carries.
+_KINDS = tuple(sorted((KIND_ZERO, KIND_BLUE, KIND_BLUE_BLUE, KIND_BLUE_RED, KIND_POINT_SITE, KIND_CHAIN)))
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_WIDTH = tuple({KIND_ZERO: 0, KIND_BLUE: 1, KIND_CHAIN: 3}.get(kind, 2) for kind in _KINDS)
+
 
 @dataclass(frozen=True)
 class CandidateRadius:
@@ -68,33 +79,47 @@ class CandidateRadius:
     line_index: int | None = None
 
 
-def _entry_key(e: CandidateRadius):
-    return (e.value, -1 if e.line_index is None else e.line_index, e.kind, e.ids)
+class _Table(NamedTuple):
+    """Candidate radii as parallel arrays: the values, and per radius an int
+    row of _COLUMNS (line index, -1 for none; kind code; three ids, of which
+    a kind uses the first _WIDTH, the others 0)."""
+
+    value: np.ndarray
+    meta: np.ndarray
+
+    def take(self, at) -> _Table:
+        return _Table(self.value[at], self.meta[at])
 
 
-def _radius_keep(values):
-    """`geom.merge_keep` of ascending radii at the absolute MERGE_EPS."""
-    vs = np.array(values, dtype=float)
-    return merge_keep(vs, np.full(len(vs), MERGE_EPS))
+_COLUMNS = 5
+_LINE, _KIND, _ID = 0, 1, 2
 
 
-def _sorted_unique(entries):
-    """Entries sorted by `_entry_key`, less each one within MERGE_EPS of the
-    last kept value."""
-    entries = sorted(entries, key=_entry_key)
-    keep = _radius_keep([e.value for e in entries])
-    return [e for e, kept in zip(entries, keep.tolist()) if kept]
+def _cat(*tables: _Table) -> _Table:
+    return _Table(np.concatenate([t.value for t in tables]), np.concatenate([t.meta for t in tables]))
 
 
-def radius_groups(entries) -> list[tuple[float, bool]]:
-    """(value, standard) per MERGE_EPS group of candidate radii, ascending:
-    each group's smallest value, standard when any member is not a chain
-    gain. A group starts at each value `_radius_keep` keeps."""
-    entries = sorted(entries, key=lambda e: e.value)
-    vs = np.array([e.value for e in entries], dtype=float)
-    starts = _radius_keep(vs).nonzero()[0]
-    standard = np.array([e.kind != KIND_CHAIN for e in entries], dtype=bool)
-    return list(zip(vs[starts].tolist(), np.logical_or.reduceat(standard, starts).tolist()))
+def _order(t: _Table, line_first: bool) -> np.ndarray:
+    """The order of t by (value, line, kind, ids), or by line first."""
+    m = t.meta
+    outer, inner = (m[:, _LINE], t.value) if line_first else (t.value, m[:, _LINE])
+    return np.lexsort((m[:, _ID + 2], m[:, _ID + 1], m[:, _ID], m[:, _KIND], inner, outer))
+
+
+def _merged(t: _Table, order=None, start=None) -> _Table:
+    """t in the given order (ascending in value per line), less each radius
+    within MERGE_EPS of the last kept one; start flags the first radius of
+    each line when there are several (`geom.merge_keep`)."""
+    value = t.value if order is None else t.value[order]
+    keep = merge_keep(value, np.full(len(value), MERGE_EPS), start)
+    return _Table(value[keep], t.meta[keep if order is None else order[keep]])
+
+
+def _entries(t: _Table, tagged: bool) -> list[CandidateRadius]:
+    """t as a list, tagged with the line indices or not."""
+    return [CandidateRadius(v, _KINDS[m[_KIND]], tuple(m[_ID:_ID + _WIDTH[m[_KIND]]]),
+                            m[_LINE] if tagged and m[_LINE] >= 0 else None)
+            for v, m in zip(t.value.tolist(), t.meta.tolist())]
 
 
 def check_lines(lines) -> list[float]:
@@ -108,57 +133,76 @@ def check_lines(lines) -> list[float]:
     return ys
 
 
-def _line_entries(points, line_y: float, line_index: int | None):
-    entries = []
-    for p in points:
-        if p.is_blue:
-            entries.append(
-                CandidateRadius(abs(p.y - line_y), KIND_BLUE, (p.id,), line_index)
-            )
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            if not p.is_blue and not q.is_blue:
-                continue  # red-red contacts never pin the radius
-            b, other = (p, q) if p.is_blue else (q, p)
-            try:
-                res = center_on_line_through(b, other, line_y)
-            except DegenerateInputError:
-                continue
-            if res is None:
-                continue
-            kind = KIND_BLUE_BLUE if other.is_blue else KIND_BLUE_RED
-            entries.append(CandidateRadius(res[1], kind, (b.id, other.id), line_index))
-    return entries
+def _points_key(points):
+    """The cache key of the points in `_contacts` and `_groups`: (id, x, y,
+    colour) each."""
+    return tuple((p.id, p.x, p.y, p.color) for p in points)
 
 
-def candidate_radii_line(points, line_y: float = 0.0, k: int = 1):
-    """Sorted, deduplicated candidate radii for at most k disks on one line.
-
-    Always contains zero; empty input yields exactly that. The standard
-    radii come first on ties; with k >= 2 the gains of `line_contacts`
-    follow as KIND_CHAIN entries (k = 1 adds none).
-    """
-    entries = [CandidateRadius(0.0, KIND_ZERO)]
-    entries += _line_entries(points, line_y, None)
-    standard = _sorted_unique(entries)
-    if k < 2:
-        return standard
-    return with_gains(standard, line_contacts(points, line_y, k)[0])
+def _arrays(pts):
+    """ids, x, y and blue of the points of a `_points_key`, as arrays."""
+    return (np.array([p[0] for p in pts], dtype=np.int64), np.array([p[1] for p in pts], dtype=float),
+            np.array([p[2] for p in pts], dtype=float), np.array([p[3] is Color.BLUE for p in pts], dtype=bool))
 
 
-def with_gains(standard, gains):
-    """Merge ascending gains into sorted, MERGE_EPS-separated standard radii:
-    a gain within MERGE_EPS of a standard radius is dropped, and the others
-    are merged among themselves like any radius list. The result stays
-    MERGE_EPS-separated, and a standard radius is never displaced by a gain."""
-    s = np.array([-math.inf] + [e.value for e in standard] + [math.inf])
-    g = np.array([e.value for e in gains], dtype=float)
-    i = np.searchsorted(s, g)
-    far = (g - s[i - 1] > MERGE_EPS) & (s[i] - g > MERGE_EPS)
-    rest = [e for e, f in zip(gains, far.tolist()) if f]
-    keep = _radius_keep([e.value for e in rest])
-    rest = [e for e, kept in zip(rest, keep.tolist()) if kept]
-    return sorted([*standard, *rest], key=lambda e: e.value)
+def _standard(pts, lines, zero: bool, provenance: bool) -> _Table:
+    """The standard radii of the points on each of the lines (line index
+    0, 1, ...), by line and merged per line: each blue's height, and for
+    each pair i < j with a blue and off a common vertical the distance from
+    the blue (b) to their center on the line (`center_on_line_through(b,
+    other)`); zero adds a KIND_ZERO radius to every line. Without
+    provenance, kinds and ids are left 0: the kept values are the same,
+    whichever of equal values is kept."""
+    ids, x, y, blue = _arrays(pts)
+    at = np.arange(len(x))
+    # in the order of a double loop; red-red pairs never pin the radius
+    i, j = np.nonzero((at[:, None] < at) & (blue[:, None] | blue) & (x[:, None] != x))
+    b = np.where(blue[i], i, j)
+    o = i + j - b
+    ly = np.array(lines)[:, None]
+    xb, xo, yb, yo = x[b], x[o], y[b] - ly, y[o] - ly
+    cx = (yo - yb) * (yo + yb) / (2.0 * (xo - xb)) + (xo + xb) / 2.0
+    dx = cx - xb
+    z, nb = int(zero), int(blue.sum())
+    value = np.zeros((len(lines), z + nb + len(b)))
+    value[:, z:z + nb] = np.abs(y[blue] - ly)
+    value[:, z + nb:] = np.sqrt(dx * dx + yb * yb)  # yb * yb is dy * dy of `dist2`
+    t, n = value.shape
+    start = None if t == 1 else np.arange(t * n) % max(1, n) == 0  # each line's n radii, once by line
+    meta = np.zeros((t, n, _COLUMNS), dtype=np.int64)
+    meta[..., _LINE] = np.arange(t)[:, None]
+    if not provenance:
+        value.sort(axis=1)
+        return _merged(_Table(value.ravel(), meta.reshape(-1, _COLUMNS)), start=start)
+    meta[:, :z, _KIND] = _CODE[KIND_ZERO]
+    meta[:, z:z + nb, _KIND] = _CODE[KIND_BLUE]
+    meta[:, z:z + nb, _ID] = ids[blue]
+    meta[:, z + nb:, _KIND] = np.where(blue[o], _CODE[KIND_BLUE_BLUE], _CODE[KIND_BLUE_RED])
+    meta[:, z + nb:, _ID] = ids[b]
+    meta[:, z + nb:, _ID + 1] = ids[o]
+    table = _Table(value.ravel(), meta.reshape(-1, _COLUMNS))
+    return _merged(table, _order(table, line_first=True), start)
+
+
+def _with_gains(std: _Table, gains: _Table) -> _Table:
+    """The chain gains of `_contacts` merged into the standard radii of
+    their lines, which are sorted by line and MERGE_EPS-separated per line:
+    a gain within MERGE_EPS of a standard radius of its line is dropped,
+    and the others are merged among themselves like any radius list. The
+    result is sorted by line and value, still MERGE_EPS-separated per line,
+    and a standard radius is never displaced by a gain."""
+    if not len(gains.value):
+        return std
+    value, line = gains.value, gains.meta[:, _LINE]
+    at = np.searchsorted(row_keys(std.meta[:, _LINE], std.value), row_keys(line, value))
+    sv, sl = np.append(std.value, 0.0), np.append(std.meta[:, _LINE], -1)  # at - 1 = -1 and at = len meet -1
+    far = ((sl[at - 1] != line) | (value - sv[at - 1] > MERGE_EPS)) & \
+        ((sl[at] != line) | (sv[at] - value > MERGE_EPS))
+    line = line[far]
+    start = np.ones(len(line), dtype=bool)
+    start[1:] = line[1:] != line[:-1]
+    table = _cat(std, _merged(gains.take(far), start=start))
+    return table.take(_order(table, line_first=True))
 
 
 # Row-normalized units: an eigenvalue within _ROOT_NEAR of the real axis,
@@ -170,15 +214,18 @@ _ROOT_NEAR = 1e-3
 _ROOT_RESIDUAL = 1e-9
 _NEWTON_STEPS = 6
 _SIDE = 1e-7  # relative offset at which a root's two sides are compared
+_ROW_CELLS = 16  # cells per row of a `_contacts` chunk: its companion matrix
 
 
-def _slack(lam, d, ya, yb, sa, sb, two_m):
-    """R_b - L_a - 2*m*lam and its derivative in lam (h is taken as 0 below
-    a point's height, and is exactly 0 at it)."""
+def _slack(lam, d, ya, yb, sa, sb, two_m, slope: bool = False):
+    """R_b - L_a - 2*m*lam, and with slope its derivative in lam too (h is
+    taken as 0 below a point's height, and is exactly 0 at it)."""
     ha = np.sqrt(np.maximum((lam - ya) * (lam + ya), 0.0))
     hb = np.sqrt(np.maximum((lam - yb) * (lam + yb), 0.0))
-    fp = sa * lam / np.maximum(ha, 1e-300) + sb * lam / np.maximum(hb, 1e-300) - two_m
-    return d + sa * ha + sb * hb - two_m * lam, fp
+    f = d + sa * ha + sb * hb - two_m * lam
+    if not slope:
+        return f
+    return f, sa * lam / np.maximum(ha, 1e-300) + sb * lam / np.maximum(hb, 1e-300) - two_m
 
 
 def _real_roots(coef):
@@ -219,7 +266,7 @@ def line_contacts(points, line_y: float = 0.0, k: int = 1):
 
     Two squarings turn a slack root into a root of a quartic in lam (a cubic
     for m = 1, a quadratic in lam^2 for m = 0); every row is normalized to
-    unit scale, solved in one batched eigenvalue pass, polished by Newton
+    unit scale, solved in batched eigenvalue passes, polished by Newton
     steps on the unsquared slack, and kept only if that slack vanishes.
 
     Results are cached per geometry (ids, coordinates and colours, the
@@ -228,53 +275,74 @@ def line_contacts(points, line_y: float = 0.0, k: int = 1):
     them. This is the one-line case of `_contacts`, which solves the
     contacts of every line of a t-lines instance in one pass.
     """
-    ((gains, losses),) = _contacts(_points_key(points), (float(line_y),), k)
-    return list(gains), list(losses)
+    gains, (losses,) = _contacts(_points_key(points), (float(line_y),), k)
+    return _entries(gains, tagged=False), losses.tolist()
 
 
-def _points_key(points):
-    """The cache key of the points in `_contacts`: (id, x, y, colour) each."""
-    return tuple((p.id, p.x, p.y, p.color) for p in points)
+def line_losses(points, line_y: float = 0.0, k: int = 1) -> np.ndarray:
+    """The losses of `line_contacts`, as a sorted array."""
+    return _contacts(_points_key(points), (float(line_y),), k)[1][0]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=16)
 def _contacts(pts, lines, k):
     """`line_contacts` of the points on each of the lines, in one pass, as
-    (gains, losses) tuples per line. Every line has the same pair rows,
-    line after line; each row is solved and polished on its own, so a
-    line's contacts are those of a pass on that line alone."""
+    read-only arrays: the gains of every line as a table sorted by line,
+    then by (value, ids), and the losses of each line. Every line has the
+    same pair rows, line after line, solved in chunks of placement.CELLS
+    cells at _ROW_CELLS a row; each row is solved and polished on its own,
+    so a line's contacts are those of a pass on that line alone, and memory
+    stays flat in n."""
     n, t = len(pts), len(lines)
     if k < 2 or n < 2:
-        return (((), ()),) * t
-    ids = np.array([p[0] for p in pts])
-    x = np.array([p[1] for p in pts], dtype=float)
-    y = np.abs(np.array([[float(p[2]) - ly for p in pts] for ly in lines])).ravel()
-    blue = np.array([p[3] is Color.BLUE for p in pts])
+        gains = _Table(np.zeros(0), np.zeros((0, _COLUMNS), dtype=np.int64))
+        return _Table(*map(_frozen, gains)), tuple(_frozen(np.zeros(0)) for _ in lines)
+    ids, x, y, blue = _arrays(pts)
+    y = np.abs(y - np.array(lines)[:, None]).ravel()  # the lines one after another
     sign = np.where(blue, 1.0, -1.0)
-    pa, pb = np.nonzero(~np.eye(n, dtype=bool))
-    red_red = ~blue[pa] & ~blue[pb]
-    ia = np.concatenate(([pa[red_red]] + [pa] * (k - 1)) * t)
-    ib = np.concatenate(([pb[red_red]] + [pb] * (k - 1)) * t)
-    m = np.concatenate(
-        ([np.zeros(int(red_red.sum()), dtype=int)]
-         + [np.full(len(pa), j) for j in range(1, k)]) * t
-    )
-    # A row's heights are y[fa] and y[fb]: y holds the lines one after another.
-    fa, fb, line = ia, ib, None
-    if t > 1:
-        line = np.repeat(np.arange(t), len(ia) // t)
-        fa, fb = ia + n * line, ib + n * line
+    # Pair q is (a, b) = (q // (n - 1), the (q % (n - 1))-th point other than a).
+    ra, rb = np.nonzero(~blue[:, None] & ~blue & ~np.eye(n, dtype=bool))
+    red_red = ra * (n - 1) + rb - (rb > ra)
+    # A line's rows: its red-red pairs at m = 0, then every pair at m = 1, ..., k - 1.
+    pairs = n * (n - 1)
+    per_line = len(red_red) + (k - 1) * pairs
+    step = max(1, placement.CELLS // _ROW_CELLS)
+    parts = []
+    for lo in range(0, t * per_line, step):
+        line, r = np.divmod(np.arange(lo, min(lo + step, t * per_line)), per_line)
+        m, pair = np.divmod(r - len(red_red), pairs)  # m = -1 on the red-red rows
+        early = m < 0
+        pair[early] = red_red[r[early]]
+        a, c = np.divmod(pair, n - 1)
+        parts.append(_roots(a, c + (c >= a), m + 1, line, x, y, sign, n))
+    line, a, b, m, lam, gain, loss = (np.concatenate(c) for c in zip(*parts))
 
+    chain = (gain & (m >= 1)).nonzero()[0]
+    meta = np.zeros((len(chain), _COLUMNS), dtype=np.int64)
+    meta[:, _LINE], meta[:, _KIND] = line[chain], _CODE[KIND_CHAIN]
+    meta[:, _ID], meta[:, _ID + 1], meta[:, _ID + 2] = ids[a[chain]], ids[b[chain]], m[chain]
+    gains = _Table(lam[chain], meta)
+    gains = gains.take(_order(gains, line_first=True))
+    return (_Table(*map(_frozen, gains)),
+            tuple(_frozen(np.unique(lam[loss & (line == li)])) for li in range(t)))
+
+
+def _roots(ia, ib, m, line, x, y, sign, n):
+    """The contacts of a chunk of rows, each the pair (ia, ib) at hop count
+    m on a line: (line, a, b, m, lam, gain, loss) per root."""
     # Row-normalized data: the slack is homogeneous of degree one in
     # (lam, d, y), so each row is solved at unit scale and scaled back.
     d = x[ib] - x[ia]
-    ya, yb = y[fa], y[fb]
+    ya, yb = y[ia + n * line], y[ib + n * line]
     scale = np.maximum(np.maximum(np.abs(d), ya), yb)
     ok = scale > 0
-    ia, ib, m, d, scale = ia[ok], ib[ok], m[ok], d[ok] / scale[ok], scale[ok]
+    ia, ib, m, line, d, scale = ia[ok], ib[ok], m[ok], line[ok], d[ok] / scale[ok], scale[ok]
     ya, yb = ya[ok] / scale, yb[ok] / scale
-    if line is not None:
-        line = line[ok]
     ya2, yb2 = ya * ya, yb * yb
     two_m = 2.0 * m
 
@@ -308,14 +376,16 @@ def _contacts(pts, lines, k):
     row, lam, lam0 = row[near], np.maximum(lam[near], lam0[near]), lam0[near]
     args = (d[row], ya[row], yb[row], sign[ia[row]], sign[ib[row]], two_m[row])
     for _ in range(_NEWTON_STEPS):
-        f, fp = _slack(lam, *args)
+        f, fp = _slack(lam, *args, slope=True)
         step = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
         nxt = np.maximum(lam - step, lam0)
-        if np.array_equal(nxt, lam):
+        if (nxt == lam).all():
             break
         lam = nxt
+    else:
+        f = _slack(lam, *args)
     # Eigenvalues of one multiple root polish to the same value: keep one.
-    keep = np.nonzero(np.abs(_slack(lam, *args)[0]) <= _ROOT_RESIDUAL)[0]
+    keep = np.nonzero(np.abs(f) <= _ROOT_RESIDUAL)[0]
     keep = keep[np.lexsort((lam[keep], row[keep]))]
     dup = np.zeros(len(keep), dtype=bool)
     dup[1:] = (np.diff(row[keep]) == 0) & (np.diff(lam[keep]) == 0)
@@ -324,29 +394,58 @@ def _contacts(pts, lines, k):
     args = tuple(a[keep] for a in args)
     # The slack just below and just above the root; a root where it does
     # not change sign only touches zero and counts as both.
-    below = _slack(lam * (1.0 - _SIDE), *args)[0]
-    above = _slack(lam * (1.0 + _SIDE), *args)[0]
+    below, above = _slack(lam * np.array([[1.0 - _SIDE], [1.0 + _SIDE]]), *args)
     touch = np.sign(below) == np.sign(above)
-    gain = (above > below) | touch
-    loss = (above < below) | touch
-    lam = lam * scale[row]
+    return (line[row], ia[row], ib[row], m[row], lam * scale[row],
+            (above > below) | touch, (above < below) | touch)
 
-    chain = gain & (m[row] >= 1)
-    at = None if line is None else line[row]
-    out = []
-    for li in range(t):
-        g, lost = (chain, loss) if at is None else (chain & (at == li), loss & (at == li))
-        gains = sorted(
-            (
-                CandidateRadius(v, KIND_CHAIN, (a, b, j))
-                for v, a, b, j in zip(
-                    lam[g].tolist(), ids[ia[row[g]]].tolist(), ids[ib[row[g]]].tolist(),
-                    m[row[g]].tolist())
-            ),
-            key=_entry_key,
-        )
-        out.append((tuple(gains), tuple(np.unique(lam[lost]).tolist())))
-    return tuple(out)
+
+def _lines_table(pts, lines: tuple, k: int, tagged: bool, provenance: bool) -> _Table:
+    """`candidate_radii_tlines` (tagged) or, on one line,
+    `candidate_radii_line` of a `_points_key` as a table (see `_standard`
+    for provenance)."""
+    table = _standard(pts, lines, not tagged, provenance)
+    if k >= 2:
+        table = _with_gains(table, _contacts(pts, lines, k)[0])
+    if not tagged:
+        return table
+    # a point sitting exactly on its line folds into the global zero, first
+    table = table.take(table.value > MERGE_EPS)
+    zero = np.zeros((1, _COLUMNS), dtype=np.int64)
+    zero[0, _LINE], zero[0, _KIND] = -1, _CODE[KIND_ZERO]
+    return _cat(_Table(np.zeros(1), zero), table.take(_order(table, line_first=False)))
+
+
+# `sofl check` asks for the same radii in the solver and then in the oracle,
+# so the last result is kept.
+@functools.lru_cache(maxsize=1)
+def _groups(pts, lines: tuple, k: int, tagged: bool):
+    """(value, standard) per MERGE_EPS group of `_lines_table`'s radii, as
+    ascending read-only arrays: each group's smallest value, standard when
+    any member is not a chain gain. A group starts at each value
+    `merge_keep` keeps."""
+    t = _lines_table(pts, lines, k, tagged, provenance=False)
+    order = np.argsort(t.value, kind="stable")
+    value = t.value[order]
+    starts = merge_keep(value, np.full(len(value), MERGE_EPS)).nonzero()[0]
+    return _frozen(value[starts]), _frozen(np.logical_or.reduceat(t.meta[order, _KIND] != _CODE[KIND_CHAIN], starts))
+
+
+def candidate_radii_line(points, line_y: float = 0.0, k: int = 1):
+    """Sorted, deduplicated candidate radii for at most k disks on one line.
+
+    Always contains zero; empty input yields exactly that. The standard
+    radii come first on ties; with k >= 2 the gains of `line_contacts`
+    follow as KIND_CHAIN entries (k = 1 adds none).
+    """
+    return _entries(_lines_table(_points_key(points), (float(line_y),), k, False, True), tagged=False)
+
+
+def line_radii(points, line_y: float = 0.0, k: int = 1):
+    """The values of `candidate_radii_line`, ascending and MERGE_EPS
+    apart, and whether each is standard (not a chain gain), as read-only
+    arrays."""
+    return _groups(_points_key(points), (float(line_y),), k, False)
 
 
 def candidate_radii_tlines(points, lines, k: int = 1):
@@ -357,28 +456,39 @@ def candidate_radii_tlines(points, lines, k: int = 1):
     lines are not enumerated. Duplicated values across lines are kept (they
     differ in provenance); the solver deduplicates by value before solving.
     """
-    lines = check_lines(lines)
-    contacts = _contacts(_points_key(points), tuple(lines), k)
-    out = [CandidateRadius(0.0, KIND_ZERO)]
-    for li, (ly, (gains, _)) in enumerate(zip(lines, contacts)):
-        es = _sorted_unique(_line_entries(points, ly, li))
-        gains = [dataclasses.replace(g, line_index=li) for g in gains]
-        # a point sitting exactly on its line folds into the global zero
-        out.extend(e for e in with_gains(es, gains) if e.value > MERGE_EPS)
-    out.sort(key=_entry_key)
-    return out
+    return _entries(_lines_table(_points_key(points), tuple(check_lines(lines)), k, True, True), tagged=True)
+
+
+def tlines_radii(points, lines, k: int = 1):
+    """(value, standard) per MERGE_EPS group of `candidate_radii_tlines`,
+    as ascending read-only arrays (`_groups`)."""
+    return _groups(_points_key(points), tuple(check_lines(lines)), k, True)
+
+
+def _discrete_table(points, sites) -> _Table:
+    """`candidate_radii_discrete` as a table."""
+    if not sites:
+        raise ValueError("at least one candidate site is required")
+    ids, x, y, _ = _arrays(_points_key(points))
+    s = np.array(sites, dtype=float).reshape(-1, 2)
+    dx, dy = x[:, None] - s[:, 0], y[:, None] - s[:, 1]
+    value = np.zeros(1 + dx.size)
+    value[1:] = np.sqrt(dx * dx + dy * dy).ravel()
+    meta = np.zeros((len(value), _COLUMNS), dtype=np.int64)
+    meta[:, _LINE], meta[0, _KIND], meta[1:, _KIND] = -1, _CODE[KIND_ZERO], _CODE[KIND_POINT_SITE]
+    pair = meta[1:].reshape(dx.shape + (_COLUMNS,))
+    pair[..., _ID], pair[..., _ID + 1] = ids[:, None], np.arange(len(s))
+    table = _Table(value, meta)
+    return _merged(table, _order(table, line_first=False))
 
 
 def candidate_radii_discrete(points, sites):
     """Zero plus every point-to-site distance, sorted and deduplicated."""
-    if not sites:
-        raise ValueError("at least one candidate site is required")
-    entries = [CandidateRadius(0.0, KIND_ZERO)]
-    for p in points:
-        for si, (sx, sy) in enumerate(sites):
-            entries.append(
-                CandidateRadius(
-                    math.sqrt(dist2(p.x, p.y, sx, sy)), KIND_POINT_SITE, (p.id, si)
-                )
-            )
-    return _sorted_unique(entries)
+    return _entries(_discrete_table(points, sites), tagged=False)
+
+
+def discrete_radii(points, sites):
+    """The values of `candidate_radii_discrete`, ascending and MERGE_EPS
+    apart, and whether each is standard (all are), as arrays."""
+    t = _discrete_table(points, sites)
+    return t.value, np.ones(len(t.value), dtype=bool)

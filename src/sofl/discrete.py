@@ -43,7 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .candidates import candidate_radii_discrete
+from .candidates import discrete_radii
 from .geom import (DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums,
                    sums_are_exact)
 from .placement import (Placement, ValidationFailureError, best_radius, best_upto_two, in_chunks,
@@ -365,7 +365,7 @@ def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[floa
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
-    """`best_radius` over `candidate_radii_discrete` of the
+    """`best_radius` over `discrete_radii` of the
     `canonical_ring` of sites, ordered by `_blue_bound`: the first radius
     of the largest union weight, as one `Placement`."""
     ring = canonical_ring(sites)
@@ -374,7 +374,7 @@ def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) ->
     if k >= len(ring):
         raise ValueError("k must be smaller than the number of sites")
     geo = _geometry(ring, points)
-    radii = [(c.value, True) for c in candidate_radii_discrete(points, ring)]
+    radii = list(zip(*(a.tolist() for a in discrete_radii(points, ring))))
     _, lam, chosen = best_radius(radii, lambda lams: _solve_radii(geo, lams, k, tol),
                                  bound=lambda lams: _blue_bound(geo, lams, k, tol))
     return site_placement(points, ring, lam, chosen, tol)

@@ -43,6 +43,7 @@ __all__ = [
     "sums_are_exact",
     "bitsets",
     "merge_keep",
+    "row_keys",
     "center_on_line_through",
     "centers_compatible",
     "compatible_table",
@@ -216,6 +217,16 @@ def merge_keep(xs: np.ndarray, slack: np.ndarray, start: np.ndarray | None = Non
         if not len(wrong):
             return keep
         keep[wrong[0]] = not keep[wrong[0]]
+
+
+def row_keys(row, x) -> np.ndarray:
+    """row + 1j*x, built without arithmetic so that x = inf stays exact;
+    complex values sort by (row, x), so the ascending rows of a table, laid
+    end to end, take one `searchsorted` for lookups in any of them."""
+    out = np.empty(np.broadcast(row, x).shape, dtype=complex)
+    out.real = row
+    out.imag = x
+    return out
 
 
 def _xy(p) -> tuple[float, float]:

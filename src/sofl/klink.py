@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, sums_are_exact
+from .geom import DEFAULT_TOL, TolerancePolicy, coverage_mask, merge_keep, row_keys, sums_are_exact
 from .placement import in_chunks
 
 __all__ = [
@@ -191,15 +191,6 @@ def _centers(ends, lams, k: int, tol: TolerancePolicy, both: bool):
     return xs, m
 
 
-def _keys(row, x):
-    """row + 1j*x, built without arithmetic so that x = inf stays exact;
-    complex values sort by (row, x)."""
-    out = np.empty(np.broadcast(row, x).shape, dtype=complex)
-    out.real = row
-    out.imag = x
-    return out
-
-
 def _first(j, m, pred):
     """The first index in [0, m) at which the monotone (false, then true)
     pred holds, else m, stepped to from the guess j."""
@@ -233,8 +224,8 @@ def _ranges(keys, xs, m, row, px, dy2, blue, r2, band):
         return coverage_mask(s, blue, band)
 
     hb = np.sqrt(np.maximum(0.0, r2 - dy2 + np.where(blue, band, -band)))
-    lo = np.searchsorted(keys, _keys(row, px - hb), "left") - base
-    hi = np.searchsorted(keys, _keys(row, px + hb), "right") - base
+    lo = np.searchsorted(keys, row_keys(row, px - hb), "left") - base
+    hi = np.searchsorted(keys, row_keys(row, px + hb), "right") - base
     lo = _first(lo, mr, lambda j: (fx[base + j] >= px) | covers(j))
     hi = _first(hi, mr, lambda j: (fx[base + j] > px) & ~covers(j))
     return lo, np.where((lo < hi) & covers(np.minimum(lo, mr - 1)), hi, lo)
@@ -270,7 +261,7 @@ def _predecessors(keys, xs, need):
     base = np.arange(rows)[:, None] * cols
     need = need[:, None]
     i = np.arange(cols)
-    guess = np.searchsorted(keys, _keys(np.arange(rows)[:, None], xs - need), "right")
+    guess = np.searchsorted(keys, row_keys(np.arange(rows)[:, None], xs - need), "right")
     with np.errstate(invalid="ignore"):  # inf - inf between two pads
         return _first(np.minimum(guess - base, i), i, lambda j: xs - fx[base + j] < need) - 1
 
@@ -335,7 +326,7 @@ def _coverage_rows(geo: LineGeometry, lams, k: int, tol: TolerancePolicy, both: 
     xs, m = _centers(ends, lams, k, tol, both)
     row, idx = reach.nonzero()
     r2 = lams * lams
-    keys = _keys(np.arange(len(lams))[:, None], xs).ravel()
+    keys = row_keys(np.arange(len(lams))[:, None], xs).ravel()
     lo, hi = _ranges(keys, xs, m, row, geo.px[idx], geo.dy2[idx], geo.blue[idx],
                      r2[row], tol.bands(r2)[row])
     weights = _center_weights(row, lo, hi, geo.w[idx], xs.shape, geo.exact)

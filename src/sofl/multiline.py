@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .candidates import candidate_radii_tlines, check_lines, radius_groups
+from .candidates import check_lines, tlines_radii
 from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -338,7 +338,7 @@ def _solve_radii(geos, lines, lams, k: int, tol: TolerancePolicy, weights: _Unio
 
 def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks centered on the lines:
-    `best_radius` over the radius groups of `candidate_radii_tlines`,
+    `best_radius` over the radius groups of `tlines_radii`,
     solved by `_solve_radii` with one union-weight memo. A chain-gain
     radius can win only if the blue weight within reach of some line beats
     the best so far: more weight, or as much at a smaller radius. The
@@ -346,7 +346,7 @@ def solve_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> P
     against the best of the first radii admits a superset of what a
     one-by-one loop would."""
     lines = check_lines(lines)
-    groups = radius_groups(candidate_radii_tlines(points, lines, k))
+    groups = list(zip(*(a.tolist() for a in tlines_radii(points, lines, k))))
     geos = [line_geometry(points, ly) for ly in lines]
     blues = [(min((p.y - ly) ** 2 for ly in lines), p.weight) for p in points if p.is_blue]
 

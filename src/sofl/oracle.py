@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import (
-    candidate_radii_discrete,
-    candidate_radii_line,
-    candidate_radii_tlines,
-    radius_groups,
-)
+from .candidates import discrete_radii, line_radii, tlines_radii
 from .geom import (
     DEFAULT_TOL,
     Disk,
@@ -239,6 +234,12 @@ def brute_fixed_radius(points, centers, lam: float, k: int,
     return next(_results(points, k, _tables(points, [lam], k, tol, sites=centers)))
 
 
+def _positive(groups) -> list[float]:
+    """The positive radii of a family's (value, standard) radius groups."""
+    value = groups[0]
+    return value[value > 0.0].tolist()
+
+
 def _center_grids(points, lines, lam, k, tol):
     """Candidate centers of the radii lam (an array) on the lines, as flat
     x, y and row (index into lam) arrays sorted by (row, x, y), and as
@@ -302,7 +303,7 @@ def brute_csofl(points, line_y: float, k: int, tol: TolerancePolicy = DEFAULT_TO
         raise TooLargeError(f"n={len(points)} exceeds the guard {max_n}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    lams = [c.value for c in candidate_radii_line(points, line_y, k) if c.value > 0.0]
+    lams = _positive(line_radii(points, line_y, k))
     return _best(_results(points, k, _tables(points, lams, k, tol, [line_y],
                                              keep=lambda cov, sums: sums > 0)))
 
@@ -375,7 +376,7 @@ def brute_tlines(points, lines, k: int, tol: TolerancePolicy = DEFAULT_TOL,
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
     lines = list(lines)
-    lams = [v for v, _ in radius_groups(candidate_radii_tlines(points, lines, k)) if v > 0.0]
+    lams = _positive(tlines_radii(points, lines, k))
     return _best(_results(points, k, _tables(points, lams, k, tol, lines, max_centers=max_centers)))
 
 
@@ -387,7 +388,7 @@ def brute_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL,
         raise TooLargeError(f"s={len(sites)} exceeds the guard {max_sites}")
     if k > max_k:
         raise TooLargeError(f"k={k} exceeds the guard {max_k}")
-    lams = [c.value for c in candidate_radii_discrete(points, sites) if c.value > 0.0]
+    lams = _positive(discrete_radii(points, sites))
     return _best(_results(points, k, _tables(points, lams, k, tol, sites=sites)))
 
 
@@ -415,7 +416,7 @@ def brute_special_counts(points, line_y: float, k: int, variant: str,
         on = cov[blue].any(axis=0)
         return on & ~cov[~blue].any(axis=0) if variant == "maxblue-nored" else on
 
-    lams = [c.value for c in candidate_radii_line(points, line_y, k) if c.value > 0.0]
+    lams = _positive(line_radii(points, line_y, k))
     for _, grid, masks, compat in _tables(points, lams, k, tol, [line_y], keep=keep):
         blue_masks = [m & all_blue_mask for m in masks]
         red_masks = [m & ~all_blue_mask for m in masks]

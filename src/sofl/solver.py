@@ -15,12 +15,13 @@ positive weight and each red less than all blues combined.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
 
-from .candidates import KIND_CHAIN, MERGE_EPS, candidate_radii_line, line_contacts
+import numpy as np
+
+from .candidates import MERGE_EPS, line_losses, line_radii
 from .geom import DEFAULT_TOL, TolerancePolicy
 from .klink import line_geometry, solve_radii
 from .placement import LineCenter, Placement, best_radius, line_placement
@@ -46,7 +47,7 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
                 tol: TolerancePolicy = DEFAULT_TOL) -> Placement:
     """Max-weight placement of at most k disks of a common minimum radius.
 
-    `best_radius` over `candidate_radii_line(..., k=k)`, solved by
+    `best_radius` over `line_radii(..., k=k)`, solved by
     `klink.solve_radii`. Let c_{i+1} be the standard radius after a chain
     gain g (see `line_contacts`). Unless a loss falls in
     [g - MERGE_EPS, c_{i+1}), every placement feasible at g is feasible at
@@ -61,21 +62,21 @@ def solve_csofl(points, line_y: float = 0.0, k: int = 1,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    radii = candidate_radii_line(points, line_y, k)
-    _, losses = line_contacts(points, line_y, k)
-    std = [c.value for c in radii if c.kind != KIND_CHAIN]
-
-    def upper(g: float) -> float:  # c_{i+1}, or inf past the last standard radius
-        i = bisect.bisect_right(std, g)
-        return std[i] if i < len(std) else math.inf
-
-    def lost(g: float) -> bool:  # a loss in [g - MERGE_EPS, c_{i+1})
-        return bisect.bisect_left(losses, g - MERGE_EPS) < bisect.bisect_left(losses, upper(g))
+    values, standard = line_radii(points, line_y, k)
+    losses = line_losses(points, line_y, k)
+    std = values[standard]
+    # c_{i+1} of each radius, or inf past the last standard radius
+    upper = np.append(std, math.inf)[np.searchsorted(std, values, "right")]
+    # a loss in [g - MERGE_EPS, c_{i+1})
+    lost = np.searchsorted(losses, values - MERGE_EPS) < np.searchsorted(losses, upper)
+    first = standard | lost
+    first[-1] = True
+    upper_of = dict(zip(values.tolist(), upper.tolist()))
 
     def can_win(g: float, best) -> bool:
-        return g < best[1] <= upper(g)
+        return g < best[1] <= upper_of[g]
 
-    groups = [(c.value, c.kind != KIND_CHAIN or c is radii[-1] or lost(c.value)) for c in radii]
+    groups = list(zip(values.tolist(), first.tolist()))
     geo = line_geometry(points, line_y)
     _, lam, xs = best_radius(groups, lambda lams: solve_radii(geo, lams, k, tol), can_win)
     return line_placement(points, [line_y], lam, tuple(LineCenter(x) for x in xs), tol)

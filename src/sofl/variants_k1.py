@@ -5,9 +5,10 @@ points as possible with no red point strictly inside (boundary reds are
 harmless). A circle through a fixed point p and centered on the line is
 ordered by its center abscissa: whether another point sits strictly inside
 depends only on how the center compares with the crossing of the p-r
-bisector. So the scan makes one numpy pass per blue anchor p: the
-candidate circles through p in one batch, and the reds inside each counted
-by `searchsorted` over p's sorted red crossings instead of a full scan.
+bisector. So a candidate through p is red-free when p's nearest red
+crossing on either side does not pass its center, and the scan takes the
+blue anchors in chunks of rows, every candidate circle through each anchor
+of a chunk at once, without counting the reds inside.
 
 allblue_minred: smallest disk covering every blue while minimizing the
 number of reds strictly inside. The covering radius at center x is the
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import placement
 from .geom import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -120,43 +122,44 @@ def maxblue_nored_fast(points, tol: TolerancePolicy = DEFAULT_TOL):
     center of -0.0 is returned as 0.0, since the candidate order decides
     which of two equal keys is kept.
 
-    One numpy pass per blue anchor p. The candidate circles through p are
-    p's own (center p.x, radius p.y) and `pair_disk(p, q)` for every point
-    q off p's vertical, blues first. The p-red bisector crossings, sorted
-    once per side of p, give the number of reds strictly inside every
-    candidate with two `searchsorted` lookups; a red exactly on a candidate
-    boundary is not inside, hence the slack-shifted lookups. Reds sharing x
-    with p have no crossing and are tested with `classify`'s band. Only the
-    red-free candidates count their covered blues.
+    The blue anchors are taken in chunks of placement.CELLS // n, one row
+    per anchor p. A row's candidate circles through p are p's own (center
+    p.x, radius p.y) and `pair_disk(p, q)` for every point q off p's
+    vertical, blues first. A red is strictly inside a candidate exactly
+    when its p-red bisector crossing lies beyond the center, by more than
+    the center's slack (a red on the boundary is not inside), on the red's
+    side of p; so a candidate is red-free when the nearest crossing on
+    either side does not. Reds sharing x with p have no crossing and are
+    tested with `classify`'s band. Only the red-free candidates count
+    their covered blues, and the first best of all rows, in row order, is
+    kept.
     """
     blues = [p for p in points if p.is_blue]
     reds = [p for p in points if not p.is_blue]
-    qs = blues + reds
-    x, y = _xy(qs)
-    ids = np.array([q.id for q in qs], dtype=np.int64)
-    red = np.arange(len(qs)) >= len(blues)
-    bx, by = x[~red], y[~red]
+    x, y = _xy(blues + reds)
+    ids = np.array([q.id for q in blues + reds], dtype=np.int64)
+    nb = len(blues)
+    bx, by, rx, ry = x[:nb], y[:nb], x[nb:], y[nb:]
     best = None  # the (-count, rad, cx) key of the first best candidate
-    for p in blues:
-        off = x != p.x  # on p's vertical, pair_disk is None or raises
-        qx, qy, qred = x[off], y[off], red[off]
-        qcx = _cross_x(p.x, p.y, qx, qy)
-        low = ids[off] < p.id  # pair_disk measures from the lower-id point
-        dx = qcx - np.where(low, qx, p.x)
-        ay = np.where(low, qy, p.y)
-        cx = np.concatenate(([p.x], qcx))
-        rad = np.concatenate(([p.y], np.sqrt(dx * dx + ay * ay)))
-
-        right = np.sort(qcx[qred & (qx > p.x)])
-        left = np.sort(qcx[qred & (qx < p.x)])
-        slack = tol.x_slacks(cx)
-        inside = np.searchsorted(right, cx - slack, "left")
-        inside += len(left) - np.searchsorted(left, cx + slack, "right")
-        cx, rad = cx[inside == 0, None], rad[inside == 0, None]
+    step = max(1, placement.CELLS // max(1, len(x)))
+    for lo in range(0, nb, step):
+        px, py = bx[lo:lo + step, None], by[lo:lo + step, None]
+        live = np.concatenate((np.ones_like(px, dtype=bool), x != px), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # off live, masked
+            cx = np.concatenate((px, _cross_x(px, py, x, y)), axis=1)
+            right = np.where(rx > px, cx[:, 1 + nb:], np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            left = np.where(rx < px, cx[:, 1 + nb:], -np.inf).max(axis=1, initial=-np.inf, keepdims=True)
+            slack = tol.x_slacks(cx)
+            row, col = np.nonzero(live & ~(right < cx - slack) & ~(left > cx + slack))
+        cx, px, py, q = cx[row, col], px[row, 0], py[row, 0], col - 1  # q = -1: p's own circle
+        low = ids[q] < ids[lo + row]  # pair_disk measures from the lower-id point
+        dx = cx - np.where(low, x[q], px)
+        ay = np.where(low, y[q], py)
+        rad = np.where(q < 0, py, np.sqrt(dx * dx + ay * ay))
+        cx, rad = cx[:, None], rad[:, None]
         r2 = rad * rad
         band = tol.bands(r2)
-        degen = red & (x == p.x)
-        ok = ~(_s(x[degen], y[degen], cx, r2) < -band).any(axis=1)
+        ok = ~((_s(rx, ry, cx, r2) < -band) & (rx == px[:, None])).any(axis=1)
         count = (_s(bx, by, cx[ok], r2[ok]) <= band[ok]).sum(axis=1)
         hit = count > 0
         if not hit.any():

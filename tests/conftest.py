@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 from sofl import discrete, multiline
-from sofl.candidates import check_lines
+from sofl.candidates import (
+    KIND_BLUE,
+    KIND_BLUE_BLUE,
+    KIND_BLUE_RED,
+    KIND_CHAIN,
+    KIND_POINT_SITE,
+    KIND_ZERO,
+    MERGE_EPS,
+    CandidateRadius,
+    check_lines,
+    line_contacts,
+)
 from sofl.discrete import _ChordSolver, canonical_ring
 from sofl.geom import (
     DEFAULT_TOL,
@@ -120,6 +131,101 @@ def tol_edge_instance(seed):
         w = rng.randint(1, 9)
         rows.append(f"{'B' if blue else 'R'} {x} {y!r} {w if blue else -w}")
     return parse_instance("\n".join(rows) + "\n")
+
+
+def _entry_key(e: CandidateRadius):
+    return (e.value, -1 if e.line_index is None else e.line_index, e.kind, e.ids)
+
+
+def _radius_keep(values):
+    """`merge_keep` of ascending radii at the absolute MERGE_EPS."""
+    vs = np.array(values, dtype=float)
+    return merge_keep(vs, np.full(len(vs), MERGE_EPS))
+
+
+def _sorted_unique(entries):
+    """Entries sorted by `_entry_key`, less each one within MERGE_EPS of the
+    last kept value."""
+    entries = sorted(entries, key=_entry_key)
+    keep = _radius_keep([e.value for e in entries])
+    return [e for e, kept in zip(entries, keep.tolist()) if kept]
+
+
+def _line_entries(points, line_y: float, line_index):
+    entries = []
+    for p in points:
+        if p.is_blue:
+            entries.append(CandidateRadius(abs(p.y - line_y), KIND_BLUE, (p.id,), line_index))
+    for i, p in enumerate(points):
+        for q in points[i + 1:]:
+            if not p.is_blue and not q.is_blue:
+                continue  # red-red contacts never pin the radius
+            b, other = (p, q) if p.is_blue else (q, p)
+            try:
+                res = center_on_line_through(b, other, line_y)
+            except DegenerateInputError:
+                continue
+            if res is None:
+                continue
+            kind = KIND_BLUE_BLUE if other.is_blue else KIND_BLUE_RED
+            entries.append(CandidateRadius(res[1], kind, (b.id, other.id), line_index))
+    return entries
+
+
+def _with_gains(standard, gains):
+    """Merge ascending gains into sorted, MERGE_EPS-separated standard radii:
+    a gain within MERGE_EPS of a standard radius is dropped, and the others
+    are merged among themselves like any radius list."""
+    s = np.array([-math.inf] + [e.value for e in standard] + [math.inf])
+    g = np.array([e.value for e in gains], dtype=float)
+    i = np.searchsorted(s, g)
+    far = (g - s[i - 1] > MERGE_EPS) & (s[i] - g > MERGE_EPS)
+    rest = [e for e, f in zip(gains, far.tolist()) if f]
+    keep = _radius_keep([e.value for e in rest])
+    rest = [e for e, kept in zip(rest, keep.tolist()) if kept]
+    return sorted([*standard, *rest], key=lambda e: e.value)
+
+
+def reference_candidate_radii_line(points, line_y: float = 0.0, k: int = 1):
+    """`candidates.candidate_radii_line` built entry by entry with scalar
+    `center_on_line_through` calls."""
+    standard = _sorted_unique([CandidateRadius(0.0, KIND_ZERO)] + _line_entries(points, line_y, None))
+    if k < 2:
+        return standard
+    return _with_gains(standard, line_contacts(points, line_y, k)[0])
+
+
+def reference_candidate_radii_tlines(points, lines, k: int = 1):
+    """`candidates.candidate_radii_tlines` as per-line scalar references,
+    with each line's gains from its own `line_contacts` call."""
+    out = [CandidateRadius(0.0, KIND_ZERO)]
+    for li, ly in enumerate(check_lines(lines)):
+        std = _sorted_unique(_line_entries(points, ly, li))
+        gains = [dataclasses.replace(g, line_index=li) for g in line_contacts(points, ly, k)[0]]
+        # a point sitting exactly on its line folds into the global zero
+        out.extend(e for e in _with_gains(std, gains) if e.value > MERGE_EPS)
+    out.sort(key=_entry_key)
+    return out
+
+
+def reference_candidate_radii_discrete(points, sites):
+    """`candidates.candidate_radii_discrete` built entry by entry."""
+    entries = [CandidateRadius(0.0, KIND_ZERO)]
+    for p in points:
+        for si, (sx, sy) in enumerate(sites):
+            entries.append(CandidateRadius(math.sqrt(dist2(p.x, p.y, sx, sy)), KIND_POINT_SITE, (p.id, si)))
+    return _sorted_unique(entries)
+
+
+def radius_groups(entries) -> list[tuple[float, bool]]:
+    """(value, standard) per MERGE_EPS group of candidate radii, ascending:
+    each group's smallest value, standard when any member is not a chain
+    gain (`candidates.tlines_radii` of a list)."""
+    entries = sorted(entries, key=lambda e: e.value)
+    vs = np.array([e.value for e in entries], dtype=float)
+    starts = _radius_keep(vs).nonzero()[0]
+    standard = np.array([e.kind != KIND_CHAIN for e in entries], dtype=bool)
+    return list(zip(vs[starts].tolist(), np.logical_or.reduceat(standard, starts).tolist()))
 
 
 def thin_ring_text(seed):

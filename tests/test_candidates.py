@@ -3,21 +3,33 @@ import math
 
 import pytest
 
-from sofl import candidates
+from sofl import candidates, placement
 from sofl.candidates import (
     KIND_BLUE,
     KIND_BLUE_RED,
     KIND_CHAIN,
     KIND_POINT_SITE,
     KIND_ZERO,
-    MERGE_EPS,
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
+    discrete_radii,
     line_contacts,
+    line_radii,
+    tlines_radii,
 )
 from sofl.geom import Disk, Region, classify
-from conftest import B, R, increasing_root, random_instance
+from conftest import (
+    B,
+    R,
+    increasing_root,
+    radius_groups,
+    random_instance,
+    reference_candidate_radii_discrete,
+    reference_candidate_radii_line,
+    reference_candidate_radii_tlines,
+    tol_edge_instance,
+)
 
 
 def values(cands):
@@ -158,6 +170,29 @@ def test_red_pair_losses():
     assert losses == pytest.approx([3.4, math.sqrt(34.0)], rel=1e-12)
 
 
+def test_red_pair_squeeze_losses():
+    # One disk between reds a and b (x_a < x_b) stops fitting where
+    # x_b - x_a = h_a + h_b; that m = 0 contact is a loss, blues or not.
+    checked = 0
+    for seed in range(12):
+        points = random_instance(seed, 7, 2).points
+        losses = line_contacts(points, 0.0, 2)[1]
+        reds = [p for p in points if not p.is_blue]
+        for a in reds:
+            for b in reds:
+                d, low = b.x - a.x, max(abs(a.y), abs(b.y))
+
+                def squeeze(lam):
+                    return math.sqrt(max(0.0, lam * lam - a.y * a.y)) + math.sqrt(max(0.0, lam * lam - b.y * b.y)) - d
+
+                if d <= 0 or squeeze(low) >= 0:
+                    continue
+                lam = increasing_root(squeeze, low, low + d + 1.0)
+                assert any(abs(v - lam) <= 1e-7 * lam for v in losses), (seed, a, b)
+                checked += 1
+    assert checked > 10, checked
+
+
 def test_chain_gains_are_contacts():
     # At each gain a run of m+1 touching disks exactly spans L_a .. R_b, and
     # the slack R_b - L_a - 2*m*lam grows through zero there.
@@ -199,21 +234,89 @@ def _shared_pass_cases():
 def test_one_contacts_pass_equals_a_pass_per_line():
     # One `_contacts` pass over all lines gives each line the repr of a
     # `line_contacts` call for that line alone, and `candidate_radii_tlines`
-    # the radii it gave when each line made its own call.
+    # the radii of the scalar reference, which makes a call per line.
     cases = gains = 0
     for points, lines, k in _shared_pass_cases():
         candidates._contacts.cache_clear()
         shared = candidates._contacts(candidates._points_key(points), tuple(lines), k)
         radii = candidate_radii_tlines(points, lines, k)
         candidates._contacts.cache_clear()
-        ref = [candidates.CandidateRadius(0.0, KIND_ZERO)]
         for li, ly in enumerate(lines):
             own = line_contacts(points, ly, k)
-            assert repr(tuple(map(list, shared[li]))) == repr(own), (points, lines, k, li)
-            tagged = [dataclasses.replace(g, line_index=li) for g in own[0]]
-            std = candidates._sorted_unique(candidates._line_entries(points, ly, li))
-            ref += [e for e in candidates.with_gains(std, tagged) if e.value > MERGE_EPS]
+            mine = shared[0].take(shared[0].meta[:, 0] == li)
+            assert repr((candidates._entries(mine, tagged=False), shared[1][li].tolist())) == repr(own), \
+                (points, lines, k, li)
             gains += len(own[0])
-        assert repr(radii) == repr(sorted(ref, key=candidates._entry_key)), (points, lines, k)
+        assert repr(radii) == repr(reference_candidate_radii_tlines(points, lines, k)), (points, lines, k)
         cases += 1
     assert cases == 108 and gains > 100, gains
+
+
+def _scaled(points, lines, scale):
+    return [dataclasses.replace(p, x=p.x * scale, y=p.y * scale) for p in points], [y * scale for y in lines]
+
+
+def _reference_cases():
+    """(points, lines, k): generator instances on one to three lines, with a
+    point exactly on a line; the tolerance-edge family; degenerate sets with
+    coincident points, vertical pairs and a pair mirrored across the line;
+    each also scaled by 2^20 and 2^-20."""
+    cases = []
+    for seed in range(24):
+        n, k = 2 + seed % 9, 1 + seed % 4
+        inst = random_instance(seed, n, k)
+        cases += [(inst.points, [0.0], k), (inst.points, [inst.points[-1].y], k)]
+        inst = random_instance(300 + seed, 3 + seed % 6, 1 + seed % 3, "tlines", t=1 + seed % 3)
+        cases.append((inst.points, list(inst.lines), inst.k))
+        cases.append((tol_edge_instance(seed).points, [0.0], 2))
+    stacked = [B(0, 1.0, 2.0), B(1, 1.0, 2.0), R(2, 1.0, 2.0), B(3, 1.0, 5.0), R(4, 1.0, -3.0),
+               B(5, 3.0, 0.0), R(6, -2.0, 0.0), B(7, 4.0, 1.0), R(8, 4.0, -1.0), B(9, 2.5, 1.0, 2.0)]
+    for k in (1, 2, 3):
+        cases += [(stacked, [0.0], k), (stacked, [-3.0, 0.0, 2.0], k), (stacked[:3], [2.0], k)]
+    cases += [([], [0.0], 2), ([R(0, 0.0, 1.0)], [0.0, 1.0], 2), ([B(0, 0.0, 1.0)], [1.0], 3)]
+    for points, lines, k in cases:
+        yield points, lines, k
+        for scale in (2.0**20, 2.0**-20):
+            yield (*_scaled(points, lines, scale), k)
+
+
+def test_candidate_lists_equal_scalar_reference():
+    # The array builds give the scalar reference's lists, repr for repr, and
+    # the radius groups the solvers and the oracle take are those lists'.
+    count = 0
+    for points, lines, k in _reference_cases():
+        for ly in lines:
+            ref = reference_candidate_radii_line(points, ly, k)
+            assert repr(candidate_radii_line(points, ly, k)) == repr(ref), (points, ly, k)
+            value, standard = line_radii(points, ly, k)
+            assert (value.tolist(), standard.tolist()) == ([e.value for e in ref], [e.kind != KIND_CHAIN for e in ref])
+        ref = reference_candidate_radii_tlines(points, lines, k)
+        assert repr(candidate_radii_tlines(points, lines, k)) == repr(ref), (points, lines, k)
+        assert list(zip(*(a.tolist() for a in tlines_radii(points, lines, k)))) == radius_groups(ref)
+        sites = [(p.x, p.y + 1.0) for p in points[:4]] + [(0.0, 0.0)]
+        ref = reference_candidate_radii_discrete(points, sites)
+        assert repr(candidate_radii_discrete(points, sites)) == repr(ref), (points, sites)
+        assert discrete_radii(points, sites)[0].tolist() == [e.value for e in ref]
+        count += 1
+    assert count == 3 * (4 * 24 + 9 + 3)
+
+
+def test_contacts_chunks_give_the_same_roots(monkeypatch):
+    # Each `_contacts` row is solved and polished on its own, so chunks of
+    # one or five rows give the roots of one chunk for all rows, bit for bit.
+    cases = [(p, tuple(lines), k) for p, lines, k in list(_shared_pass_cases())[::9]]
+    cases.append((random_instance(5, 24, 3).points, (0.0,), 3))
+
+    def contacts(cells):
+        monkeypatch.setattr(placement, "CELLS", cells)
+        candidates._contacts.cache_clear()
+        out = []
+        for p, lines, k in cases:
+            gains, losses = candidates._contacts(candidates._points_key(p), lines, k)
+            out.append(repr([gains.value.tolist(), gains.meta.tolist(), [a.tolist() for a in losses]]))
+        return out
+
+    whole = contacts(1 << 40)
+    assert contacts(16) == whole
+    assert contacts(80) == whole
+    candidates._contacts.cache_clear()

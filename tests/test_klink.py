@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from sofl.candidates import candidate_radii_line
-from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, disk_weight
+from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, disk_weight, row_keys
 from sofl import placement
 from sofl.klink import (
     _backtrack,
     _centers,
     _dp_layers,
-    _keys,
     _predecessors,
     line_geometry,
     solve_radii,
@@ -76,7 +75,7 @@ def pred_array(xs, lam):
     """`_predecessors` of one row of centers."""
     xs = np.array([xs], dtype=float)
     two = np.array([2.0 * lam])
-    return _predecessors(_keys(0, xs).ravel(), xs, two - DEFAULT_TOL.x_slacks(two))[0]
+    return _predecessors(row_keys(0, xs).ravel(), xs, two - DEFAULT_TOL.x_slacks(two))[0]
 
 
 def predecessors(xs, lam):

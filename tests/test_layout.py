@@ -13,8 +13,12 @@ SRC = pathlib.Path(sofl.__file__).resolve().parent
 # Exports that nothing in `src/sofl` uses, each with the reason it stays.
 UNUSED_EXPORTS = {
     "brute_fixed_radius": "the oracle reference that the tests hold per-radius solves against",
+    "candidate_radii_discrete": "the discrete radii with their provenance; the solver takes `discrete_radii`",
+    "candidate_radii_line": "the line radii with their provenance; the solver takes `line_radii`",
+    "candidate_radii_tlines": "the t-lines radii with their provenance; the solver takes `tlines_radii`",
     "disk_weight": "the definition that the point-order sums cite",
     "format_instance": "the writer half of the file format's round trip",
+    "line_contacts": "the chain contacts with their provenance; the solver takes `line_losses`",
 }
 
 

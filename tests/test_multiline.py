@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sofl.candidates import candidate_radii_tlines, radius_groups
+from sofl.candidates import candidate_radii_tlines
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, centers_compatible, is_covered, point_order_sums
 from sofl.instance import emit_result, generate, parse_instance
 from sofl import placement
@@ -30,6 +30,7 @@ from sofl.solver import solve_csofl
 from conftest import (
     B,
     R,
+    radius_groups,
     random_instance,
     kernel_sides,
     line_centers_and_weights,

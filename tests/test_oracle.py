@@ -12,7 +12,6 @@ from sofl.candidates import (
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
-    radius_groups,
 )
 from sofl.cli import EXIT_TOO_LARGE, main
 from sofl.geom import DEFAULT_TOL, Disk, TolerancePolicy, bitsets, centers_compatible, is_covered
@@ -34,6 +33,7 @@ from sofl.oracle import (
 from conftest import (
     B,
     R,
+    radius_groups,
     random_instance,
     reference_brute_fixed_radius,
     reference_tlines_candidates,
@@ -199,8 +199,7 @@ def test_lazy_tie_key_equals_eager_key():
 # `discrete`, `solver`) stay out, so solver-oracle agreement keeps meaning
 # something.
 ORACLE_IMPORTS = {
-    "candidates": {"candidate_radii_discrete", "candidate_radii_line",
-                   "candidate_radii_tlines", "radius_groups"},
+    "candidates": {"discrete_radii", "line_radii", "tlines_radii"},
     "geom": {"DEFAULT_TOL", "Disk", "Region", "TolerancePolicy", "bitsets",
              "classify", "compatible_table", "coverage_mask", "merge_keep",
              "point_order_sums"},

@@ -14,7 +14,6 @@ from sofl.candidates import (
     candidate_radii_discrete,
     candidate_radii_line,
     candidate_radii_tlines,
-    radius_groups,
 )
 from sofl.discrete import solve_discrete
 from sofl.geom import DEFAULT_TOL, TolerancePolicy
@@ -23,8 +22,8 @@ from sofl.multiline import solve_tlines
 from sofl.oracle import brute_csofl, brute_discrete
 from sofl.placement import LineCenter, best_radius, line_placement, site_placement
 from sofl.solver import solve_csofl
-from conftest import (B, random_instance, reference_discrete_solve_radius, rescaled, thin_ring_instance,
-                      tol_edge_instance)
+from conftest import (B, radius_groups, random_instance, reference_discrete_solve_radius, rescaled,
+                      thin_ring_instance, tol_edge_instance)
 
 
 def full_evaluation(radii, kernel):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sofl import placement
 from sofl.geom import Disk, Region, TolerancePolicy, center_on_line_through, classify, dist2
 from sofl.instance import generate, parse_instance
 from sofl.oracle import brute_k1_allblue, brute_k1_maxblue
@@ -332,3 +333,18 @@ def test_kernels_equal_scalar_references():
             assert _same(got, ref), (seed, c)
             got = allblue_minred(pts, tol)
             assert _same(got, reference_allblue_minred_details(pts, tol).best), (seed, c)
+
+
+def test_maxblue_anchor_chunks(monkeypatch):
+    # With a small cell budget the blue anchors span several chunks, of one
+    # anchor or a few; the kernel still returns the scalar reference's tuple,
+    # so an equal key found in a later chunk never replaces an earlier one.
+    rows = [[(0.0, -0.0, True), (0.0, 0.0, True)],  # equal keys (-2, -0.0, 0.0) and (-2, 0.0, 0.0)
+            [(0.0, 5.0, True), (3.0, 4.0, True), (-4.0, 3.0, False), (4.0, 3.0, True)]]
+    cases = [(seed, pts) for seed, r in enumerate(rows + [_adversarial_rows(s) for s in range(0, 60, 3)])
+             for pts in _copies(r)]
+    refs = [reference_maxblue_nored_fast(pts, TolerancePolicy((1e-9, 0.0)[seed % 2])) for seed, pts in cases]
+    for cells in (1, 64, 300):
+        monkeypatch.setattr(placement, "CELLS", cells)
+        for (seed, pts), ref in zip(cases, refs):
+            assert _same(maxblue_nored_fast(pts, TolerancePolicy((1e-9, 0.0)[seed % 2])), ref), (cells, seed)
