@@ -15,7 +15,6 @@ from .discrete import solve_discrete
 from .geom import TolerancePolicy
 from .instance import (
     ProblemInstance,
-    SemanticError,
     emit_result,
     generate,
     parse_instance,
@@ -154,13 +153,7 @@ def main(argv=None) -> int:
     try:
         tol = TolerancePolicy(eps=args.tol)
         with open(args.input) as fh:
-            inst = parse_instance(fh.read())
-        if args.k is not None:
-            inst = ProblemInstance(inst.variant, args.k, inst.points, inst.lines, inst.sites)
-            if inst.k < 1:
-                raise SemanticError("k must be at least 1")
-            if inst.variant == "discrete" and inst.k >= len(inst.sites):
-                raise SemanticError("k must be smaller than the number of sites")
+            inst = parse_instance(fh.read(), args.k)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 VARIANTS = ("csofl", "allblue-minred", "maxblue-nored", "tlines", "discrete")
+# The solvers add up at most k disk weights (the line DP, the t-lines search,
+# the chord recursion), each at most the sum of |w|, and the oracle less, so
+# k times that sum bounds every weight sum they form. Keeping it at most
+# 2^1023 keeps every such sum finite, with a factor two to spare.
+WEIGHT_SUM_LIMIT = 2.0 ** 1023
 SPECIAL_VARIANTS = ("allblue-minred", "maxblue-nored")
 _LINE_Y_VARIANTS = ("csofl", "allblue-minred", "maxblue-nored")
 
@@ -87,12 +92,14 @@ def _finite(token: str) -> float:
     return value
 
 
-def parse_instance(text: str) -> ProblemInstance:
+def parse_instance(text: str, k_override: int | None = None) -> ProblemInstance:
+    """The instance of a file; k_override, if given, replaces its k before
+    the checks. Raises ParseError (with the line number) or SemanticError."""
     variant = None
     k = None
     lines: tuple[float, ...] = ()
     sites: list[tuple[float, float]] = []
-    raw_points: list[tuple[str, float, float, float | None]] = []
+    raw_points: list[tuple[int, str, float, float, float | None]] = []
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
@@ -127,7 +134,7 @@ def parse_instance(text: str) -> ProblemInstance:
                 if len(tokens) not in (3, 4):
                     raise ParseError(lineno, f"{head} takes x y [w]")
                 w = _finite(tokens[3]) if len(tokens) == 4 else None
-                raw_points.append((head, _finite(tokens[1]), _finite(tokens[2]), w))
+                raw_points.append((lineno, head, _finite(tokens[1]), _finite(tokens[2]), w))
             else:
                 raise ParseError(lineno, f"unknown directive {head!r}")
         except ValueError as exc:
@@ -139,6 +146,8 @@ def parse_instance(text: str) -> ProblemInstance:
         raise SemanticError("missing variant")
     if variant not in VARIANTS:
         raise SemanticError(f"unknown variant {variant!r}")
+    if k_override is not None:
+        k = k_override
     if k is None:
         k = 1
     if k < 1:
@@ -166,7 +175,8 @@ def parse_instance(text: str) -> ProblemInstance:
         raise SemanticError("sites are only valid for the discrete variant")
 
     special = variant in SPECIAL_VARIANTS
-    for head, x, y, w in raw_points:
+    total = 0.0
+    for lineno, head, x, y, w in raw_points:
         if special and w is not None:
             raise SemanticError("special variants assign weights; omit w")
         if not special and w is None:
@@ -178,12 +188,16 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise SemanticError("red weights must be negative")
         if variant in _LINE_Y_VARIANTS and not y > 0:
             raise SemanticError("points must lie strictly above the line (y > 0)")
+        if w is not None:
+            total += abs(w)
+            if k * total > WEIGHT_SUM_LIMIT:
+                raise ParseError(lineno, f"k ({k}) times the sum of |w| so far exceeds 2^1023")
 
-    if variant == "allblue-minred" and not any(h == "B" for h, *_ in raw_points):
+    if variant == "allblue-minred" and not any(h == "B" for _, h, *_ in raw_points):
         raise SemanticError("allblue-minred needs at least one blue point")
 
     points = []
-    for i, (head, x, y, w) in enumerate(raw_points):
+    for i, (_, head, x, y, w) in enumerate(raw_points):
         color = Color.BLUE if head == "B" else Color.RED
         if w is None:  # a special variant: reweighted below
             w = 1.0 if head == "B" else -1.0

@@ -18,17 +18,21 @@ line's geometry, built once per solve:
   sentinels, merged per (row, line) in one `geom.merge_keep` call; the
   `klink.two_sided` radii go in chunks of their own (`klink.by_sides`);
 - tables: one points x candidates coverage mask gives each candidate its
-  weight as a point-order column sum; the compatible pairs within a row
-  come in blocks (`_pairs`), and at k = 2 each gets its union weight as
-  the point-order sum of its two mask columns;
+  weight as a point-order column sum;
 - budgets of one and two: per row, the `selection_key` minimum over the
   singles and the compatible pairs, weighed by their union
-  (`placement.best_upto_two`, which discrete shares);
+  (`placement.best_upto_two`, which discrete shares). No pair table is
+  built: two disks that do not touch cover no common point, so a strict
+  pair weighs the sum of its disks' weights, and each candidate's best
+  strict partner on each line is a running maximum up to one
+  `searchsorted` cut; only the pairs near touching are listed and weighed
+  by their union (`_partners`);
 - k >= 3: per row, a Python DFS (`_search`) seeded with the best single,
   where a node ANDs int bitsets of covered points and compatible later
-  candidates instead of testing center pairs. Union weights are memoized
-  per covered-point bitset for a whole solve, since they do not depend on
-  the radius; they are the same point-order float sums as the array ones.
+  candidates (`_pairs`, in blocks) instead of testing center pairs. Union
+  weights are memoized per covered-point bitset for a whole solve, since
+  they do not depend on the radius; they are the same point-order float
+  sums as the array ones.
 `placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
 coverage cells; the radius loop (`placement.best_radius`) solves the
 first radii in one call and the chain radii it admits in one more. Every
@@ -171,41 +175,128 @@ def _pairs(xs, ys, row, lams, tol: TolerancePolicy, cells: int):
         yield i[ok], j[ok]
 
 
+def _cuts(lines, lams, xs, row, li, tol: TolerancePolicy):
+    """The (row, line, x) order o of the centers and, per line a and center
+    j, shape (t, m): where line a's centers of j's row start in o, the
+    `_partners` cuts strict <= close after that start, whether a is j's
+    line, dy^2, and the threshold of `geom.compatible_table` on |dx| (one
+    line) or d2 (across), in its float operations."""
+    t, rows = len(lines), len(lams)
+    group = row * t + li
+    size = np.bincount(group, minlength=rows * t)
+    q = row * t + np.arange(t)[:, None]  # the group of line a in the row of j
+    base = (np.cumsum(size) - size)[q]
+    same = li == np.arange(t)[:, None]
+    two, r2 = 2.0 * lams, lams * lams
+    far2 = (4.0 * (r2 + tol.bands(r2)) * (1.0 + 2.0 ** -20))[row]
+    need = 4.0 * lams * lams
+    one, across = (two - tol.x_slacks(two))[row], (need - tol.bands(need))[row]
+    dy2 = (np.asarray(lines)[:, None] - np.asarray(lines)[li]) ** 2
+    dx0 = xs - xs.min()
+    span = 2.0 * (dx0.max() + 2.0 * far2.max() ** 0.5 + np.abs(one).max()) + 1e-300  # keeps groups apart
+    key = group * span + dx0
+    o = np.argsort(key, kind="stable")
+    slack = 2.0 ** -40 * (np.abs(xs) + (rows * t + 1) * span)
+    wide = np.sqrt(np.maximum(2.0 ** -38 * far2, far2 * (1.0 + 2.0 ** -38) - dy2)) + slack
+    narrow = np.where(same, one, np.sqrt(np.maximum(0.0, across * (1.0 - 2.0 ** -38) - dy2))) - slack
+    cuts = np.searchsorted(key[o], q * span + dx0 - np.stack([wide, narrow]), "right") - base
+    strict, close = np.minimum(np.maximum(cuts, 0), size[q])
+    return o, base, strict, close, same, dy2, np.where(same, one, across)
+
+
+def _partners(geo, lines, lams, xs, row, li, w, cov, tol: TolerancePolicy):
+    """The pairs of searched centers i < j of a row that can be a budget of
+    two's best, as blocks (i, j, weight) for `placement.best_upto_two`.
+
+    A covered point lies within sqrt(lam^2 + band) of its center, so two
+    centers more than twice that apart (d2 > far2, with room for rounding)
+    are compatible and share no covered point: the pair weighs w_i + w_j.
+    For a center j and a line a, dy away, line a's centers left of x_j by
+    more than sqrt(far2 - dy^2) are such strict partners, and none within
+    the gap where compatibility ends (2*lam less the slack on one line,
+    sqrt(4*lam^2 - band - dy^2) across) is compatible. Both are prefixes of
+    line a's x order, cut by one `searchsorted` of keys group * span + x at
+    gaps widened and narrowed by far more than the rounding of the gaps and
+    the keys. A pair is found from its right center, or both at one x.
+
+    For a fixed j, `best_upto_two` ranks partners of one weight by their
+    position, so the best strict partner is a running maximum of (weight,
+    -position), and one pair per (j, a) gives it. The centers between the
+    cuts are listed, kept in the float operations of `geom.compatible_table`
+    and weighed by their union in point order. w_i + w_j is that union sum
+    only when `geo.exact`; otherwise the strict pairs within the rounding
+    margin of their row's best sum are listed instead, so every weight is a
+    union sum, as an enumeration of all compatible pairs gives it."""
+    t, m, rows = len(lines), len(row), len(lams)
+    o, base, strict, close, same, dy2, thr = _cuts(lines, lams, xs, row, li, tol)
+    by_rank = np.argsort(-w, kind="stable")  # weight descending, then position
+    rank = np.empty(m, dtype=np.intp)
+    rank[by_rank] = np.arange(m)
+    top = np.maximum.accumulate((row * t + li)[o] * m + (m - 1 - rank[o]))  # restarts per group: groups ascend
+    has = strict > 0
+    bi, bj = by_rank[m - 1 - top[(base + strict - 1)[has]] % m], has.nonzero()[1]
+    pair_w = w[bi] + w[bj]
+    lo, given = strict, (np.minimum(bi, bj), np.maximum(bi, bj), pair_w)
+    if not geo.exact:
+        best = np.full(rows, -np.inf)
+        np.maximum.at(best, row[bj], pair_w)
+        floor = best - (4 * len(geo.w) + 8) * 2.0 ** -52 * float(np.abs(geo.w).sum())
+        rival = np.zeros((t, m), dtype=bool)  # (a, j) with a strict pair within the margin
+        rival[has] = pair_w >= floor[row[bj]]
+        lo, given = np.where(rival, 0, strict), (bi[:0], bj[:0], pair_w[:0])
+    count = (close - lo).ravel()
+    listed = count.nonzero()[0]
+    count = count[listed]
+    block = max(1, placement.CELLS // max(8, len(geo.w)))  # pairs per n x pairs union table
+    bounds = np.searchsorted(np.cumsum(count), np.arange(block, count.sum(), block))
+    for part in np.split(np.arange(len(listed)), bounds):
+        at = np.repeat(listed[part], count[part])
+        walk = lo.ravel()[at] + np.arange(len(at)) - np.repeat(np.cumsum(count[part]) - count[part], count[part])
+        i, j = o[base.ravel()[at] + walk], at % m
+        dx = xs[i] - xs[j]
+        # Where the slack passes 2*lam this lists (j, j), which loses to j alone.
+        keep = np.where(same.ravel()[at], np.abs(dx), dx * dx + dy2.ravel()[at]) >= thr.ravel()[at]
+        if not geo.exact:
+            keep &= (walk >= strict.ravel()[at]) | (w[i] + w[j] >= floor[row[j]])
+        i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+        yield (np.concatenate([given[0], i]), np.concatenate([given[1], j]),
+               np.concatenate([given[2], point_order_sums(cov[:, i] | cov[:, j], geo.w)]))
+        given = (bi[:0], bj[:0], pair_w[:0])
+
+
 def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
     """Tables of the centers xs on lines li at radii lams[row], rows
     ascending: the searched centers as indices into xs; per row the
     `placement.best_upto_two` pick over the single searched centers and,
-    at k = 2, their compatible pairs, as its union weight and its
-    positions in the row, ascending; and for k >= 3, per searched center,
-    its gain (covered positive weight), its covered points as a bitset and
-    its compatible later centers of the row as a bitset over positions.
+    at k = 2, their compatible pairs (`_partners`), as its union weight
+    and its positions in the row, ascending; and for k >= 3, per searched
+    center, its gain (covered positive weight), its covered points as a
+    bitset and its compatible later centers of the row as a bitset over
+    positions (`_pairs`).
 
-    Weights are summed in point order like `geom.disk_weight`, a pair's
-    over the union of its two mask columns. A center whose own disk nets
-    nothing can never improve a union of non-overlapping disks, and the
-    fewest-centers tie rule drops it, so only the others are searched.
-    Positions follow the (x, line) keys. A pair block holds about eight
-    arrays with one cell per pair, and at k = 2 also the n x pairs union
-    table. At k >= 3 the pairs' union weights would cost more than the
-    search they spare, so the search starts from the best single.
+    Weights are summed in point order like `geom.disk_weight`, a listed
+    pair's over the union of its two mask columns. A center whose own disk
+    nets nothing can never improve a union of non-overlapping disks, and
+    the fewest-centers tie rule drops it, so only the others are searched.
+    Positions follow the (x, line) keys. At k >= 3 the best pair costs
+    more than the search it spares, so the search starts from the best
+    single.
     """
     cov = _coverage(geo, lams, xs, row, li, tol)
     sums = point_order_sums(cov, geo.w)
     order = np.flatnonzero(sums > 0)
-    cov, row = cov[:, order], row[order]
-    ys = np.array(lines)[li[order]]
+    cov, row, w = cov[:, order], row[order], sums[order]
     pairs, search = (), None
-    if k == 2:
-        pairs = ((i, j, point_order_sums(cov[:, i] | cov[:, j], geo.w))
-                 for i, j in _pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))))
+    if k == 2 and len(order):
+        pairs = _partners(geo, lines, lams, xs[order], row, li[order], w, cov, tol)
     elif k > 2:
         pos = np.arange(len(row)) - np.searchsorted(row, row)
         bits = np.zeros((len(row), np.bincount(row).max(initial=0)), dtype=bool)
-        for i, j in _pairs(xs[order], ys, row, lams, tol, 8):
+        for i, j in _pairs(xs[order], np.array(lines)[li[order]], row, lams, tol, 8):
             bits[i, pos[j]] = True
         gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
         search = gains.tolist(), bitsets(cov.T), bitsets(bits)
-    return order, best_upto_two(len(lams), row, sums[order], pairs), search
+    return order, best_upto_two(len(lams), row, w, pairs), search
 
 
 class _UnionWeights(dict):

@@ -44,7 +44,8 @@ from sofl.geom import (
 from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, _reach, line_geometry, solve_radii, two_sided
 from sofl.oracle import OracleResult
-from sofl.placement import LineCenter, Placement, ValidationFailureError, line_placement, selection_key, site_placement
+from sofl.placement import (LineCenter, Placement, ValidationFailureError, best_upto_two, line_placement,
+                            selection_key, site_placement)
 from sofl.variants_k1 import FarthestCellBreaks, pair_disk
 
 
@@ -788,6 +789,23 @@ def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL, both=Tru
             if not centers_compatible((ax, lines[al]), (bx, lines[bl]), lam, tol):
                 raise ValidationFailureError(f"overlapping selection {(ax, al)} / {(bx, bl)}")
     return weight, chosen
+
+
+def reference_pair_tables(geo, lines, lams, xs, row, li, k, tol=DEFAULT_TOL):
+    """`multiline._tables` at k = 2 as it was before budgets of two searched
+    their partners: every compatible pair of searched centers of a row,
+    from the blocks of `multiline._pairs`, weighed by the point-order sum
+    over the union of its two mask columns (an n x pairs table per block)
+    and folded by `best_upto_two`."""
+    assert k == 2
+    cov = multiline._coverage(geo, lams, xs, row, li, tol)
+    sums = point_order_sums(cov, geo.w)
+    order = np.flatnonzero(sums > 0)
+    cov, row = cov[:, order], row[order]
+    ys = np.array(lines)[li[order]]
+    pairs = ((i, j, point_order_sums(cov[:, i] | cov[:, j], geo.w))
+             for i, j in multiline._pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))))
+    return order, best_upto_two(len(lams), row, sums[order], pairs), None
 
 
 def reference_brute_fixed_radius(points, centers, lam, k, tol=DEFAULT_TOL):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 
 import pytest
@@ -128,6 +129,34 @@ def test_non_finite_number_exit_code(inst_file, capsys, command, text):
     assert main([command, "--input", path]) == EXIT_INPUT
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: line 3: ") and "not a finite number" in out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_weights_whose_sums_overflow_exit_code(inst_file, capsys, command):
+    # Two blues of weight 1e308 at k = 2: the line DP's sums overflowed,
+    # `solve --format json` printed "weight": Infinity and `check` passed.
+    # k times the sum of |w| passes 2^1023 at the first of them, line 3.
+    path = inst_file("variant csofl\nk 2\nB 0 1 1e308\nB 5 1 1e308\nR 2.5 1 -1\n")
+    args = [command, "--input", path] + (["--format", "json"] if command == "solve" else [])
+    assert main(args) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 3: k (2) times the sum of |w| so far exceeds 2^1023\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_weight_bound_follows_the_k_override(inst_file, capsys, command):
+    # At the file's k = 1 the weights 3e307 fit and solve to a finite weight;
+    # `--k 2` doubles the bound's product, which passes 2^1023 at line 4.
+    path = inst_file("variant csofl\nk 1\nB 0 1 3e307\nB 5 1 3e307\nR 2.5 1 -1\n")
+    args = [command, "--input", path] + (["--format", "json"] if command == "solve" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "solve":
+        assert json.loads(out)["weight"] == 6e307  # one disk covers all three points
+    assert main(args + ["--k", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: line 4: k (2) times the sum of |w| so far exceeds 2^1023\n"
 
 
 def test_missing_file_exit_code(capsys):

@@ -35,6 +35,7 @@ from conftest import (
     kernel_sides,
     line_centers_and_weights,
     multiline_centers,
+    reference_pair_tables,
     reference_tlines_candidates,
     reference_tlines_solve_radius,
     solve_tlines_fixed_radius,
@@ -618,6 +619,106 @@ def test_budgets_up_to_two_never_search(monkeypatch):
     monkeypatch.setattr(sofl.multiline, "_search", refuse)
     assert [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases] == expect
     assert len(cases) == 56
+
+
+def test_budgets_of_two_list_no_pair_table(monkeypatch):
+    # At k = 2 no pair of searched centers is enumerated: every such t-lines
+    # instance of the `tlines` and `small-check` pools solves with `_pairs`
+    # refusing, to the placement it has with `_pairs` in place.
+    cases = [inst for inst in _pool_instances("tlines", "small-check") if inst.k == 2]
+    expect = [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases]
+
+    def refuse(*args):
+        raise AssertionError("a pair table was built at k = 2")
+
+    monkeypatch.setattr(sofl.multiline, "_pairs", refuse)
+    assert [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases] == expect
+    assert len(cases) == 24
+
+
+def _pair_cases():
+    """(points, lines) for budgets of two: half-integer x, heights on,
+    between and 1e-6 off one to three lines, 70% blue, each scaled by 1,
+    2^20 or 2^-20 (where the band's floor makes every radius chain both
+    ways); weights 1 or 2, so that pairs tie often, and in every third case
+    weights spread over seven magnitudes, whose sums are not exact."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        lines = sorted(rng.sample([0.0, 1.0, 2.0, 4.0], rng.choice([1, 2, 3])))
+        pts = []
+        for i in range(rng.randint(2, 7)):
+            x = rng.randint(-5, 5) + rng.choice([0.0, 0.5])
+            y = rng.choice(lines) + rng.choice([0.0, 0.0, 0.5, 1.0, -1.0, 1e-6])
+            w = rng.choice([1.0, 2.0]) if seed % 3 else rng.choice([0.1, 0.2, 0.3]) * 10.0 ** rng.randint(-3, 3)
+            pts.append(B(i, x, y, w) if rng.random() < 0.7 else R(i, x, y, -w))
+        yield _scaled(pts, lines, (1.0, 2.0 ** 20, 2.0 ** -20)[seed // 3 % 3])
+
+
+def test_budgets_of_two_equal_the_pair_enumeration(monkeypatch):
+    # `_solve_radii` at k = 2 against the same kernel with `_tables`
+    # replaced by the enumeration of every compatible pair, weighed by its
+    # union (`conftest.reference_pair_tables`), by repr: every first and
+    # chain radius and two more, under tolerances whose slack makes
+    # touching centers compatible and whose band covers points from both
+    # disks. Picks of a pair whose union is not the sum of its two disks'
+    # weights, and picks where the weights are not exact, must occur.
+    policies = (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4))
+    shared = inexact = 0
+    for pts, lines in _pair_cases():
+        geos = [line_geometry(pts, ly) for ly in lines]
+        scale = max(abs(y) for y in lines) or 1.0
+        radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, 2))] + [1.5 * scale, 2.5 * scale]
+        for tol in policies:
+            got = _solve_radii(geos, lines, radii, 2, tol)
+            with monkeypatch.context() as mp:
+                mp.setattr(sofl.multiline, "_tables", reference_pair_tables)
+                expect = _solve_radii(geos, lines, radii, 2, tol)
+            assert repr(got) == repr(expect), (pts, lines, tol)
+            for lam, (weight, chosen) in zip(radii, got):
+                if len(chosen) == 2:
+                    alone = [line_placement(pts, lines, lam, (LineCenter(*c),), tol).total_weight for c in chosen]
+                    shared += weight != sum(alone)
+                    inexact += not geos[0].exact
+    assert shared > 20 and inexact > 100, (shared, inexact)
+
+
+def test_budgets_of_two_on_touching_centers():
+    # The centers of `test_compat_bitsets_touching_pairs`, touching on one
+    # line and across lines, nudged just inside and just outside the slack,
+    # and at the compatibility thresholds, with points at the centers and at the tangent points, where
+    # the band lets both disks cover them; integer and float weights, red
+    # tangent points too. The k = 2 tables equal the pair enumeration.
+    lam = 5.0
+    lines = [0.0, 3.0, 6.0]
+    for tol in POLICIES + (TolerancePolicy(5e-7),):
+        nudge = max(tol.x_slack(10.0), 1e-12)
+        xs = {0: [0.0, 10.0, 10.0 - nudge / 2, 10.0 - 2 * nudge, -10.0]}
+        xs[1] = [math.sqrt(91.0), -math.sqrt(91.0), math.sqrt(91.0) - 2 * nudge]
+        xs[2] = [8.0, -8.0, 8.0 - nudge / 2, 8.0 - 2 * nudge]
+        # At the compatibility thresholds from (0, 0) exactly, and an ulp
+        # either side of the one across lines.
+        xs[0].append(10.0 - tol.x_slack(10.0))
+        at = math.sqrt(100.0 - tol.band(100.0) - 9.0)
+        xs[1] += [at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf)]
+        centers = [LineCenter(x, li) for li, row in xs.items() for x in row]
+        tangents = [(5.0, 0.0), (math.sqrt(91.0) / 2, 1.5), (4.0, 3.0), (-5.0, 0.0), (-4.0, 3.0)]
+        for weights in ([1.0, 2.0, 1.0], [0.1, 0.3, 0.7]):
+            points = [B(i, c.x, lines[c.line_index], weights[i % 3]) for i, c in enumerate(centers)]
+            for x, y in tangents:
+                i = len(points)
+                points.append(B(i, x, y, weights[i % 3]) if i % 2 else R(i, x, y, -weights[i % 3]))
+            geo = _stacked([line_geometry(points, ly) for ly in lines])
+            rows = [lam, 4.0, 6.0, lam * (1 + 1e-10)]
+            # Then every pair of centers alone in a row at lam: it is picked
+            # exactly when it is compatible.
+            pairs = list(combinations(centers, 2))
+            for lams, cs in ((rows, centers * len(rows)), ([lam] * len(pairs), [c for p in pairs for c in p])):
+                size = len(cs) // len(lams)
+                ax, li = np.array([c.x for c in cs]), np.array([c.line_index for c in cs])
+                row = np.repeat(np.arange(len(lams)), size)
+                got = _tables(geo, lines, np.array(lams), ax, row, li, 2, tol)
+                expect = reference_pair_tables(geo, lines, np.array(lams), ax, row, li, 2, tol)
+                assert got[0].tolist() == expect[0].tolist() and repr(got[1:]) == repr(expect[1:]), (tol, weights)
 
 
 # --- ROADMAP item 3: chained contacts across lines -------------------------------
