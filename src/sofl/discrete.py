@@ -7,7 +7,8 @@ d across a chord (a, b), inside the arc of the ring beyond it, and splits
 the arc and the leftover disk budget between the two new chords. d must
 keep distance 2*lam from a, b and the apex c across the chord, and must not
 lie inside circle(a, b, c) by more than the float error of the in-circle
-test (`_admission`, built once per solve). Every Delaunay triangulation of a
+test (`_admission`, built at most once per solve, and only at k >= 4,
+where the recursion places a fourth site). Every Delaunay triangulation of a
 chosen set stays reachable, and its closest pair is an edge, so the edge
 checks suffice. Where d lies inside by less, the angles of (a, c, b, d) at
 a and b sum to nearly 180 degrees, so the flipped diagonal (c, d) is still
@@ -31,7 +32,9 @@ its chosen sites, taken from their mask columns, so the radius loop
 (`placement.best_radius`) compares union weights and builds one
 `Placement` per solve, for the radius it returns.
 The loop visits the radii best bound first and skips those whose bound
-cannot win; `_blue_bound` gives every radius's bound from the same tables.
+cannot win. `_blue_bound` gives every radius's bound without tables: from
+the radius at which each blue enters each site's disk, and the last radius
+of each compatible site pair, each found once per solve.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .candidates import discrete_radii
 from .geom import (DEFAULT_TOL, TolerancePolicy, bitsets, compatible_table, coverage_mask, point_order_sums,
                    sums_are_exact)
-from .placement import (Placement, ValidationFailureError, best_radius, best_upto_two, in_chunks,
+from .placement import (CELLS, Placement, ValidationFailureError, best_radius, best_upto_two, in_chunks,
                         selection_key, site_placement)
 
 __all__ = [
@@ -112,7 +115,8 @@ class _Geometry:
 
     @cached_property
     def adm(self) -> list:
-        """`_admission` of the ring; only the chord recursion (k >= 3) reads it."""
+        """`_admission` of the ring, built on first use: the chord recursion
+        reads it only with a budget left, so at k >= 4."""
         return _admission(self.ring)
 
     @cached_property
@@ -224,12 +228,13 @@ def _anchor_roots(geo: _Geometry, w: np.ndarray, ok: np.ndarray, top: list, g: n
 
 class _ChordSolver:
     """Chord recursion over the site weights w, pair table ok and the
-    `_admission` table and arcs of geo."""
+    `_admission` table and arcs of geo. The table is read, and so built,
+    only where a budget is left: never at k = 3."""
 
     def __init__(self, w, ok, geo: _Geometry):
         self.w = w
         self.ok = ok
-        self.adm = geo.adm
+        self.geo = geo
         self.arcs = geo.arcs
         self.memo: dict[tuple, float] = {}
         self.choice: dict[tuple, tuple[int, int] | None] = {}
@@ -247,7 +252,7 @@ class _ChordSolver:
         best = 0.0  # placing nothing more is always allowed
         pick = None
         ok_a, ok_b, ok_apex = self.ok[a], self.ok[b], self.ok[apex]
-        adm = self.adm[a][b][apex]
+        adm = self.geo.adm[a][b][apex]
         for cand in arc:
             if not (adm >> cand & 1 and ok_a[cand] and ok_b[cand] and ok_apex[cand]):
                 continue
@@ -336,32 +341,90 @@ def _solve_radii(geo: _Geometry, lams, k: int, tol: TolerancePolicy):
 
 def _blue_bound(geo: _Geometry, lams, k: int, tol: TolerancePolicy) -> list[float]:
     """Per radius, an upper bound on the union weight of any selection the
-    solve can return: the sum of the j largest site blue weights, in the
-    float test of `_tables`, where j is k, or 2 if no three sites are
-    pairwise compatible at that radius, or 1 if no two are (a selection is
-    pairwise compatible in the same table). Every blue the union counts is
+    solve can return, 0.0 at lam <= 0: the sum of the j largest site blue
+    weights, where j is k, or 2 if no three sites are pairwise compatible
+    at that radius, or 1 if no two are. Every blue the union counts is
     counted at a chosen site, a blue covered by two sites twice, and reds
-    only lower the union, so this holds under any tolerance. When
-    `sums_are_exact`, both sums are exact (a rounded top-j sum stays at
-    least any union weight of at most 2^53). Otherwise the bound is widened
+    only lower the union, so this holds under any tolerance.
+
+    No per-radius tables: over the ascending positive radii, a blue enters
+    a site's sum at the first radius whose `coverage_mask` test passes, a
+    test monotone in lam (pd2 - r^2 falls and the band grows, each rounded
+    monotonically). `searchsorted` of pd2 * (1 - 2^-50) in r^2 + band
+    guesses an index never past it, stepped forward while the test fails.
+    A site's sums are prefix sums of its blues in that order, n terms as
+    in point order, read in blocks of CELLS cells. A pair of sites counts
+    as compatible up to its last `compatible_table` pass against the
+    suffix minima of the thresholds, and a triple up to the first end of
+    its pairs: a superset of the radii where they pass, so j is never too
+    small, and equal to them wherever the thresholds do not fall as lam
+    grows, as for small eps.
+
+    When `sums_are_exact`, every sum is exact in any order, and a rounded
+    top-j sum stays at least any union weight of at most 2^53; the bound
+    is then that of per-radius tables. Otherwise it is widened
     by (k+1)(n+k+1) * sum|w| * 2^-52: twice the first-order rounding error
     of the union's n-term sum, of the site sums and of their k-term sum,
     which also covers the rounding of the addition."""
     n, s = geo.pd2.shape
-    wb = np.where(geo.blue, geo.w, 0.0)
+    lams = np.asarray(lams, dtype=float)
+    out = np.zeros(len(lams))
+    at = (lams > 0).nonzero()[0]
+    at = at[np.argsort(lams[at], kind="stable")]
+    lam = lams[at]
+    size = len(lam)
+    if not size:
+        return out.tolist()
     margin = 0.0
     if not sums_are_exact(geo.w):
         margin = (k + 1) * (n + k + 1) * float(np.abs(geo.w).sum()) * 2.0**-52
 
-    def chunk(lams):
-        _, sums, ok = _tables(geo, lams, tol, wb)
-        at, _, _, third = _thirds(geo, ok)
-        cap = np.ones(len(lams), dtype=int)
-        cap[at] = min(k, 2)
-        cap[at[third.any(axis=1)]] = k
-        return [(sum(sorted(row)[-j:]) + margin, ()) for row, j in zip(sums.tolist(), cap.tolist())]
+    # Per blue and site, the first radius covering it (size if none).
+    r2 = lam * lam
+    band = tol.bands(r2)
+    pd2 = geo.pd2[geo.blue]
+    first = np.searchsorted(r2 + band, pd2 * (1.0 - 2.0**-50))
+    while True:
+        t = np.minimum(first, size - 1)
+        late = (first < size) & ~coverage_mask(pd2 - r2[t], True, band[t])
+        if not late.any():
+            break
+        first[late] += 1
+    order = np.argsort(first, axis=0, kind="stable")
+    prefix = np.zeros((len(pd2) + 1, s))
+    np.cumsum(geo.w[geo.blue][order], axis=0, out=prefix[1:])
+    offset = np.arange(s) * (size + 1)  # keeps the sites' thresholds apart
+    key = (np.take_along_axis(first, order, axis=0) + offset).T.ravel()
+    flat = prefix.T.ravel()
 
-    return [b for b, _ in in_chunks(lams, _cells(geo, k), chunk)]
+    # Each pair and each triple of sites counts at the radii before its end.
+    two = 2.0 * lam
+    need = 4.0 * lam * lam  # the float operations of `compatible_table`
+    least = np.stack([two - tol.x_slacks(two), need - tol.bands(need)])
+    least = np.minimum.accumulate(least[:, ::-1], axis=1)[:, ::-1]  # suffix minima
+    pi, pj = geo.pairs
+    ends = np.zeros((s, s), dtype=int)
+    ends[pi, pj] = ends[pj, pi] = np.where(geo.same[pi, pj], np.searchsorted(least[0], geo.adx[pi, pj], "right"),
+                                           np.searchsorted(least[1], geo.d2[pi, pj], "right"))
+    cap = np.ones(size, dtype=int)
+    cap[:ends.max()] = min(k, 2)
+    if k >= 3:  # a zero diagonal drops the triples with a repeated site
+        step = max(1, CELLS // (s * s))
+        last = max(np.minimum(np.minimum(ends[a: a + step, :, None], ends[a: a + step, None, :]), ends).max()
+                   for a in range(0, s, step))
+        cap[:last] = k
+
+    step = max(1, CELLS // s)
+    for a in range(0, size, step):
+        t = np.arange(a, min(size, a + step))
+        sums = flat[np.searchsorted(key, t[:, None] + offset, "right") + np.arange(s)]
+        sums.sort(axis=1)
+        lo = s - cap[t]
+        top = np.zeros(len(t))
+        for q in range(s - k, s):  # the j largest, ascending, as sum(sorted(row)[-j:])
+            top = np.where(q >= lo, top + sums[:, q], top)
+        out[at[t]] = top + margin
+    return out.tolist()
 
 
 def solve_discrete(sites, points, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> Placement:

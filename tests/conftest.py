@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -40,12 +43,13 @@ from sofl.geom import (
     is_covered,
     merge_keep,
     point_order_sums,
+    sums_are_exact,
 )
 from sofl.instance import SemanticError, generate, parse_instance
 from sofl.klink import _coverage_rows, _reach, line_geometry, solve_radii, two_sided
 from sofl.oracle import OracleResult
-from sofl.placement import (LineCenter, Placement, ValidationFailureError, best_upto_two, line_placement,
-                            selection_key, site_placement)
+from sofl.placement import (LineCenter, Placement, ValidationFailureError, best_upto_two, in_chunks,
+                            line_placement, selection_key, site_placement)
 from sofl.variants_k1 import FarthestCellBreaks, pair_disk
 
 
@@ -260,6 +264,18 @@ def thin_ring_instance(seed):
         return parse_instance(thin_ring_text(seed))
     except SemanticError:
         return None
+
+
+def pool_instances(variant, *names):
+    """The parsed instances of one variant in the benchmark pools of the
+    given workloads, from `perfbench/workloads.py`, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # its dataclasses look their module up
+    spec.loader.exec_module(wl)
+    return [parse_instance(wl.instance_text(generate, st, i))
+            for name in names for st, i in wl.pool_keys(name) if st.variant == variant]
 
 
 def wide_tlines_text(seed):
@@ -917,6 +933,30 @@ def reference_discrete_solve_radius(geo, lam, k, tol=DEFAULT_TOL):
             raise ValidationFailureError(f"sites {a} and {b} chosen closer than 2 * {lam!r}")
     union = cov[:, list(chosen)].any(axis=1, keepdims=True)
     return float(point_order_sums(union, geo.w)[0]), chosen
+
+
+def reference_blue_bound(geo, lams, k, tol=DEFAULT_TOL):
+    """`discrete._blue_bound` as per-radius tables give it: per chunk of
+    radii the coverage, site blue weights in point order and pair table of
+    `discrete._tables`, and the pairwise compatible triples of
+    `discrete._thirds`; per radius the sum of the j largest site weights,
+    j = k, 2 or 1 as three, two or one sites fit pairwise, plus the same
+    rounding margin; 0.0 at lam <= 0."""
+    n, _ = geo.pd2.shape
+    wb = np.where(geo.blue, geo.w, 0.0)
+    margin = 0.0
+    if not sums_are_exact(geo.w):
+        margin = (k + 1) * (n + k + 1) * float(np.abs(geo.w).sum()) * 2.0**-52
+
+    def chunk(lams):
+        _, sums, ok = discrete._tables(geo, lams, tol, wb)
+        at, _, _, third = discrete._thirds(geo, ok)
+        cap = np.ones(len(lams), dtype=int)
+        cap[at] = min(k, 2)
+        cap[at[third.any(axis=1)]] = k
+        return [(sum(sorted(row)[-j:]) + margin, ()) for row, j in zip(sums.tolist(), cap.tolist())]
+
+    return [b for b, _ in in_chunks(lams, discrete._cells(geo, k), chunk)]
 
 
 # --- per-radius entries ------------------------------------------------------

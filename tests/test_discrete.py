@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from sofl.candidates import candidate_radii_discrete
+from sofl import discrete
 from sofl.discrete import (
     ConvexPositionError,
     _ChordSolver,
     _blue_bound,
     _geometry,
+    _solve_radii,
     _tables,
     canonical_ring,
     solve_discrete,
@@ -32,7 +34,9 @@ from conftest import (
     B,
     R,
     discrete_pair_table,
+    pool_instances,
     random_instance,
+    reference_blue_bound,
     rescaled,
     solve_discrete_fixed_radius,
     thin_ring_instance,
@@ -40,6 +44,7 @@ from conftest import (
 
 
 SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+BOUND_POLICIES = (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4))
 
 
 def site_weights(sites, points, lam, tol=DEFAULT_TOL):
@@ -258,10 +263,11 @@ def test_blue_bound_is_at_least_every_union_weight():
     # At every candidate radius the bound is at least the union weight of
     # every selection the solve can return: at most k sites, pairwise
     # compatible by the scalar `centers_compatible`, with coverage by the
-    # scalar `is_covered` and the union summed in point order. The bound
-    # counts no more sites than fit pairwise, so radii where only one or
-    # two of the k fit must occur, on the exact and on the margin path. At
-    # radius <= 0 the solve places nothing, so the bound need only be >= 0.
+    # scalar `is_covered` and the union summed in point order, each under
+    # the bound's own policy. The bound counts no more sites than fit
+    # pairwise, so radii where only one or two of the k fit must occur, on
+    # the exact and on the margin path. At radius <= 0 the solve places
+    # nothing, so the bound need only be >= 0.
     cases = 0
     capped = Counter()
     for sites, points, k in _bound_cases():
@@ -269,7 +275,6 @@ def test_blue_bound_is_at_least_every_union_weight():
         s = len(ring)
         radii = [c.value for c in candidate_radii_discrete(points, ring)]
         geo = _geometry(ring, points)
-        bounds = _blue_bound(geo, radii, k, DEFAULT_TOL)
         w = np.array([p.weight for p in points])
         subsets = [c for r in range(1, k + 1) for c in combinations(range(s), r)]
         inc = np.zeros((s, len(subsets)), dtype=int)
@@ -277,22 +282,167 @@ def test_blue_bound_is_at_least_every_union_weight():
         for j, c in enumerate(subsets):
             inc[list(c), j] = 1
             pairs[[a * s + b for a, b in combinations(c, 2)], j] = 1
-        for lam, bound in zip(radii, bounds):
-            if lam <= 0:
-                assert bound >= 0.0
-                continue
-            apart = np.array([[a == b or centers_compatible(a, b, lam) for b in ring] for a in ring])
-            fits = (~apart).ravel().astype(int) @ pairs == 0
-            most = max(len(c) for c, f in zip(subsets, fits) if f)
-            if most < k:
-                capped[most, sums_are_exact(geo.w)] += 1
-            cov = np.array([[is_covered(p, Disk(x, y, lam)) for x, y in ring] for p in points])
-            union = cov.astype(int) @ inc[:, fits] > 0
-            top = np.cumsum(np.where(union, w[:, None], 0.0), axis=0)[-1].max()
-            assert bound >= top, (sites, points, k, lam)
-        cases += 1
-    assert cases > 100
+        for tol in BOUND_POLICIES:
+            for lam, bound in zip(radii, _blue_bound(geo, radii, k, tol)):
+                if lam <= 0:
+                    assert bound >= 0.0
+                    continue
+                apart = np.array([[a == b or centers_compatible(a, b, lam, tol) for b in ring] for a in ring])
+                fits = (~apart).ravel().astype(int) @ pairs == 0
+                most = max(len(c) for c, f in zip(subsets, fits) if f)
+                if most < k:
+                    capped[most, sums_are_exact(geo.w)] += 1
+                cov = np.array([[is_covered(p, Disk(x, y, lam), tol) for x, y in ring] for p in points])
+                union = cov.astype(int) @ inc[:, fits] > 0
+                top = np.cumsum(np.where(union, w[:, None], 0.0), axis=0)[-1].max()
+                assert bound >= top, (sites, points, k, lam, tol)
+            cases += 1
+    assert cases > 300
     assert all(capped[most, exact] for most in (1, 2) for exact in (True, False)), capped
+
+
+def _pool_bound_cases():
+    """(sites, points, small) of every discrete instance of the `sites` and
+    `small-check` pools, scaled by 1, 2^-20 and 2^20 in coordinates and
+    weights, and of `_bound_cases`; small flags the `small-check` ones."""
+    for name in ("sites", "small-check"):
+        for inst in pool_instances("discrete", name):
+            for scale in (1.0, 2.0**-20, 2.0**20):
+                yield (*rescaled(inst.sites, inst.points, [p.weight for p in inst.points], scale),
+                       name == "small-check")
+    for sites, points, _ in _bound_cases():
+        yield sites, points, False
+
+
+def test_blue_bound_equals_the_table_bound():
+    # The threshold bound against the per-radius tables it replaced
+    # (`reference_blue_bound`), at every candidate radius, for k from 1 to
+    # min(4, s - 1), under each policy. Where `sums_are_exact` they are
+    # equal bit for bit. Otherwise the site sums are added in another
+    # order: the two stay within the rounding margin of each other, and on
+    # the `small-check` instances the bound is at least the union weight
+    # the solve returns at every radius. (Every selection's union weight
+    # is checked by brute force on `_bound_cases` above.)
+    compared = Counter()
+    for sites, points, small in _pool_bound_cases():
+        ring = canonical_ring(sites)
+        geo = _geometry(ring, points)
+        radii = [c.value for c in candidate_radii_discrete(points, ring)]
+        exact = sums_are_exact(geo.w)
+        for tol in BOUND_POLICIES:
+            for k in range(1, min(4, len(ring) - 1) + 1):
+                got = _blue_bound(geo, radii, k, tol)
+                expect = reference_blue_bound(geo, radii, k, tol)
+                if exact:
+                    assert got == expect, (sites, points, k, tol)
+                    compared["exact"] += 1
+                    continue
+                margin = (k + 1) * (len(points) + k + 1) * float(np.abs(geo.w).sum()) * 2.0**-52
+                assert all(abs(a - b) <= margin for a, b in zip(got, expect)), (sites, points, k, tol)
+                if small:
+                    solved = [w for w, _ in _solve_radii(geo, radii, k, tol)]
+                    assert all(b >= w for b, w in zip(got, solved)), (sites, points, k, tol)
+                    compared["solved"] += 1
+                compared["inexact"] += 1
+    assert compared["exact"] > 2000 and compared["inexact"] > 1000 and compared["solved"] > 500, compared
+
+
+def test_blue_bound_builds_no_tables(monkeypatch):
+    # On the discrete pool instances the bound neither builds the chunk
+    # tables nor lists the compatible triples, and gives the reference's
+    # values.
+    cases = []
+    for inst in pool_instances("discrete", "sites", "small-check"):
+        ring = canonical_ring(inst.sites)
+        geo = _geometry(ring, inst.points)
+        radii = [c.value for c in candidate_radii_discrete(inst.points, ring)]
+        cases.append((geo, radii, inst.k, reference_blue_bound(geo, radii, inst.k)))
+
+    def refuse(*args):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(discrete, "_tables", refuse)
+    monkeypatch.setattr(discrete, "_thirds", refuse)
+    for geo, radii, k, expect in cases:
+        assert _blue_bound(geo, radii, k, DEFAULT_TOL) == expect
+    assert len(cases) == 13 + 64
+
+
+def _near(v: float, steps: int = 2) -> list[float]:
+    """v and the floats up to steps ulps either side of it."""
+    out = [v]
+    for direction in (-math.inf, math.inf):
+        x = v
+        for _ in range(steps):
+            x = math.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+def test_blue_bound_at_threshold_edges():
+    # Where a one-ulp error in a threshold would move a bound, under each
+    # policy. At lam = 2.5 the pair that decides j is exactly 2*lam apart:
+    # the farthest pair (k = 2) or the shortest side of the widest triangle
+    # (k = 3), at one height or across heights, also with the x of its
+    # second site moved one ulp either way. Blues lie on every site, and at
+    # distance exactly lam from site (0, 0) and one ulp either side. The
+    # radii are lam and, per blue and site and per site pair, the radius
+    # where the policy's test flips, each with the floats 2 ulps around it.
+    # The bound must equal the per-radius tables' at each.
+    rings = [  # (sites, k, the moved site)
+        ([(0.0, 0.0), (5.0, 0.0), (4.0, 1.0), (1.0, 1.0)], 2, 1),
+        ([(0.0, 0.0), (2.5, 1.0), (3.0, 4.0), (0.5, 3.0)], 2, 2),
+        ([(0.0, 0.0), (2.5, -0.5), (5.0, 0.0), (2.5, 5.0)], 3, 2),
+        ([(0.0, 0.0), (2.0, -1.5), (6.0, -1.0), (3.0, 4.0)], 3, 3),
+    ]
+    edge = [(x, -2.0) for x in (-1.5, math.nextafter(-1.5, -math.inf), math.nextafter(-1.5, math.inf))]
+    edge += [(0.0, 2.5), (0.0, math.nextafter(2.5, 0.0)), (math.nextafter(0.0, 1.0), 2.5)]
+    moves = 0
+    for base, k, moved in rings:
+        for direction in (0.0, -math.inf, math.inf):
+            x, y = base[moved]
+            sites = base[:moved] + [(math.nextafter(x, direction) if direction else x, y)] + base[moved + 1:]
+            points = [B(i, x, y, 1.0 + i) for i, (x, y) in enumerate(sites + edge)]
+            ring = canonical_ring(sites)
+            geo = _geometry(ring, points)
+            for tol in BOUND_POLICIES:
+                eps = tol.eps
+                edges = [2.5]
+                for d in geo.pd2.ravel().tolist():
+                    edges += [math.sqrt(d), math.sqrt(d / (1.0 + eps))]
+                for i, j in combinations(range(len(ring)), 2):
+                    edges += [math.sqrt(geo.d2[i, j]) / 2.0, math.sqrt(geo.d2[i, j] / (4.0 * (1.0 - eps)))]
+                    if geo.same[i, j]:
+                        edges += [geo.adx[i, j] / 2.0, geo.adx[i, j] / (2.0 * (1.0 - eps))]
+                radii = sorted({r for v in edges for r in _near(v)})
+                got = _blue_bound(geo, radii, k, tol)
+                assert got == reference_blue_bound(geo, radii, k, tol), (sites, k, tol)
+                moves += sum(a != b for a, b in zip(got, got[1:]))
+    assert moves > 250, moves
+
+
+def test_no_incircle_table_at_k3(monkeypatch):
+    # At k = 3 the recursion has no budget left after the anchor root, so
+    # it never reads the in-circle table; at k = 4 the table is built once
+    # per solve.
+    cases = [inst for inst in pool_instances("discrete", "sites") if inst.k in (3, 4)]
+    expect = [solve_discrete(inst.sites, inst.points, inst.k) for inst in cases]
+    built = []
+    admission = discrete._admission
+
+    def counted(ring):
+        built.append(ring)
+        return admission(ring)
+
+    def refuse(ring):
+        raise AssertionError("in-circle table built at k = 3")
+
+    for inst, placement in zip(cases, expect):
+        monkeypatch.setattr(discrete, "_admission", refuse if inst.k == 3 else counted)
+        built.clear()
+        assert solve_discrete(inst.sites, inst.points, inst.k) == placement
+        assert len(built) == (inst.k == 4)
+    assert {inst.k for inst in cases} == {3, 4}
 
 
 def test_k1_best_single_site():

@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import pathlib
 import random
-import sys
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +32,7 @@ from conftest import (
     kernel_sides,
     line_centers_and_weights,
     multiline_centers,
+    pool_instances,
     reference_pair_tables,
     reference_tlines_candidates,
     reference_tlines_solve_radius,
@@ -595,22 +593,11 @@ def test_array_picks_equal_the_reference_search_on_ties():
     assert ties.min() > 20, ties
 
 
-def _pool_instances(*names):
-    """The t-lines instances of the benchmark pools of the given workloads."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    wl = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = wl  # its dataclasses look their module up
-    spec.loader.exec_module(wl)
-    return [parse_instance(wl.instance_text(generate, st, i))
-            for name in names for st, i in wl.pool_keys(name) if st.variant == "tlines"]
-
-
 def test_budgets_up_to_two_never_search(monkeypatch):
     # At k <= 2 the DFS does not run: every such t-lines instance of the
     # `tlines` and `small-check` pools solves with `_search` refusing, to
     # the placement it has with `_search` in place.
-    cases = [inst for inst in _pool_instances("tlines", "small-check") if inst.k <= 2]
+    cases = [inst for inst in pool_instances("tlines", "tlines", "small-check") if inst.k <= 2]
     expect = [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases]
 
     def refuse(*args):
@@ -625,7 +612,7 @@ def test_budgets_of_two_list_no_pair_table(monkeypatch):
     # At k = 2 no pair of searched centers is enumerated: every such t-lines
     # instance of the `tlines` and `small-check` pools solves with `_pairs`
     # refusing, to the placement it has with `_pairs` in place.
-    cases = [inst for inst in _pool_instances("tlines", "small-check") if inst.k == 2]
+    cases = [inst for inst in pool_instances("tlines", "tlines", "small-check") if inst.k == 2]
     expect = [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases]
 
     def refuse(*args):
