@@ -11,7 +11,10 @@ generator through `perfbench/workloads.py`, which is loaded by path. On
 each instance both sides run `sofl solve --format text` and `--format
 json` once per algorithm that applies (dp, and fast or fvd for the k = 1
 special variants) and `sofl check` once, comparing exit codes and output
-bytes (for check, the solver and oracle lines and the verdict). A last
+bytes (for check, the solver and oracle lines and the verdict). A t-lines
+instance is also solved (json) at `--k 3`, which runs the search on its
+compatibility bitsets, and at `--tol 1e-4` and `--tol 5e-7`, whose wide
+bands chain radii both ways and stretch the pair cuts' margins. A last
 operation per instance compares the `repr` of its candidate radii, which a
 solve's output can hide: `candidate_radii_line` and `line_contacts` on the
 line y = 0 for the one-line variants, `candidate_radii_tlines` and
@@ -68,6 +71,9 @@ def operations(text: str, path: str) -> list[list[str]]:
     if inst.k == 1:
         algorithms += {"maxblue-nored": ["fast"], "allblue-minred": ["fvd"]}.get(inst.variant, [])
     ops = [["solve", "--input", path, "--algorithm", a, "--format", f] for a in algorithms for f in ("text", "json")]
+    if inst.variant == "tlines":
+        ops += [["solve", "--input", path, *extra, "--format", "json"]
+                for extra in (["--k", "3"], ["--tol", "1e-4"], ["--tol", "5e-7"])]
     return ops + [["check", "--input", path], [CANDIDATES, "--input", path]]
 
 

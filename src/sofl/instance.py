@@ -57,6 +57,10 @@ VARIANTS = ("csofl", "allblue-minred", "maxblue-nored", "tlines", "discrete")
 # k times that sum bounds every weight sum they form. Keeping it at most
 # 2^1023 keeps every such sum finite, with a factor two to spare.
 WEIGHT_SUM_LIMIT = 2.0 ** 1023
+# Nonzero coordinates (x, y, line heights, sites) have magnitudes in [2^-150,
+# 2^150]. Distinct ones differ by at least 2^-202, so a center derived from
+# two points stays within 2^505 and every square within 2^1012 (README).
+COORD_MIN, COORD_MAX = 2.0 ** -150, 2.0 ** 150
 SPECIAL_VARIANTS = ("allblue-minred", "maxblue-nored")
 _LINE_Y_VARIANTS = ("csofl", "allblue-minred", "maxblue-nored")
 
@@ -89,6 +93,13 @@ def _finite(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not a finite number")
+    return value
+
+
+def _coordinate(token: str) -> float:
+    value = _finite(token)
+    if value and not COORD_MIN <= abs(value) <= COORD_MAX:
+        raise ValueError(f"{token!r} is neither 0 nor of magnitude in [2^-150, 2^150]")
     return value
 
 
@@ -125,16 +136,16 @@ def parse_instance(text: str, k_override: int | None = None) -> ProblemInstance:
                     raise ParseError(lineno, "lines specified twice")
                 if len(tokens) < 2:
                     raise ParseError(lineno, "lines needs at least one height")
-                lines = tuple(_finite(t) for t in tokens[1:])
+                lines = tuple(_coordinate(t) for t in tokens[1:])
             elif head == "site":
                 if len(tokens) != 3:
                     raise ParseError(lineno, "site takes x and y")
-                sites.append((_finite(tokens[1]), _finite(tokens[2])))
+                sites.append((_coordinate(tokens[1]), _coordinate(tokens[2])))
             elif head in ("B", "R"):
                 if len(tokens) not in (3, 4):
                     raise ParseError(lineno, f"{head} takes x y [w]")
                 w = _finite(tokens[3]) if len(tokens) == 4 else None
-                raw_points.append((lineno, head, _finite(tokens[1]), _finite(tokens[2]), w))
+                raw_points.append((lineno, head, _coordinate(tokens[1]), _coordinate(tokens[2]), w))
             else:
                 raise ParseError(lineno, f"unknown directive {head!r}")
         except ValueError as exc:

@@ -25,14 +25,15 @@ line's geometry, built once per solve:
   built: two disks that do not touch cover no common point, so a strict
   pair weighs the sum of its disks' weights, and each candidate's best
   strict partner on each line is a running maximum up to one
-  `searchsorted` cut; only the pairs near touching are listed and weighed
-  by their union (`_partners`);
+  `searchsorted` cut (`_cuts`); only the pairs near touching are listed
+  and weighed by their union (`_partners`), or every compatible pair where
+  the weights are not exact sums;
 - k >= 3: per row, a Python DFS (`_search`) seeded with the best single,
   where a node ANDs int bitsets of covered points and compatible later
-  candidates (`_pairs`, in blocks) instead of testing center pairs. Union
-  weights are memoized per covered-point bitset for a whole solve, since
-  they do not depend on the radius; they are the same point-order float
-  sums as the array ones.
+  candidates (every pair the same cuts list, `_compatible`) instead of
+  testing center pairs. Union weights are memoized per covered-point
+  bitset for a whole solve, since they do not depend on the radius; they
+  are the same point-order float sums as the array ones.
 `placement.in_chunks` gives a chunk as many radii as fit `placement.CELLS`
 coverage cells; the radius loop (`placement.best_radius`) solves the
 first radii in one call and the chain radii it admits in one more. Every
@@ -158,29 +159,12 @@ def _coverage(geo, lams, xs, row, li, tol: TolerancePolicy):
     return coverage_mask(s, geo.blue[:, None], tol.bands(r2))
 
 
-def _pairs(xs, ys, row, lams, tol: TolerancePolicy, cells: int):
-    """The compatible pairs of centers i < j of a row (rows ascending), as
-    blocks of i and j, each of about `placement.CELLS` / cells pairs. Each
-    pair is decided at its row's radius by `geom.compatible_table`."""
-    pos = np.arange(len(row)) - np.searchsorted(row, row)
-    later = np.bincount(row, minlength=len(lams))[row] - pos - 1
-    block = max(1, placement.CELLS // cells)
-    cuts = np.searchsorted(np.cumsum(later), np.arange(block, later.sum(), block))
-    for a in np.split(np.arange(len(row)), cuts):
-        i = np.repeat(a, later[a])
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later[a]) - later[a], later[a])
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
-        yield i[ok], j[ok]
-
-
 def _cuts(lines, lams, xs, row, li, tol: TolerancePolicy):
     """The (row, line, x) order o of the centers and, per line a and center
-    j, shape (t, m): where line a's centers of j's row start in o, the
-    `_partners` cuts strict <= close after that start, whether a is j's
-    line, dy^2, and the threshold of `geom.compatible_table` on |dx| (one
-    line) or d2 (across), in its float operations."""
+    j, shape (t, m): where line a's centers of j's row start in o, the cuts
+    strict <= close after that start (`_partners`, `_compatible`), whether
+    a is j's line, dy^2, and the threshold of `geom.compatible_table` on
+    |dx| (one line) or d2 (across), in its float operations."""
     t, rows = len(lines), len(lams)
     group = row * t + li
     size = np.bincount(group, minlength=rows * t)
@@ -204,6 +188,27 @@ def _cuts(lines, lams, xs, row, li, tol: TolerancePolicy):
     return o, base, strict, close, same, dy2, np.where(same, one, across)
 
 
+def _compatible(xs, cuts, lo, block: int):
+    """The compatible pairs of centers i < j of a row, as blocks (i, j) of
+    about block pairs: for each line a and center j, line a's centers from
+    lo (per (a, j), or one for all) up to j's close cut (`_cuts`), kept in
+    the float operations of `geom.compatible_table`, without (j, j). From
+    lo = 0 that is every compatible pair, some twice; a pair is listed from
+    its right center, or from both where they are close in x."""
+    o, base, _, close, same, dy2, thr = cuts
+    count = (close - lo).ravel()
+    listed = count.nonzero()[0]
+    count, start = count[listed], (base + lo).ravel()[listed]  # where each listing starts in o
+    bounds = np.searchsorted(np.cumsum(count), np.arange(block, count.sum(), block))
+    for part in np.split(np.arange(len(listed)), bounds):
+        at = np.repeat(listed[part], count[part])
+        walk = np.arange(len(at)) - np.repeat(np.cumsum(count[part]) - count[part] - start[part], count[part])
+        i, j = o[walk], at % len(xs)
+        dx = xs[i] - xs[j]
+        keep = (np.where(same.ravel()[at], np.abs(dx), dx * dx + dy2.ravel()[at]) >= thr.ravel()[at]) & (i != j)
+        yield np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+
+
 def _partners(geo, lines, lams, xs, row, li, w, cov, tol: TolerancePolicy):
     """The pairs of searched centers i < j of a row that can be a budget of
     two's best, as blocks (i, j, weight) for `placement.best_upto_two`.
@@ -217,51 +222,30 @@ def _partners(geo, lines, lams, xs, row, li, w, cov, tol: TolerancePolicy):
     sqrt(4*lam^2 - band - dy^2) across) is compatible. Both are prefixes of
     line a's x order, cut by one `searchsorted` of keys group * span + x at
     gaps widened and narrowed by far more than the rounding of the gaps and
-    the keys. A pair is found from its right center, or both at one x.
+    the keys (`_cuts`).
 
-    For a fixed j, `best_upto_two` ranks partners of one weight by their
-    position, so the best strict partner is a running maximum of (weight,
-    -position), and one pair per (j, a) gives it. The centers between the
-    cuts are listed, kept in the float operations of `geom.compatible_table`
-    and weighed by their union in point order. w_i + w_j is that union sum
-    only when `geo.exact`; otherwise the strict pairs within the rounding
-    margin of their row's best sum are listed instead, so every weight is a
-    union sum, as an enumeration of all compatible pairs gives it."""
-    t, m, rows = len(lines), len(row), len(lams)
-    o, base, strict, close, same, dy2, thr = _cuts(lines, lams, xs, row, li, tol)
-    by_rank = np.argsort(-w, kind="stable")  # weight descending, then position
-    rank = np.empty(m, dtype=np.intp)
-    rank[by_rank] = np.arange(m)
-    top = np.maximum.accumulate((row * t + li)[o] * m + (m - 1 - rank[o]))  # restarts per group: groups ascend
-    has = strict > 0
-    bi, bj = by_rank[m - 1 - top[(base + strict - 1)[has]] % m], has.nonzero()[1]
-    pair_w = w[bi] + w[bj]
-    lo, given = strict, (np.minimum(bi, bj), np.maximum(bi, bj), pair_w)
-    if not geo.exact:
-        best = np.full(rows, -np.inf)
-        np.maximum.at(best, row[bj], pair_w)
-        floor = best - (4 * len(geo.w) + 8) * 2.0 ** -52 * float(np.abs(geo.w).sum())
-        rival = np.zeros((t, m), dtype=bool)  # (a, j) with a strict pair within the margin
-        rival[has] = pair_w >= floor[row[bj]]
-        lo, given = np.where(rival, 0, strict), (bi[:0], bj[:0], pair_w[:0])
-    count = (close - lo).ravel()
-    listed = count.nonzero()[0]
-    count = count[listed]
-    block = max(1, placement.CELLS // max(8, len(geo.w)))  # pairs per n x pairs union table
-    bounds = np.searchsorted(np.cumsum(count), np.arange(block, count.sum(), block))
-    for part in np.split(np.arange(len(listed)), bounds):
-        at = np.repeat(listed[part], count[part])
-        walk = lo.ravel()[at] + np.arange(len(at)) - np.repeat(np.cumsum(count[part]) - count[part], count[part])
-        i, j = o[base.ravel()[at] + walk], at % m
-        dx = xs[i] - xs[j]
-        # Where the slack passes 2*lam this lists (j, j), which loses to j alone.
-        keep = np.where(same.ravel()[at], np.abs(dx), dx * dx + dy2.ravel()[at]) >= thr.ravel()[at]
-        if not geo.exact:
-            keep &= (walk >= strict.ravel()[at]) | (w[i] + w[j] >= floor[row[j]])
-        i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
-        yield (np.concatenate([given[0], i]), np.concatenate([given[1], j]),
-               np.concatenate([given[2], point_order_sums(cov[:, i] | cov[:, j], geo.w)]))
-        given = (bi[:0], bj[:0], pair_w[:0])
+    w_i + w_j is the point-order union sum only when `geo.exact`. Then
+    `best_upto_two` ranks partners of one weight by their position, so the
+    best strict partner is a running maximum of (weight, -position), and
+    one pair per (j, a) gives it; only the centers between the two cuts are
+    listed (`_compatible`) and weighed by their union in point order.
+    Otherwise every compatible pair is listed and weighed so, as an
+    enumeration of all of them gives it."""
+    t, m = len(lines), len(row)
+    cuts = _cuts(lines, lams, xs, row, li, tol)
+    o, base, strict = cuts[:3]
+    lo = 0
+    if geo.exact:
+        by_rank = np.argsort(-w, kind="stable")  # weight descending, then position
+        rank = np.empty(m, dtype=np.intp)
+        rank[by_rank] = np.arange(m)
+        top = np.maximum.accumulate((row * t + li)[o] * m + (m - 1 - rank[o]))  # restarts per group: groups ascend
+        has = strict > 0
+        bi, bj = by_rank[m - 1 - top[(base + strict - 1)[has]] % m], has.nonzero()[1]
+        yield np.minimum(bi, bj), np.maximum(bi, bj), w[bi] + w[bj]
+        lo = strict
+    for i, j in _compatible(xs, cuts, lo, max(1, placement.CELLS // max(8, len(geo.w)))):
+        yield i, j, point_order_sums(cov[:, i] | cov[:, j], geo.w)  # an n x pairs union table
 
 
 def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
@@ -272,7 +256,7 @@ def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
     and its positions in the row, ascending; and for k >= 3, per searched
     center, its gain (covered positive weight), its covered points as a
     bitset and its compatible later centers of the row as a bitset over
-    positions (`_pairs`).
+    positions, every compatible pair listed from the `_cuts` (`_compatible`).
 
     Weights are summed in point order like `geom.disk_weight`, a listed
     pair's over the union of its two mask columns. A center whose own disk
@@ -292,8 +276,10 @@ def _tables(geo, lines, lams, xs, row, li, k: int, tol: TolerancePolicy):
     elif k > 2:
         pos = np.arange(len(row)) - np.searchsorted(row, row)
         bits = np.zeros((len(row), np.bincount(row).max(initial=0)), dtype=bool)
-        for i, j in _pairs(xs[order], np.array(lines)[li[order]], row, lams, tol, 8):
-            bits[i, pos[j]] = True
+        if len(order):
+            cuts = _cuts(lines, lams, xs[order], row, li[order], tol)
+            for i, j in _compatible(xs[order], cuts, 0, max(1, placement.CELLS // 8)):
+                bits[i, pos[j]] = True
         gains = point_order_sums(cov & (geo.w > 0)[:, None], geo.w)
         search = gains.tolist(), bitsets(cov.T), bitsets(bits)
     return order, best_upto_two(len(lams), row, w, pairs), search

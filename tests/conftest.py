@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sofl import discrete, multiline
+from sofl import discrete, multiline, placement
 from sofl.candidates import (
     KIND_BLUE,
     KIND_BLUE_BLUE,
@@ -807,12 +807,29 @@ def reference_tlines_solve_radius(geos, lines, lam, k, tol=DEFAULT_TOL, both=Tru
     return weight, chosen
 
 
+def reference_compatible_pairs(xs, ys, row, lams, tol: TolerancePolicy, cells: int):
+    """The compatible pairs of centers i < j of a row (rows ascending), as
+    blocks of i and j, each of about `placement.CELLS` / cells pairs. Each
+    pair is decided at its row's radius by `geom.compatible_table`."""
+    pos = np.arange(len(row)) - np.searchsorted(row, row)
+    later = np.bincount(row, minlength=len(lams))[row] - pos - 1
+    block = max(1, placement.CELLS // cells)
+    cuts = np.searchsorted(np.cumsum(later), np.arange(block, later.sum(), block))
+    for a in np.split(np.arange(len(row)), cuts):
+        i = np.repeat(a, later[a])
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later[a]) - later[a], later[a])
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        ok = compatible_table(ys[i] == ys[j], np.abs(dx), dx * dx + dy * dy, lams[row[i]], tol)
+        yield i[ok], j[ok]
+
+
 def reference_pair_tables(geo, lines, lams, xs, row, li, k, tol=DEFAULT_TOL):
     """`multiline._tables` at k = 2 as it was before budgets of two searched
     their partners: every compatible pair of searched centers of a row,
-    from the blocks of `multiline._pairs`, weighed by the point-order sum
-    over the union of its two mask columns (an n x pairs table per block)
-    and folded by `best_upto_two`."""
+    from the blocks of `reference_compatible_pairs`, weighed by the
+    point-order sum over the union of its two mask columns (an n x pairs
+    table per block) and folded by `best_upto_two`."""
     assert k == 2
     cov = multiline._coverage(geo, lams, xs, row, li, tol)
     sums = point_order_sums(cov, geo.w)
@@ -820,7 +837,7 @@ def reference_pair_tables(geo, lines, lams, xs, row, li, k, tol=DEFAULT_TOL):
     cov, row = cov[:, order], row[order]
     ys = np.array(lines)[li[order]]
     pairs = ((i, j, point_order_sums(cov[:, i] | cov[:, j], geo.w))
-             for i, j in multiline._pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))))
+             for i, j in reference_compatible_pairs(xs[order], ys, row, lams, tol, max(8, len(geo.w))))
     return order, best_upto_two(len(lams), row, sums[order], pairs), None
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from sofl import cli, discrete, multiline, placement
-from sofl.cli import EXIT_INPUT, EXIT_OK, EXIT_TOO_LARGE, main
+from sofl.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_TOO_LARGE, main
 from sofl.geom import centers_compatible
 from sofl.instance import generate, parse_instance
 from sofl.placement import ValidationFailureError
@@ -157,6 +157,72 @@ def test_weight_bound_follows_the_k_override(inst_file, capsys, command):
         assert json.loads(out)["weight"] == 6e307  # one disk covers all three points
     assert main(args + ["--k", "2"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: line 4: k (2) times the sum of |w| so far exceeds 2^1023\n"
+
+
+# Witnesses of coordinates outside [2^-150, 2^150], with the line refused.
+# Squares overflowed (with numpy warnings) or underflowed, and `check`
+# passed with weight 0 at lambda 0 on both sides, where two touching disks
+# cover weight 3; a subnormal x made numpy warn of overflow.
+COORDINATE_WITNESSES = [
+    ("variant csofl\nk 2\nB 1e200 1e200 1\nB 3e200 1e200 2\nR 2e200 5e199 -1\n", 3, "1e200"),
+    ("variant csofl\nk 2\nB 1e-200 1e-200 1\nB 3e-200 1e-200 2\nR 2e-200 5e-201 -1\n", 3, "1e-200"),
+    ("variant csofl\nk 2\nB 0 1 1\nB 5e-324 2 1\n", 4, "5e-324"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("text, lineno, token", COORDINATE_WITNESSES)
+def test_coordinates_outside_the_domain_exit_code(inst_file, capsys, command, text, lineno, token):
+    path = inst_file(text)
+    assert main([command, "--input", path]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: line {lineno}: '{token}' is neither 0 nor")
+
+
+def _edge_instance(rng, variant):
+    """An instance of variant with every coordinate 0, +-1 or at an edge of
+    the domain, +-2^-150 or +-2^150, and integer weights."""
+    positive = [2.0 ** -150, 2.0 ** 150, 1.0]
+    anywhere = [0.0] + positive + [-v for v in positive]
+    out = [f"variant {variant}", f"k {rng.choice([1, 2])}"]
+    if variant == "tlines":
+        out.append("lines " + " ".join(map(repr, sorted(rng.sample(anywhere, rng.choice([1, 2]))))))
+    if variant == "discrete":
+        s = rng.choice(positive[:2])
+        out += [f"site {x!r} {y!r}" for x, y in ((s, 0.0), (0.0, s), (-s, 0.0), (0.0, -s))]
+    for i in range(rng.randint(1, 4)):
+        above = variant in ("csofl", "allblue-minred", "maxblue-nored")  # y > 0
+        x, y = rng.choice(anywhere), rng.choice(positive if above else anywhere)
+        blue = i == 0 or rng.random() < 0.7
+        w = "" if variant in ("allblue-minred", "maxblue-nored") else f" {(1 if blue else -1) * rng.randint(1, 3)}"
+        out.append(f"{'B' if blue else 'R'} {x!r} {y!r}{w}")
+    return "\n".join(out) + "\n"
+
+
+def test_edge_coordinates_solve_without_warnings(inst_file, capsys):
+    # Seeded instances of every variant at both edges of the coordinate
+    # domain: `solve` (text and json, every algorithm) and `check` run with
+    # warnings as errors, and print only finite numbers; `check` may stop
+    # at the oracle's size guard.
+    number = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|-?inf(?:inity)?|nan", re.IGNORECASE)
+    outcomes = {}
+    for seed in range(60):
+        rng = random.Random(seed)
+        variant = ("csofl", "allblue-minred", "maxblue-nored", "tlines", "discrete")[seed % 5]
+        path = inst_file(_edge_instance(rng, variant))
+        runs = [["solve", "--input", path, "--algorithm", a, "--format", f]
+                for a in ("dp", "fast", "fvd") for f in ("text", "json")] + [["check", "--input", path]]
+        for args in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(args)
+            out = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_TOO_LARGE), (seed, args)
+            assert out.err.startswith("error: ") if code == EXIT_TOO_LARGE else out.err == "", (seed, args)
+            outcomes[code] = outcomes.get(code, 0) + 1
+            for token in number.findall(out.out):
+                assert math.isfinite(float(token)), (seed, args, out.out)
+    assert outcomes[EXIT_OK] > 300, outcomes
 
 
 def test_missing_file_exit_code(capsys):

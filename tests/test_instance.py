@@ -67,6 +67,31 @@ def test_parse_rejects_non_finite_numbers(text, value):
     assert err.value.lineno == 3 and "not a finite number" in err.value.reason
 
 
+COORDINATE_TEXTS = [
+    "variant csofl\nk 1\nB {0} 1 1\n",  # x
+    "variant tlines\nk 1\nlines 0\nB 0 {0} 1\n",  # y
+    "variant tlines\nk 1\nlines {0}\nB 0 1 1\n",  # a line height
+    "variant discrete\nk 1\nsite {0} 0\nsite 0 {0}\nsite 0 0\nB 0 1 1\n",  # site x
+    "variant discrete\nk 1\nsite 0 {0}\nsite {0} 0\nsite 0 0\nB 0 1 1\n",  # site y
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("bound", [2.0 ** -150, 2.0 ** 150])
+@pytest.mark.parametrize("text", COORDINATE_TEXTS)
+def test_parse_coordinate_domain_bounds(text, bound, sign):
+    # The bounds of the domain are accepted, the next float outside each
+    # is refused with its line number.
+    inst = parse_instance(text.format(repr(sign * bound)))
+    assert sign * bound in {*inst.lines, *(c for p in inst.points for c in (p.x, p.y)),
+                            *(c for site in inst.sites for c in site)}
+    outside = math.nextafter(bound, 0.0 if bound < 1 else math.inf)
+    with pytest.raises(ParseError) as err:
+        parse_instance(text.format(repr(sign * outside)))
+    assert err.value.lineno == text.count("\n", 0, text.index("{0}")) + 1
+    assert "is neither 0 nor of magnitude in [2^-150, 2^150]" in err.value.reason
+
+
 def test_parse_missing_variant():
     with pytest.raises(SemanticError):
         parse_instance("k 1\nB 0 1 1\n")

@@ -14,7 +14,6 @@ import sofl.multiline
 from sofl.multiline import (
     _UnionWeights,
     _coverage,
-    _pairs,
     _search,
     _solve_radii,
     _stacked,
@@ -33,6 +32,7 @@ from conftest import (
     line_centers_and_weights,
     multiline_centers,
     pool_instances,
+    reference_compatible_pairs,
     reference_pair_tables,
     reference_tlines_candidates,
     reference_tlines_solve_radius,
@@ -171,9 +171,10 @@ def assert_tables_match_scalar(points, lines, lams, centers, tol):
     """The tables of the centers at every radius of lams, one row each,
     against `is_covered`, `disk_weight`, `centers_compatible` and
     `union_coverage`, center by center and pair by pair: the searched
-    centers, the k = 3 search tables, each compatible pair (`_pairs`) and
-    its union weight, and each row's best single (k = 1 and 3) and best
-    single or pair (k = 2), the `selection_key` minimum over position keys.
+    centers, the k = 3 search tables, each compatible pair
+    (`conftest.reference_compatible_pairs`) and its union weight, and each
+    row's best single (k = 1 and 3) and best single or pair (k = 2), the
+    `selection_key` minimum over position keys.
     Returns the searched indices and the compatibility rows of the first
     radius."""
     geo = _stacked([line_geometry(points, ly) for ly in lines])
@@ -190,7 +191,7 @@ def assert_tables_match_scalar(points, lines, lams, centers, tol):
     # Each compatible pair's union weight as the k = 2 tables sum it.
     table = _coverage(geo, lams, xs, row, li, tol)[:, order]
     unions = {}
-    for i, j in _pairs(xs[order], np.array(lines)[li[order]], row[order], lams, tol, 8):
+    for i, j in reference_compatible_pairs(xs[order], np.array(lines)[li[order]], row[order], lams, tol, 8):
         union = point_order_sums(table[:, i] | table[:, j], geo.w)
         unions.update(zip(zip(order[i].tolist(), order[j].tolist()), union.tolist()))
     xy = [(c.x, lines[c.line_index]) for c in centers]
@@ -609,18 +610,32 @@ def test_budgets_up_to_two_never_search(monkeypatch):
 
 
 def test_budgets_of_two_list_no_pair_table(monkeypatch):
-    # At k = 2 no pair of searched centers is enumerated: every such t-lines
-    # instance of the `tlines` and `small-check` pools solves with `_pairs`
-    # refusing, to the placement it has with `_pairs` in place.
+    # At k = 2 with exact weights, not every compatible pair of searched
+    # centers is listed (`_compatible`), only those between each center's
+    # strict and close cuts: on every such t-lines instance of the `tlines`
+    # and `small-check` pools, fewer than a quarter of the compatible pairs
+    # the reference enumeration counts, to the same placements.
     cases = [inst for inst in pool_instances("tlines", "tlines", "small-check") if inst.k == 2]
     expect = [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases]
+    partners, compatible = sofl.multiline._partners, sofl.multiline._compatible
+    count = {"listed": 0, "compatible": 0}
 
-    def refuse(*args):
-        raise AssertionError("a pair table was built at k = 2")
+    def counted_partners(geo, lines, lams, xs, row, li, w, cov, tol):
+        assert geo.exact
+        ys = np.array(lines)[li]
+        count["compatible"] += sum(len(i) for i, _ in reference_compatible_pairs(xs, ys, row, lams, tol, 8))
+        return partners(geo, lines, lams, xs, row, li, w, cov, tol)
 
-    monkeypatch.setattr(sofl.multiline, "_pairs", refuse)
+    def counted_compatible(*args):
+        for i, j in compatible(*args):
+            count["listed"] += len(i)
+            yield i, j
+
+    monkeypatch.setattr(sofl.multiline, "_partners", counted_partners)
+    monkeypatch.setattr(sofl.multiline, "_compatible", counted_compatible)
     assert [solve_tlines(inst.points, inst.lines, inst.k) for inst in cases] == expect
     assert len(cases) == 24
+    assert 0 < 4 * count["listed"] < count["compatible"], count
 
 
 def _pair_cases():
@@ -667,6 +682,32 @@ def test_budgets_of_two_equal_the_pair_enumeration(monkeypatch):
                     shared += weight != sum(alone)
                     inexact += not geos[0].exact
     assert shared > 20 and inexact > 100, (shared, inexact)
+
+
+def test_budgets_of_three_equal_the_reference_on_the_pair_cases():
+    # At k = 3 the compatibility bitsets come from the same cuts as budgets
+    # of two (`_compatible` from lo = 0). On the cases and policies of
+    # `test_budgets_of_two_equal_the_pair_enumeration` (weights that are
+    # not exact sums, scales where radii chain both ways), `_solve_radii`
+    # equals the per-radius reference kernel, whose compatibility table
+    # tests every pair, by repr: at every first and chain radius and two
+    # more with at most 200 candidates, solved as one list. Wider radii
+    # (about a thousand candidates where the 2^-20 cases chain both ways)
+    # take the reference DFS seconds each.
+    policies = (DEFAULT_TOL, TolerancePolicy(5e-7), TolerancePolicy(1e-4))
+    solved = np.zeros(3, dtype=int)  # radii, two-sided radii, radii with inexact weights
+    for pts, lines in _pair_cases():
+        geos = [line_geometry(pts, ly) for ly in lines]
+        scale = max(abs(y) for y in lines) or 1.0
+        radii = [v for v, _ in radius_groups(candidate_radii_tlines(pts, lines, 3))] + [1.5 * scale, 2.5 * scale]
+        for tol in policies:
+            small = [v for v in radii if v <= 0 or len(multiline_centers(pts, lines, v, 3, tol)) <= 200]
+            got = _solve_radii(geos, lines, small, 3, tol)
+            expect = [reference_tlines_solve_radius(geos, lines, v, 3, tol, kernel_sides(v, tol)) for v in small]
+            assert repr(got) == repr(expect), (pts, lines, tol)
+            sides = [kernel_sides(v, tol) for v in small]
+            solved += [len(small), sum(sides), 0 if geos[0].exact else len(small)]
+    assert solved.min() > 500, solved
 
 
 def test_budgets_of_two_on_touching_centers():
